@@ -7,21 +7,41 @@ exact integer arithmetic, no floats anywhere.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
 
 
+# Miller-Rabin with the first twelve primes as bases decides primality
+# exactly for every n below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_EXACT_BELOW:
+        raise ParameterError(
+            f"primality is decided exactly only below {_MR_EXACT_BELOW}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -48,6 +68,20 @@ class PrimeField:
         if not isinstance(a, int) or not 0 <= a < self.p:
             raise ParameterError(f"{a!r} is not an element of GF({self.p})")
         return a
+
+    def check_all(self, values: Sequence[int]) -> Sequence[int]:
+        """Validate every element of a vector in one pass; return it as is.
+
+        A plain loop, not set/min/max: the audits make hundreds of thousands
+        of calls on length-2 vectors, where per-call overhead outweighs
+        per-element cost. Whatever the fast test does not accept (bool, int
+        subclasses, bad values) goes to check(), which raises or admits it.
+        """
+        p = self.p
+        for a in values:
+            if type(a) is not int or a < 0 or a >= p:
+                self.check(a)
+        return values
 
     def element(self, v: int) -> int:
         """Reduce an arbitrary int into the field."""
@@ -80,10 +114,7 @@ class PrimeField:
     def dot(self, u: Sequence[int], v: Sequence[int]) -> int:
         if len(u) != len(v):
             raise ParameterError(f"vector length mismatch: {len(u)} vs {len(v)}")
-        acc = 0
-        for a, b in zip(u, v):
-            acc += self.check(a) * self.check(b)
-        return acc % self.p
+        return sum(map(mul, self.check_all(u), self.check_all(v))) % self.p
 
     def rand(self, rng) -> int:
         return rng.draw(self.p)
@@ -149,8 +180,7 @@ def solve_linear(field: PrimeField, m, rhs) -> list[int]:
     if len(rhs) != n:
         raise ParameterError(f"right-hand side has length {len(rhs)}, expected {n}")
     p = field.p
-    aug = [[field.check(x) for x in row] + [field.check(b)]
-           for row, b in zip(m, rhs)]
+    aug = [[*field.check_all(row), field.check(b)] for row, b in zip(m, rhs)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
@@ -194,22 +224,25 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int], alpha: int,
     The shared coding primitive: queries pad the unit vector, storage
     shares pad the incidence vector.
     """
-    x = field.element(1 + field.check(alpha))
-    out = [field.check(v) for v in base]
+    p = field.p
+    x = (1 + field.check(alpha)) % p
+    out = field.check_all(base)
     for depth, row in enumerate(noise_rows, start=1):
-        if len(row) != len(out):
+        if len(row) != len(base):
             raise ParameterError("noise row length does not match the base vector")
-        c = field.pow(x, depth)
-        for k, z in enumerate(row):
-            out[k] = (out[k] + c * field.check(z)) % field.p
+        c = pow(x, depth, p)
+        out = [(a + c * z) % p for a, z in zip(out, field.check_all(row))]
     return tuple(out)
 
 
 def noise_pad_scalar(field: PrimeField, base: int, alpha: int,
                      noise: Sequence[int]) -> int:
     """base + sum_l (1+alpha)^l * noise[l-1]."""
-    x = field.element(1 + field.check(alpha))
+    p = field.p
+    x = (1 + field.check(alpha)) % p
     acc = field.check(base)
-    for depth, z in enumerate(noise, start=1):
-        acc = (acc + field.pow(x, depth) * field.check(z)) % field.p
-    return acc
+    weight = 1
+    for z in field.check_all(noise):
+        weight = weight * x % p
+        acc += weight * z
+    return acc % p

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,16 +25,22 @@ VARIANTS = ("pma1", "spma1", "spma2")
 # the type-II scheme serves both the symmetric and the non-symmetric problem
 VARIANT_ALIASES = {"pma2": "spma2"}
 
-_MASK64 = (1 << 64) - 1
+_WORDS = 1 << 64
+_MASK64 = _WORDS - 1
 _DYADIC = 1 << 53
 
 
 class RandomSource:
-    """Counter-mode SHA-256 generator.
+    """Counter-mode SHAKE-256 generator: one hash call per drawn vector.
 
-    Reproducible by construction and exactly uniform per draw thanks to
-    rejection sampling; protocol security is verified by enumeration, so
-    reproducibility matters more than entropy here.
+    Call number c hashes key || c (seed as 8 bytes, counter as 16, both big
+    endian) and reads as many 8-byte big-endian words as values are still
+    missing. A word w is rejected when w >= 2^64 - (2^64 mod modulus), so
+    every residue keeps probability exactly 1/modulus; rejected words are
+    made up from the next counter value. ``position`` counts hash calls.
+
+    Reproducible by construction; protocol security is verified by
+    enumeration, so reproducibility matters more than entropy here.
     """
 
     __slots__ = ("_key", "_counter")
@@ -49,21 +56,26 @@ class RandomSource:
         return self._counter
 
     def draw(self, modulus: int) -> int:
-        if not isinstance(modulus, int) or modulus < 1:
-            raise ParameterError(f"modulus must be a positive int, got {modulus!r}")
-        if modulus == 1:
-            return 0
-        # reject the tail so every residue keeps probability exactly 1/modulus
-        bound = (1 << 64) - ((1 << 64) % modulus)
-        while True:
-            block = hashlib.sha256(self._key + self._counter.to_bytes(16, "big")).digest()
-            self._counter += 1
-            v = int.from_bytes(block[:8], "big")
-            if v < bound:
-                return v % modulus
+        return self.draw_vector(modulus, 1)[0]
 
     def draw_vector(self, modulus: int, k: int) -> tuple[int, ...]:
-        return tuple(self.draw(modulus) for _ in range(k))
+        if not isinstance(modulus, int) or not 1 <= modulus <= _WORDS:
+            raise ParameterError(
+                f"modulus must be an int in 1..2^64, got {modulus!r}")
+        if not isinstance(k, int) or k < 0:
+            raise ParameterError(f"vector length must be a non-negative int, got {k!r}")
+        if modulus == 1:
+            return (0,) * k
+        bound = _WORDS - _WORDS % modulus
+        out: list[int] = []
+        while len(out) < k:
+            need = k - len(out)
+            block = hashlib.shake_256(
+                self._key + self._counter.to_bytes(16, "big")).digest(8 * need)
+            self._counter += 1
+            out += [w % modulus for w in struct.unpack(f">{need}Q", block)
+                    if w < bound]
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -277,10 +289,12 @@ class PartyDataset:
 
 def incidence(dataset: PartyDataset, e: int) -> tuple[int, ...]:
     """0/1 vector with a one at each held index."""
+    out = [0] * e
     for k in dataset.members:
         if not (isinstance(k, int) and 1 <= k <= e):
             raise ParameterError(f"dataset member {k!r} outside universe 1..{e}")
-    return tuple(1 if k in dataset.members else 0 for k in range(1, e + 1))
+        out[k - 1] = 1
+    return tuple(out)
 
 
 def members_of(bits: Sequence[int]) -> PartyDataset:
@@ -291,7 +305,9 @@ def members_of(bits: Sequence[int]) -> PartyDataset:
 def unit_vector(theta: int, e: int) -> tuple[int, ...]:
     if not (isinstance(theta, int) and 1 <= theta <= e):
         raise ParameterError(f"queried index {theta!r} outside 1..{e}")
-    return tuple(1 if k == theta else 0 for k in range(1, e + 1))
+    out = [0] * e
+    out[theta - 1] = 1
+    return tuple(out)
 
 
 def true_count(theta: int, datasets: Sequence[PartyDataset], e: int) -> int:
@@ -318,8 +334,11 @@ def generate_datasets(params: SchemeParams, probs,
             raise ParameterError(f"membership probability {pk} outside [0, 1]")
     datasets = []
     for _ in range(params.m):
-        members = {k for k in range(1, params.e + 1)
-                   if rng.draw(_DYADIC) / _DYADIC < plist[k - 1]}
+        words = rng.draw_vector(_DYADIC, params.e)
+        # copying a set sizes the frozenset's table exactly; a generator
+        # would leave it over-allocated for the dataset's lifetime
+        members = {k for k, w, pk in zip(range(1, params.e + 1), words, plist)
+                   if w / _DYADIC < pk}
         datasets.append(PartyDataset(frozenset(members)))
     return datasets
 

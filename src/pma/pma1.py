@@ -96,13 +96,11 @@ def masks_from_free(params: SchemeParams, free: Sequence[Sequence[int]]) -> Mask
     if len(free) != params.m - 1:
         raise ParameterError(
             f"expected {params.m - 1} free mask vectors, got {len(free)}")
-    total = [0] * params.n
     for s in free:
         if len(s) != params.n:
             raise ParameterError(f"mask vector length {len(s)} != N={params.n}")
-        for j in range(params.n):
-            total[j] = (total[j] + f.check(s[j])) % f.p
-    closing = tuple(f.neg(v) for v in total)
+        f.check_all(s)
+    closing = tuple(-sum(column) % f.p for column in zip(*free))
     return MaskSet(masks=tuple(tuple(s) for s in free) + (closing,))
 
 
@@ -126,10 +124,9 @@ def decode(answers, params: SchemeParams) -> int:
     if len(answers) != params.m or any(len(row) != params.n for row in answers):
         raise ParameterError(
             f"answer table must be {params.m} x {params.n}")
-    b = [0] * params.n
     for row in answers:
-        for j, a in enumerate(row):
-            b[j] = (b[j] + f.check(a)) % f.p
+        f.check_all(row)
+    b = [sum(column) % f.p for column in zip(*answers)]
     ups = build_upsilon(f, params.alphas_used, params.n)
     x = solve_linear(f, ups, b)
     count = x[0]

@@ -105,13 +105,11 @@ def aggregate(shares: Sequence[Sequence[int]], params: SchemeParams) -> tuple[in
             f"database aggregation needs one share per party: got {len(shares)}, "
             f"expected {params.m}")
     f = params.field
-    total = [0] * params.e
     for vec in shares:
         if len(vec) != params.e:
             raise ParameterError(f"share length {len(vec)} != E={params.e}")
-        for k, v in enumerate(vec):
-            total[k] = (total[k] + f.check(v)) % f.p
-    return tuple(total)
+        f.check_all(vec)
+    return tuple(sum(column) % f.p for column in zip(*shares))
 
 
 def query_vector(theta: int, alpha: int, noise_rows, params: SchemeParams) -> tuple[int, ...]:
@@ -162,7 +160,7 @@ def decode(answers: Sequence[int], params: SchemeParams) -> int:
     if len(answers) != n_eff:
         raise ParameterError(f"expected {n_eff} answers, got {len(answers)}")
     ups = build_upsilon(f, params.alphas_used, n_eff)
-    x = solve_linear(f, ups, [f.check(a) for a in answers])
+    x = solve_linear(f, ups, answers)  # validates every answer
     count = x[0]
     if count > params.m:
         raise IntegrityError(

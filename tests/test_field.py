@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pma.errors import IntegrityError, ParameterError
 from pma.field import (PrimeField, build_upsilon, default_alphas, determinant,
@@ -15,6 +17,20 @@ def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(-3, 32):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    for n in range(5000):
+        assert is_prime(n) == trial(n), n
+    # Carmichael numbers and a strong pseudoprime to bases 2, 3, 5 and 7
+    for n in (561, 41041, 825265, 3215031751):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
+    assert not is_prime(2 ** 61 + 1) and not is_prime((2 ** 31 - 1) ** 2)
+    with pytest.raises(ParameterError):
+        is_prime(2 ** 89 - 1)
 
 
 def test_add_examples():
@@ -159,3 +175,86 @@ def test_noise_pad_scalar_direct():
     f = PrimeField(5)
     assert noise_pad_scalar(f, 3, 1, (1, 2)) == 3
     assert noise_pad_scalar(f, 3, 1, ()) == 3
+
+
+# not elements of GF(5): negative, equal to p, not an int
+NOT_IN_GF5 = (-1, 5, 1.0)
+
+
+@pytest.mark.parametrize("bad", NOT_IN_GF5)
+def test_noise_pad_vector_rejects_bad_base(bad):
+    with pytest.raises(ParameterError):
+        noise_pad_vector(PrimeField(5), (1, bad, 0), 1, [(0, 0, 0)])
+
+
+@pytest.mark.parametrize("bad", NOT_IN_GF5)
+def test_noise_pad_vector_rejects_bad_noise_row(bad):
+    with pytest.raises(ParameterError):
+        noise_pad_vector(PrimeField(5), (1, 0, 0), 1, [(0, 0, 0), (2, bad, 0)])
+
+
+@pytest.mark.parametrize("bad", NOT_IN_GF5)
+def test_noise_pad_scalar_rejects_bad_inputs(bad):
+    f = PrimeField(5)
+    with pytest.raises(ParameterError):
+        noise_pad_scalar(f, bad, 1, (1, 2))
+    with pytest.raises(ParameterError):
+        noise_pad_scalar(f, 3, 1, (1, bad))
+    with pytest.raises(ParameterError):
+        noise_pad_scalar(f, 3, bad, (1, 2))
+
+
+# Per-element references: one modular multiply-add at a time, as the
+# vectorised field code must reproduce exactly.
+def ref_dot(p, u, v):
+    acc = 0
+    for a, b in zip(u, v):
+        acc = (acc + a * b) % p
+    return acc
+
+
+def ref_weight(p, alpha, depth):
+    c = 1
+    for _ in range(depth):
+        c = c * (1 + alpha) % p
+    return c
+
+
+def ref_pad_vector(p, base, alpha, rows):
+    out = list(base)
+    for depth, row in enumerate(rows, start=1):
+        c = ref_weight(p, alpha, depth)
+        for k, z in enumerate(row):
+            out[k] = (out[k] + c * z) % p
+    return tuple(out)
+
+
+def ref_pad_scalar(p, base, alpha, noise):
+    acc = base
+    for depth, z in enumerate(noise, start=1):
+        acc = (acc + ref_weight(p, alpha, depth) * z) % p
+    return acc
+
+
+@st.composite
+def field_vectors(draw):
+    p = draw(st.sampled_from((2, 3, 5, 131, 2 ** 61 - 1)))
+    length = draw(st.integers(0, 50))
+    depth = draw(st.integers(0, 3))
+    element = st.integers(0, p - 1)
+    vector = st.lists(element, min_size=length, max_size=length)
+    return (p, draw(vector), draw(vector),
+            draw(st.lists(vector, min_size=depth, max_size=depth)),
+            draw(element), draw(element),
+            draw(st.lists(element, min_size=depth, max_size=depth)))
+
+
+@settings(deadline=None)
+@given(field_vectors())
+def test_vector_ops_match_per_element_reference(case):
+    p, u, v, rows, alpha, scalar, noise = case
+    f = PrimeField(p)
+    assert f.dot(u, v) == ref_dot(p, u, v)
+    assert noise_pad_vector(f, u, alpha, rows) == ref_pad_vector(p, u, alpha, rows)
+    assert noise_pad_scalar(f, scalar, alpha, noise) == \
+        ref_pad_scalar(p, scalar, alpha, noise)

@@ -1,5 +1,6 @@
 """Parameter validation, datasets, incidence vectors, randomness source."""
 
+import hashlib
 import itertools
 import json
 
@@ -179,6 +180,51 @@ def test_random_source_determinism_and_range():
 def test_random_source_rejects_bad_modulus():
     with pytest.raises(ParameterError):
         RandomSource(0).draw(0)
+    for k in (0, 1, 5):
+        with pytest.raises(ParameterError):
+            RandomSource(0).draw_vector(0, k)
+
+
+def _reference_vector(seed, modulus, k):
+    """The documented sampler, one word at a time: call c hashes
+    seed || c, and a word w is kept iff w < 2^64 - (2^64 mod modulus)."""
+    key = seed.to_bytes(8, "big")
+    bound = 2 ** 64 - 2 ** 64 % modulus
+    out, counter = [], 0
+    while len(out) < k:
+        need = k - len(out)
+        stream = hashlib.shake_256(key + counter.to_bytes(16, "big")).digest(8 * need)
+        counter += 1
+        for i in range(need):
+            w = int.from_bytes(stream[8 * i:8 * i + 8], "big")
+            if w < bound:
+                out.append(w % modulus)
+    return tuple(out), counter
+
+
+def test_draw_vector_exact_rejection_refills():
+    # 2^64 mod (2^63 + 1) = 2^63 - 1, so about half the words are rejected
+    modulus, k = 2 ** 63 + 1, 64
+    a, b = RandomSource(7), RandomSource(7)
+    vec = a.draw_vector(modulus, k)
+    assert len(vec) == k and all(0 <= v < modulus for v in vec)
+    assert vec == b.draw_vector(modulus, k)
+    assert (vec, a.position) == _reference_vector(7, modulus, k)
+    assert a.position > 1
+    assert a.draw_vector(modulus, k) != vec and a.position > b.position
+
+
+def test_draw_vector_modulus_one_gives_zeros():
+    rng = RandomSource(3)
+    assert rng.draw_vector(1, 4) == (0, 0, 0, 0)
+    assert rng.draw(1) == 0
+    assert rng.draw_vector(5, 0) == ()
+    assert rng.position == 0  # nothing to hash
+
+
+def test_draw_vector_rejects_negative_length():
+    with pytest.raises(ParameterError):
+        RandomSource(0).draw_vector(5, -1)
 
 
 def test_load_datasets_maps_sorted_universe(tmp_path):

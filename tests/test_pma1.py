@@ -75,6 +75,14 @@ def test_masks_shape_errors():
         pma1.masks_from_free(params, [(0,), (0,)])
 
 
+@pytest.mark.parametrize("bad", ["neg", "p", "float"])
+def test_masks_reject_non_elements(bad):
+    params = params_small(m=3)
+    value = {"neg": -1, "p": params.p, "float": 1.0}[bad]
+    with pytest.raises(ParameterError):
+        pma1.masks_from_free(params, [(0, 0), (1, value)])
+
+
 def test_answer_examples():
     f = PrimeField(11)
     e3 = unit_vector(3, 5)
@@ -114,6 +122,14 @@ def test_decode_shape_check():
     params = params_small()
     with pytest.raises(ParameterError):
         pma1.decode([(0, 0)], params)
+
+
+@pytest.mark.parametrize("bad", ["neg", "p", "float"])
+def test_decode_rejects_non_element_answers(bad):
+    params = params_small()
+    value = {"neg": -1, "p": params.p, "float": 1.0}[bad]
+    with pytest.raises(ParameterError):
+        pma1.decode(((0, 0), (0, value)), params)
 
 
 def test_answer_decomposition_against_expansion_oracle():

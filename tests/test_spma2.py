@@ -77,6 +77,14 @@ def test_aggregate_missing_share_is_protocol_error():
         spma2.aggregate([(0,) * 5], params)
 
 
+@pytest.mark.parametrize("bad", ["neg", "p", "float"])
+def test_aggregate_rejects_non_elements(bad):
+    params = params_small(e=2)
+    value = {"neg": -1, "p": params.p, "float": 1.0}[bad]
+    with pytest.raises(ParameterError):
+        spma2.aggregate([(0, 1), (1, 0), (value, 0)], params)
+
+
 def test_queries_zero_noise_and_mu():
     params = params_small(e=2)
     assert params.mu == 1  # max(N*T, Y) = max(1, 0)
@@ -123,6 +131,14 @@ def test_decode_requires_all_answers():
     params = params_small(e=2)
     with pytest.raises(ParameterError):
         spma2.decode([0, 0], params)
+
+
+@pytest.mark.parametrize("bad", ["neg", "p", "float"])
+def test_decode_rejects_non_element_answers(bad):
+    params = params_small()
+    value = {"neg": -1, "p": params.p, "float": 1.0}[bad]
+    with pytest.raises(ParameterError):
+        spma2.decode([0] * (params.n_eff - 1) + [value], params)
 
 
 def test_paper_style_vectors():
