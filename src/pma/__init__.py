@@ -8,10 +8,12 @@ weighted by powers of per-database evaluation points, so the wanted value
 lands in the constant coefficient of a small polynomial that one exact
 linear solve recovers.
 
-The package also ships an audit module that proves the privacy claims at
-desk scale by exhaustive enumeration with exact rational probabilities,
-and a harness that accounts every transmitted symbol against the schemes'
-closed-form communication costs.
+The package also ships an audit module that proves the privacy claims
+exactly: for a fixed secret every adversary view is an affine map of the
+randomness over GF(p), hence uniform on a coset, so two views have the
+same distribution exactly when their canonical cosets are equal. It also
+ships a harness that accounts every transmitted symbol against the
+schemes' closed-form communication costs.
 """
 
 from . import audit, cli, field, harness, model, pma1, spma1, spma2, transcript

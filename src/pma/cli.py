@@ -154,7 +154,8 @@ def _cmd_audit(args) -> int:
             mark = "ok " if case["ok"] else "BAD"
             lemma = case["lemma"] or "-"
             print(f"[{mark}] {case['name']:<36} {lemma:<7} "
-                  f"expected={case['expected']} verdict={case['verdict']}")
+                  f"expected={case['expected']} verdict={case['verdict']:<10} "
+                  f"{case['ms']:8.1f} ms")
         print(f"{len(report['cases'])} audits, "
               f"{'all as expected' if report['all_ok'] else 'UNEXPECTED VERDICTS'}")
     return 0 if report["all_ok"] else 3
@@ -213,7 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     audit_p = sub.add_parser("audit", help="run privacy/security audits")
     audit_p.add_argument("--suite", default="all",
                          help="all | positive | controls | lemma1..lemma7 | names")
-    audit_p.add_argument("--cap", type=int, help="enumeration cap override")
+    audit_p.add_argument("--cap", type=int,
+                         help="most view evaluations per audit case "
+                              "(default 10^7)")
     audit_p.add_argument("--json", action="store_true")
     audit_p.set_defaults(func=_cmd_audit)
 

@@ -7,8 +7,10 @@ class ParameterError(ValueError):
 
 class IntegrityError(RuntimeError):
     """A protocol invariant broke at runtime, e.g. a decoded count outside
-    0..M or an incomplete answer set (CLI exit code 3)."""
+    0..M, an incomplete answer set, or an audited view that is not affine
+    in its randomness (CLI exit code 3)."""
 
 
 class AuditInfeasibleError(RuntimeError):
-    """An exhaustive audit would exceed the enumeration cap."""
+    """An audit would exceed its cap: view evaluations for the coset laws
+    of one case, or assignments for an exhaustive enumeration."""

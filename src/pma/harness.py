@@ -10,6 +10,7 @@ but reported separately from the accounted total.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -362,6 +363,11 @@ def build_audit_suite() -> list[SuiteCase]:
             lambda cap: audit.audit_query_privacy(
                 _t2_params(), [1, 2], cap=_cap(cap)),
             note="a pair exceeds the T*N = 1 budget here"),
+        SuiteCase(
+            "control:dataset-dependent-dealing", None, False,
+            lambda cap: audit.audit_interparty_dealing(
+                _t1("pma1"), leak_incidence=True, cap=_cap(cap)),
+            note="senders also write their incidence vectors to party M"),
     ]
     return cases
 
@@ -388,8 +394,9 @@ def select_cases(cases: Sequence[SuiteCase], selector: str | None) -> list[Suite
 
 def run_audit_suite(selector: str = "all", cap: int | None = None) -> dict:
     """Run the selected audits; a case is OK when its verdict matches the
-    expectation (controls are expected to fail). Infeasible enumerations
-    are reported per case and the suite continues."""
+    expectation (controls are expected to fail). A case whose coset laws
+    would exceed ``cap`` view evaluations is reported as infeasible and
+    the suite continues. ``ms`` is each case's wall time."""
     cases = select_cases(build_audit_suite(), selector)
     entries = []
     for case in cases:
@@ -400,17 +407,24 @@ def run_audit_suite(selector: str = "all", cap: int | None = None) -> dict:
         }
         if case.note:
             entry["note"] = case.note
+        start = time.perf_counter()
         try:
             result = case.build(cap)
         except audit.AuditInfeasibleError as exc:
-            entry.update(verdict="infeasible", ok=False, error=str(exc))
+            entry.update(verdict="infeasible", ok=False, error=str(exc),
+                         ms=(time.perf_counter() - start) * 1e3)
             entries.append(entry)
             continue
         entry.update(
             verdict="pass" if result.passed else "fail",
             ok=result.passed == case.expect_pass,
+            method=audit.METHOD,
+            dims=result.dims,
+            rank=result.rank,
+            secrets=result.secrets,
             enumerated_assignments=result.assignments,
             params=result.detail,
+            ms=(time.perf_counter() - start) * 1e3,
         )
         if result.witness is not None:
             entry["witness"] = result.witness

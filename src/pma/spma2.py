@@ -12,6 +12,11 @@ full evaluation matrix recovers the count from the constant coefficient.
 Only n_eff = T2*N + max(T*N, Y_1..Y_M) + 1 databases participate; when
 M*N exceeds that, the surplus databases receive no storage, queries or
 noise. The non-symmetric type-II problem runs this same scheme.
+
+The blinding scalars come from randomness the parties share in advance;
+as in the symmetric type-I scheme, the accounting bills their
+provisioning once, at n_eff - 1 symbols, with a payload-free transcript
+event, so no blinding value appears in a transcript.
 """
 
 from __future__ import annotations
@@ -195,7 +200,7 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
         else draw_global_noise(params, rng)
     if n_eff > 1:
         tr.emit(ROUND_SETUP, "srand", "parties", "srand:parties", NOISE_SHARE,
-                blinding.zprime)
+                values=(), symbols=n_eff - 1)
     for n in range(n_eff):
         tr.emit(ROUND_QUERY, "user", f"d{n + 1}", f"user:d{n + 1}", QUERY,
                 queries.queries[n])

@@ -140,7 +140,8 @@ def test_criterion_4_linearity_and_exponential_contrast():
 
 def test_criterion_5_lemma_audits():
     """All positive audits pass and every negative control fails, by exact
-    distribution comparison over full enumeration."""
+    distribution comparison (coset laws, cross-checked against full
+    enumeration in test_audit)."""
     start = time.monotonic()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -1,12 +1,15 @@
-"""Enumeration audits: exact distributions, positive claims, and the
-sensitivity of every audit to its designated broken scheme."""
+"""Coset audits: exact laws, positive claims, the sensitivity of every
+audit to its designated broken scheme, and agreement with the exhaustive
+enumeration oracle."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from pma import audit
-from pma.errors import AuditInfeasibleError, ParameterError
+from pma import audit, pma1
+from pma.errors import AuditInfeasibleError, IntegrityError, ParameterError
+from pma.harness import build_audit_suite
 from pma.model import make_params
 
 
@@ -57,6 +60,141 @@ def test_enumerate_single_query_uniform():
 def test_enumerate_cap():
     with pytest.raises(AuditInfeasibleError, match="assignments"):
         audit.enumerate_distribution(lambda a: (), 10, 3, cap=100)
+
+
+# ---------------------------------------------------------------------------
+# coset laws
+
+def test_coset_canonical_form_ignores_spanning_set_and_offset_choice():
+    a = audit.Coset(5, [(1, 2, 0), (0, 1, 1)], (3, 3, 3))
+    # other generators of the same span, a zero column, and an offset
+    # moved by a span element
+    b = audit.Coset(5, [(1, 3, 1), (0, 0, 0), (2, 4, 0)], (3, 4, 4))
+    assert a == b
+    assert a.rank == 2
+    assert a.offset[a.pivots[0]] == a.offset[a.pivots[1]] == 0
+
+
+def test_coset_outside_names_a_separating_view():
+    a = audit.Coset(5, [(1, 2, 0), (0, 1, 1)], (3, 3, 3))
+    shifted = audit.Coset(5, [(1, 2, 0), (0, 1, 1)], (3, 3, 4))
+    line = audit.Coset(5, [(1, 2, 0)], (3, 3, 3))
+    assert a != shifted
+    v = a.outside(shifted)
+    assert v in a and v not in shifted
+    assert line.outside(a) is None  # the line lies inside the plane
+    v = a.outside(line)
+    assert v in a and v not in line
+
+
+def test_non_affine_view_raises_naming_point():
+    with pytest.raises(IntegrityError, match=r"audit demo: .*not affine.*\[1, 1\]"):
+        audit.coset_law(lambda a: (a[0] * a[1] % 3,), 2, 3, "demo")
+
+
+def test_non_affine_scheme_fails_the_affinity_check(monkeypatch):
+    def squared(theta, alpha, noise_rows, params):
+        return tuple(x * x % params.p for x in
+                     pma1.noise_pad_vector(params.field, pma1.unit_vector(theta, params.e),
+                                           alpha, noise_rows))
+
+    monkeypatch.setattr(pma1, "query_vector", squared)
+    with pytest.raises(IntegrityError, match="audit query-privacy: .*point"):
+        audit.audit_query_privacy(t1(), [1])
+
+
+def test_cap_bounds_view_evaluations():
+    # 2 secrets x (offset + 2 unit vectors + 3 affinity probes)
+    assert audit.audit_query_privacy(t1(), [1], cap=12).passed
+    with pytest.raises(AuditInfeasibleError, match="view evaluations"):
+        audit.audit_query_privacy(t1(), [1], cap=11)
+
+
+class _Pmf:
+    """An enumerated pmf behind the interface the comparison reads."""
+
+    def __init__(self, view, dims, p):
+        self.p = p
+        self.dist = audit.enumerate_distribution(view, dims, p)
+        self.rank = 0
+        while p ** self.rank < len(self.dist):
+            self.rank += 1
+
+    def __eq__(self, other):
+        return self.dist == other.dist
+
+    def outside(self, other):
+        return next((v for v, pr in self.dist.items()
+                     if other.dist.get(v, 0) != pr), None)
+
+
+def _recorded(case, monkeypatch, make_law):
+    """Build ``case`` with ``make_law`` as the law; return the result, the
+    laws in the order they were made and the last compared mapping."""
+    laws, compared = [], []
+    compare = audit._compare_all
+
+    def law(view, dims, p, name):
+        laws.append(make_law(view, dims, p, name))
+        return laws[-1]
+
+    def spy(mapping):
+        compared.append(mapping)
+        return compare(mapping)
+
+    with monkeypatch.context() as patched, warnings.catch_warnings():
+        patched.setattr(audit, "coset_law", law)
+        patched.setattr(audit, "_compare_all", spy)
+        warnings.simplefilter("ignore")
+        result = case.build(None)
+    return result, laws, compared[-1]
+
+
+@pytest.mark.parametrize("case", build_audit_suite(), ids=lambda c: c.name)
+def test_suite_case_matches_enumeration_oracle(case, monkeypatch):
+    result, cosets, last = _recorded(case, monkeypatch, audit.coset_law)
+    oracle, pmfs, oracle_last = _recorded(
+        case, monkeypatch, lambda view, dims, p, name: _Pmf(view, dims, p))
+    assert result.passed == oracle.passed == case.expect_pass
+    assert result.assignments == oracle.assignments
+    assert len(cosets) == len(pmfs)
+    # each law is uniform on exactly the enumerated support
+    for law, pmf in zip(cosets, pmfs):
+        assert set(pmf.dist.values()) == {Fraction(1, law.p ** law.rank)}
+        assert len(pmf.dist) == law.p ** law.rank
+        assert all(key in law for key in pmf.dist)
+    if result.witness is not None:
+        labels = {repr(k): k for k in last}
+        w = result.witness
+        view = tuple(w["view"])
+        dist_a = oracle_last[labels[w["config_a"]]].dist
+        dist_b = oracle_last[labels[w["config_b"]]].dist
+        assert dist_a.get(view, 0) == Fraction(w["prob_a"]) > 0
+        assert w["prob_b"] == "0" and view not in dist_b
+
+
+# ---------------------------------------------------------------------------
+# parameters the enumeration oracle cannot reach at its default cap
+
+@pytest.mark.parametrize("run,passes", [
+    pytest.param(
+        lambda: audit.audit_eavesdropper(make_params("spma2", 4, 3, y=1, p=101), [1]),
+        True, id="eavesdropper:spma2 M=4 E=3 Y=1"),
+    pytest.param(
+        lambda: audit.audit_blind_estimation(make_params("spma1", 3, 2, t=1, p=101)),
+        True, id="blind-estimation:spma1 M=3 E=2 T=1"),
+    pytest.param(
+        lambda: audit.audit_query_privacy(make_params("pma1", 4, 4, t=1, p=101), [1]),
+        True, id="query-privacy:pma1 M=4 E=4 T=1 one tap"),
+    pytest.param(
+        lambda: audit.audit_query_privacy(make_params("pma1", 4, 4, t=1, p=101), [1, 2]),
+        False, id="query-privacy:pma1 M=4 E=4 T=1 two taps"),
+])
+def test_beyond_enumeration(run, passes):
+    result = run()
+    assert result.passed is passes
+    assert 101 ** result.dims > audit.DEFAULT_CAP
+    assert (result.witness is None) is passes
 
 
 # ---------------------------------------------------------------------------
@@ -256,3 +394,6 @@ def test_audit_result_shape():
     assert d["lemma"] == "lemma5"
     assert d["enumerated_assignments"] > 0
     assert d["params"]["variant"] == "spma2"
+    assert d["method"] == "coset"
+    assert d["enumerated_assignments"] == d["secrets"] * 5 ** d["dims"]
+    assert 0 < d["rank"] <= d["dims"]

@@ -99,6 +99,13 @@ def test_audit_named_case(capsys):
     assert len(report["cases"]) == 1
 
 
+def test_audit_text_prints_ms_per_case(capsys):
+    assert main(["audit", "--suite", "lemma5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5  # four lemma5 cases and the summary
+    assert all(line.endswith(" ms") for line in lines[:-1])
+
+
 def test_audit_empty_suite_exit_0(capsys):
     assert main(["audit", "--suite", "none"]) == 0
 

@@ -193,6 +193,19 @@ def test_run_audit_suite_single_lemma():
     assert "control:zero-storage-noise" in names
 
 
+def test_run_audit_suite_reports_method_dims_rank_and_time():
+    report = run_audit_suite("storage-security:spma2,control:dataset-dependent-dealing")
+    assert report["all_ok"] is True
+    storage, dealing = report["cases"]
+    assert storage["method"] == dealing["method"] == "coset"
+    # T2*N = 1 noise vector of E = 2 symbols, one share, 4 incidence vectors
+    # in each of the n_eff = 3 single-share subsets
+    assert (storage["dims"], storage["rank"], storage["secrets"]) == (2, 2, 12)
+    assert storage["enumerated_assignments"] == 12 * 5 ** 2
+    assert dealing["verdict"] == "fail" and dealing["lemma"] is None
+    assert all(c["ms"] >= 0 for c in report["cases"])
+
+
 def test_run_audit_suite_reports_infeasible_and_continues():
     report = run_audit_suite("lemma4,lemma5", cap=1)
     verdicts = {c["name"]: c["verdict"] for c in report["cases"]}

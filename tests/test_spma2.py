@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from pma import spma2
+from pma import pma1, spma1, spma2
 from pma.audit import oracle_polynomial_expand
 from pma.errors import IntegrityError, ParameterError
 from pma.field import PrimeField, build_upsilon, mat_vec
@@ -220,6 +220,21 @@ def test_transcript_symbol_counts():
     assert tr.symbols_in(QUERY) == e * n_eff
     assert tr.symbols_in(NOISE_SHARE) == n_eff - 1
     assert tr.symbols_in(STORAGE_SHARE) == m * n_eff * e
+
+
+def test_noise_share_events_carry_no_values():
+    datasets = [PartyDataset(frozenset({1})), PartyDataset(frozenset({1, 2})),
+                PartyDataset(frozenset())]
+    runs = [pma1.run(make_params("pma1", 3, 2, t=1), datasets, 1, RandomSource(0)),
+            spma1.run(make_params("spma1", 3, 2, t=1), datasets, 1, RandomSource(0)),
+            spma2.run(params_small(e=2), datasets, 1, RandomSource(0))]
+    billed = 0
+    for run in runs:
+        for ev in run.transcript.events:
+            if ev.category == NOISE_SHARE:
+                assert ev.values == (), ev
+                billed += ev.symbols
+    assert billed > 0
 
 
 def test_run_validates_variant():
