@@ -16,13 +16,15 @@ ships a harness that accounts every transmitted symbol against the
 schemes' closed-form communication costs.
 """
 
-from . import audit, cli, field, harness, model, pma1, spma1, spma2, transcript
+# cli is not imported here: it is the entry point (python -m pma, or
+# python -m pma.cli) and would pull argparse into every import of pma
+from . import audit, field, harness, model, pma1, spma1, spma2, transcript
 from .errors import AuditInfeasibleError, IntegrityError, ParameterError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "audit", "cli", "field", "harness", "model", "pma1", "spma1", "spma2",
+    "audit", "field", "harness", "model", "pma1", "spma1", "spma2",
     "transcript", "AuditInfeasibleError", "IntegrityError", "ParameterError",
     "__version__",
 ]

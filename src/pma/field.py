@@ -83,18 +83,8 @@ class PrimeField:
                 self.check(a)
         return values
 
-    def element(self, v: int) -> int:
-        """Reduce an arbitrary int into the field."""
-        return v % self.p
-
     def add(self, a: int, b: int) -> int:
         return (self.check(a) + self.check(b)) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (self.check(a) - self.check(b)) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (self.check(a) * self.check(b)) % self.p
 
     def neg(self, a: int) -> int:
         return -self.check(a) % self.p
@@ -115,9 +105,6 @@ class PrimeField:
         if len(u) != len(v):
             raise ParameterError(f"vector length mismatch: {len(u)} vs {len(v)}")
         return sum(map(mul, self.check_all(u), self.check_all(v))) % self.p
-
-    def rand(self, rng) -> int:
-        return rng.draw(self.p)
 
 
 def default_alphas(p: int, count: int) -> tuple[int, ...]:
@@ -157,19 +144,23 @@ def build_upsilon(field: PrimeField, alphas: Sequence[int],
         raise ParameterError(
             f"matrix size {n} needs {n} evaluation points, have {len(alphas)}")
     validate_alphas(field, alphas[:n])
+    p = field.p
     rows = []
     for a in alphas[:n]:
-        x = field.element(1 + a)
-        rows.append(tuple(field.pow(x, exp) for exp in range(n)))
+        x = (1 + a) % p
+        row = [1] * n
+        for exp in range(1, n):
+            row[exp] = row[exp - 1] * x % p
+        rows.append(tuple(row))
     return tuple(rows)
-
-
-def mat_vec(field: PrimeField, m, v) -> tuple[int, ...]:
-    return tuple(field.dot(row, v) for row in m)
 
 
 def solve_linear(field: PrimeField, m, rhs) -> list[int]:
     """Solve m x = rhs by Gaussian elimination over GF(p).
+
+    Forward elimination touches only the columns right of the pivot (about
+    n^3/3 multiply-adds), then back-substitution; a pivot row is scaled so
+    its diagonal is 1, which is left implicit.
 
     A singular system is unreachable for matrices built from valid
     evaluation points; hitting one means the inputs are corrupted.
@@ -187,34 +178,20 @@ def solve_linear(field: PrimeField, m, rhs) -> list[int]:
             raise IntegrityError(
                 "singular linear system; evaluation points must be distinct")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [(x * inv) % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[col])]
-    return [row[n] for row in aug]
-
-
-def determinant(field: PrimeField, m) -> int:
-    n = len(m)
-    work = [[field.check(x) for x in row] for row in m]
-    p = field.p
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det % p
-        det = (det * work[col][col]) % p
-        inv = field.inv(work[col][col])
+        head = aug[col]
+        inv = pow(head[col], p - 2, p)
+        tail = head[col + 1:] = [x * inv % p for x in head[col + 1:]]
         for r in range(col + 1, n):
-            if work[r][col]:
-                factor = (work[r][col] * inv) % p
-                work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[col])]
-    return det % p
+            row = aug[r]
+            factor = row[col]
+            if factor:
+                row[col + 1:] = [(a - factor * b) % p
+                                 for a, b in zip(row[col + 1:], tail)]
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        x[i] = (row[n] - sum(map(mul, row[i + 1:n], x[i + 1:]))) % p
+    return x
 
 
 def noise_pad_vector(field: PrimeField, base: Sequence[int], alpha: int,
@@ -226,12 +203,22 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int], alpha: int,
     """
     p = field.p
     x = (1 + field.check(alpha)) % p
-    out = field.check_all(base)
-    for depth, row in enumerate(noise_rows, start=1):
+    field.check_all(base)
+    weights = []
+    c = 1
+    for row in noise_rows:
         if len(row) != len(base):
             raise ParameterError("noise row length does not match the base vector")
-        c = pow(x, depth, p)
-        out = [(a + c * z) % p for a, z in zip(out, field.check_all(row))]
+        field.check_all(row)
+        c = c * x % p
+        weights.append(c)
+    if len(noise_rows) > len(base):
+        # deep noise on a short vector (high collusion): one dot per column
+        return tuple((a + sum(map(mul, weights, column))) % p
+                     for a, column in zip(base, zip(*noise_rows)))
+    out = base
+    for c, row in zip(weights, noise_rows):
+        out = [(a + c * z) % p for a, z in zip(out, row)]
     return tuple(out)
 
 

@@ -15,6 +15,8 @@ import struct
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import lt
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -332,13 +334,14 @@ def generate_datasets(params: SchemeParams, probs,
     for pk in plist:
         if not 0.0 <= pk <= 1.0:
             raise ParameterError(f"membership probability {pk} outside [0, 1]")
+    # w < pk * 2^53 is w / 2^53 < pk: both scalings by 2^53 are exact
+    thresholds = [pk * _DYADIC for pk in plist]
     datasets = []
     for _ in range(params.m):
         words = rng.draw_vector(_DYADIC, params.e)
         # copying a set sizes the frozenset's table exactly; a generator
         # would leave it over-allocated for the dataset's lifetime
-        members = {k for k, w, pk in zip(range(1, params.e + 1), words, plist)
-                   if w / _DYADIC < pk}
+        members = set(compress(range(1, params.e + 1), map(lt, words, thresholds)))
         datasets.append(PartyDataset(frozenset(members)))
     return datasets
 

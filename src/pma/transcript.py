@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import dataclass
 
 ROUND_SETUP = 0
@@ -58,20 +59,25 @@ class Transcript:
         a wire; accounting-only events are skipped."""
         return [(ev.link, ev.category, ev.values) for ev in self.events if ev.values]
 
-    def to_jsonable(self) -> list[dict]:
-        return [
-            {
-                "round": ev.round,
-                "from": ev.sender,
-                "to": ev.receiver,
-                "link": ev.link,
-                "category": ev.category,
-                "values": list(ev.values),
-                "symbols": ev.symbols,
-            }
-            for ev in self.events
-        ]
-
     def digest(self) -> str:
-        blob = json.dumps(self.to_jsonable(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """SHA-256 of a length-framed binary encoding of every event.
+
+        Per event: the 8-byte little-endian length of a JSON header
+        [round, sender, receiver, link, category, symbols, value count],
+        the header, then a 0 tag byte and the values as little-endian
+        64-bit words. Values that do not all fit that format (negative,
+        2^64 or more, not integers) are written instead as a 1 tag byte,
+        an 8-byte length and their JSON array.
+        """
+        h = hashlib.sha256()
+        for ev in self.events:
+            header = json.dumps([ev.round, ev.sender, ev.receiver, ev.link,
+                                 ev.category, ev.symbols, len(ev.values)]).encode()
+            h.update(len(header).to_bytes(8, "little"))
+            h.update(header)
+            try:
+                h.update(b"\x00" + struct.pack(f"<{len(ev.values)}Q", *ev.values))
+            except struct.error:
+                blob = json.dumps(list(ev.values)).encode()
+                h.update(b"\x01" + len(blob).to_bytes(8, "little") + blob)
+        return h.hexdigest()

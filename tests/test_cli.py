@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pma
 from pma.cli import main
 
 PAPER_DATA = {
@@ -136,3 +141,28 @@ def test_costs_csv(capsys):
 
 def test_costs_bad_sweep_exit_2(capsys):
     assert main(["costs", "--variant", "pma1", "--sweep-m", "a..b"]) == 2
+
+
+@pytest.mark.parametrize("module", ["pma", "pma.cli"])
+def test_module_entry_points_run_without_warnings(module):
+    src = str(Path(pma.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", module, "audit", "--suite",
+         "storage-security:spma2-min"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "storage-security:spma2-min" in proc.stdout
+
+
+def test_import_pma_does_not_load_the_cli():
+    src = str(Path(pma.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import pma; "
+         "print('pma.cli' in sys.modules, 'argparse' in sys.modules)", src],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

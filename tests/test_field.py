@@ -3,14 +3,40 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pma.errors import IntegrityError, ParameterError
-from pma.field import (PrimeField, build_upsilon, default_alphas, determinant,
-                       is_prime, mat_vec, noise_pad_scalar, noise_pad_vector,
-                       solve_linear, validate_alphas)
+from pma.field import (PrimeField, build_upsilon, default_alphas, is_prime,
+                       noise_pad_scalar, noise_pad_vector, solve_linear,
+                       validate_alphas)
 from pma.model import RandomSource
+
+
+def mat_vec(field, m, v):
+    return tuple(field.dot(row, v) for row in m)
+
+
+def determinant(field, m):
+    """Per-element elimination; 0 exactly when m is singular over GF(p)."""
+    n = len(m)
+    work = [[field.check(x) for x in row] for row in m]
+    p = field.p
+    det = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det % p
+        det = (det * work[col][col]) % p
+        inv = field.inv(work[col][col])
+        for r in range(col + 1, n):
+            if work[r][col]:
+                factor = (work[r][col] * inv) % p
+                work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[col])]
+    return det % p
 
 
 def test_is_prime():
@@ -49,7 +75,7 @@ def test_inv_pow_neg_examples():
 def test_inverse_cancels_for_all_nonzero():
     f = PrimeField(31)
     for a in range(1, 31):
-        assert f.mul(a, f.inv(a)) == 1
+        assert a * f.inv(a) % 31 == 1
 
 
 def test_inv_of_zero_is_domain_error():
@@ -156,6 +182,112 @@ def test_solve_singular_raises():
         solve_linear(f, ((1, 1), (1, 1)), [1, 2])
 
 
+def ref_solve(p, m, rhs):
+    """Gauss-Jordan over every row and column, one element at a time."""
+    n = len(m)
+    aug = [list(row) + [b] for row, b in zip(m, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = pow(aug[col][col], p - 2, p)
+        for k in range(n + 1):
+            aug[col][k] = aug[col][k] * inv % p
+        for r in range(n):
+            factor = aug[r][col]
+            if r != col and factor:
+                for k in range(n + 1):
+                    aug[r][k] = (aug[r][k] - factor * aug[col][k]) % p
+    return [row[n] for row in aug]
+
+
+def random_matrix(rng, p, n):
+    return [list(rng.draw_vector(p, n)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("p,sizes", [(2, range(1, 9)), (7, range(1, 9)),
+                                     (131, (1, 2, 3, 5, 8, 17)),
+                                     (2 ** 61 - 1, (1, 2, 4, 9))])
+def test_solve_matches_reference_on_random_systems(p, sizes):
+    f = PrimeField(p)
+    rng = RandomSource(p)
+    for n in sizes:
+        solved = 0
+        while solved < 4:
+            m = random_matrix(rng, p, n)
+            if determinant(f, m) == 0:
+                continue
+            rhs = list(rng.draw_vector(p, n))
+            x = solve_linear(f, m, rhs)
+            assert x == ref_solve(p, m, rhs)
+            assert mat_vec(f, m, x) == tuple(rhs)
+            solved += 1
+
+
+def test_solve_row_swaps():
+    f = PrimeField(131)
+    rng = RandomSource(5)
+    # zeros on and below the leading diagonal entries force a swap at every
+    # column but the last: the reversed rows of an upper triangular matrix
+    for n in (2, 3, 6, 12):
+        upper = [[0] * r + [1 + rng.draw(130)] + list(rng.draw_vector(131, n - r - 1))
+                 for r in range(n)]
+        m = upper[::-1]
+        rhs = list(rng.draw_vector(131, n))
+        x = solve_linear(f, m, rhs)
+        assert x == ref_solve(131, m, rhs)
+        assert mat_vec(f, m, x) == tuple(rhs)
+    # a zero pivot that appears only after eliminating the first column
+    m = [[1, 2, 3], [2, 4, 5], [3, 5, 6]]
+    x = solve_linear(PrimeField(7), m, [1, 2, 3])
+    assert x == ref_solve(7, m, [1, 2, 3])
+
+
+def test_solve_collusion_wide_shape():
+    # N = 64 databases at p = 131: the Vandermonde decode and a random system
+    f = PrimeField(131)
+    rng = RandomSource(64)
+    ups = build_upsilon(f, default_alphas(131, 64), 64)
+    m = random_matrix(rng, 131, 64)
+    assert determinant(f, m) != 0
+    for matrix in (ups, m):
+        for _ in range(2):
+            rhs = list(rng.draw_vector(131, 64))
+            x = solve_linear(f, matrix, rhs)
+            assert x == ref_solve(131, matrix, rhs)
+            assert mat_vec(f, matrix, x) == tuple(rhs)
+
+
+def test_solve_singular_systems_raise():
+    rng = RandomSource(9)
+    for p in (2, 7, 131):
+        f = PrimeField(p)
+        for n in (2, 3, 5, 9):
+            m = random_matrix(rng, p, n)
+            # last row a combination of the others: the rank deficit shows
+            # only at the last column
+            weights = rng.draw_vector(p, n - 1)
+            m[-1] = [sum(w * row[k] for w, row in zip(weights, m)) % p
+                     for k in range(n)]
+            assert determinant(f, m) == 0
+            with pytest.raises(IntegrityError):
+                solve_linear(f, m, list(rng.draw_vector(p, n)))
+            m[0] = [0] * n  # a zero column at the first step
+            m = [list(col) for col in zip(*m)]
+            with pytest.raises(IntegrityError):
+                solve_linear(f, m, [0] * n)
+
+
+def test_upsilon_matches_pow_definition():
+    cases = [(p, default_alphas(p, n)) for p, n in ((2, 1), (3, 2), (7, 6), (131, 64))]
+    # non-default points, 0 among them, and a matrix smaller than the list
+    cases += [(131, (0, 128, 64, 3, 77)), (2 ** 61 - 1, (2 ** 60, 0, 2 ** 61 - 3, 9))]
+    for p, alphas in cases:
+        for n in {1, len(alphas) - 1 or 1, len(alphas)}:
+            expected = tuple(tuple(pow(1 + a, k, p) for k in range(n))
+                             for a in alphas[:n])
+            assert build_upsilon(PrimeField(p), alphas, n) == expected
+
+
 def test_solve_shape_errors():
     f = PrimeField(7)
     with pytest.raises(ParameterError):
@@ -240,7 +372,8 @@ def ref_pad_scalar(p, base, alpha, noise):
 def field_vectors(draw):
     p = draw(st.sampled_from((2, 3, 5, 131, 2 ** 61 - 1)))
     length = draw(st.integers(0, 50))
-    depth = draw(st.integers(0, 3))
+    # depths above the length take noise_pad_vector's column-order branch
+    depth = draw(st.integers(0, 12))
     element = st.integers(0, p - 1)
     vector = st.lists(element, min_size=length, max_size=length)
     return (p, draw(vector), draw(vector),
@@ -251,6 +384,11 @@ def field_vectors(draw):
 
 @settings(deadline=None)
 @given(field_vectors())
+# the collusion-wide shape: 63 noise rows on a length-2 vector
+@example((131, [1, 0], [5, 7], [[k % 131, (3 * k) % 131] for k in range(63)],
+          1, 9, list(range(63))))
+@example((2 ** 61 - 1, [], [], [[]] * 4, 3, 2 ** 61 - 2, [1, 2, 3, 4]))
+@example((5, [4], [3], [[4], [3], [2]], 2, 4, [1, 2, 3]))
 def test_vector_ops_match_per_element_reference(case):
     p, u, v, rows, alpha, scalar, noise = case
     f = PrimeField(p)

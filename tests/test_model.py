@@ -157,6 +157,31 @@ def test_generate_extremes_and_determinism():
     assert a == b
 
 
+def ref_memberships(params, probs, seed):
+    """The membership rule w / 2^53 < p_k, one word at a time."""
+    rng = RandomSource(seed)
+    plist = [float(probs)] * params.e if isinstance(probs, (int, float)) else probs
+    return [PartyDataset(frozenset(
+        k for k, w, pk in zip(range(1, params.e + 1),
+                              rng.draw_vector(2 ** 53, params.e), plist)
+        if w / 2 ** 53 < pk)) for _ in range(params.m)]
+
+
+def test_generate_matches_float_rule():
+    params = make_params("pma1", 4, 300, t=1, y=0)
+    # per-element probabilities: a ramp, subnormal and near-1 values, and
+    # thresholds equal to a drawn word and one above it, where the rule flips
+    words = RandomSource(7).draw_vector(2 ** 53, 300)
+    edges = [k / 300 for k in range(300)]
+    edges[:6] = [5e-324, 2.0 ** -53, 1 - 2.0 ** -53, 1.0, 0.0, 2.0 ** -1022]
+    for k in range(6, 300, 7):
+        edges[k] = (words[k] + k % 2) / 2 ** 53
+    for seed in (0, 1, 7, 42, 2 ** 40):
+        for probs in (0, 0.0, 0.5, 1, 1.0, 0.3, edges):
+            got = generate_datasets(params, probs, RandomSource(seed))
+            assert got == ref_memberships(params, probs, seed), (seed, probs)
+
+
 def test_generate_prob_validation():
     params = make_params("pma1", 2, 3, t=1, y=0)
     with pytest.raises(ParameterError):

@@ -7,7 +7,7 @@ import pytest
 from pma import pma1, spma1, spma2
 from pma.audit import oracle_polynomial_expand
 from pma.errors import IntegrityError, ParameterError
-from pma.field import PrimeField, build_upsilon, mat_vec
+from pma.field import PrimeField, build_upsilon
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
                        make_params, members_of, true_count, unit_vector)
 from pma.transcript import ANSWER, NOISE_SHARE, QUERY, STORAGE_SHARE
@@ -114,7 +114,7 @@ def test_decode_round_trip_constant_coefficient():
     params = params_small(e=2, p=7)
     f = params.field
     ups = build_upsilon(f, params.alphas_used, 3)
-    answers = mat_vec(f, ups, (2, 5, 1))
+    answers = [f.dot(row, (2, 5, 1)) for row in ups]
     assert spma2.decode(list(answers), params) == 2
 
 
@@ -122,7 +122,7 @@ def test_decode_count_range_checked():
     params = params_small(e=2, p=7)
     f = params.field
     ups = build_upsilon(f, params.alphas_used, 3)
-    answers = mat_vec(f, ups, (6, 0, 0))
+    answers = [f.dot(row, (6, 0, 0)) for row in ups]
     with pytest.raises(IntegrityError, match="outside 0..3"):
         spma2.decode(list(answers), params)
 

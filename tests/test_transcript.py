@@ -1,0 +1,88 @@
+"""Transcript digest: deterministic, and sensitive to every event field."""
+
+import hashlib
+import json
+
+import pytest
+
+from pma.transcript import ANSWER, QUERY, Transcript
+
+BASE = dict(round=1, sender="user", receiver="d1", link="user:d1",
+            category=QUERY, values=(3, 0, 2 ** 64 - 1), symbols=None)
+
+
+def digest(*events):
+    t = Transcript()
+    for ev in events:
+        t.emit(**ev)
+    return t.digest()
+
+
+def test_digest_deterministic():
+    other = dict(BASE, sender="d1", receiver="user", category=ANSWER, values=(5,))
+    assert digest(BASE, other) == digest(dict(BASE), dict(other))
+    assert len(digest(BASE)) == 64
+    assert digest() == digest()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("round", 2), ("sender", "user2"), ("receiver", "d2"), ("link", "user:d2"),
+    ("category", ANSWER), ("symbols", 4), ("values", (4, 0, 2 ** 64 - 1)),
+    ("values", (3, 1, 2 ** 64 - 1)), ("values", (3, 0, 2 ** 64 - 2)),
+    ("values", (3, 0)), ("values", ()),
+])
+def test_digest_changes_with_each_event_field(field, value):
+    assert digest(dict(BASE, **{field: value})) != digest(BASE)
+
+
+def reference_digest(events):
+    """The documented encoding, built one value at a time."""
+    out = b""
+    for ev in events:
+        values = ev["values"]
+        symbols = len(values) if ev["symbols"] is None else ev["symbols"]
+        header = json.dumps([ev["round"], ev["sender"], ev["receiver"], ev["link"],
+                             ev["category"], symbols, len(values)]).encode()
+        out += len(header).to_bytes(8, "little") + header
+        if all(isinstance(v, int) and 0 <= v < 2 ** 64 for v in values):
+            out += b"\x00" + b"".join(v.to_bytes(8, "little") for v in values)
+        else:
+            blob = json.dumps(list(values)).encode()
+            out += b"\x01" + len(blob).to_bytes(8, "little") + blob
+    return hashlib.sha256(out).hexdigest()
+
+
+def test_digest_matches_documented_encoding():
+    events = [BASE, dict(BASE, values=(), symbols=7),
+              dict(BASE, sender="p\u00e9", values=(1, 2 ** 63, 131)),
+              dict(BASE, values=(1, -1)), dict(BASE, values=(2 ** 64, 0.5))]
+    assert digest(*events) == reference_digest(events)
+    assert digest() == hashlib.sha256(b"").hexdigest()
+
+
+def test_digest_frames_values_per_event():
+    # a fixed symbol count, so only the framing tells the events apart
+    first, second = dict(BASE, values=(1, 2), symbols=3), dict(BASE, values=(3,), symbols=3)
+    split = digest(first, second)
+    assert split != digest(dict(first, values=(1,)), dict(second, values=(2, 3)))
+    assert split != digest(dict(first, values=(1, 2, 3)), dict(second, values=()))
+    assert split != digest(second, first)
+    # header text cannot run into the next field
+    assert digest(dict(BASE, sender="ab", receiver="c")) != \
+        digest(dict(BASE, sender="a", receiver="bc"))
+
+
+@pytest.mark.parametrize("values", [
+    (2 ** 64,), (-1,), (1, -5), (1.0,), (0.5, 2), ("3",), (None,),
+])
+def test_digest_falls_back_for_values_outside_words(values):
+    fallback = digest(dict(BASE, values=values))
+    assert fallback == digest(dict(BASE, values=values))
+    assert fallback != digest(BASE)
+
+
+def test_digest_fallback_keeps_values_apart():
+    assert digest(dict(BASE, values=(1.0,))) != digest(dict(BASE, values=(1,)))
+    assert digest(dict(BASE, values=(2 ** 64,))) != digest(dict(BASE, values=(0,)))
+    assert digest(dict(BASE, values=(-1,))) != digest(dict(BASE, values=(1,)))
+    assert digest(dict(BASE, values=("1",))) != digest(dict(BASE, values=(1,)))
