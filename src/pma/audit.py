@@ -47,8 +47,8 @@ from typing import Callable, Sequence
 
 from . import pma1, spma1, spma2
 from .errors import AuditInfeasibleError, IntegrityError, ParameterError
-from .field import PrimeField, noise_pad_scalar
-from .model import SchemeParams
+from .field import noise_pad_scalar, noise_pad_vector
+from .model import SchemeParams, query_vector
 from .transcript import MASK_SHARE, ROUND_SETUP, Transcript
 
 # view evaluations per audit case for the coset laws; assignments per
@@ -306,7 +306,6 @@ def audit_query_privacy(params: SchemeParams, colluding_dbs: Sequence[int], *,
     for j in taps:
         if not 1 <= j <= limit:
             raise ParameterError(f"database index {j} outside 1..{limit}")
-    builder = spma2.query_vector if params.is_type2 else pma1.query_vector
     dims = params.mu * params.e
     laws = _Laws("query-privacy", f.p, cap)
 
@@ -316,7 +315,7 @@ def audit_query_privacy(params: SchemeParams, colluding_dbs: Sequence[int], *,
             rows = cur.rows(params.mu, params.e)
             out = []
             for j in taps:
-                out.extend(builder(theta, alphas[j - 1], rows, params))
+                out.extend(query_vector(theta, alphas[j - 1], rows, params))
             return tuple(out)
         return view
 
@@ -391,12 +390,12 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
                         out = []
                         for i in range(m):
                             for j in range(n):
-                                q = pma1.query_vector(theta, alphas[j], noise[i], params)
+                                q = query_vector(theta, alphas[j], noise[i], params)
                                 if blinded:
                                     a = spma1.answer(bits[i], q, zrows[i],
-                                                     masks.masks[i][j], alphas[j], f)
+                                                     masks[i][j], alphas[j], f)
                                 else:
-                                    a = pma1.answer(bits[i], q, masks.masks[i][j], f)
+                                    a = pma1.answer(bits[i], q, masks[i][j], f)
                                 out.append(a)
                         return tuple(out)
 
@@ -450,12 +449,12 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
         xrows = _canonical_rows(params.storage_depth, e, f.p)
 
         def secrets(theta, zrows):
-            queries = [spma2.query_vector(theta, alphas[nn], zrows, params)
+            queries = [query_vector(theta, alphas[nn], zrows, params)
                        for nn in range(n_eff)]
             # answers read the datasets only through the aggregated
             # bit-sums, so range over those directly
             for sigma in itertools.product(range(m + 1), repeat=e):
-                ptildes = [spma2.storage_vector(sigma, alphas[nn], xrows, params)
+                ptildes = [noise_pad_vector(f, sigma, alphas[nn], xrows)
                            for nn in range(n_eff)]
 
                 def view(assignment, ptildes=ptildes):
@@ -473,7 +472,7 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
         dims = (m - 1) * n + (m * (n - 1) if blinded else 0)
 
         def secrets(theta, noise):
-            queries = [[pma1.query_vector(theta, alphas[j], noise[i], params)
+            queries = [[query_vector(theta, alphas[j], noise[i], params)
                         for j in range(n)] for i in range(m)]
             for bits in _all_datasets(m, e):
                 base = [[f.dot(bits[i], queries[i][j]) for j in range(n)]
@@ -489,7 +488,7 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
                             a = base[i][j]
                             if blinded:
                                 a = noise_pad_scalar(f, a, alphas[j], zrows[i])
-                            out.append(f.add(a, masks.masks[i][j]))
+                            out.append(f.add(a, masks[i][j]))
                     return tuple(out)
 
                 yield ("bits", bits), sum(bits[i][theta - 1] for i in range(m)), view
@@ -542,7 +541,7 @@ def audit_storage_security(params: SchemeParams, *, subset_size: int | None = No
                 rows = zero_rows if zero_storage_noise else cur.rows(depth, e)
                 out = []
                 for j in subset:
-                    out.extend(spma2.storage_vector(bits, alphas[j], rows, params))
+                    out.extend(noise_pad_vector(f, bits, alphas[j], rows))
                 return tuple(out)
 
             dists[("bits", bits)] = laws.law(view, dims)
@@ -586,7 +585,7 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
         xrows = _canonical_rows(params.storage_depth, e, f.p)
         for theta in range(1, e + 1):
             for sigma in itertools.product(range(m + 1), repeat=e):
-                ptildes = {j: spma2.storage_vector(sigma, alphas[j - 1], xrows, params)
+                ptildes = {j: noise_pad_vector(f, sigma, alphas[j - 1], xrows)
                            for j in taps}
 
                 def view(assignment, theta=theta, ptildes=ptildes):
@@ -595,7 +594,7 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
                     zp = cur.vec(n_eff - 1)
                     out = []
                     for j in taps:
-                        q = spma2.query_vector(theta, alphas[j - 1], zrows, params)
+                        q = query_vector(theta, alphas[j - 1], zrows, params)
                         out.extend(q)
                         out.append(spma2.answer(ptildes[j], q, zp, alphas[j - 1], f))
                     return tuple(out)
@@ -618,7 +617,7 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
                 zprow = cur.vec(n - 1) if blinded else None
                 out = []
                 for j in taps:
-                    q = pma1.query_vector(theta, alphas[j - 1], zrows, params)
+                    q = query_vector(theta, alphas[j - 1], zrows, params)
                     out.extend(q)
                     if blinded:
                         a = spma1.answer(bits, q, zprow, svec[j - 1], alphas[j - 1], f)
@@ -670,25 +669,3 @@ def audit_interparty_dealing(params: SchemeParams, *, leak_incidence: bool = Fal
     return laws.result(None, _compare_all(dists),
                        {**params.summary(), "leak_incidence": leak_incidence})
 
-
-# ---------------------------------------------------------------------------
-# degree-structure oracle
-
-def oracle_polynomial_expand(lhs_coeffs: Sequence[Sequence[int]],
-                             rhs_coeffs: Sequence[Sequence[int]],
-                             p: int) -> tuple[int, ...]:
-    """Symbolic product of two vector-coefficient polynomials in the
-    indeterminate (1 + alpha); output coefficients are the inner products.
-
-    Independent cross-check of the answer structure: expanding a storage
-    polynomial against a query polynomial must give degree L+R and a
-    constant coefficient equal to the stored/queried overlap.
-    """
-    f = PrimeField(p)
-    if not lhs_coeffs or not rhs_coeffs:
-        raise ParameterError("coefficient lists must be non-empty")
-    out = [0] * (len(lhs_coeffs) + len(rhs_coeffs) - 1)
-    for ia, va in enumerate(lhs_coeffs):
-        for ib, vb in enumerate(rhs_coeffs):
-            out[ia + ib] = (out[ia + ib] + f.dot(va, vb)) % p
-    return tuple(out)

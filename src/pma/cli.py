@@ -21,25 +21,18 @@ from .harness import RunConfig, cost_table, run_audit_suite, run_protocol, to_js
 from .model import load_datasets
 
 
-def _parse_ints(text: str):
-    parts = [s.strip() for s in text.split(",") if s.strip()]
+def _parse_numbers(text: str | None, kind=int):
+    """A scalar or a tuple of ``kind`` values from a comma list; None
+    (flag not given) stays None."""
+    if text is None:
+        return None
     try:
-        values = [int(s) for s in parts]
+        values = [kind(s) for s in text.split(",") if s.strip()]
     except ValueError:
-        raise ParameterError(f"expected ints, got {text!r}")
+        values = []
     if not values:
-        raise ParameterError(f"expected ints, got {text!r}")
-    return values[0] if len(values) == 1 else tuple(values)
-
-
-def _parse_probs(text: str):
-    parts = [s.strip() for s in text.split(",") if s.strip()]
-    try:
-        values = [float(s) for s in parts]
-    except ValueError:
-        raise ParameterError(f"expected probabilities, got {text!r}")
-    if not values:
-        raise ParameterError(f"expected probabilities, got {text!r}")
+        what = "ints" if kind is int else "probabilities"
+        raise ParameterError(f"expected {what}, got {text!r}")
     return values[0] if len(values) == 1 else tuple(values)
 
 
@@ -50,7 +43,7 @@ def _parse_sweep(text: str) -> list[int]:
             return list(range(int(lo), int(hi) + 1))
         except ValueError:
             raise ParameterError(f"bad sweep range {text!r}")
-    values = _parse_ints(text)
+    values = _parse_numbers(text)
     return [values] if isinstance(values, int) else list(values)
 
 
@@ -62,9 +55,10 @@ def _build_run_config(args) -> RunConfig:
             raise ParameterError("config file must hold a JSON object")
     overrides = {
         "variant": args.variant,
-        "m": args.m, "e": args.e, "t": args.t, "y": args.y, "t2": args.t2,
-        "n": args.n, "p": args.p, "theta": args.theta, "seed": args.seed,
-        "datasets": args.datasets, "gen_probs": args.gen_prob,
+        "m": args.m, "e": args.e, "t": args.t, "y": _parse_numbers(args.y),
+        "t2": args.t2, "n": args.n, "p": args.p, "theta": args.theta,
+        "seed": args.seed, "datasets": args.datasets,
+        "gen_probs": _parse_numbers(args.gen_prob, float),
     }
     for key, value in overrides.items():
         if value is not None:
@@ -77,11 +71,6 @@ def _build_run_config(args) -> RunConfig:
             raise ParameterError(
                 f"element {args.element!r} not in the universe {list(universe)}")
         base["theta"] = universe.index(args.element) + 1
-    base.setdefault("t", 0)
-    base.setdefault("y", 0)
-    base.setdefault("t2", 1)
-    base.setdefault("seed", 0)
-    base.setdefault("gen_probs", 0.5)
     return RunConfig.from_dict(base)
 
 
@@ -162,7 +151,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_costs(args) -> int:
-    y = args.y if args.y is not None else 0
+    y = 0 if args.y is None else _parse_numbers(args.y)
     table = cost_table(args.variant, _parse_sweep(args.sweep_m), t=args.t or 0,
                        y=y, e=args.e or 2, n=args.n, seed=args.seed or 0,
                        exp_k=args.exp_k)
@@ -195,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--m", type=int)
     run_p.add_argument("--e", type=int)
     run_p.add_argument("--t", type=int)
-    run_p.add_argument("--y", type=_parse_ints,
-                       help="eavesdropping budget; comma list for type II")
+    run_p.add_argument("--y", help="eavesdropping budget; comma list for type II")
     run_p.add_argument("--t2", type=int)
     run_p.add_argument("--n", type=int, help="databases per party (default: minimal)")
     run_p.add_argument("--p", type=int, help="field modulus (default: auto prime)")
@@ -204,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--element", help="queried element name (needs --datasets)")
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--datasets", help="JSON file with universe and parties")
-    run_p.add_argument("--gen-prob", type=_parse_probs, dest="gen_prob",
+    run_p.add_argument("--gen-prob", dest="gen_prob",
                        help="membership probability (scalar or comma list)")
     run_p.add_argument("--config", help="JSON file mirroring the run config")
     run_p.add_argument("--json", action="store_true")
@@ -226,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     costs_p.add_argument("--sweep-m", required=True, dest="sweep_m",
                          help="party counts, e.g. 2..6 or 2,4,8")
     costs_p.add_argument("--t", type=int)
-    costs_p.add_argument("--y", type=_parse_ints)
+    costs_p.add_argument("--y")
     costs_p.add_argument("--e", type=int)
     costs_p.add_argument("--n", type=int)
     costs_p.add_argument("--seed", type=int)

@@ -86,21 +86,6 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (self.check(a) + self.check(b)) % self.p
 
-    def neg(self, a: int) -> int:
-        return -self.check(a) % self.p
-
-    def inv(self, a: int) -> int:
-        self.check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        self.check(a)
-        if e < 0:
-            raise ParameterError("exponent must be non-negative")
-        return pow(a, e, self.p)
-
     def dot(self, u: Sequence[int], v: Sequence[int]) -> int:
         if len(u) != len(v):
             raise ParameterError(f"vector length mismatch: {len(u)} vs {len(v)}")
@@ -116,8 +101,7 @@ def default_alphas(p: int, count: int) -> tuple[int, ...]:
     if count > p - 1:
         raise ParameterError(
             f"GF({p}) offers only {p - 1} usable evaluation points, need {count}")
-    pool = list(range(1, p - 1)) + [0]
-    return tuple(pool[:count])
+    return tuple(k % (p - 1) for k in range(1, count + 1))
 
 
 def validate_alphas(field: PrimeField, alphas: Sequence[int]) -> tuple[int, ...]:

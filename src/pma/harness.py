@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from . import audit, pma1, spma1, spma2
 from .errors import IntegrityError, ParameterError
-from .model import (RandomSource, SchemeParams, VARIANT_ALIASES, VARIANTS,
+from .model import (RandomSource, SchemeParams, VARIANT_ALIASES,
                     generate_datasets, load_datasets, make_params, true_count)
 from .transcript import (ANSWER, MASK_SHARE, NOISE_SHARE, QUERY, STORAGE_SHARE,
                          Transcript)
@@ -43,12 +43,9 @@ class RunConfig:
     datasets: dict | str | None = None
     gen_probs: float | Sequence[float] = 0.5
 
-    _FIELDS = ("variant", "m", "e", "t", "y", "t2", "n", "p", "theta", "seed",
-               "datasets", "gen_probs")
-
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
-        unknown = set(obj) - set(cls._FIELDS)
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         if "variant" not in obj:
@@ -56,15 +53,8 @@ class RunConfig:
         return cls(**obj)
 
     def to_dict(self) -> dict:
-        y = list(self.y) if isinstance(self.y, (list, tuple)) else self.y
-        probs = (list(self.gen_probs)
-                 if isinstance(self.gen_probs, (list, tuple)) else self.gen_probs)
-        return {
-            "variant": self.variant,
-            "m": self.m, "e": self.e, "t": self.t, "y": y, "t2": self.t2,
-            "n": self.n, "p": self.p, "theta": self.theta, "seed": self.seed,
-            "datasets": self.datasets, "gen_probs": probs,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 @dataclass
@@ -138,30 +128,23 @@ def resolve_config(config: RunConfig):
     Dataset generation consumes the source first, so a seeded run is fully
     reproducible end to end.
     """
-    variant = VARIANT_ALIASES.get(config.variant, config.variant)
-    if variant not in VARIANTS:
-        raise ParameterError(
-            f"unknown variant {config.variant!r}; expected one of {VARIANTS} "
-            f"(or alias 'pma2')")
     rng = RandomSource(config.seed)
-    universe = None
+    universe = datasets = None
+    m, e = config.m, config.e
     if config.datasets is not None:
         universe, datasets = load_datasets(config.datasets)
-        m = len(datasets)
-        e = len(universe)
+        m, e = len(datasets), len(universe)
         if config.m is not None and config.m != m:
             raise ParameterError(
                 f"config says M={config.m} but the dataset file has {m} parties")
         if config.e is not None and config.e != e:
             raise ParameterError(
                 f"config says E={config.e} but the dataset universe has {e} elements")
-        params = make_params(variant, m, e, t=config.t, y=config.y,
-                             n=config.n, p=config.p, t2=config.t2)
-    else:
-        if config.m is None or config.e is None:
-            raise ParameterError("m and e are required when no dataset file is given")
-        params = make_params(variant, config.m, config.e, t=config.t, y=config.y,
-                             n=config.n, p=config.p, t2=config.t2)
+    elif m is None or e is None:
+        raise ParameterError("m and e are required when no dataset file is given")
+    params = make_params(config.variant, m, e, t=config.t, y=config.y,
+                         n=config.n, p=config.p, t2=config.t2)
+    if datasets is None:
         datasets = generate_datasets(params, config.gen_probs, rng)
     return params, datasets, universe, rng
 

@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ParameterError
-from .field import PrimeField, default_alphas, is_prime, validate_alphas
+from .field import (PrimeField, default_alphas, is_prime, noise_pad_vector,
+                    validate_alphas)
 
 VARIANTS = ("pma1", "spma1", "spma2")
 # the type-II scheme serves both the symmetric and the non-symmetric problem
@@ -299,17 +300,19 @@ def incidence(dataset: PartyDataset, e: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def members_of(bits: Sequence[int]) -> PartyDataset:
-    """Inverse of :func:`incidence`."""
-    return PartyDataset(frozenset(k + 1 for k, b in enumerate(bits) if b))
-
-
 def unit_vector(theta: int, e: int) -> tuple[int, ...]:
     if not (isinstance(theta, int) and 1 <= theta <= e):
         raise ParameterError(f"queried index {theta!r} outside 1..{e}")
     out = [0] * e
     out[theta - 1] = 1
     return tuple(out)
+
+
+def query_vector(theta: int, alpha: int, noise_rows, params: SchemeParams) -> tuple[int, ...]:
+    """The query for the database at ``alpha``: the unit vector of
+    ``theta`` padded with the noise rows weighted by powers of
+    (1 + alpha). Every scheme builds its queries this way."""
+    return noise_pad_vector(params.field, unit_vector(theta, params.e), alpha, noise_rows)
 
 
 def true_count(theta: int, datasets: Sequence[PartyDataset], e: int) -> int:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
-from .field import build_upsilon, noise_pad_vector, solve_linear
-from .model import PartyDataset, RandomSource, SchemeParams, incidence, unit_vector
+from .field import build_upsilon, solve_linear
+from .model import PartyDataset, RandomSource, SchemeParams, incidence, query_vector
 from .transcript import (ANSWER, MASK_SHARE, QUERY, ROUND_ANSWER, ROUND_QUERY,
                          ROUND_SETUP, Transcript)
 
@@ -40,26 +40,14 @@ class QuerySet:
 
 
 @dataclass(frozen=True)
-class MaskSet:
-    """masks[i] is party i+1's length-N mask; the vectors sum to zero
-    componentwise."""
-
-    masks: tuple
-
-
-@dataclass(frozen=True)
 class ProtocolRun:
     params: SchemeParams
     theta: int
     count: int
     queries: QuerySet
-    masks: MaskSet
+    masks: tuple  # masks[i] is party i+1's length-N mask; they sum to zero
     answers: tuple
     transcript: Transcript
-
-
-def query_vector(theta: int, alpha: int, noise_rows, params: SchemeParams) -> tuple[int, ...]:
-    return noise_pad_vector(params.field, unit_vector(theta, params.e), alpha, noise_rows)
 
 
 def draw_query_noise(params: SchemeParams, rng: RandomSource) -> tuple:
@@ -67,11 +55,6 @@ def draw_query_noise(params: SchemeParams, rng: RandomSource) -> tuple:
     return tuple(
         tuple(rng.draw_vector(params.p, params.e) for _ in range(params.mu))
         for _ in range(params.m))
-
-
-def zero_query_noise(params: SchemeParams) -> tuple:
-    zero = (0,) * params.e
-    return tuple(tuple(zero for _ in range(params.mu)) for _ in range(params.m))
 
 
 def queries_from_noise(theta: int, params: SchemeParams, noise) -> QuerySet:
@@ -91,7 +74,7 @@ def draw_free_masks(params: SchemeParams, rng: RandomSource) -> tuple:
     return tuple(rng.draw_vector(params.p, params.n) for _ in range(params.m - 1))
 
 
-def masks_from_free(params: SchemeParams, free: Sequence[Sequence[int]]) -> MaskSet:
+def masks_from_free(params: SchemeParams, free: Sequence[Sequence[int]]) -> tuple:
     f = params.field
     if len(free) != params.m - 1:
         raise ParameterError(
@@ -101,10 +84,10 @@ def masks_from_free(params: SchemeParams, free: Sequence[Sequence[int]]) -> Mask
             raise ParameterError(f"mask vector length {len(s)} != N={params.n}")
         f.check_all(s)
     closing = tuple(-sum(column) % f.p for column in zip(*free))
-    return MaskSet(masks=tuple(tuple(s) for s in free) + (closing,))
+    return tuple(tuple(s) for s in free) + (closing,)
 
 
-def gen_masks(params: SchemeParams, rng: RandomSource) -> MaskSet:
+def gen_masks(params: SchemeParams, rng: RandomSource) -> tuple:
     return masks_from_free(params, draw_free_masks(params, rng))
 
 
@@ -144,11 +127,11 @@ def _db_link(i: int, j: int) -> str:
     return f"user:p{i + 1}.d{j + 1}"
 
 
-def emit_mask_events(params: SchemeParams, masks: MaskSet, tr: Transcript) -> None:
+def emit_mask_events(params: SchemeParams, masks: tuple, tr: Transcript) -> None:
     dealer = f"p{params.m}"
     for i in range(params.m - 1):
         tr.emit(ROUND_SETUP, f"p{i + 1}", dealer, f"p{i + 1}:{dealer}",
-                MASK_SHARE, masks.masks[i])
+                MASK_SHARE, masks[i])
 
 
 def emit_query_events(params: SchemeParams, queries: QuerySet, tr: Transcript) -> None:
@@ -175,7 +158,7 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     for i in range(params.m):
         row = []
         for j in range(params.n):
-            a = answer(bits[i], queries.queries[i][j], masks.masks[i][j], f)
+            a = answer(bits[i], queries.queries[i][j], masks[i][j], f)
             tr.emit(ROUND_ANSWER, _db_name(i, j), "user", _db_link(i, j), ANSWER, (a,))
             row.append(a)
         table.append(tuple(row))

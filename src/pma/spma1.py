@@ -27,32 +27,21 @@ decode = pma1.decode  # identical contract; blinding only touches interference
 
 
 @dataclass(frozen=True)
-class PartyNoise:
-    """zprime[i] holds the N-1 blinding scalars shared by party i+1's
-    databases; independent across parties and of everything else."""
-
-    zprime: tuple
-
-
-@dataclass(frozen=True)
 class ProtocolRun:
     params: SchemeParams
     theta: int
     count: int
     queries: pma1.QuerySet
-    masks: pma1.MaskSet
-    blinding: PartyNoise
+    masks: tuple
+    # blinding[i] holds the N-1 blinding scalars shared by party i+1's
+    # databases; independent across parties and of everything else
+    blinding: tuple
     answers: tuple
     transcript: Transcript
 
 
-def draw_party_noise(params: SchemeParams, rng: RandomSource) -> PartyNoise:
-    return PartyNoise(zprime=tuple(
-        rng.draw_vector(params.p, params.n - 1) for _ in range(params.m)))
-
-
-def zero_party_noise(params: SchemeParams) -> PartyNoise:
-    return PartyNoise(zprime=tuple((0,) * (params.n - 1) for _ in range(params.m)))
+def draw_party_noise(params: SchemeParams, rng: RandomSource) -> tuple:
+    return tuple(rng.draw_vector(params.p, params.n - 1) for _ in range(params.m))
 
 
 def answer(bits: Sequence[int], query: Sequence[int], zrow: Sequence[int],
@@ -64,8 +53,7 @@ def answer(bits: Sequence[int], query: Sequence[int], zrow: Sequence[int],
 
 
 def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
-        rng: RandomSource, transcript: Transcript | None = None, *,
-        force_zero_blinding: bool = False) -> ProtocolRun:
+        rng: RandomSource, transcript: Transcript | None = None) -> ProtocolRun:
     if params.variant != "spma1":
         raise ParameterError(f"expected spma1 parameters, got {params.variant!r}")
     if len(datasets) != params.m:
@@ -74,9 +62,8 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     bits = [incidence(d, params.e) for d in datasets]
     queries = pma1.gen_queries(theta, params, rng)
     masks = pma1.gen_masks(params, rng)
-    # zero blinding draws nothing, keeping the stream aligned with pma1
-    blinding = zero_party_noise(params) if force_zero_blinding \
-        else draw_party_noise(params, rng)
+    # drawn after the queries and masks, so those match pma1's on one seed
+    blinding = draw_party_noise(params, rng)
     pma1.emit_mask_events(params, masks, tr)
     if params.n > 1:
         tr.emit(ROUND_SETUP, "srand", "parties", "srand:parties", NOISE_SHARE,
@@ -88,8 +75,8 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     for i in range(params.m):
         row = []
         for j in range(params.n):
-            a = answer(bits[i], queries.queries[i][j], blinding.zprime[i],
-                       masks.masks[i][j], alphas[j], f)
+            a = answer(bits[i], queries.queries[i][j], blinding[i], masks[i][j],
+                       alphas[j], f)
             tr.emit(ROUND_ANSWER, f"p{i + 1}.d{j + 1}", "user",
                     f"user:p{i + 1}.d{j + 1}", ANSWER, (a,))
             row.append(a)

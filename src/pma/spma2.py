@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
 from .field import build_upsilon, noise_pad_scalar, noise_pad_vector, solve_linear
-from .model import PartyDataset, RandomSource, SchemeParams, incidence, unit_vector
+from .model import PartyDataset, RandomSource, SchemeParams, incidence, query_vector
 from .transcript import (ANSWER, NOISE_SHARE, QUERY, ROUND_ANSWER, ROUND_QUERY,
                          ROUND_SETUP, STORAGE_SHARE, Transcript)
 
@@ -51,13 +51,6 @@ class QuerySet:
 
 
 @dataclass(frozen=True)
-class GlobalNoise:
-    """The n_eff - 1 blinding scalars all parties agree on."""
-
-    zprime: tuple
-
-
-@dataclass(frozen=True)
 class ProtocolRun:
     params: SchemeParams
     theta: int
@@ -65,20 +58,9 @@ class ProtocolRun:
     storage: tuple
     aggregated: tuple
     queries: QuerySet
-    blinding: GlobalNoise
+    blinding: tuple  # the n_eff - 1 blinding scalars all parties agree on
     answers: tuple
     transcript: Transcript
-
-
-def effective_db_count(params: SchemeParams) -> int:
-    """Participating databases; the validated side condition guarantees
-    this never exceeds M*N."""
-    return params.n_eff
-
-
-def storage_vector(bits: Sequence[int], alpha: int, noise_rows,
-                   params: SchemeParams) -> tuple[int, ...]:
-    return noise_pad_vector(params.field, bits, alpha, noise_rows)
 
 
 def draw_storage_noise(params: SchemeParams, rng: RandomSource) -> tuple:
@@ -93,7 +75,7 @@ def encode_from_noise(bits: Sequence[int], params: SchemeParams,
             f"storage encoding needs {params.storage_depth} noise vectors, "
             f"got {len(noise_rows)}")
     alphas = params.alphas_used
-    shares = tuple(storage_vector(bits, alphas[n], noise_rows, params)
+    shares = tuple(noise_pad_vector(params.field, bits, alphas[n], noise_rows)
                    for n in range(params.n_eff))
     return StorageShare(noise=tuple(tuple(r) for r in noise_rows), shares=shares)
 
@@ -117,16 +99,8 @@ def aggregate(shares: Sequence[Sequence[int]], params: SchemeParams) -> tuple[in
     return tuple(sum(column) % f.p for column in zip(*shares))
 
 
-def query_vector(theta: int, alpha: int, noise_rows, params: SchemeParams) -> tuple[int, ...]:
-    return noise_pad_vector(params.field, unit_vector(theta, params.e), alpha, noise_rows)
-
-
 def draw_query_noise(params: SchemeParams, rng: RandomSource) -> tuple:
     return tuple(rng.draw_vector(params.p, params.e) for _ in range(params.mu))
-
-
-def zero_query_noise(params: SchemeParams) -> tuple:
-    return tuple((0,) * params.e for _ in range(params.mu))
 
 
 def queries_from_noise(theta: int, params: SchemeParams, noise) -> QuerySet:
@@ -140,12 +114,8 @@ def gen_queries(theta: int, params: SchemeParams, rng: RandomSource) -> QuerySet
     return queries_from_noise(theta, params, draw_query_noise(params, rng))
 
 
-def draw_global_noise(params: SchemeParams, rng: RandomSource) -> GlobalNoise:
-    return GlobalNoise(zprime=rng.draw_vector(params.p, params.n_eff - 1))
-
-
-def zero_global_noise(params: SchemeParams) -> GlobalNoise:
-    return GlobalNoise(zprime=(0,) * (params.n_eff - 1))
+def draw_global_noise(params: SchemeParams, rng: RandomSource) -> tuple:
+    return rng.draw_vector(params.p, params.n_eff - 1)
 
 
 def answer(ptilde: Sequence[int], query: Sequence[int], zprime: Sequence[int],
@@ -174,8 +144,7 @@ def decode(answers: Sequence[int], params: SchemeParams) -> int:
 
 
 def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
-        rng: RandomSource, transcript: Transcript | None = None, *,
-        force_zero_blinding: bool = False) -> ProtocolRun:
+        rng: RandomSource, transcript: Transcript | None = None) -> ProtocolRun:
     if params.variant != "spma2":
         raise ParameterError(f"expected spma2 parameters, got {params.variant!r}")
     if len(datasets) != params.m:
@@ -196,8 +165,7 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
         for n in range(n_eff))
 
     queries = gen_queries(theta, params, rng)
-    blinding = zero_global_noise(params) if force_zero_blinding \
-        else draw_global_noise(params, rng)
+    blinding = draw_global_noise(params, rng)
     if n_eff > 1:
         tr.emit(ROUND_SETUP, "srand", "parties", "srand:parties", NOISE_SHARE,
                 values=(), symbols=n_eff - 1)
@@ -206,7 +174,7 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
                 queries.queries[n])
     answers = []
     for n in range(n_eff):
-        a = answer(aggregated[n], queries.queries[n], blinding.zprime, alphas[n], f)
+        a = answer(aggregated[n], queries.queries[n], blinding, alphas[n], f)
         tr.emit(ROUND_ANSWER, f"d{n + 1}", "user", f"user:d{n + 1}", ANSWER, (a,))
         answers.append(a)
     count = decode(answers, params)

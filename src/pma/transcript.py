@@ -48,16 +48,8 @@ class Transcript:
         self.events.append(ev)
         return ev
 
-    def events_in(self, category: str) -> list[Event]:
-        return [ev for ev in self.events if ev.category == category]
-
     def symbols_in(self, category: str) -> int:
         return sum(ev.symbols for ev in self.events if ev.category == category)
-
-    def payload_stream(self) -> list[tuple[str, str, tuple[int, ...]]]:
-        """(link, category, values) for every event that carries symbols on
-        a wire; accounting-only events are skipped."""
-        return [(ev.link, ev.category, ev.values) for ev in self.events if ev.values]
 
     def digest(self) -> str:
         """SHA-256 of a length-framed binary encoding of every event.

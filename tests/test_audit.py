@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from pma import audit, pma1
+from pma import audit
 from pma.errors import AuditInfeasibleError, IntegrityError, ParameterError
 from pma.harness import build_audit_suite
-from pma.model import make_params
+from pma.model import make_params, query_vector
+from tests.oracles import oracle_polynomial_expand
 
 
 def t1(variant="pma1", **kw):
@@ -47,7 +48,6 @@ def test_enumerate_probabilities_sum_to_one_exactly():
 def test_enumerate_single_query_uniform():
     # one noisy query vector at depth 1 is an affine bijection of the noise
     params = t1()
-    from pma.pma1 import query_vector
 
     def view(assignment):
         return query_vector(1, params.alphas_used[0], [assignment], params)
@@ -94,11 +94,10 @@ def test_non_affine_view_raises_naming_point():
 
 def test_non_affine_scheme_fails_the_affinity_check(monkeypatch):
     def squared(theta, alpha, noise_rows, params):
-        return tuple(x * x % params.p for x in
-                     pma1.noise_pad_vector(params.field, pma1.unit_vector(theta, params.e),
-                                           alpha, noise_rows))
+        return tuple(x * x % params.p
+                     for x in query_vector(theta, alpha, noise_rows, params))
 
-    monkeypatch.setattr(pma1, "query_vector", squared)
+    monkeypatch.setattr(audit, "query_vector", squared)
     with pytest.raises(IntegrityError, match="audit query-privacy: .*point"):
         audit.audit_query_privacy(t1(), [1])
 
@@ -347,11 +346,11 @@ def test_interparty_dealing_independent():
 def test_expand_degree_additivity():
     lhs = [(1, 0), (2, 1)]  # degree 1
     rhs = [(0, 1), (1, 1), (3, 0)]  # degree 2
-    assert len(audit.oracle_polynomial_expand(lhs, rhs, 7)) == 4
+    assert len(oracle_polynomial_expand(lhs, rhs, 7)) == 4
 
 
 def test_expand_noise_free_single_coefficient():
-    assert audit.oracle_polynomial_expand([(1, 1, 0)], [(0, 1, 0)], 7) == (1,)
+    assert oracle_polynomial_expand([(1, 1, 0)], [(0, 1, 0)], 7) == (1,)
 
 
 def test_expand_matches_evaluate_interpolate():
@@ -361,7 +360,7 @@ def test_expand_matches_evaluate_interpolate():
     f = PrimeField(7)
     lhs = [(2, 3), (1, 5)]
     rhs = [(4, 1), (0, 6)]
-    coeffs = audit.oracle_polynomial_expand(lhs, rhs, 7)
+    coeffs = oracle_polynomial_expand(lhs, rhs, 7)
     alphas = (1, 2, 3)
     evals = []
     for a in alphas:
@@ -375,7 +374,7 @@ def test_expand_matches_evaluate_interpolate():
 
 def test_expand_rejects_empty():
     with pytest.raises(ParameterError):
-        audit.oracle_polynomial_expand([], [(1,)], 7)
+        oracle_polynomial_expand([], [(1,)], 7)
 
 
 # ---------------------------------------------------------------------------

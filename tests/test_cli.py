@@ -80,6 +80,25 @@ def test_run_invalid_params_exit_2(capsys):
     assert "parameter error" in capsys.readouterr().err
 
 
+def test_run_large_prime_field(capsys):
+    code = main(["run", "--variant", "pma1", "--m", "2", "--e", "3", "--t", "1",
+                 "--theta", "1", "--p", str(2 ** 61 - 1), "--json"])
+    assert code == 0
+    (entry,) = json.loads(capsys.readouterr().out)["results"]
+    assert entry["count"] == entry["oracle_count"]
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--y", "x", "expected ints, got 'x'"),
+    ("--y", ",", "expected ints, got ','"),
+    ("--gen-prob", "0.5,x", "expected probabilities, got '0.5,x'"),
+])
+def test_run_bad_number_list_exit_2(capsys, flag, value, message):
+    assert main(["run", "--variant", "pma1", "--m", "2", "--e", "2",
+                 "--t", "1", flag, value]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_config_file_with_overrides(tmp_path, capsys):
     config = {"variant": "pma1", "m": 2, "e": 3, "t": 1, "seed": 1}
     path = tmp_path / "config.json"

@@ -31,7 +31,7 @@ def determinant(field, m):
             work[col], work[pivot] = work[pivot], work[col]
             det = -det % p
         det = (det * work[col][col]) % p
-        inv = field.inv(work[col][col])
+        inv = pow(work[col][col], -1, p)
         for r in range(col + 1, n):
             if work[r][col]:
                 factor = (work[r][col] * inv) % p
@@ -65,22 +65,12 @@ def test_add_examples():
     assert PrimeField(5).add(4, 4) == 3
 
 
-def test_inv_pow_neg_examples():
-    f7 = PrimeField(7)
-    assert f7.inv(3) == 5  # 3*5 = 15 = 1 mod 7
-    assert f7.pow(2, 3) == 1  # 8 mod 7
-    assert PrimeField(5).neg(2) == 3
-
-
 def test_inverse_cancels_for_all_nonzero():
+    # the solver's pivot inverse: a x = 1 on a 1 x 1 system
     f = PrimeField(31)
     for a in range(1, 31):
-        assert a * f.inv(a) % 31 == 1
-
-
-def test_inv_of_zero_is_domain_error():
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(7).inv(0)
+        (x,) = solve_linear(f, [[a]], [1])
+        assert a * x % 31 == 1
 
 
 def test_element_range_enforced():
@@ -105,10 +95,19 @@ def test_dot_length_mismatch():
 
 def test_default_alphas_prefers_small_positives():
     assert default_alphas(7, 3) == (1, 2, 3)
+    assert default_alphas(2 ** 61 - 1, 3) == (1, 2, 3)  # builds only 3 points
     # at p=3 only {0, 1} avoid p-1; 0 closes the gap
     assert default_alphas(3, 2) == (1, 0)
     with pytest.raises(ParameterError):
         default_alphas(3, 3)
+
+
+def test_default_alphas_match_the_point_pool():
+    # the pool 1, 2, ..., p-2, 0, sliced; built only up to count points
+    for p in range(2, 132):
+        pool = list(range(1, p - 1)) + [0]
+        for count in range(p):
+            assert default_alphas(p, count) == tuple(pool[:count]), (p, count)
 
 
 def test_validate_alphas_rejects_p_minus_one_and_repeats():

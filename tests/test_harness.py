@@ -9,7 +9,7 @@ from pma.harness import (RunConfig, build_audit_suite, cost_table, measure_costs
                          remark_total, run_audit_suite, run_protocol,
                          select_cases, theorem_bound, to_json)
 from pma.model import PartyDataset, RandomSource, make_params
-from pma import pma1
+from pma import pma1, spma1, spma2
 from pma.transcript import Transcript
 
 PAPER_DATA = {
@@ -211,3 +211,22 @@ def test_run_audit_suite_reports_infeasible_and_continues():
     verdicts = {c["name"]: c["verdict"] for c in report["cases"]}
     assert "infeasible" in verdicts.values()
     assert report["all_ok"] is False
+
+
+@pytest.mark.parametrize("variant,scheme,redrawn", [
+    ("pma1", pma1, lambda run: (run.queries.noise, run.masks)),
+    ("spma1", spma1, lambda run: (run.masks, run.blinding)),
+    ("spma2", spma2, lambda run: (run.queries.noise, run.blinding)),
+], ids=("pma1", "spma1", "spma2"))
+def test_consecutive_runs_redraw_per_query_randomness(variant, scheme, redrawn):
+    """Two runs on one source, as in a sweep, draw each piece of per-query
+    randomness afresh."""
+    params = make_params(variant, 3, 4, t=1, p=131)
+    datasets = [PartyDataset(frozenset({1, 2})), PartyDataset(frozenset({2})),
+                PartyDataset(frozenset())]
+    rng = RandomSource(5)
+    first = scheme.run(params, datasets, 2, rng)
+    second = scheme.run(params, datasets, 2, rng)
+    assert first.count == second.count == 2
+    for a, b in zip(redrawn(first), redrawn(second)):
+        assert a != b

@@ -9,7 +9,8 @@ import pytest
 from pma.errors import ParameterError
 from pma.model import (PartyDataset, RandomSource, SchemeParams, auto_n, auto_p,
                        generate_datasets, incidence, load_datasets, make_params,
-                       members_of, true_count, unit_vector, validate_params)
+                       true_count, unit_vector, validate_params)
+from tests.oracles import members_of
 
 P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
 P2 = PartyDataset(frozenset({2, 3, 4}))

@@ -5,12 +5,12 @@ import itertools
 import pytest
 
 from pma import pma1
-from pma.audit import oracle_polynomial_expand
 from pma.errors import IntegrityError, ParameterError
 from pma.field import PrimeField
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
-                       make_params, members_of, true_count, unit_vector)
+                       make_params, query_vector, true_count, unit_vector)
 from pma.transcript import ANSWER, MASK_SHARE, QUERY
+from tests.oracles import members_of, oracle_polynomial_expand
 
 P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
 P2 = PartyDataset(frozenset({2, 3, 4}))
@@ -24,7 +24,8 @@ def params_small(**kw):
 
 def test_zero_noise_queries_are_unit_vectors():
     params = params_small()
-    qs = pma1.queries_from_noise(3, params, pma1.zero_query_noise(params))
+    zero = (((0,) * params.e,) * params.mu,) * params.m
+    qs = pma1.queries_from_noise(3, params, zero)
     for i in range(params.m):
         for j in range(params.n):
             assert qs.queries[i][j] == unit_vector(3, params.e)
@@ -33,7 +34,7 @@ def test_zero_noise_queries_are_unit_vectors():
 def test_query_vector_direct_evaluation():
     # e_1 + (1+1)^1 * (1,2) = (1,0) + (2,4) = (0,1) over GF(3)
     params = make_params("pma1", 2, 2, t=1, y=0, p=3, alphas=(1, 0))
-    q = pma1.query_vector(1, 1, [(1, 2)], params)
+    q = query_vector(1, 1, [(1, 2)], params)
     assert q == (0, 1)
 
 
@@ -48,14 +49,14 @@ def test_masks_two_party_cancellation():
     params = params_small()
     masks = pma1.gen_masks(params, RandomSource(4))
     f = params.field
-    assert masks.masks[1] == tuple(f.neg(v) for v in masks.masks[0])
+    assert masks[1] == tuple(-v % f.p for v in masks[0])
 
 
 def test_masks_completion_example():
     # S3 = -(S1 + S2) = -(4, 0) = (1, 0) over GF(5)
     params = make_params("pma1", 3, 1, t=1, y=0, n=2, p=5, alphas=(1, 2))
     masks = pma1.masks_from_free(params, [(1, 2), (3, 3)])
-    assert masks.masks[2] == (1, 0)
+    assert masks[2] == (1, 0)
 
 
 def test_masks_sum_to_zero_any_seed():
@@ -64,7 +65,7 @@ def test_masks_sum_to_zero_any_seed():
     for seed in range(6):
         masks = pma1.gen_masks(params, RandomSource(seed))
         for j in range(params.n):
-            assert sum(masks.masks[i][j] for i in range(params.m)) % f.p == 0
+            assert sum(masks[i][j] for i in range(params.m)) % f.p == 0
 
 
 def test_masks_shape_errors():
@@ -151,7 +152,7 @@ def test_answer_decomposition_against_expansion_oracle():
             value = 0  # independent Horner evaluation
             for c in reversed(coeffs):
                 value = (value * x + c) % params.p
-            assert run.answers[i][j] == f.add(value, run.masks.masks[i][j])
+            assert run.answers[i][j] == f.add(value, run.masks[i][j])
 
 
 def test_correctness_exhaustive_tiny():

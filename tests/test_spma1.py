@@ -6,9 +6,11 @@ import pytest
 
 from pma import pma1, spma1
 from pma.errors import ParameterError
-from pma.field import PrimeField
+from pma.field import PrimeField, noise_pad_scalar
 from pma.model import (PartyDataset, RandomSource, generate_datasets, make_params,
-                       members_of, true_count, unit_vector)
+                       true_count, unit_vector)
+from pma.transcript import MASK_SHARE, NOISE_SHARE, QUERY
+from tests.oracles import members_of
 
 P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
 P2 = PartyDataset(frozenset({2, 3, 4}))
@@ -23,16 +25,16 @@ def params_small(**kw):
 def test_noise_shape():
     params = params_small(m=2)
     noise = spma1.draw_party_noise(params, RandomSource(0))
-    assert len(noise.zprime) == 2
-    assert all(len(row) == params.n - 1 for row in noise.zprime)
-    assert all(0 <= v < params.p for row in noise.zprime for v in row)
+    assert len(noise) == 2
+    assert all(len(row) == params.n - 1 for row in noise)
+    assert all(0 <= v < params.p for row in noise for v in row)
 
 
 def test_noise_empty_when_single_database():
     with pytest.warns(UserWarning):
         params = make_params("spma1", 2, 3, t=0, y=0)
     noise = spma1.draw_party_noise(params, RandomSource(0))
-    assert noise.zprime == ((), ())
+    assert noise == ((), ())
 
 
 def test_noise_reproducible():
@@ -89,20 +91,26 @@ def test_correctness_exhaustive_tiny():
                 assert run.count == true_count(theta, datasets, 2)
 
 
-def test_zero_blinding_reproduces_plain_run():
-    """Same seed, blinding forced to zero: every wire symbol must match the
-    plain scheme, including the decoded count."""
+def test_blinded_run_is_plain_run_plus_blinding():
+    """Same seed: the symmetric run sends the plain run's queries and masks,
+    decodes the same count, and each answer is the plain answer plus its
+    party's power-weighted blinding."""
     for seed in range(5):
         pp = make_params("pma1", 3, 4, t=1, y=1)
         sp = make_params("spma1", 3, 4, t=1, y=1)
         datasets = generate_datasets(pp, 0.5, RandomSource(seed + 100))
         run_plain = pma1.run(pp, datasets, 2, RandomSource(seed))
-        run_sym = spma1.run(sp, datasets, 2, RandomSource(seed),
-                            force_zero_blinding=True)
-        assert run_plain.answers == run_sym.answers
+        run_sym = spma1.run(sp, datasets, 2, RandomSource(seed))
         assert run_plain.count == run_sym.count
-        assert run_plain.transcript.payload_stream() == \
-            run_sym.transcript.payload_stream()
+        assert [ev for ev in run_plain.transcript.events
+                if ev.category in (QUERY, MASK_SHARE)] == \
+            [ev for ev in run_sym.transcript.events
+             if ev.category in (QUERY, MASK_SHARE)]
+        for i, row in enumerate(run_sym.answers):
+            for j, a in enumerate(row):
+                pad = noise_pad_scalar(sp.field, 0, sp.alphas_used[j],
+                                       run_sym.blinding[i])
+                assert a == (run_plain.answers[i][j] + pad) % sp.p
 
 
 def test_blinding_changes_answers_but_not_count():
@@ -118,7 +126,7 @@ def test_blinding_changes_answers_but_not_count():
 def test_noise_share_billed_once():
     params = params_small()
     run = spma1.run(params, [P1, P2], 1, RandomSource(0))
-    noise_events = run.transcript.events_in("noise-share")
+    noise_events = [ev for ev in run.transcript.events if ev.category == NOISE_SHARE]
     assert len(noise_events) == 1
     assert noise_events[0].symbols == params.n - 1
     assert noise_events[0].values == ()

@@ -5,12 +5,12 @@ import itertools
 import pytest
 
 from pma import pma1, spma1, spma2
-from pma.audit import oracle_polynomial_expand
 from pma.errors import IntegrityError, ParameterError
 from pma.field import PrimeField, build_upsilon
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
-                       make_params, members_of, true_count, unit_vector)
+                       make_params, true_count, unit_vector)
 from pma.transcript import ANSWER, NOISE_SHARE, QUERY, STORAGE_SHARE
+from tests.oracles import members_of, oracle_polynomial_expand
 
 P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
 P2 = PartyDataset(frozenset({2, 3, 4}))
@@ -23,12 +23,12 @@ def params_small(**kw):
 
 
 def test_effective_db_count_examples():
-    assert spma2.effective_db_count(params_small(e=2)) == 3  # 1 + 1 + 1
+    assert params_small(e=2).n_eff == 3  # 1 + 1 + 1
     five = make_params("spma2", 3, 2, t=1, y=0, n=2)
-    assert spma2.effective_db_count(five) == 5  # 2 + 2 + 1 <= 6
+    assert five.n_eff == 5  # 2 + 2 + 1 <= 6
     with pytest.warns(UserWarning):
         trivial = make_params("spma2", 2, 2, t=0, y=0)
-    assert spma2.effective_db_count(trivial) == trivial.n + 1
+    assert trivial.n_eff == trivial.n + 1
 
 
 def test_storage_encode_zero_noise_replicates():
@@ -88,7 +88,7 @@ def test_aggregate_rejects_non_elements(bad):
 def test_queries_zero_noise_and_mu():
     params = params_small(e=2)
     assert params.mu == 1  # max(N*T, Y) = max(1, 0)
-    qs = spma2.queries_from_noise(1, params, spma2.zero_query_noise(params))
+    qs = spma2.queries_from_noise(1, params, ((0,) * params.e,) * params.mu)
     assert all(q == unit_vector(1, 2) for q in qs.queries)
     assert len(qs.queries) == params.n_eff
 
@@ -190,7 +190,7 @@ def test_degree_accounting_against_expansion_oracle():
         for c in reversed(coeffs):
             value = (value * x + c) % params.p
         blinded = spma2.answer(run.aggregated[n], run.queries.queries[n],
-                               run.blinding.zprime, params.alphas_used[n], f)
+                               run.blinding, params.alphas_used[n], f)
         assert blinded == run.answers[n]
         unblinded = spma2.answer(run.aggregated[n], run.queries.queries[n],
                                  (0,) * (params.n_eff - 1),
