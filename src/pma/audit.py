@@ -13,10 +13,11 @@ which gives ``b`` and the columns of ``A``, then checks the affine
 prediction at a few more fixed points and raises if the view is not
 affine there. The coset is kept in canonical form: the reduced row
 echelon basis of ``colspace(A)`` plus ``b`` reduced against it. Every
-audit compares the laws of its secrets through one path, and a failed
-comparison names a concrete view that lies in one coset and not the
-other. No sampling, no thresholds. ``enumerate_distribution`` keeps the
-exhaustive ``Fraction`` pmf as an independent oracle for tests.
+audit splits its secrets into classes and compares their laws through one
+path, ``_audit``, and a failed comparison names a concrete view that lies
+in one coset and not the other. No sampling, no thresholds.
+``enumerate_distribution`` keeps the exhaustive ``Fraction`` pmf as an
+independent oracle for tests.
 
 The audited claims, by identifier:
 
@@ -43,7 +44,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from . import pma1, spma1, spma2
 from .errors import AuditInfeasibleError, IntegrityError, ParameterError
@@ -55,8 +57,6 @@ from .transcript import MASK_SHARE, ROUND_SETUP, Transcript
 # call for enumerate_distribution
 DEFAULT_CAP = 10_000_000
 METHOD = "coset"
-
-DistributionMap = dict
 
 
 class _Cursor:
@@ -78,7 +78,7 @@ class _Cursor:
 
 
 def enumerate_distribution(view: Callable, dims: int, p: int,
-                           cap: int = DEFAULT_CAP) -> DistributionMap:
+                           cap: int = DEFAULT_CAP) -> dict:
     """Exact pmf of ``view(assignment)`` over all p**dims assignments."""
     total = p ** dims
     if total > cap:
@@ -197,56 +197,11 @@ class AuditResult:
     name: str
     lemma: str | None
     passed: bool
-    assignments: int  # sum of p**dims over the compared laws
     detail: dict = dataclass_field(default_factory=dict)
     witness: dict | None = None
-    dims: int = 0  # largest randomness dimension of a compared law
+    dims: int = 0  # randomness dimension of the compared laws
     rank: int = 0  # largest rank of a compared law
-    secrets: int = 0  # secret values whose laws were compared
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lemma": self.lemma,
-            "verdict": "pass" if self.passed else "fail",
-            "method": METHOD,
-            "enumerated_assignments": self.assignments,
-            "dims": self.dims,
-            "rank": self.rank,
-            "secrets": self.secrets,
-            "params": self.detail,
-            "witness": self.witness,
-        }
-
-
-class _Laws:
-    """Laws of one audit case, one per secret value, within a budget of
-    ``cap`` view evaluations, and the tallies its report carries."""
-
-    def __init__(self, name: str, p: int, cap: int) -> None:
-        self.name, self.p, self.cap = name, p, cap
-        self.evaluations = self.assignments = 0
-        self.dims = self.rank = self.secrets = 0
-
-    def law(self, view: Callable, dims: int) -> Coset:
-        self.evaluations += 1 + dims + len(_probes(dims, self.p))
-        if self.evaluations > self.cap:
-            raise AuditInfeasibleError(
-                f"{self.name} needs more than {self.cap} view evaluations "
-                f"(the cap) for its coset laws")
-        law = coset_law(view, dims, self.p, self.name)
-        self.assignments += self.p ** dims
-        self.dims = max(self.dims, dims)
-        self.rank = max(self.rank, law.rank)
-        self.secrets += 1
-        return law
-
-    def result(self, lemma: str | None, witness: dict | None,
-               detail: dict) -> AuditResult:
-        return AuditResult(
-            name=self.name, lemma=lemma, passed=witness is None,
-            assignments=self.assignments, detail=detail, witness=witness,
-            dims=self.dims, rank=self.rank, secrets=self.secrets)
+    secrets: int = 0  # laws compared, up to the first class that differs
 
 
 def _compare_all(laws: dict) -> dict | None:
@@ -272,6 +227,52 @@ def _compare_all(laws: dict) -> dict | None:
     return None
 
 
+def _audit(name: str, lemma: str | None, params: SchemeParams, dims: int,
+           classes: Iterable[tuple[dict, list]], detail: dict,
+           cap: int) -> AuditResult:
+    """Every audit: within each class of secrets, all laws must be equal.
+
+    ``classes`` yields ``(class detail, [(label, view), ...])``, each view a
+    function of ``dims`` GF(p) randomness symbols. Laws are built one class
+    at a time within ``cap`` view evaluations for the whole case, and the
+    audit fails at the first class whose laws differ, with a witness and
+    that class's detail added to the report's.
+    """
+    p = params.p
+    per_law = 1 + dims + len(_probes(dims, p))
+    detail = {**params.summary(), **detail}
+    evaluations = rank = secrets = 0
+    witness = None
+    for class_detail, members in classes:
+        laws = {}
+        for label, view in members:
+            evaluations += per_law
+            if evaluations > cap:
+                raise AuditInfeasibleError(
+                    f"{name} needs more than {cap} view evaluations "
+                    f"(the cap) for its coset laws")
+            laws[label] = coset_law(view, dims, p, name)
+            rank = max(rank, laws[label].rank)
+            secrets += 1
+        witness = _compare_all(laws)
+        if witness is not None:
+            detail = {**detail, **class_detail}
+            break
+    return AuditResult(name, lemma, witness is None, detail, witness, dims, rank, secrets)
+
+
+def _taps(params: SchemeParams, dbs: Sequence[int]) -> tuple:
+    """Checked 1-based database indices: within one party for the type-I
+    variants (the query structure is identical across parties), global for
+    type II."""
+    limit = params.n_eff if params.is_type2 else params.n
+    taps = tuple(dbs)
+    for j in taps:
+        if not 1 <= j <= limit:
+            raise ParameterError(f"database index {j} outside 1..{limit}")
+    return taps
+
+
 def _all_datasets(m: int, e: int):
     """Every assignment of incidence bits to M parties over E elements."""
     return itertools.product(itertools.product((0, 1), repeat=e), repeat=m)
@@ -283,10 +284,6 @@ def _canonical_rows(depth: int, e: int, p: int) -> tuple:
                  for l in range(depth))
 
 
-def _scaled_rows(depth: int, e: int, value: int) -> tuple:
-    return tuple(((value,) * e) for _ in range(depth))
-
-
 # ---------------------------------------------------------------------------
 # collusion resistance (lemma3 / lemma4)
 
@@ -296,34 +293,23 @@ def audit_query_privacy(params: SchemeParams, colluding_dbs: Sequence[int], *,
     distribution for every queried index.
 
     ``colluding_dbs`` are 1-based database indices: within one party for
-    the type-I variants (the query structure is identical across parties),
-    global for type II.
+    the type-I variants, global for type II.
     """
-    f = params.field
     alphas = params.alphas_used
-    limit = params.n_eff if params.is_type2 else params.n
-    taps = tuple(colluding_dbs)
-    for j in taps:
-        if not 1 <= j <= limit:
-            raise ParameterError(f"database index {j} outside 1..{limit}")
-    dims = params.mu * params.e
-    laws = _Laws("query-privacy", f.p, cap)
+    taps = _taps(params, colluding_dbs)
 
-    def make_view(theta):
-        def view(assignment):
-            cur = _Cursor(assignment)
-            rows = cur.rows(params.mu, params.e)
-            out = []
-            for j in taps:
-                out.extend(query_vector(theta, alphas[j - 1], rows, params))
-            return tuple(out)
-        return view
+    def view(assignment, theta):
+        rows = _Cursor(assignment).rows(params.mu, params.e)
+        out = []
+        for j in taps:
+            out.extend(query_vector(theta, alphas[j - 1], rows, params))
+        return tuple(out)
 
-    dists = {("theta", theta): laws.law(make_view(theta), dims)
-             for theta in range(1, params.e + 1)}
+    members = [(("theta", theta), partial(view, theta=theta))
+               for theta in range(1, params.e + 1)]
     lemma = "lemma3" if params.is_type2 else "lemma4"
-    return laws.result(lemma, _compare_all(dists),
-                       {**params.summary(), "colluding_dbs": list(taps)})
+    return _audit("query-privacy", lemma, params, params.mu * params.e,
+                  [({}, members)], {"colluding_dbs": list(taps)}, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +333,9 @@ def _bits_with_placement(gamma_flat, placement, theta, m, e):
 
 
 def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
-                           thetas: Sequence[int] | None = None,
                            cap: int = DEFAULT_CAP) -> AuditResult:
-    """For every count value, the answer tuple must be identically
-    distributed across all placements of the queried element.
+    """For every queried index and count value, the answer tuple must be
+    identically distributed across all placements of the queried element.
 
     The randomness covers the query noise together with the masks (and
     the per-party blinding for the symmetric variant): the user-privacy
@@ -359,156 +344,113 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
     """
     if params.is_type2:
         raise ParameterError("blind-estimation audit applies to the type-I variants")
-    blinded = params.variant == "spma1"
     f = params.field
     m, n, e, mu = params.m, params.n, params.e, params.mu
     alphas = params.alphas_used
-    z_dims = m * mu * e
-    s_dims = 0 if zero_masks else (m - 1) * n
-    zp_dims = m * (n - 1) if blinded else 0
-    dims = z_dims + s_dims + zp_dims
-    thetas = list(range(1, e + 1)) if thetas is None else list(thetas)
+    depth = n - 1 if params.variant == "spma1" else 0
     zero_free = tuple(((0,) * n) for _ in range(m - 1))
-    laws = _Laws("blind-estimation", f.p, cap)
 
-    for theta in thetas:
-        for gamma_flat in itertools.product((0, 1), repeat=m * (e - 1)):
-            for kappa in range(m + 1):
-                placements = list(itertools.combinations(range(m), kappa))
-                if len(placements) < 2:
-                    continue
-                dists = {}
-                for placement in placements:
-                    bits = _bits_with_placement(gamma_flat, placement, theta, m, e)
+    def view(assignment, theta, bits):
+        cur = _Cursor(assignment)
+        noise = tuple(cur.rows(mu, e) for _ in range(m))
+        free = zero_free if zero_masks else cur.rows(m - 1, n)
+        masks = pma1.masks_from_free(params, free)
+        blinding = cur.rows(m, depth)
+        out = []
+        for i in range(m):
+            for j in range(n):
+                q = query_vector(theta, alphas[j], noise[i], params)
+                out.append(spma1.answer(bits[i], q, blinding[i], masks[i][j], alphas[j], f))
+        return tuple(out)
 
-                    def view(assignment, bits=bits, theta=theta):
-                        cur = _Cursor(assignment)
-                        noise = tuple(cur.rows(mu, e) for _ in range(m))
-                        free = zero_free if zero_masks else cur.rows(m - 1, n)
-                        masks = pma1.masks_from_free(params, free)
-                        zrows = cur.rows(m, n - 1) if blinded else None
-                        out = []
-                        for i in range(m):
-                            for j in range(n):
-                                q = query_vector(theta, alphas[j], noise[i], params)
-                                if blinded:
-                                    a = spma1.answer(bits[i], q, zrows[i],
-                                                     masks[i][j], alphas[j], f)
-                                else:
-                                    a = pma1.answer(bits[i], q, masks[i][j], f)
-                                out.append(a)
-                        return tuple(out)
+    def classes():
+        for theta in range(1, e + 1):
+            for gamma_flat in itertools.product((0, 1), repeat=m * (e - 1)):
+                for kappa in range(m + 1):
+                    placements = list(itertools.combinations(range(m), kappa))
+                    if len(placements) < 2:
+                        continue
+                    yield {"kappa": kappa}, [
+                        (("theta", theta, "gamma", gamma_flat, "placement", placement),
+                         partial(view, theta=theta, bits=_bits_with_placement(
+                             gamma_flat, placement, theta, m, e)))
+                        for placement in placements]
 
-                    dists[("theta", theta, "gamma", gamma_flat,
-                           "placement", placement)] = laws.law(view, dims)
-                witness = _compare_all(dists)
-                if witness is not None:
-                    return laws.result(
-                        "lemma2", witness,
-                        {**params.summary(), "zero_masks": zero_masks, "kappa": kappa})
-    return laws.result("lemma2", None,
-                       {**params.summary(), "zero_masks": zero_masks})
+    dims = m * mu * e + (0 if zero_masks else (m - 1) * n) + m * depth
+    return _audit("blind-estimation", "lemma2", params, dims, classes(),
+                  {"zero_masks": zero_masks}, cap)
 
 
 # ---------------------------------------------------------------------------
 # symmetric privacy (lemma1)
 
-def _type1_noise_realizations(params: SchemeParams):
-    zero = tuple(tuple((0,) * params.e for _ in range(params.mu))
-                 for _ in range(params.m))
-    ones = tuple(tuple((1,) * params.e for _ in range(params.mu))
-                 for _ in range(params.m))
-    return (("zero", zero), ("one", ones))
-
-
-def _type2_noise_realizations(params: SchemeParams):
-    return (("zero", _scaled_rows(params.mu, params.e, 0)),
-            ("one", _scaled_rows(params.mu, params.e, 1)))
-
-
 def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False,
-                            thetas: Sequence[int] = (1,),
                             cap: int = DEFAULT_CAP) -> AuditResult:
-    """With the queries fixed and the count given, the answer tuple must be
-    identically distributed across every dataset configuration with that
-    count.
+    """With the queries for index 1 fixed and the count given, the answer
+    tuple must be identically distributed across every dataset
+    configuration with that count.
 
-    The check runs under several fixed query-noise realizations and must
-    hold for each of them. The non-symmetric type-I scheme is accepted here
-    so the suite can demonstrate that it fails.
+    The check runs under two fixed query-noise realizations, all zeros and
+    all ones, and must hold for each of them. The non-symmetric type-I
+    scheme is accepted here so the suite can demonstrate that it fails.
     """
     f = params.field
-    m, e = params.m, params.e
+    m, e, mu = params.m, params.e, params.mu
     alphas = params.alphas_used
-    laws = _Laws("symmetric-privacy", f.p, cap)
-    # secrets(theta, noise) yields (label, kappa, view) per dataset secret
+    # secrets(rows) yields (label, kappa, view) per dataset secret, with
+    # every query padded by the noise rows ``rows``
     if params.is_type2:
         n_eff = params.n_eff
-        dims = 0 if zero_blinding else n_eff - 1
-        zero_zp = (0,) * (n_eff - 1)
+        dims = depth = 0 if zero_blinding else n_eff - 1
         xrows = _canonical_rows(params.storage_depth, e, f.p)
 
-        def secrets(theta, zrows):
-            queries = [query_vector(theta, alphas[nn], zrows, params)
-                       for nn in range(n_eff)]
+        def view(assignment, ptildes, queries):
+            zp = _Cursor(assignment).vec(depth)
+            return tuple(spma2.answer(ptildes[nn], queries[nn], zp, alphas[nn], f)
+                         for nn in range(n_eff))
+
+        def secrets(rows):
+            queries = [query_vector(1, alphas[nn], rows, params) for nn in range(n_eff)]
             # answers read the datasets only through the aggregated
             # bit-sums, so range over those directly
             for sigma in itertools.product(range(m + 1), repeat=e):
                 ptildes = [noise_pad_vector(f, sigma, alphas[nn], xrows)
                            for nn in range(n_eff)]
-
-                def view(assignment, ptildes=ptildes):
-                    cur = _Cursor(assignment)
-                    zp = zero_zp if zero_blinding else cur.vec(n_eff - 1)
-                    return tuple(
-                        spma2.answer(ptildes[nn], queries[nn], zp, alphas[nn], f)
-                        for nn in range(n_eff))
-
-                yield ("sums", sigma), sigma[theta - 1], view
-        realizations = _type2_noise_realizations(params)
+                yield ("sums", sigma), sigma[0], partial(view, ptildes=ptildes,
+                                                         queries=queries)
     else:
-        blinded = params.variant == "spma1" and not zero_blinding
         n = params.n
-        dims = (m - 1) * n + (m * (n - 1) if blinded else 0)
+        depth = n - 1 if params.variant == "spma1" and not zero_blinding else 0
+        dims = (m - 1) * n + m * depth
 
-        def secrets(theta, noise):
-            queries = [[query_vector(theta, alphas[j], noise[i], params)
-                        for j in range(n)] for i in range(m)]
+        def view(assignment, base):
+            cur = _Cursor(assignment)
+            masks = pma1.masks_from_free(params, cur.rows(m - 1, n))
+            blinding = cur.rows(m, depth)
+            out = []
+            for i in range(m):
+                for j in range(n):
+                    a = noise_pad_scalar(f, base[i][j], alphas[j], blinding[i])
+                    out.append(f.add(a, masks[i][j]))
+            return tuple(out)
+
+        def secrets(rows):
+            # every party pads with the same rows, so its queries are alike
+            queries = [query_vector(1, alphas[j], rows, params) for j in range(n)]
             for bits in _all_datasets(m, e):
-                base = [[f.dot(bits[i], queries[i][j]) for j in range(n)]
-                        for i in range(m)]
+                base = [[f.dot(bits[i], queries[j]) for j in range(n)] for i in range(m)]
+                yield ("bits", bits), sum(bits[i][0] for i in range(m)), partial(view, base=base)
 
-                def view(assignment, base=base):
-                    cur = _Cursor(assignment)
-                    masks = pma1.masks_from_free(params, cur.rows(m - 1, n))
-                    zrows = cur.rows(m, n - 1) if blinded else None
-                    out = []
-                    for i in range(m):
-                        for j in range(n):
-                            a = base[i][j]
-                            if blinded:
-                                a = noise_pad_scalar(f, a, alphas[j], zrows[i])
-                            out.append(f.add(a, masks[i][j]))
-                    return tuple(out)
+    def classes():
+        for rlabel, value in (("zero", 0), ("one", 1)):
+            groups: dict[int, list] = {}
+            for label, kappa, view in secrets(((value,) * e,) * mu):
+                groups.setdefault(kappa, []).append((("realization", rlabel, *label), view))
+            for kappa, members in groups.items():
+                yield {"kappa": kappa, "realization": rlabel}, members
 
-                yield ("bits", bits), sum(bits[i][theta - 1] for i in range(m)), view
-        realizations = _type1_noise_realizations(params)
-
-    for theta in thetas:
-        for rlabel, noise in realizations:
-            groups: dict[int, dict] = {}
-            for label, kappa, view in secrets(theta, noise):
-                groups.setdefault(kappa, {})[("realization", rlabel, *label)] = \
-                    laws.law(view, dims)
-            for kappa, dists in groups.items():
-                witness = _compare_all(dists)
-                if witness is not None:
-                    return laws.result(
-                        "lemma1", witness,
-                        {**params.summary(), "zero_blinding": zero_blinding,
-                         "kappa": kappa, "realization": rlabel})
-    return laws.result("lemma1", None,
-                       {**params.summary(), "zero_blinding": zero_blinding})
+    return _audit("symmetric-privacy", "lemma1", params, dims, classes(),
+                  {"zero_blinding": zero_blinding}, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -522,34 +464,28 @@ def audit_storage_security(params: SchemeParams, *, subset_size: int | None = No
     if not params.is_type2:
         raise ParameterError("storage-security audit applies to the type-II variant")
     f = params.field
-    depth, e, n_eff = params.storage_depth, params.e, params.n_eff
+    e, n_eff = params.e, params.n_eff
     alphas = params.alphas_used
-    size = depth if subset_size is None else subset_size
+    size = params.storage_depth if subset_size is None else subset_size
     if not 1 <= size <= n_eff:
         raise ParameterError(f"share subset size {size} outside 1..{n_eff}")
-    dims = 0 if zero_storage_noise else depth * e
-    zero_rows = _scaled_rows(depth, e, 0)
-    laws = _Laws("storage-security", f.p, cap)
-    detail = {**params.summary(), "subset_size": size,
-              "zero_storage_noise": zero_storage_noise}
-    for subset in itertools.combinations(range(n_eff), size):
-        dists = {}
-        for bits in itertools.product((0, 1), repeat=e):
+    depth = 0 if zero_storage_noise else params.storage_depth
 
-            def view(assignment, bits=bits, subset=subset):
-                cur = _Cursor(assignment)
-                rows = zero_rows if zero_storage_noise else cur.rows(depth, e)
-                out = []
-                for j in subset:
-                    out.extend(noise_pad_vector(f, bits, alphas[j], rows))
-                return tuple(out)
+    def view(assignment, bits, subset):
+        rows = _Cursor(assignment).rows(depth, e)
+        out = []
+        for j in subset:
+            out.extend(noise_pad_vector(f, bits, alphas[j], rows))
+        return tuple(out)
 
-            dists[("bits", bits)] = laws.law(view, dims)
-        witness = _compare_all(dists)
-        if witness is not None:
-            return laws.result("lemma5", witness,
-                               {**detail, "subset": [j + 1 for j in subset]})
-    return laws.result("lemma5", None, detail)
+    def classes():
+        for subset in itertools.combinations(range(n_eff), size):
+            yield {"subset": [j + 1 for j in subset]}, [
+                (("bits", bits), partial(view, bits=bits, subset=subset))
+                for bits in itertools.product((0, 1), repeat=e)]
+
+    return _audit("storage-security", "lemma5", params, depth * e, classes(),
+                  {"subset_size": size, "zero_storage_noise": zero_storage_noise}, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -570,65 +506,57 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
     query noise alone must carry the argument.
     """
     f = params.field
+    e, mu = params.e, params.mu
     alphas = params.alphas_used
-    taps = tuple(taps)
-    limit = params.n_eff if params.is_type2 else params.n
-    for j in taps:
-        if not 1 <= j <= limit:
-            raise ParameterError(f"database index {j} outside 1..{limit}")
-    laws = _Laws("eavesdropper", f.p, cap)
-    dists = {}
+    taps = _taps(params, taps)
 
     if params.is_type2:
-        n_eff, e, m, mu = params.n_eff, params.e, params.m, params.mu
-        dims = mu * e + n_eff - 1
+        n_eff, m = params.n_eff, params.m
         xrows = _canonical_rows(params.storage_depth, e, f.p)
+
+        def view(assignment, theta, ptildes):
+            cur = _Cursor(assignment)
+            zrows = cur.rows(mu, e)
+            zp = cur.vec(n_eff - 1)
+            out = []
+            for j in taps:
+                q = query_vector(theta, alphas[j - 1], zrows, params)
+                out.extend(q)
+                out.append(spma2.answer(ptildes[j], q, zp, alphas[j - 1], f))
+            return tuple(out)
+
+        members = []
         for theta in range(1, e + 1):
             for sigma in itertools.product(range(m + 1), repeat=e):
                 ptildes = {j: noise_pad_vector(f, sigma, alphas[j - 1], xrows)
                            for j in taps}
+                members.append((("theta", theta, "sums", sigma),
+                                partial(view, theta=theta, ptildes=ptildes)))
+        lemma, dims = "lemma7", mu * e + n_eff - 1
+        detail = {"taps": list(taps)}
+    else:
+        n = params.n
+        depth = n - 1 if params.variant == "spma1" else 0
+        zero_mask_vec = (0,) * n
 
-                def view(assignment, theta=theta, ptildes=ptildes):
-                    cur = _Cursor(assignment)
-                    zrows = cur.rows(mu, e)
-                    zp = cur.vec(n_eff - 1)
-                    out = []
-                    for j in taps:
-                        q = query_vector(theta, alphas[j - 1], zrows, params)
-                        out.extend(q)
-                        out.append(spma2.answer(ptildes[j], q, zp, alphas[j - 1], f))
-                    return tuple(out)
+        def view(assignment, theta, bits):
+            cur = _Cursor(assignment)
+            zrows = cur.rows(mu, e)
+            svec = zero_mask_vec if zero_masks else cur.vec(n)
+            blinding = cur.vec(depth)
+            out = []
+            for j in taps:
+                q = query_vector(theta, alphas[j - 1], zrows, params)
+                out.extend(q)
+                out.append(spma1.answer(bits, q, blinding, svec[j - 1], alphas[j - 1], f))
+            return tuple(out)
 
-                dists[("theta", theta, "sums", sigma)] = laws.law(view, dims)
-        return laws.result("lemma7", _compare_all(dists),
-                           {**params.summary(), "taps": list(taps)})
-
-    blinded = params.variant == "spma1"
-    n, e, mu = params.n, params.e, params.mu
-    dims = mu * e + (0 if zero_masks else n) + ((n - 1) if blinded else 0)
-    zero_mask_vec = (0,) * n
-    for theta in range(1, e + 1):
-        for bits in itertools.product((0, 1), repeat=e):
-
-            def view(assignment, theta=theta, bits=bits):
-                cur = _Cursor(assignment)
-                zrows = cur.rows(mu, e)
-                svec = zero_mask_vec if zero_masks else cur.vec(n)
-                zprow = cur.vec(n - 1) if blinded else None
-                out = []
-                for j in taps:
-                    q = query_vector(theta, alphas[j - 1], zrows, params)
-                    out.extend(q)
-                    if blinded:
-                        a = spma1.answer(bits, q, zprow, svec[j - 1], alphas[j - 1], f)
-                    else:
-                        a = pma1.answer(bits, q, svec[j - 1], f)
-                    out.append(a)
-                return tuple(out)
-
-            dists[("theta", theta, "bits", bits)] = laws.law(view, dims)
-    return laws.result("lemma6", _compare_all(dists),
-                       {**params.summary(), "taps": list(taps), "zero_masks": zero_masks})
+        members = [(("theta", theta, "bits", bits), partial(view, theta=theta, bits=bits))
+                   for theta in range(1, e + 1)
+                   for bits in itertools.product((0, 1), repeat=e)]
+        lemma, dims = "lemma6", mu * e + (0 if zero_masks else n) + depth
+        detail = {"taps": list(taps), "zero_masks": zero_masks}
+    return _audit("eavesdropper", lemma, params, dims, [({}, members)], detail, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -646,26 +574,21 @@ def audit_interparty_dealing(params: SchemeParams, *, leak_incidence: bool = Fal
     """
     if params.is_type2:
         raise ParameterError("inter-party dealing audit applies to the type-I variants")
-    f = params.field
     m, n = params.m, params.n
     dealer = f"p{m}"
     links = {f"p{i}:{dealer}" for i in range(1, m)}
-    laws = _Laws("interparty-dealing-independence", f.p, cap)
-    dists = {}
-    for bits in _all_datasets(m, params.e):
 
-        def view(assignment, bits=bits):
-            tr = Transcript()
-            pma1.emit_mask_events(
-                params, pma1.masks_from_free(params, _Cursor(assignment).rows(m - 1, n)),
-                tr)
-            if leak_incidence:
-                for i in range(m - 1):
-                    tr.emit(ROUND_SETUP, f"p{i + 1}", dealer, f"p{i + 1}:{dealer}",
-                            MASK_SHARE, bits[i])
-            return tuple(v for ev in tr.events if ev.link in links for v in ev.values)
+    def view(assignment, bits):
+        tr = Transcript()
+        pma1.emit_mask_events(
+            params, pma1.masks_from_free(params, _Cursor(assignment).rows(m - 1, n)), tr)
+        if leak_incidence:
+            for i in range(m - 1):
+                tr.emit(ROUND_SETUP, f"p{i + 1}", dealer, f"p{i + 1}:{dealer}",
+                        MASK_SHARE, bits[i])
+        return tuple(v for ev in tr.events if ev.link in links for v in ev.values)
 
-        dists[("bits", bits)] = laws.law(view, (m - 1) * n)
-    return laws.result(None, _compare_all(dists),
-                       {**params.summary(), "leak_incidence": leak_incidence})
-
+    members = [(("bits", bits), partial(view, bits=bits))
+               for bits in _all_datasets(m, params.e)]
+    return _audit("interparty-dealing-independence", None, params, (m - 1) * n,
+                  [({}, members)], {"leak_incidence": leak_incidence}, cap)

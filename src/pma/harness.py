@@ -200,6 +200,8 @@ def cost_table(variant: str, m_values: Sequence[int], *, t: int = 0, y=0,
     exponential reference column M**K * (K-1) is reported for contrast
     only.
     """
+    if not m_values:
+        raise ParameterError("cost sweep needs at least one party count")
     rows = []
     for m in m_values:
         params = make_params(variant, m, e, t=t, y=y, n=n)
@@ -223,7 +225,7 @@ def cost_table(variant: str, m_values: Sequence[int], *, t: int = 0, y=0,
            "y": list(y) if isinstance(y, (list, tuple)) else y, "e": e,
            "exp_k": exp_k, "rows": rows}
     variant_resolved = VARIANT_ALIASES.get(variant, variant)
-    if variant_resolved != "spma2" and rows:
+    if variant_resolved != "spma2":
         m0, d0 = rows[0]["m"], rows[0]["download"]
         linear = all(r["download"] * m0 == d0 * r["m"] for r in rows)
         out["linear_in_m"] = linear
@@ -243,7 +245,7 @@ class SuiteCase:
     name: str
     lemma: str | None
     expect_pass: bool
-    build: Callable[[int | None], audit.AuditResult]
+    build: Callable[[int], audit.AuditResult]
     note: str = ""
 
 
@@ -255,109 +257,103 @@ def _t2_params(*, y: int = 0) -> SchemeParams:
     return make_params("spma2", 3, 2, t=1, y=y, p=5)
 
 
-def _cap(cap):
-    return audit.DEFAULT_CAP if cap is None else cap
-
-
 def build_audit_suite() -> list[SuiteCase]:
     """Positive audits at minimal feasible parameters plus the designated
     broken-scheme controls (each control must fail)."""
     cases = [
         SuiteCase(
             "query-privacy:pma1", "lemma4", True,
-            lambda cap: audit.audit_query_privacy(_t1("pma1"), [1], cap=_cap(cap))),
+            lambda cap: audit.audit_query_privacy(_t1("pma1"), [1], cap=cap)),
         SuiteCase(
             "query-privacy:spma1", "lemma4", True,
-            lambda cap: audit.audit_query_privacy(_t1("spma1"), [1], cap=_cap(cap))),
+            lambda cap: audit.audit_query_privacy(_t1("spma1"), [1], cap=cap)),
         SuiteCase(
             "query-privacy:spma2", "lemma3", True,
-            lambda cap: audit.audit_query_privacy(_t2_params(), [1], cap=_cap(cap)),
+            lambda cap: audit.audit_query_privacy(_t2_params(), [1], cap=cap),
             note="type-II budget is T*N pooled databases"),
         SuiteCase(
             "blind-estimation:pma1", "lemma2", True,
-            lambda cap: audit.audit_blind_estimation(_t1("pma1"), cap=_cap(cap))),
+            lambda cap: audit.audit_blind_estimation(_t1("pma1"), cap=cap)),
         SuiteCase(
             "blind-estimation:spma1", "lemma2", True,
-            lambda cap: audit.audit_blind_estimation(_t1("spma1"), cap=_cap(cap))),
+            lambda cap: audit.audit_blind_estimation(_t1("spma1"), cap=cap)),
         SuiteCase(
             "symmetric-privacy:spma1", "lemma1", True,
-            lambda cap: audit.audit_symmetric_privacy(_t1("spma1"), cap=_cap(cap))),
+            lambda cap: audit.audit_symmetric_privacy(_t1("spma1"), cap=cap)),
         SuiteCase(
             "symmetric-privacy:spma2", "lemma1", True,
-            lambda cap: audit.audit_symmetric_privacy(_t2_params(), cap=_cap(cap))),
+            lambda cap: audit.audit_symmetric_privacy(_t2_params(), cap=cap)),
         SuiteCase(
             "storage-security:spma2", "lemma5", True,
-            lambda cap: audit.audit_storage_security(_t2_params(), cap=_cap(cap))),
+            lambda cap: audit.audit_storage_security(_t2_params(), cap=cap)),
         SuiteCase(
             "storage-security:spma2-min", "lemma5", True,
             lambda cap: audit.audit_storage_security(
-                make_params("spma2", 2, 1, t=0, y=0, p=3), cap=_cap(cap)),
+                make_params("spma2", 2, 1, t=0, y=0, p=3), cap=cap),
             note="single-share uniformity at the smallest feasible field"),
         SuiteCase(
             "eavesdropper:pma1", "lemma6", True,
             lambda cap: audit.audit_eavesdropper(
-                _t1("pma1", t=0, y=1), [1], cap=_cap(cap))),
+                _t1("pma1", t=0, y=1), [1], cap=cap)),
         SuiteCase(
             "eavesdropper:spma1", "lemma6", True,
             lambda cap: audit.audit_eavesdropper(
-                _t1("spma1", t=0, y=1), [1], cap=_cap(cap))),
+                _t1("spma1", t=0, y=1), [1], cap=cap)),
         SuiteCase(
             "eavesdropper:spma2", "lemma7", True,
-            lambda cap: audit.audit_eavesdropper(_t2_params(y=1), [1], cap=_cap(cap))),
+            lambda cap: audit.audit_eavesdropper(_t2_params(y=1), [1], cap=cap)),
         SuiteCase(
             "interparty-dealing:pma1", None, True,
-            lambda cap: audit.audit_interparty_dealing(_t1("pma1"), cap=_cap(cap))),
+            lambda cap: audit.audit_interparty_dealing(_t1("pma1"), cap=cap)),
         # ---- negative controls: every one of these must FAIL ----
         SuiteCase(
             "control:unprotected-query", "lemma4", False,
             lambda cap: audit.audit_query_privacy(
-                make_params("pma1", 2, 2, t=0, y=0, p=3), [1], cap=_cap(cap)),
+                make_params("pma1", 2, 2, t=0, y=0, p=3), [1], cap=cap),
             note="no noise budget: a single colluder reads the index"),
         SuiteCase(
             "control:zero-masks-blind", "lemma2", False,
             lambda cap: audit.audit_blind_estimation(
-                _t1("pma1"), zero_masks=True, cap=_cap(cap)),
+                _t1("pma1"), zero_masks=True, cap=cap),
             note="without masks the answers expose per-party bits"),
         SuiteCase(
             "control:pma1-symmetric", "lemma1", False,
-            lambda cap: audit.audit_symmetric_privacy(_t1("pma1"), cap=_cap(cap)),
+            lambda cap: audit.audit_symmetric_privacy(_t1("pma1"), cap=cap),
             note="the non-symmetric scheme leaks through interference"),
         SuiteCase(
             "control:zero-blinding-symmetric", "lemma1", False,
             lambda cap: audit.audit_symmetric_privacy(
-                _t1("spma1"), zero_blinding=True, cap=_cap(cap))),
+                _t1("spma1"), zero_blinding=True, cap=cap)),
         SuiteCase(
             "control:zero-storage-noise", "lemma5", False,
             lambda cap: audit.audit_storage_security(
-                _t2_params(), zero_storage_noise=True, cap=_cap(cap))),
+                _t2_params(), zero_storage_noise=True, cap=cap)),
         SuiteCase(
             "control:overbudget-storage", "lemma5", False,
             lambda cap: audit.audit_storage_security(
                 _t2_params(), subset_size=_t2_params().storage_depth + 1,
-                cap=_cap(cap)),
+                cap=cap),
             note="one share beyond the depth interpolates the vector"),
         SuiteCase(
             "control:overbudget-eavesdropper", "lemma6", False,
             lambda cap: audit.audit_eavesdropper(
-                _t1("pma1", t=0, y=1), [1, 2], zero_masks=True, cap=_cap(cap)),
+                _t1("pma1", t=0, y=1), [1, 2], zero_masks=True, cap=cap),
             note="N taps with depth < N interpolate query and answer"),
         SuiteCase(
             "control:overbudget-collusion-type2", "lemma3", False,
             lambda cap: audit.audit_query_privacy(
-                _t2_params(), [1, 2], cap=_cap(cap)),
+                _t2_params(), [1, 2], cap=cap),
             note="a pair exceeds the T*N = 1 budget here"),
         SuiteCase(
             "control:dataset-dependent-dealing", None, False,
             lambda cap: audit.audit_interparty_dealing(
-                _t1("pma1"), leak_incidence=True, cap=_cap(cap)),
+                _t1("pma1"), leak_incidence=True, cap=cap),
             note="senders also write their incidence vectors to party M"),
     ]
     return cases
 
 
-def select_cases(cases: Sequence[SuiteCase], selector: str | None) -> list[SuiteCase]:
-    if selector is None or selector in ("", "none"):
-        return []
+def select_cases(cases: Sequence[SuiteCase], selector: str) -> list[SuiteCase]:
     if selector == "all":
         return list(cases)
     if selector == "positive":
@@ -365,6 +361,8 @@ def select_cases(cases: Sequence[SuiteCase], selector: str | None) -> list[Suite
     if selector == "controls":
         return [c for c in cases if not c.expect_pass]
     wanted = [s.strip() for s in selector.split(",") if s.strip()]
+    if not wanted:
+        raise ParameterError(f"audit selector {selector!r} selects no audit")
     out = []
     for w in wanted:
         hits = [c for c in cases if c.name == w or c.lemma == w]
@@ -379,7 +377,11 @@ def run_audit_suite(selector: str = "all", cap: int | None = None) -> dict:
     """Run the selected audits; a case is OK when its verdict matches the
     expectation (controls are expected to fail). A case whose coset laws
     would exceed ``cap`` view evaluations is reported as infeasible and
-    the suite continues. ``ms`` is each case's wall time."""
+    the suite continues; ``cap`` defaults to ``audit.DEFAULT_CAP``. ``ms``
+    is each case's wall time."""
+    cap = audit.DEFAULT_CAP if cap is None else cap
+    if cap < 1:
+        raise ParameterError(f"cap must be at least 1, got {cap}")
     cases = select_cases(build_audit_suite(), selector)
     entries = []
     for case in cases:
@@ -405,7 +407,6 @@ def run_audit_suite(selector: str = "all", cap: int | None = None) -> dict:
             dims=result.dims,
             rank=result.rank,
             secrets=result.secrets,
-            enumerated_assignments=result.assignments,
             params=result.detail,
             ms=(time.perf_counter() - start) * 1e3,
         )
@@ -414,7 +415,7 @@ def run_audit_suite(selector: str = "all", cap: int | None = None) -> dict:
         entries.append(entry)
     return {
         "schema": AUDIT_SCHEMA,
-        "selected": selector if selector is not None else "none",
+        "selected": selector,
         "cases": entries,
         "all_ok": all(e["ok"] for e in entries),
     }

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import compress
 from operator import lt
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ParameterError
 from .field import (PrimeField, default_alphas, is_prime, noise_pad_vector,
@@ -57,9 +57,6 @@ class RandomSource:
     @property
     def position(self) -> int:
         return self._counter
-
-    def draw(self, modulus: int) -> int:
-        return self.draw_vector(modulus, 1)[0]
 
     def draw_vector(self, modulus: int, k: int) -> tuple[int, ...]:
         if not isinstance(modulus, int) or not 1 <= modulus <= _WORDS:
@@ -284,10 +281,6 @@ class PartyDataset:
     """The element indices one party holds. Empty sets are legal."""
 
     members: frozenset[int]
-
-    @classmethod
-    def of(cls, members: Iterable[int]) -> "PartyDataset":
-        return cls(frozenset(members))
 
 
 def incidence(dataset: PartyDataset, e: int) -> tuple[int, ...]:

@@ -145,7 +145,7 @@ def _recorded(case, monkeypatch, make_law):
         patched.setattr(audit, "coset_law", law)
         patched.setattr(audit, "_compare_all", spy)
         warnings.simplefilter("ignore")
-        result = case.build(None)
+        result = case.build(audit.DEFAULT_CAP)
     return result, laws, compared[-1]
 
 
@@ -155,7 +155,8 @@ def test_suite_case_matches_enumeration_oracle(case, monkeypatch):
     oracle, pmfs, oracle_last = _recorded(
         case, monkeypatch, lambda view, dims, p, name: _Pmf(view, dims, p))
     assert result.passed == oracle.passed == case.expect_pass
-    assert result.assignments == oracle.assignments
+    assert (result.dims, result.rank, result.secrets, result.detail) == \
+        (oracle.dims, oracle.rank, oracle.secrets, oracle.detail)
     assert len(cosets) == len(pmfs)
     # each law is uniform on exactly the enumerated support
     for law, pmf in zip(cosets, pmfs):
@@ -204,7 +205,7 @@ def test_query_privacy_passes_within_budget():
     assert result.passed
     assert result.lemma == "lemma4"
     assert result.witness is None
-    assert result.assignments == 2 * 3 ** 2
+    assert (result.secrets, result.dims) == (2, 2)
 
 
 def test_query_privacy_type2_budget():
@@ -383,16 +384,13 @@ def test_expand_rejects_empty():
 def test_audit_results_deterministic():
     a = audit.audit_query_privacy(t1(), [1])
     b = audit.audit_query_privacy(t1(), [1])
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_audit_result_shape():
     result = audit.audit_storage_security(t2())
-    d = result.to_dict()
-    assert d["verdict"] == "pass"
-    assert d["lemma"] == "lemma5"
-    assert d["enumerated_assignments"] > 0
-    assert d["params"]["variant"] == "spma2"
-    assert d["method"] == "coset"
-    assert d["enumerated_assignments"] == d["secrets"] * 5 ** d["dims"]
-    assert 0 < d["rank"] <= d["dims"]
+    assert result.passed and result.witness is None
+    assert result.lemma == "lemma5"
+    assert result.detail["variant"] == "spma2"
+    assert result.secrets > 0
+    assert 0 < result.rank <= result.dims

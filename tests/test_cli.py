@@ -130,12 +130,23 @@ def test_audit_text_prints_ms_per_case(capsys):
     assert all(line.endswith(" ms") for line in lines[:-1])
 
 
-def test_audit_empty_suite_exit_0(capsys):
-    assert main(["audit", "--suite", "none"]) == 0
+def test_audit_empty_suite_exit_2(capsys):
+    # an audit run that selects nothing could not fail, so it is refused
+    for suite in ("", ",", " , "):
+        assert main(["audit", "--suite", suite]) == 2
+        assert "selects no audit" in capsys.readouterr().err
+    assert main(["audit", "--suite", "none"]) == 2
+    assert "unknown audit selector 'none'" in capsys.readouterr().err
 
 
 def test_audit_infeasible_cap_exit_3(capsys):
     assert main(["audit", "--suite", "lemma5", "--cap", "1"]) == 3
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_audit_nonpositive_cap_exit_2(cap, capsys):
+    assert main(["audit", "--suite", "lemma5", "--cap", cap]) == 2
+    assert "cap must be at least 1" in capsys.readouterr().err
 
 
 def test_audit_unknown_selector_exit_2(capsys):
@@ -160,6 +171,13 @@ def test_costs_csv(capsys):
 
 def test_costs_bad_sweep_exit_2(capsys):
     assert main(["costs", "--variant", "pma1", "--sweep-m", "a..b"]) == 2
+
+
+def test_costs_empty_sweep_exit_2(capsys):
+    assert main(["costs", "--variant", "pma1", "--sweep-m", "5..2", "--t", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "at least one party count" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("module", ["pma", "pma.cli"])

@@ -228,7 +228,8 @@ def test_solve_row_swaps():
     # zeros on and below the leading diagonal entries force a swap at every
     # column but the last: the reversed rows of an upper triangular matrix
     for n in (2, 3, 6, 12):
-        upper = [[0] * r + [1 + rng.draw(130)] + list(rng.draw_vector(131, n - r - 1))
+        upper = [[0] * r + [1 + rng.draw_vector(130, 1)[0]]
+                 + list(rng.draw_vector(131, n - r - 1))
                  for r in range(n)]
         m = upper[::-1]
         rhs = list(rng.draw_vector(131, n))

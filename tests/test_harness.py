@@ -1,5 +1,6 @@
 """Run orchestration, cost accounting and the audit suite driver."""
 
+import ast
 import json
 
 import pytest
@@ -165,8 +166,11 @@ def test_measure_costs_bound_flag():
 
 def test_suite_selectors():
     cases = build_audit_suite()
-    assert select_cases(cases, "none") == []
-    assert select_cases(cases, "") == []
+    for selector in ("", ",", " , "):
+        with pytest.raises(ParameterError, match="selects no audit"):
+            select_cases(cases, selector)
+    with pytest.raises(ParameterError, match="unknown audit selector 'none'"):
+        select_cases(cases, "none")
     assert len(select_cases(cases, "all")) == len(cases)
     positives = select_cases(cases, "positive")
     controls = select_cases(cases, "controls")
@@ -180,9 +184,9 @@ def test_suite_selectors():
 
 
 def test_run_audit_suite_empty_selector():
-    report = run_audit_suite("none")
-    assert report["cases"] == []
-    assert report["all_ok"] is True
+    for selector in ("none", ""):
+        with pytest.raises(ParameterError):
+            run_audit_suite(selector)
 
 
 def test_run_audit_suite_single_lemma():
@@ -201,9 +205,68 @@ def test_run_audit_suite_reports_method_dims_rank_and_time():
     # T2*N = 1 noise vector of E = 2 symbols, one share, 4 incidence vectors
     # in each of the n_eff = 3 single-share subsets
     assert (storage["dims"], storage["rank"], storage["secrets"]) == (2, 2, 12)
-    assert storage["enumerated_assignments"] == 12 * 5 ** 2
+    assert "enumerated_assignments" not in storage
     assert dealing["verdict"] == "fail" and dealing["lemma"] is None
     assert all(c["ms"] >= 0 for c in report["cases"])
+
+
+@pytest.mark.parametrize("control,positive,failed_class", [
+    ("control:zero-masks-blind", "blind-estimation:pma1", {"kappa": 1}),
+    ("control:pma1-symmetric", "symmetric-privacy:spma1",
+     {"kappa": 0, "realization": "one"}),
+    ("control:overbudget-storage", "storage-security:spma2", {"subset": [1, 2]}),
+])
+def test_failed_audit_params_name_the_failing_class(control, positive, failed_class):
+    """A failed audit reports the class of secrets whose laws differ; a
+    passed one names no class."""
+    failed, passed = run_audit_suite(f"{control},{positive}")["cases"]
+    assert (failed["verdict"], passed["verdict"]) == ("fail", "pass")
+    assert {k: failed["params"].get(k) for k in failed_class} == failed_class
+    assert not set(failed_class) & set(passed["params"])
+    # both witness labels lie in the named class
+    for key in ("config_a", "config_b"):
+        label = ast.literal_eval(failed["witness"][key])
+        if "realization" in failed_class:
+            bits = label[label.index("bits") + 1]
+            assert label[1] == failed_class["realization"]
+            assert sum(row[0] for row in bits) == failed_class["kappa"]
+        elif "kappa" in failed_class:
+            assert len(label[label.index("placement") + 1]) == failed_class["kappa"]
+
+
+# (dims, rank, secrets) per suite case; a control's secrets count the laws
+# built up to its first class of secrets whose laws differ
+SUITE_LAWS = {
+    "query-privacy:pma1": (2, 2, 2),
+    "query-privacy:spma1": (2, 2, 2),
+    "query-privacy:spma2": (2, 2, 2),
+    "blind-estimation:pma1": (6, 3, 16),
+    "blind-estimation:spma1": (8, 3, 16),
+    "symmetric-privacy:spma1": (4, 3, 32),
+    "symmetric-privacy:spma2": (2, 2, 32),
+    "storage-security:spma2": (2, 2, 12),
+    "storage-security:spma2-min": (1, 1, 4),
+    "eavesdropper:pma1": (4, 3, 8),
+    "eavesdropper:spma1": (5, 3, 8),
+    "eavesdropper:spma2": (4, 3, 32),
+    "interparty-dealing:pma1": (2, 2, 16),
+    "control:unprotected-query": (0, 0, 2),
+    "control:zero-masks-blind": (4, 1, 2),
+    "control:pma1-symmetric": (2, 2, 20),
+    "control:zero-blinding-symmetric": (2, 2, 20),
+    "control:zero-storage-noise": (0, 0, 4),
+    "control:overbudget-storage": (2, 2, 4),
+    "control:overbudget-eavesdropper": (2, 2, 8),
+    "control:overbudget-collusion-type2": (2, 2, 2),
+    "control:dataset-dependent-dealing": (2, 2, 16),
+}
+
+
+def test_suite_reports_laws_per_case():
+    report = run_audit_suite("all")
+    assert report["all_ok"] is True
+    assert {c["name"]: (c["dims"], c["rank"], c["secrets"])
+            for c in report["cases"]} == SUITE_LAWS
 
 
 def test_run_audit_suite_reports_infeasible_and_continues():

@@ -194,18 +194,18 @@ def test_generate_prob_validation():
 def test_random_source_determinism_and_range():
     a = RandomSource(123)
     b = RandomSource(123)
-    seq_a = [a.draw(31) for _ in range(64)]
-    seq_b = [b.draw(31) for _ in range(64)]
+    seq_a = [a.draw_vector(31, 1)[0] for _ in range(64)]
+    seq_b = [b.draw_vector(31, 1)[0] for _ in range(64)]
     assert seq_a == seq_b
     assert all(0 <= v < 31 for v in seq_a)
     assert a.position == b.position
-    assert RandomSource(124).draw(31) != seq_a[0] or \
-        [RandomSource(124).draw(31) for _ in range(8)] != seq_a[:8]
+    assert RandomSource(124).draw_vector(31, 1)[0] != seq_a[0] or \
+        [RandomSource(124).draw_vector(31, 1)[0] for _ in range(8)] != seq_a[:8]
 
 
 def test_random_source_rejects_bad_modulus():
     with pytest.raises(ParameterError):
-        RandomSource(0).draw(0)
+        RandomSource(0).draw_vector(0, 1)
     for k in (0, 1, 5):
         with pytest.raises(ParameterError):
             RandomSource(0).draw_vector(0, k)
@@ -243,7 +243,7 @@ def test_draw_vector_exact_rejection_refills():
 def test_draw_vector_modulus_one_gives_zeros():
     rng = RandomSource(3)
     assert rng.draw_vector(1, 4) == (0, 0, 0, 0)
-    assert rng.draw(1) == 0
+    assert rng.draw_vector(1, 1)[0] == 0
     assert rng.draw_vector(5, 0) == ()
     assert rng.position == 0  # nothing to hash
 
