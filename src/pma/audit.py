@@ -265,7 +265,7 @@ def _taps(params: SchemeParams, dbs: Sequence[int]) -> tuple:
     """Checked 1-based database indices: within one party for the type-I
     variants (the query structure is identical across parties), global for
     type II."""
-    limit = params.n_eff if params.is_type2 else params.n
+    limit = params.n_alphas
     taps = tuple(dbs)
     for j in taps:
         if not 1 <= j <= limit:
@@ -347,7 +347,7 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
     f = params.field
     m, n, e, mu = params.m, params.n, params.e, params.mu
     alphas = params.alphas_used
-    depth = n - 1 if params.variant == "spma1" else 0
+    depth = params.blinding_depth
     zero_free = tuple(((0,) * n) for _ in range(m - 1))
 
     def view(assignment, theta, bits):
@@ -397,11 +397,12 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
     f = params.field
     m, e, mu = params.m, params.e, params.mu
     alphas = params.alphas_used
+    depth = 0 if zero_blinding else params.blinding_depth
     # secrets(rows) yields (label, kappa, view) per dataset secret, with
     # every query padded by the noise rows ``rows``
     if params.is_type2:
         n_eff = params.n_eff
-        dims = depth = 0 if zero_blinding else n_eff - 1
+        dims = depth
         xrows = _canonical_rows(params.storage_depth, e, f.p)
 
         def view(assignment, ptildes, queries):
@@ -420,7 +421,6 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
                                                          queries=queries)
     else:
         n = params.n
-        depth = n - 1 if params.variant == "spma1" and not zero_blinding else 0
         dims = (m - 1) * n + m * depth
 
         def view(assignment, base):
@@ -509,15 +509,16 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
     e, mu = params.e, params.mu
     alphas = params.alphas_used
     taps = _taps(params, taps)
+    depth = params.blinding_depth
 
     if params.is_type2:
-        n_eff, m = params.n_eff, params.m
+        m = params.m
         xrows = _canonical_rows(params.storage_depth, e, f.p)
 
         def view(assignment, theta, ptildes):
             cur = _Cursor(assignment)
             zrows = cur.rows(mu, e)
-            zp = cur.vec(n_eff - 1)
+            zp = cur.vec(depth)
             out = []
             for j in taps:
                 q = query_vector(theta, alphas[j - 1], zrows, params)
@@ -532,11 +533,10 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
                            for j in taps}
                 members.append((("theta", theta, "sums", sigma),
                                 partial(view, theta=theta, ptildes=ptildes)))
-        lemma, dims = "lemma7", mu * e + n_eff - 1
+        lemma, dims = "lemma7", mu * e + depth
         detail = {"taps": list(taps)}
     else:
         n = params.n
-        depth = n - 1 if params.variant == "spma1" else 0
         zero_mask_vec = (0,) * n
 
         def view(assignment, theta, bits):

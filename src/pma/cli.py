@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import AuditInfeasibleError, IntegrityError, ParameterError
 from .harness import RunConfig, cost_table, run_audit_suite, run_protocol, to_json
-from .model import load_datasets
+from .model import VARIANT_ALIASES, VARIANTS, load_datasets
 
 
 def _parse_numbers(text: str | None, kind=int):
@@ -151,10 +151,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_costs(args) -> int:
-    y = 0 if args.y is None else _parse_numbers(args.y)
-    table = cost_table(args.variant, _parse_sweep(args.sweep_m), t=args.t or 0,
-                       y=y, e=args.e or 2, n=args.n, seed=args.seed or 0,
-                       exp_k=args.exp_k)
+    table = cost_table(args.variant, _parse_sweep(args.sweep_m), t=args.t,
+                       y=_parse_numbers(args.y), e=args.e, n=args.n,
+                       seed=args.seed, exp_k=args.exp_k)
     if args.json:
         print(to_json(table))
     elif args.csv:
@@ -178,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pma",
         description="Private membership aggregation simulator and audit harness")
     sub = parser.add_subparsers(dest="command", required=True)
+    variants = [*VARIANTS, *VARIANT_ALIASES]
 
     run_p = sub.add_parser("run", help="execute a protocol run or a full index sweep")
-    run_p.add_argument("--variant", choices=["pma1", "spma1", "spma2", "pma2"])
+    run_p.add_argument("--variant", choices=variants)
     run_p.add_argument("--m", type=int)
     run_p.add_argument("--e", type=int)
     run_p.add_argument("--t", type=int)
@@ -209,15 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     audit_p.set_defaults(func=_cmd_audit)
 
     costs_p = sub.add_parser("costs", help="download-cost table over a party sweep")
-    costs_p.add_argument("--variant", required=True,
-                         choices=["pma1", "spma1", "spma2", "pma2"])
+    costs_p.add_argument("--variant", required=True, choices=variants)
     costs_p.add_argument("--sweep-m", required=True, dest="sweep_m",
                          help="party counts, e.g. 2..6 or 2,4,8")
-    costs_p.add_argument("--t", type=int)
-    costs_p.add_argument("--y")
-    costs_p.add_argument("--e", type=int)
+    costs_p.add_argument("--t", type=int, default=0)
+    costs_p.add_argument("--y", default="0")
+    costs_p.add_argument("--e", type=int, default=2)
     costs_p.add_argument("--n", type=int)
-    costs_p.add_argument("--seed", type=int)
+    costs_p.add_argument("--seed", type=int, default=0)
     costs_p.add_argument("--exp-k", type=int, default=2, dest="exp_k",
                          help="K for the exponential reference column")
     costs_p.add_argument("--json", action="store_true")

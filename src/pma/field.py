@@ -55,12 +55,6 @@ class PrimeField:
             raise ParameterError(f"field modulus must be a prime, got {p!r}")
         self.p = p
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 

@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 from . import audit, pma1, spma1, spma2
 from .errors import IntegrityError, ParameterError
-from .model import (RandomSource, SchemeParams, VARIANT_ALIASES,
-                    generate_datasets, load_datasets, make_params, true_count)
+from .model import (RandomSource, SchemeParams, generate_datasets, load_datasets,
+                    make_params, true_count)
 from .transcript import (ANSWER, MASK_SHARE, NOISE_SHARE, QUERY, STORAGE_SHARE,
                          Transcript)
 
@@ -57,23 +57,6 @@ class RunConfig:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
-@dataclass
-class CostReport:
-    download_symbols: int
-    upload_symbols: int
-    randomness_symbols: int
-    storage_symbols: int
-    accounted_total: int
-    theorem_bound: int
-    bound_met: bool
-    remark_total: int
-    remark_applicable: bool
-    remark_match: bool | None
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
 def theorem_bound(params: SchemeParams) -> int:
     if params.is_type2:
         return params.n_eff
@@ -97,7 +80,9 @@ def remark_total(params: SchemeParams) -> tuple[int, bool]:
     return total, applies
 
 
-def measure_costs(transcript: Transcript, params: SchemeParams) -> CostReport:
+def measure_costs(transcript: Transcript, params: SchemeParams) -> dict:
+    """Symbols per link category, checked against the bound and the
+    closed form."""
     download = transcript.symbols_in(ANSWER)
     upload = transcript.symbols_in(QUERY)
     randomness = transcript.symbols_in(MASK_SHARE) + transcript.symbols_in(NOISE_SHARE)
@@ -105,18 +90,18 @@ def measure_costs(transcript: Transcript, params: SchemeParams) -> CostReport:
     accounted = download + upload + randomness
     bound = theorem_bound(params)
     remark, applies = remark_total(params)
-    return CostReport(
-        download_symbols=download,
-        upload_symbols=upload,
-        randomness_symbols=randomness,
-        storage_symbols=storage,
-        accounted_total=accounted,
-        theorem_bound=bound,
-        bound_met=download <= bound,
-        remark_total=remark,
-        remark_applicable=applies,
-        remark_match=(accounted == remark) if applies else None,
-    )
+    return {
+        "download_symbols": download,
+        "upload_symbols": upload,
+        "randomness_symbols": randomness,
+        "storage_symbols": storage,
+        "accounted_total": accounted,
+        "theorem_bound": bound,
+        "bound_met": download <= bound,
+        "remark_total": remark,
+        "remark_applicable": applies,
+        "remark_match": (accounted == remark) if applies else None,
+    }
 
 
 _SCHEME_RUNNERS = {"pma1": pma1.run, "spma1": spma1.run, "spma2": spma2.run}
@@ -187,7 +172,7 @@ def run_protocol(config: RunConfig) -> dict:
         "config": config.to_dict(),
         "params": params.summary(),
         "results": results,
-        "cost": cost.to_dict(),
+        "cost": cost,
     }
 
 
@@ -196,6 +181,7 @@ def cost_table(variant: str, m_values: Sequence[int], *, t: int = 0, y=0,
                exp_k: int = 2) -> dict:
     """Measured download per party count, checked against the closed form.
 
+    Each row is one oracle-checked ``run_protocol`` call at index 1.
     Type-I downloads must be exactly linear in M (zero residual); the
     exponential reference column M**K * (K-1) is reported for contrast
     only.
@@ -204,28 +190,24 @@ def cost_table(variant: str, m_values: Sequence[int], *, t: int = 0, y=0,
         raise ParameterError("cost sweep needs at least one party count")
     rows = []
     for m in m_values:
-        params = make_params(variant, m, e, t=t, y=y, n=n)
-        rng = RandomSource(seed)
-        datasets = generate_datasets(params, 0.5, rng)
-        transcript = Transcript()
-        _SCHEME_RUNNERS[params.variant](params, datasets, 1, rng, transcript)
-        cost = measure_costs(transcript, params)
+        report = run_protocol(RunConfig(variant, m=m, e=e, t=t, y=y, n=n,
+                                        theta=1, seed=seed))
+        params, cost = report["params"], report["cost"]
         row = {
             "m": m,
-            "n": params.n,
-            "download": cost.download_symbols,
-            "bound": cost.theorem_bound,
-            "bound_exact": cost.download_symbols == cost.theorem_bound,
+            "n": params["n"],
+            "download": cost["download_symbols"],
+            "bound": cost["theorem_bound"],
+            "bound_exact": cost["download_symbols"] == cost["theorem_bound"],
             "exp_reference": m ** exp_k * (exp_k - 1),
         }
-        if params.is_type2:
-            row["n_eff"] = params.n_eff
+        if "n_eff" in params:
+            row["n_eff"] = params["n_eff"]
         rows.append(row)
     out = {"schema": COSTS_SCHEMA, "variant": variant, "t": t,
            "y": list(y) if isinstance(y, (list, tuple)) else y, "e": e,
            "exp_k": exp_k, "rows": rows}
-    variant_resolved = VARIANT_ALIASES.get(variant, variant)
-    if variant_resolved != "spma2":
+    if params["variant"] != "spma2":
         m0, d0 = rows[0]["m"], rows[0]["download"]
         linear = all(r["download"] * m0 == d0 * r["m"] for r in rows)
         out["linear_in_m"] = linear

@@ -1,5 +1,6 @@
 """Problem setup: universe, party datasets, incidence vectors, validated
-scheme parameters, and a deterministic randomness source.
+scheme parameters, the query pad and record, the count decode every scheme
+shares, and a deterministic randomness source.
 
 Conventions used throughout the package: universe elements and the queried
 index are 1-based (element k sits at position k-1 of an incidence tuple);
@@ -13,16 +14,16 @@ import hashlib
 import json
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
 from operator import lt
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ParameterError
-from .field import (PrimeField, default_alphas, is_prime, noise_pad_vector,
-                    validate_alphas)
+from .errors import IntegrityError, ParameterError
+from .field import (PrimeField, build_upsilon, default_alphas, is_prime,
+                    noise_pad_vector, solve_linear, validate_alphas)
 
 VARIANTS = ("pma1", "spma1", "spma2")
 # the type-II scheme serves both the symmetric and the non-symmetric problem
@@ -114,9 +115,7 @@ class SchemeParams:
     @property
     def mu(self) -> int:
         """Query noise depth."""
-        if self.is_type2:
-            return max(self.t * self.n, max(self.y_values))
-        return max(self.t, self.y if isinstance(self.y, int) else max(self.y_values))
+        return max(self.t * self.n if self.is_type2 else self.t, max(self.y_values))
 
     @property
     def storage_depth(self) -> int:
@@ -137,6 +136,12 @@ class SchemeParams:
     @property
     def alphas_used(self) -> tuple[int, ...]:
         return self.alphas[: self.n_alphas]
+
+    @property
+    def blinding_depth(self) -> int:
+        """Blinding scalars per answer: 0 for pma1, else one fewer than the
+        answers one decode reads (N for spma1, n_eff for spma2)."""
+        return 0 if self.variant == "pma1" else self.n_alphas - 1
 
     def summary(self) -> dict:
         out = {
@@ -167,10 +172,9 @@ def auto_p(m: int, n: int) -> int:
 
 def auto_n(variant: str, m: int, t: int, y, t2: int = 1) -> int:
     variant = VARIANT_ALIASES.get(variant, variant)
+    y_max = y if isinstance(y, int) else max(y)
     if variant != "spma2":
-        y_int = y if isinstance(y, int) else max(y)
-        return max(t, y_int) + 1
-    y_max = max(y) if not isinstance(y, int) else y
+        return max(t, y_max) + 1
     for n in range(1, 1025):
         if m * n >= t2 * n + max(t * n, y_max) + 1:
             return n
@@ -265,15 +269,10 @@ def make_params(variant: str, m: int, e: int, *, t: int = 0, y=0,
         n = auto_n(variant, m, t, y, t2)
     if p is None:
         p = auto_p(m, n)
-    draft = SchemeParams(variant=variant, m=m, n=n, t=t, y=y, e=e, p=p, t2=t2,
-                         alphas=(0,))
-    # n_alphas needs a constructed object; swap in the real points next
-    count = draft.n_alphas
+    params = SchemeParams(variant=variant, m=m, n=n, t=t, y=y, e=e, p=p, t2=t2)
     if alphas is None:
-        alphas = default_alphas(p, count)
-    params = SchemeParams(variant=variant, m=m, n=n, t=t, y=y, e=e, p=p, t2=t2,
-                          alphas=tuple(alphas))
-    return validate_params(params)
+        alphas = default_alphas(p, params.n_alphas)
+    return validate_params(replace(params, alphas=tuple(alphas)))
 
 
 @dataclass(frozen=True)
@@ -301,11 +300,37 @@ def unit_vector(theta: int, e: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class QuerySet:
+    """The query vectors for one queried index plus the noise that padded
+    them. Type I: noise[i] holds party i+1's rows, shared by its databases,
+    and queries[i][j] goes to database j+1 of that party. Type II: noise
+    holds the rows shared by every participating database, and queries[n]
+    goes to database n+1."""
+
+    theta: int
+    noise: tuple
+    queries: tuple
+
+
 def query_vector(theta: int, alpha: int, noise_rows, params: SchemeParams) -> tuple[int, ...]:
     """The query for the database at ``alpha``: the unit vector of
     ``theta`` padded with the noise rows weighted by powers of
     (1 + alpha). Every scheme builds its queries this way."""
     return noise_pad_vector(params.field, unit_vector(theta, params.e), alpha, noise_rows)
+
+
+def decode_count(values: Sequence[int], params: SchemeParams) -> int:
+    """The count from one aligned evaluation per evaluation point: the
+    values are a polynomial in (1 + alpha) whose constant coefficient is
+    the count, so one solve of the evaluation matrix recovers it. A count
+    above M means the answers were corrupted."""
+    ups = build_upsilon(params.field, params.alphas_used, params.n_alphas)
+    count = solve_linear(params.field, ups, values)[0]  # validates the values
+    if count > params.m:
+        raise IntegrityError(
+            f"decoded count {count} outside 0..{params.m}; transcript corrupted")
+    return count
 
 
 def true_count(theta: int, datasets: Sequence[PartyDataset], e: int) -> int:

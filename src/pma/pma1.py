@@ -17,30 +17,19 @@ transcript for cost accounting but is not part of any adversary view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .errors import IntegrityError, ParameterError
-from .field import build_upsilon, solve_linear
-from .model import PartyDataset, RandomSource, SchemeParams, incidence, query_vector
+from .errors import ParameterError
+from .model import (PartyDataset, QuerySet, RandomSource, SchemeParams, decode_count,
+                    incidence, query_vector)
 from .transcript import (ANSWER, MASK_SHARE, QUERY, ROUND_ANSWER, ROUND_QUERY,
                          ROUND_SETUP, Transcript)
 
 
 @dataclass(frozen=True)
-class QuerySet:
-    """Per-database query vectors plus the noise that produced them.
-
-    noise[i][l] is the l-th noise vector of party i+1, shared by all of
-    that party's databases; queries[i][j] goes to database j+1.
-    """
-
-    theta: int
-    noise: tuple
-    queries: tuple
-
-
-@dataclass(frozen=True)
 class ProtocolRun:
+    """One type-I run; the symmetric scheme fills ``blinding``."""
+
     params: SchemeParams
     theta: int
     count: int
@@ -48,6 +37,8 @@ class ProtocolRun:
     masks: tuple  # masks[i] is party i+1's length-N mask; they sum to zero
     answers: tuple
     transcript: Transcript
+    # blinding[i]: the scalars shared by party i+1's databases (spma1 only)
+    blinding: tuple = ()
 
 
 def draw_query_noise(params: SchemeParams, rng: RandomSource) -> tuple:
@@ -109,14 +100,7 @@ def decode(answers, params: SchemeParams) -> int:
             f"answer table must be {params.m} x {params.n}")
     for row in answers:
         f.check_all(row)
-    b = [sum(column) % f.p for column in zip(*answers)]
-    ups = build_upsilon(f, params.alphas_used, params.n)
-    x = solve_linear(f, ups, b)
-    count = x[0]
-    if count > params.m:
-        raise IntegrityError(
-            f"decoded count {count} outside 0..{params.m}; transcript corrupted")
-    return count
+    return decode_count([sum(column) % f.p for column in zip(*answers)], params)
 
 
 def _db_name(i: int, j: int) -> str:
@@ -141,6 +125,21 @@ def emit_query_events(params: SchemeParams, queries: QuerySet, tr: Transcript) -
                     QUERY, queries.queries[i][j])
 
 
+def answer_table(params: SchemeParams, tr: Transcript,
+                 reply: Callable[[int, int], int]) -> tuple:
+    """Every database's reply, ``reply(i, j)`` for database j+1 of party
+    i+1, logged on its link; rows are parties."""
+    table = []
+    for i in range(params.m):
+        row = []
+        for j in range(params.n):
+            a = reply(i, j)
+            tr.emit(ROUND_ANSWER, _db_name(i, j), "user", _db_link(i, j), ANSWER, (a,))
+            row.append(a)
+        table.append(tuple(row))
+    return tuple(table)
+
+
 def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
         rng: RandomSource, transcript: Transcript | None = None) -> ProtocolRun:
     if params.variant != "pma1":
@@ -154,14 +153,7 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     emit_mask_events(params, masks, tr)
     emit_query_events(params, queries, tr)
     f = params.field
-    table = []
-    for i in range(params.m):
-        row = []
-        for j in range(params.n):
-            a = answer(bits[i], queries.queries[i][j], masks[i][j], f)
-            tr.emit(ROUND_ANSWER, _db_name(i, j), "user", _db_link(i, j), ANSWER, (a,))
-            row.append(a)
-        table.append(tuple(row))
-    count = decode(table, params)
-    return ProtocolRun(params=params, theta=theta, count=count, queries=queries,
-                       masks=masks, answers=tuple(table), transcript=tr)
+    table = answer_table(params, tr, lambda i, j: answer(
+        bits[i], queries.queries[i][j], masks[i][j], f))
+    return ProtocolRun(params=params, theta=theta, count=decode(table, params),
+                       queries=queries, masks=masks, answers=table, transcript=tr)

@@ -1,6 +1,6 @@
 """Symmetric variant of the type-I count protocol.
 
-Queries, masks and decoding are identical to the non-symmetric scheme.
+Queries, masks, the answer loop, decoding and the run record are pma1's.
 Additionally, the N databases of each party share N-1 blinding scalars,
 added to every answer with the same power-of-(1+alpha) weights as the
 query noise. The blinding lands on the interference coefficients of the
@@ -14,34 +14,22 @@ payload-free transcript event (no per-party values cross a tappable link).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import pma1
 from .errors import ParameterError
 from .field import noise_pad_scalar
 from .model import PartyDataset, RandomSource, SchemeParams, incidence
-from .transcript import ANSWER, NOISE_SHARE, ROUND_ANSWER, ROUND_SETUP, Transcript
+from .transcript import NOISE_SHARE, ROUND_SETUP, Transcript
 
 decode = pma1.decode  # identical contract; blinding only touches interference
 
 
-@dataclass(frozen=True)
-class ProtocolRun:
-    params: SchemeParams
-    theta: int
-    count: int
-    queries: pma1.QuerySet
-    masks: tuple
-    # blinding[i] holds the N-1 blinding scalars shared by party i+1's
-    # databases; independent across parties and of everything else
-    blinding: tuple
-    answers: tuple
-    transcript: Transcript
-
-
 def draw_party_noise(params: SchemeParams, rng: RandomSource) -> tuple:
-    return tuple(rng.draw_vector(params.p, params.n - 1) for _ in range(params.m))
+    """The blinding scalars of each party, shared by its databases;
+    independent across parties and of everything else."""
+    return tuple(rng.draw_vector(params.p, params.blinding_depth)
+                 for _ in range(params.m))
 
 
 def answer(bits: Sequence[int], query: Sequence[int], zrow: Sequence[int],
@@ -53,7 +41,7 @@ def answer(bits: Sequence[int], query: Sequence[int], zrow: Sequence[int],
 
 
 def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
-        rng: RandomSource, transcript: Transcript | None = None) -> ProtocolRun:
+        rng: RandomSource, transcript: Transcript | None = None) -> pma1.ProtocolRun:
     if params.variant != "spma1":
         raise ParameterError(f"expected spma1 parameters, got {params.variant!r}")
     if len(datasets) != params.m:
@@ -65,23 +53,14 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     # drawn after the queries and masks, so those match pma1's on one seed
     blinding = draw_party_noise(params, rng)
     pma1.emit_mask_events(params, masks, tr)
-    if params.n > 1:
+    if params.blinding_depth:
         tr.emit(ROUND_SETUP, "srand", "parties", "srand:parties", NOISE_SHARE,
-                values=(), symbols=params.n - 1)
+                values=(), symbols=params.blinding_depth)
     pma1.emit_query_events(params, queries, tr)
     f = params.field
     alphas = params.alphas_used
-    table = []
-    for i in range(params.m):
-        row = []
-        for j in range(params.n):
-            a = answer(bits[i], queries.queries[i][j], blinding[i], masks[i][j],
-                       alphas[j], f)
-            tr.emit(ROUND_ANSWER, f"p{i + 1}.d{j + 1}", "user",
-                    f"user:p{i + 1}.d{j + 1}", ANSWER, (a,))
-            row.append(a)
-        table.append(tuple(row))
-    count = decode(table, params)
-    return ProtocolRun(params=params, theta=theta, count=count, queries=queries,
-                       masks=masks, blinding=blinding, answers=tuple(table),
-                       transcript=tr)
+    table = pma1.answer_table(params, tr, lambda i, j: answer(
+        bits[i], queries.queries[i][j], blinding[i], masks[i][j], alphas[j], f))
+    return pma1.ProtocolRun(params=params, theta=theta, count=decode(table, params),
+                            queries=queries, masks=masks, answers=table,
+                            transcript=tr, blinding=blinding)

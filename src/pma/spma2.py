@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
-from .field import build_upsilon, noise_pad_scalar, noise_pad_vector, solve_linear
-from .model import PartyDataset, RandomSource, SchemeParams, incidence, query_vector
+from .field import noise_pad_scalar, noise_pad_vector
+from .model import (PartyDataset, QuerySet, RandomSource, SchemeParams, decode_count,
+                    incidence, query_vector)
 from .transcript import (ANSWER, NOISE_SHARE, QUERY, ROUND_ANSWER, ROUND_QUERY,
                          ROUND_SETUP, STORAGE_SHARE, Transcript)
 
@@ -38,16 +39,6 @@ class StorageShare:
 
     noise: tuple
     shares: tuple
-
-
-@dataclass(frozen=True)
-class QuerySet:
-    """queries[n] goes to database n+1; the noise vectors are shared across
-    all participating databases."""
-
-    theta: int
-    noise: tuple
-    queries: tuple
 
 
 @dataclass(frozen=True)
@@ -115,7 +106,7 @@ def gen_queries(theta: int, params: SchemeParams, rng: RandomSource) -> QuerySet
 
 
 def draw_global_noise(params: SchemeParams, rng: RandomSource) -> tuple:
-    return rng.draw_vector(params.p, params.n_eff - 1)
+    return rng.draw_vector(params.p, params.blinding_depth)
 
 
 def answer(ptilde: Sequence[int], query: Sequence[int], zprime: Sequence[int],
@@ -130,17 +121,9 @@ def answer(ptilde: Sequence[int], query: Sequence[int], zprime: Sequence[int],
 
 
 def decode(answers: Sequence[int], params: SchemeParams) -> int:
-    f = params.field
-    n_eff = params.n_eff
-    if len(answers) != n_eff:
-        raise ParameterError(f"expected {n_eff} answers, got {len(answers)}")
-    ups = build_upsilon(f, params.alphas_used, n_eff)
-    x = solve_linear(f, ups, answers)  # validates every answer
-    count = x[0]
-    if count > params.m:
-        raise IntegrityError(
-            f"decoded count {count} outside 0..{params.m}; transcript corrupted")
-    return count
+    if len(answers) != params.n_eff:
+        raise ParameterError(f"expected {params.n_eff} answers, got {len(answers)}")
+    return decode_count(answers, params)
 
 
 def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
@@ -166,9 +149,9 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
 
     queries = gen_queries(theta, params, rng)
     blinding = draw_global_noise(params, rng)
-    if n_eff > 1:
+    if params.blinding_depth:
         tr.emit(ROUND_SETUP, "srand", "parties", "srand:parties", NOISE_SHARE,
-                values=(), symbols=n_eff - 1)
+                values=(), symbols=params.blinding_depth)
     for n in range(n_eff):
         tr.emit(ROUND_QUERY, "user", f"d{n + 1}", f"user:d{n + 1}", QUERY,
                 queries.queries[n])

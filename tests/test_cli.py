@@ -180,6 +180,40 @@ def test_costs_empty_sweep_exit_2(capsys):
     assert captured.out == ""
 
 
+def test_costs_zero_universe_exit_2(capsys):
+    """An explicit --e 0 reaches the parameter check instead of a default."""
+    assert main(["costs", "--variant", "pma1", "--sweep-m", "2..3", "--e", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "universe size E must be at least 1" in captured.err
+    assert captured.out == ""
+
+
+def test_costs_wrong_count_exit_3(monkeypatch, capsys):
+    original = pma.pma1.decode
+    monkeypatch.setattr(pma.pma1, "decode", lambda answers, params: (
+        original(answers, params) + 1) % (params.m + 1))
+    assert main(["costs", "--variant", "pma1", "--sweep-m", "2..4", "--t", "1"]) == 3
+    assert "!= oracle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,code", [
+    (["run", "--variant", "spma1", "--m", "2", "--e", "3", "--t", "1",
+      "--theta", "2"], 0),
+    (["run", "--variant", "pma1", "--m", "1", "--e", "3"], 2),
+], ids=("run", "bad-parameter"))
+def test_python_m_pma_exit_codes(args, code):
+    src = str(Path(pma.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pma", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert "variant=spma1" in proc.stdout
+    else:
+        assert "party count M must be at least 2" in proc.stderr
+
+
 @pytest.mark.parametrize("module", ["pma", "pma.cli"])
 def test_module_entry_points_run_without_warnings(module):
     src = str(Path(pma.__file__).resolve().parent.parent)

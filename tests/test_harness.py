@@ -5,13 +5,13 @@ import json
 
 import pytest
 
-from pma.errors import ParameterError
+from pma.errors import IntegrityError, ParameterError
 from pma.harness import (RunConfig, build_audit_suite, cost_table, measure_costs,
                          remark_total, run_audit_suite, run_protocol,
                          select_cases, theorem_bound, to_json)
 from pma.model import PartyDataset, RandomSource, make_params
 from pma import pma1, spma1, spma2
-from pma.transcript import Transcript
+from pma.transcript import NOISE_SHARE, Transcript
 
 PAPER_DATA = {
     "universe": ["a", "b", "c", "d", "e"],
@@ -127,6 +127,14 @@ def test_cost_table_type2_constant_in_m():
     assert table["constant_download"] is True
 
 
+def test_cost_table_checks_counts_against_the_oracle(monkeypatch):
+    original = pma1.decode
+    monkeypatch.setattr(pma1, "decode", lambda answers, params: (
+        original(answers, params) + 1) % (params.m + 1))
+    with pytest.raises(IntegrityError, match="!= oracle"):
+        cost_table("pma1", range(2, 5), t=1)
+
+
 def test_cost_table_exponential_reference_column():
     table = cost_table("pma1", [2, 3], t=1, y=0, e=2, exp_k=3)
     assert [r["exp_reference"] for r in table["rows"]] == [2 ** 3 * 2, 3 ** 3 * 2]
@@ -159,9 +167,9 @@ def test_measure_costs_bound_flag():
     tr = Transcript()
     pma1.run(params, datasets, 1, RandomSource(0), tr)
     cost = measure_costs(tr, params)
-    assert cost.download_symbols == 4
-    assert cost.theorem_bound == 2
-    assert cost.bound_met is False  # oversized N is allowed but wasteful
+    assert cost["download_symbols"] == 4
+    assert cost["theorem_bound"] == 2
+    assert cost["bound_met"] is False  # oversized N is allowed but wasteful
 
 
 def test_suite_selectors():
@@ -293,3 +301,22 @@ def test_consecutive_runs_redraw_per_query_randomness(variant, scheme, redrawn):
     assert first.count == second.count == 2
     for a, b in zip(redrawn(first), redrawn(second)):
         assert a != b
+
+
+@pytest.mark.parametrize("variant,scheme,t,depth", [
+    ("pma1", pma1, 2, 0),  # N = 3, no blinding
+    ("spma1", spma1, 2, 2),  # N - 1 per party, N = 3
+    ("spma2", spma2, 1, 2),  # n_eff - 1 shared, n_eff = 3
+], ids=("pma1", "spma1", "spma2"))
+def test_blinding_drawn_and_billed_at_blinding_depth(variant, scheme, t, depth):
+    """The blinding rows a run draws and the noise-share symbols it bills
+    both equal the parameters' blinding depth."""
+    params = make_params(variant, 3, 2, t=t, p=131)
+    assert params.blinding_depth == depth
+    datasets = [PartyDataset(frozenset({1})), PartyDataset(frozenset({1, 2})),
+                PartyDataset(frozenset())]
+    run = scheme.run(params, datasets, 1, RandomSource(3))
+    rows = run.blinding if variant == "spma1" else (run.blinding,)
+    assert len(rows) == (params.m if variant == "spma1" else 1)
+    assert all(len(row) == depth for row in rows)
+    assert run.transcript.symbols_in(NOISE_SHARE) == depth
