@@ -431,7 +431,7 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
             for i in range(m):
                 for j in range(n):
                     a = noise_pad_scalar(f, base[i][j], alphas[j], blinding[i])
-                    out.append(f.add(a, masks[i][j]))
+                    out.append((a + masks[i][j]) % f.p)
             return tuple(out)
 
         def secrets(rows):

@@ -2,7 +2,9 @@
 
 Field elements are plain ints in ``[0, p)``; the modulus is carried by a
 :class:`PrimeField` context object, not by each element. Everything here is
-exact integer arithmetic, no floats anywhere.
+exact integer arithmetic, no floats anywhere. Elements are validated where
+they enter the protocol; the per-query kernels (``dot`` and the two pads)
+check lengths only and trust their elements to lie in GF(p).
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ class PrimeField:
     def check_all(self, values: Sequence[int]) -> Sequence[int]:
         """Validate every element of a vector in one pass; return it as is.
 
-        A plain loop, not set/min/max: the audits make hundreds of thousands
-        of calls on length-2 vectors, where per-call overhead outweighs
-        per-element cost. Whatever the fast test does not accept (bool, int
+        Input boundaries call this once per vector. A plain loop, not
+        set/min/max: most such vectors are short, where per-call overhead
+        outweighs per-element cost. Whatever the fast test rejects (bool, int
         subclasses, bad values) goes to check(), which raises or admits it.
         """
         p = self.p
@@ -77,13 +79,11 @@ class PrimeField:
                 self.check(a)
         return values
 
-    def add(self, a: int, b: int) -> int:
-        return (self.check(a) + self.check(b)) % self.p
-
     def dot(self, u: Sequence[int], v: Sequence[int]) -> int:
+        """Inner product over GF(p); the elements are trusted, not checked."""
         if len(u) != len(v):
             raise ParameterError(f"vector length mismatch: {len(u)} vs {len(v)}")
-        return sum(map(mul, self.check_all(u), self.check_all(v))) % self.p
+        return sum(map(mul, u, v)) % self.p
 
 
 def default_alphas(p: int, count: int) -> tuple[int, ...]:
@@ -115,13 +115,12 @@ def build_upsilon(field: PrimeField, alphas: Sequence[int],
                   n: int) -> tuple[tuple[int, ...], ...]:
     """n x n matrix with rows [1, (1+a_j), (1+a_j)^2, ...].
 
-    This is the Vandermonde-style system every decoder inverts; the
-    evaluation-point invariants (distinct, never p-1) keep it nonsingular.
+    This is the Vandermonde-style system every decoder inverts; the validated
+    evaluation points (distinct, never p-1) keep it nonsingular.
     """
     if n < 1 or n > len(alphas):
         raise ParameterError(
             f"matrix size {n} needs {n} evaluation points, have {len(alphas)}")
-    validate_alphas(field, alphas[:n])
     p = field.p
     rows = []
     for a in alphas[:n]:
@@ -180,14 +179,12 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int], alpha: int,
     shares pad the incidence vector.
     """
     p = field.p
-    x = (1 + field.check(alpha)) % p
-    field.check_all(base)
+    x = (1 + alpha) % p
     weights = []
     c = 1
     for row in noise_rows:
         if len(row) != len(base):
             raise ParameterError("noise row length does not match the base vector")
-        field.check_all(row)
         c = c * x % p
         weights.append(c)
     if len(noise_rows) > len(base):
@@ -202,12 +199,12 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int], alpha: int,
 
 def noise_pad_scalar(field: PrimeField, base: int, alpha: int,
                      noise: Sequence[int]) -> int:
-    """base + sum_l (1+alpha)^l * noise[l-1]."""
+    """base + sum_l (1+alpha)^l * noise[l-1]; the inputs are trusted elements."""
     p = field.p
-    x = (1 + field.check(alpha)) % p
-    acc = field.check(base)
+    x = (1 + alpha) % p
+    acc = base
     weight = 1
-    for z in field.check_all(noise):
+    for z in noise:
         weight = weight * x % p
         acc += weight * z
     return acc % p

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+import warnings
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
@@ -181,17 +182,21 @@ def cost_table(variant: str, m_values: Sequence[int], *, t: int = 0, y=0,
                exp_k: int = 2) -> dict:
     """Measured download per party count, checked against the closed form.
 
-    Each row is one oracle-checked ``run_protocol`` call at index 1.
+    Each row is one oracle-checked ``run_protocol`` call at index 1; a Y list
+    has an entry per party of the largest M, and row M uses the first M.
     Type-I downloads must be exactly linear in M (zero residual); the
     exponential reference column M**K * (K-1) is reported for contrast
     only.
     """
     if not m_values:
         raise ParameterError("cost sweep needs at least one party count")
+    if isinstance(y, (list, tuple)) and len(y) != max(m_values):
+        raise ParameterError(f"a cost sweep's Y list needs {max(m_values)} entries, "
+                             f"one per party of the largest M; got {len(y)}")
     rows = []
     for m in m_values:
-        report = run_protocol(RunConfig(variant, m=m, e=e, t=t, y=y, n=n,
-                                        theta=1, seed=seed))
+        report = run_protocol(RunConfig(variant, m=m, e=e, t=t, n=n, theta=1, seed=seed,
+                                        y=y[:m] if isinstance(y, (list, tuple)) else y))
         params, cost = report["params"], report["cost"]
         row = {
             "m": m,
@@ -242,6 +247,10 @@ def _t2_params(*, y: int = 0) -> SchemeParams:
 def build_audit_suite() -> list[SuiteCase]:
     """Positive audits at minimal feasible parameters plus the designated
     broken-scheme controls (each control must fail)."""
+    with warnings.catch_warnings():  # no noise budget on purpose: queries in the clear
+        warnings.filterwarnings("ignore", "query noise depth is 0", UserWarning)
+        clear_t1 = make_params("pma1", 2, 2, t=0, y=0, p=3)
+        clear_t2 = make_params("spma2", 2, 1, t=0, y=0, p=3)
     cases = [
         SuiteCase(
             "query-privacy:pma1", "lemma4", True,
@@ -270,8 +279,7 @@ def build_audit_suite() -> list[SuiteCase]:
             lambda cap: audit.audit_storage_security(_t2_params(), cap=cap)),
         SuiteCase(
             "storage-security:spma2-min", "lemma5", True,
-            lambda cap: audit.audit_storage_security(
-                make_params("spma2", 2, 1, t=0, y=0, p=3), cap=cap),
+            lambda cap: audit.audit_storage_security(clear_t2, cap=cap),
             note="single-share uniformity at the smallest feasible field"),
         SuiteCase(
             "eavesdropper:pma1", "lemma6", True,
@@ -290,8 +298,7 @@ def build_audit_suite() -> list[SuiteCase]:
         # ---- negative controls: every one of these must FAIL ----
         SuiteCase(
             "control:unprotected-query", "lemma4", False,
-            lambda cap: audit.audit_query_privacy(
-                make_params("pma1", 2, 2, t=0, y=0, p=3), [1], cap=cap),
+            lambda cap: audit.audit_query_privacy(clear_t1, [1], cap=cap),
             note="no noise budget: a single colluder reads the index"),
         SuiteCase(
             "control:zero-masks-blind", "lemma2", False,

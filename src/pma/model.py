@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -183,7 +184,7 @@ def auto_n(variant: str, m: int, t: int, y, t2: int = 1) -> int:
         f"M={m}, T={t}, Y={y}, T2={t2}")
 
 
-def validate_params(params: SchemeParams) -> SchemeParams:
+def validate_params(params: SchemeParams, *, stacklevel: int = 2) -> SchemeParams:
     """Check every side condition; errors name the violated inequality."""
     if params.variant not in VARIANTS:
         raise ParameterError(
@@ -232,7 +233,7 @@ def validate_params(params: SchemeParams) -> SchemeParams:
         if params.n > required:
             warnings.warn(
                 "N exceeds max(T, Y) + 1; the extra databases only add download cost",
-                UserWarning, stacklevel=2)
+                UserWarning, stacklevel=stacklevel)
     if len(params.alphas) < params.n_alphas:
         raise ParameterError(
             f"need {params.n_alphas} evaluation points, got {len(params.alphas)}")
@@ -241,7 +242,7 @@ def validate_params(params: SchemeParams) -> SchemeParams:
         warnings.warn(
             "query noise depth is 0: queries are sent in the clear "
             "(no collusion or eavesdropping budget)",
-            UserWarning, stacklevel=2)
+            UserWarning, stacklevel=stacklevel)
     return params
 
 
@@ -272,7 +273,7 @@ def make_params(variant: str, m: int, e: int, *, t: int = 0, y=0,
     params = SchemeParams(variant=variant, m=m, n=n, t=t, y=y, e=e, p=p, t2=t2)
     if alphas is None:
         alphas = default_alphas(p, params.n_alphas)
-    return validate_params(replace(params, alphas=tuple(alphas)))
+    return validate_params(replace(params, alphas=tuple(alphas)), stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -355,8 +356,8 @@ def generate_datasets(params: SchemeParams, probs,
     for pk in plist:
         if not 0.0 <= pk <= 1.0:
             raise ParameterError(f"membership probability {pk} outside [0, 1]")
-    # w < pk * 2^53 is w / 2^53 < pk: both scalings by 2^53 are exact
-    thresholds = [pk * _DYADIC for pk in plist]
+    # for an int w, w < ceil(pk * 2^53) is w / 2^53 < pk (the scaling is exact)
+    thresholds = [math.ceil(pk * _DYADIC) for pk in plist]
     datasets = []
     for _ in range(params.m):
         words = rng.draw_vector(_DYADIC, params.e)

@@ -17,6 +17,7 @@ transcript for cost accounting but is not part of any adversary view.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Callable, Sequence
 
 from .errors import ParameterError
@@ -49,6 +50,8 @@ def draw_query_noise(params: SchemeParams, rng: RandomSource) -> tuple:
 
 
 def queries_from_noise(theta: int, params: SchemeParams, noise) -> QuerySet:
+    for row in chain(*noise):  # once per row; the party's databases reuse it
+        params.field.check_all(row)
     alphas = params.alphas_used
     queries = tuple(
         tuple(query_vector(theta, alphas[j], noise[i], params) for j in range(params.n))
@@ -83,8 +86,8 @@ def gen_masks(params: SchemeParams, rng: RandomSource) -> tuple:
 
 
 def answer(bits: Sequence[int], query: Sequence[int], mask_symbol: int, field) -> int:
-    """One database's reply: inner product plus its mask symbol."""
-    return field.add(field.dot(bits, query), mask_symbol)
+    """Inner product of 0/1 ``bits`` with the query (a member sum) plus the mask."""
+    return (sum(compress(query, bits)) + mask_symbol) % field.p
 
 
 def decode(answers, params: SchemeParams) -> int:

@@ -14,6 +14,7 @@ payload-free transcript event (no per-party values cross a tappable link).
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 from . import pma1
@@ -34,10 +35,9 @@ def draw_party_noise(params: SchemeParams, rng: RandomSource) -> tuple:
 
 def answer(bits: Sequence[int], query: Sequence[int], zrow: Sequence[int],
            mask_symbol: int, alpha: int, field) -> int:
-    """Inner product, plus the power-weighted blinding scalars, plus the
-    mask. With zrow all zero this reduces exactly to the unblinded answer."""
-    padded = noise_pad_scalar(field, field.dot(bits, query), alpha, zrow)
-    return field.add(padded, mask_symbol)
+    """pma1.answer plus the power-weighted blinding scalars; a zero zrow adds nothing."""
+    padded_mask = noise_pad_scalar(field, mask_symbol, alpha, zrow)
+    return (sum(compress(query, bits)) + padded_mask) % field.p
 
 
 def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,

@@ -65,10 +65,11 @@ def encode_from_noise(bits: Sequence[int], params: SchemeParams,
         raise ParameterError(
             f"storage encoding needs {params.storage_depth} noise vectors, "
             f"got {len(noise_rows)}")
+    noise_rows = tuple(tuple(params.field.check_all(r)) for r in noise_rows)  # once per row
     alphas = params.alphas_used
     shares = tuple(noise_pad_vector(params.field, bits, alphas[n], noise_rows)
                    for n in range(params.n_eff))
-    return StorageShare(noise=tuple(tuple(r) for r in noise_rows), shares=shares)
+    return StorageShare(noise=noise_rows, shares=shares)
 
 
 def encode_storage(bits: Sequence[int], params: SchemeParams,
@@ -95,10 +96,11 @@ def draw_query_noise(params: SchemeParams, rng: RandomSource) -> tuple:
 
 
 def queries_from_noise(theta: int, params: SchemeParams, noise) -> QuerySet:
+    noise = tuple(tuple(params.field.check_all(r)) for r in noise)  # once per row
     alphas = params.alphas_used
     queries = tuple(query_vector(theta, alphas[n], noise, params)
                     for n in range(params.n_eff))
-    return QuerySet(theta=theta, noise=tuple(tuple(r) for r in noise), queries=queries)
+    return QuerySet(theta=theta, noise=noise, queries=queries)
 
 
 def gen_queries(theta: int, params: SchemeParams, rng: RandomSource) -> QuerySet:

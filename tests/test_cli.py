@@ -180,6 +180,22 @@ def test_costs_empty_sweep_exit_2(capsys):
     assert captured.out == ""
 
 
+def test_costs_type2_y_list_covers_every_party_count(capsys):
+    code = main(["costs", "--variant", "spma2", "--sweep-m", "3..4", "--t", "1",
+                 "--y", "0,0,0,0", "--json"])
+    assert code == 0
+    table = json.loads(capsys.readouterr().out)
+    assert [r["m"] for r in table["rows"]] == [3, 4]
+    assert table["y"] == [0, 0, 0, 0]
+
+
+def test_costs_type2_y_list_shorter_than_largest_m_exit_2(capsys):
+    code = main(["costs", "--variant", "spma2", "--sweep-m", "3..4", "--t", "1",
+                 "--y", "0,0,0"])
+    assert code == 2
+    assert "needs 4 entries" in capsys.readouterr().err
+
+
 def test_costs_zero_universe_exit_2(capsys):
     """An explicit --e 0 reaches the parameter check instead of a default."""
     assert main(["costs", "--variant", "pma1", "--sweep-m", "2..3", "--e", "0"]) == 2
@@ -226,6 +242,19 @@ def test_module_entry_points_run_without_warnings(module):
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "storage-security:spma2-min" in proc.stdout
+
+
+def test_audit_suite_all_writes_nothing_to_stderr():
+    # the suite's zero-noise parameter sets are deliberate, so their
+    # clear-query warning is not shown
+    src = str(Path(pma.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pma", "audit", "--suite", "all"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "control:unprotected-query" in proc.stdout
 
 
 def test_import_pma_does_not_load_the_cli():

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pma import pma1, spma1, spma2
 from pma.errors import IntegrityError, ParameterError
 from pma.field import (PrimeField, build_upsilon, default_alphas, is_prime,
                        noise_pad_scalar, noise_pad_vector, solve_linear,
                        validate_alphas)
-from pma.model import RandomSource
+from pma.model import PartyDataset, RandomSource, incidence, make_params, unit_vector
 
 
 def mat_vec(field, m, v):
@@ -59,12 +60,6 @@ def test_is_prime_matches_trial_division():
         is_prime(2 ** 89 - 1)
 
 
-def test_add_examples():
-    assert PrimeField(7).add(3, 5) == 1
-    assert PrimeField(7).add(0, 4) == 4
-    assert PrimeField(5).add(4, 4) == 3
-
-
 def test_inverse_cancels_for_all_nonzero():
     # the solver's pivot inverse: a x = 1 on a 1 x 1 system
     f = PrimeField(31)
@@ -74,13 +69,14 @@ def test_inverse_cancels_for_all_nonzero():
 
 
 def test_element_range_enforced():
+    # the boundary checks; dot and the pads assume their inputs are valid
     f = PrimeField(7)
-    with pytest.raises(ParameterError):
-        f.add(7, 0)
-    with pytest.raises(ParameterError):
-        f.add(-1, 0)
-    with pytest.raises(ParameterError):
-        f.dot((1, 2), (1, 9))
+    for bad in (7, -1, 1.0):
+        with pytest.raises(ParameterError):
+            f.check(bad)
+        with pytest.raises(ParameterError):
+            f.check_all((1, bad, 2))
+    assert f.check_all((0, 6)) == (0, 6)
 
 
 def test_non_prime_modulus_rejected():
@@ -309,31 +305,42 @@ def test_noise_pad_scalar_direct():
     assert noise_pad_scalar(f, 3, 1, ()) == 3
 
 
-# not elements of GF(5): negative, equal to p, not an int
+# not elements of GF(5): negative, equal to p, not an int. The pads take
+# them on trust; each is rejected where the pad's input enters the protocol.
 NOT_IN_GF5 = (-1, 5, 1.0)
 
 
 @pytest.mark.parametrize("bad", NOT_IN_GF5)
 def test_noise_pad_vector_rejects_bad_base(bad):
-    with pytest.raises(ParameterError):
-        noise_pad_vector(PrimeField(5), (1, bad, 0), 1, [(0, 0, 0)])
+    # a pad's base is an incidence vector or a unit vector; their builders
+    # reject a member or an index outside the universe 1..E
+    with pytest.raises(ParameterError, match="outside universe"):
+        incidence(PartyDataset(frozenset({2, bad})), 3)
+    with pytest.raises(ParameterError, match="outside 1..3"):
+        unit_vector(bad, 3)
 
 
 @pytest.mark.parametrize("bad", NOT_IN_GF5)
 def test_noise_pad_vector_rejects_bad_noise_row(bad):
-    with pytest.raises(ParameterError):
-        noise_pad_vector(PrimeField(5), (1, 0, 0), 1, [(0, 0, 0), (2, bad, 0)])
+    good, wrong = (0, 0, 0), (2, bad, 0)
+    type1 = make_params("pma1", 2, 3, t=2, p=5)
+    with pytest.raises(ParameterError, match="not an element of GF"):
+        pma1.queries_from_noise(1, type1, ((good, good), (good, wrong)))
+    type2 = make_params("spma2", 3, 3, t=1, p=5)
+    with pytest.raises(ParameterError, match="not an element of GF"):
+        spma2.queries_from_noise(1, type2, (wrong,))
+    with pytest.raises(ParameterError, match="not an element of GF"):
+        spma2.encode_from_noise((1, 0, 1), type2, (wrong,))
 
 
 @pytest.mark.parametrize("bad", NOT_IN_GF5)
 def test_noise_pad_scalar_rejects_bad_inputs(bad):
-    f = PrimeField(5)
-    with pytest.raises(ParameterError):
-        noise_pad_scalar(f, bad, 1, (1, 2))
-    with pytest.raises(ParameterError):
-        noise_pad_scalar(f, 3, 1, (1, bad))
-    with pytest.raises(ParameterError):
-        noise_pad_scalar(f, 3, bad, (1, 2))
+    # the scalar pad's base is a member sum of valid vectors and its noise
+    # is drawn in the field; its alpha is checked with the parameters
+    with pytest.raises(ParameterError, match="not an element of GF"):
+        validate_alphas(PrimeField(5), (1, bad))
+    with pytest.raises(ParameterError, match="not an element of GF"):
+        make_params("spma1", 2, 3, t=1, p=5, alphas=(1, bad))
 
 
 # Per-element references: one modular multiply-add at a time, as the
@@ -396,3 +403,8 @@ def test_vector_ops_match_per_element_reference(case):
     assert noise_pad_vector(f, u, alpha, rows) == ref_pad_vector(p, u, alpha, rows)
     assert noise_pad_scalar(f, scalar, alpha, noise) == \
         ref_pad_scalar(p, scalar, alpha, noise)
+    # type-I answers read 0/1 incidence bits as member sums
+    bits = [a % 2 for a in u]
+    assert pma1.answer(bits, v, scalar, f) == (ref_dot(p, bits, v) + scalar) % p
+    assert spma1.answer(bits, v, noise, scalar, alpha, f) == (
+        ref_dot(p, bits, v) + ref_pad_scalar(p, 0, alpha, noise) + scalar) % p

@@ -10,7 +10,7 @@ from pma.harness import (RunConfig, build_audit_suite, cost_table, measure_costs
                          remark_total, run_audit_suite, run_protocol,
                          select_cases, theorem_bound, to_json)
 from pma.model import PartyDataset, RandomSource, make_params
-from pma import pma1, spma1, spma2
+from pma import harness, pma1, spma1, spma2
 from pma.transcript import NOISE_SHARE, Transcript
 
 PAPER_DATA = {
@@ -133,6 +133,25 @@ def test_cost_table_checks_counts_against_the_oracle(monkeypatch):
         original(answers, params) + 1) % (params.m + 1))
     with pytest.raises(IntegrityError, match="!= oracle"):
         cost_table("pma1", range(2, 5), t=1)
+
+
+def test_cost_table_y_list_is_cut_per_row(monkeypatch):
+    seen = []
+    original = run_protocol
+
+    def spy(config):
+        seen.append(config.y)
+        return original(config)
+
+    monkeypatch.setattr(harness, "run_protocol", spy)
+    table = cost_table("spma2", [3, 4], t=1, y=(0, 1, 0, 1), n=2)
+    assert seen == [(0, 1, 0), (0, 1, 0, 1)]
+    assert [r["m"] for r in table["rows"]] == [3, 4]
+    seen.clear()
+    for bad in ((0, 1, 0), (0, 1, 0, 1, 0)):
+        with pytest.raises(ParameterError, match="needs 4 entries"):
+            cost_table("spma2", [3, 4], t=1, y=bad)
+    assert seen == []  # rejected before any row runs
 
 
 def test_cost_table_exponential_reference_column():
@@ -320,3 +339,40 @@ def test_blinding_drawn_and_billed_at_blinding_depth(variant, scheme, t, depth):
     assert len(rows) == (params.m if variant == "spma1" else 1)
     assert all(len(row) == depth for row in rows)
     assert run.transcript.symbols_in(NOISE_SHARE) == depth
+
+
+def _leaves(obj):
+    if isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _leaves(x)
+    elif isinstance(obj, spma2.StorageShare):
+        yield from _leaves((obj.noise, obj.shares))
+    else:
+        yield obj
+
+
+# the vectors each scheme's run builds; none of them is re-checked by the
+# kernels that consume it
+_BUILT_VECTORS = {
+    "pma1": ("queries", "masks", "answers"),
+    "spma1": ("queries", "masks", "blinding", "answers"),
+    "spma2": ("queries", "storage", "aggregated", "blinding", "answers"),
+}
+
+
+@pytest.mark.parametrize("p", [None, 2 ** 61 - 1])
+@pytest.mark.parametrize("variant", sorted(_BUILT_VECTORS))
+def test_every_vector_a_run_builds_lies_in_the_field(variant, p):
+    params = make_params(variant, 3, 6, t=1, p=p)
+    rng = RandomSource(29)
+    datasets = [PartyDataset(frozenset({1, 2, k})) for k in (3, 4, 6)]
+    run = {"pma1": pma1.run, "spma1": spma1.run, "spma2": spma2.run}[variant](
+        params, datasets, 2, rng)
+    assert run.count == 3
+    for name in _BUILT_VECTORS[variant]:
+        value = getattr(run, name)
+        if name == "queries":
+            value = (value.noise, value.queries)
+        leaves = list(_leaves(value))
+        assert leaves, name
+        assert all(type(x) is int and 0 <= x < params.p for x in leaves), name

@@ -68,6 +68,39 @@ def test_degenerate_depth_warns():
         make_params("pma1", 2, 2, t=0, y=0)
 
 
+class _FixedWords:
+    """Stands in for RandomSource: each draw hands out the next word list."""
+
+    def __init__(self, *words):
+        self.words = list(words)
+
+    def draw_vector(self, modulus, k):
+        return tuple(self.words.pop(0)[:k])
+
+
+def test_membership_compares_words_with_the_exact_threshold():
+    # words at and next to each threshold pk * 2^53, where an integer
+    # threshold that rounds the wrong way would flip membership
+    probs = [0.1, 1 / 3, 0.5, 2 / 3, 0.999999, 1e-300, 0.0, 1.0]
+    below = [min(int(pk * 2 ** 53), 2 ** 53 - 1) for pk in probs]
+    above = [min(w + 1, 2 ** 53 - 1) for w in below]
+    params = make_params("pma1", 2, len(probs), t=1)
+    datasets = generate_datasets(params, probs, _FixedWords(below, above))
+    for words, d in zip((below, above), datasets):
+        assert d.members == {k + 1 for k, (w, pk) in enumerate(zip(words, probs))
+                             if w < pk * 2 ** 53}
+    # 0.5 up to 1 scale to integers (their ulp is 2^-53), so only 1, 2, 6, 8
+    assert datasets[0].members == {1, 2, 6, 8}
+
+
+def test_params_warnings_point_at_the_caller():
+    with pytest.warns(UserWarning) as record:
+        params = make_params("pma1", 2, 2, t=0, y=0, n=3)
+        validate_params(params)
+    assert len(record) == 4  # extra databases and clear queries, twice
+    assert {w.filename for w in record} == {__file__}
+
+
 def test_pma2_alias_resolves_to_type2():
     params = make_params("pma2", 3, 2, t=1, y=0)
     assert params.variant == "spma2"

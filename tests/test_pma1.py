@@ -141,7 +141,6 @@ def test_answer_decomposition_against_expansion_oracle():
     datasets = generate_datasets(params, 0.5, rng)
     theta = 4
     run = pma1.run(params, datasets, theta, rng)
-    f = params.field
     for i in range(params.m):
         bits = incidence(datasets[i], params.e)
         coeffs = oracle_polynomial_expand(
@@ -152,7 +151,7 @@ def test_answer_decomposition_against_expansion_oracle():
             value = 0  # independent Horner evaluation
             for c in reversed(coeffs):
                 value = (value * x + c) % params.p
-            assert run.answers[i][j] == f.add(value, run.masks[i][j])
+            assert run.answers[i][j] == (value + run.masks[i][j]) % params.p
 
 
 def test_correctness_exhaustive_tiny():
