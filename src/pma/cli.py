@@ -12,13 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
-from pathlib import Path
 
 from .errors import AuditInfeasibleError, IntegrityError, ParameterError
 from .harness import RunConfig, cost_table, run_audit_suite, run_protocol, to_json
-from .model import VARIANT_ALIASES, VARIANTS, load_datasets
+from .model import VARIANT_ALIASES, VARIANTS, load_datasets, read_json
 
 
 def _parse_numbers(text: str | None, kind=int):
@@ -50,7 +48,7 @@ def _parse_sweep(text: str) -> list[int]:
 def _build_run_config(args) -> RunConfig:
     base: dict = {}
     if args.config:
-        base = json.loads(Path(args.config).read_text())
+        base = read_json(args.config, "config file")
         if not isinstance(base, dict):
             raise ParameterError("config file must hold a JSON object")
     overrides = {
@@ -172,6 +170,12 @@ def _cmd_costs(args) -> int:
     return 0
 
 
+def _add_format_flags(parser: argparse.ArgumentParser) -> None:
+    fmt = parser.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pma",
@@ -195,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--gen-prob", dest="gen_prob",
                        help="membership probability (scalar or comma list)")
     run_p.add_argument("--config", help="JSON file mirroring the run config")
-    run_p.add_argument("--json", action="store_true")
-    run_p.add_argument("--csv", action="store_true")
+    _add_format_flags(run_p)
     run_p.set_defaults(func=_cmd_run)
 
     audit_p = sub.add_parser("audit", help="run privacy/security audits")
@@ -219,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     costs_p.add_argument("--seed", type=int, default=0)
     costs_p.add_argument("--exp-k", type=int, default=2, dest="exp_k",
                          help="K for the exponential reference column")
-    costs_p.add_argument("--json", action="store_true")
-    costs_p.add_argument("--csv", action="store_true")
+    _add_format_flags(costs_p)
     costs_p.set_defaults(func=_cmd_costs)
     return parser
 

@@ -190,6 +190,8 @@ def cost_table(variant: str, m_values: Sequence[int], *, t: int = 0, y=0,
     """
     if not m_values:
         raise ParameterError("cost sweep needs at least one party count")
+    if exp_k < 1:
+        raise ParameterError(f"exponential reference K must be at least 1, got {exp_k}")
     if isinstance(y, (list, tuple)) and len(y) != max(m_values):
         raise ParameterError(f"a cost sweep's Y list needs {max(m_values)} entries, "
                              f"one per party of the largest M; got {len(y)}")

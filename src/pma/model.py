@@ -17,8 +17,9 @@ import struct
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from operator import lt
+from os import PathLike
 from pathlib import Path
 from typing import Sequence
 
@@ -33,6 +34,8 @@ VARIANT_ALIASES = {"pma2": "spma2"}
 _WORDS = 1 << 64
 _MASK64 = _WORDS - 1
 _DYADIC = 1 << 53
+# _KEEP_LOW[r] maps a byte to its low 8 - r bits (a bytes.translate table)
+_KEEP_LOW = tuple(bytes(v & (0xFF >> r) for v in range(256)) for r in range(8))
 
 
 class RandomSource:
@@ -43,6 +46,10 @@ class RandomSource:
     missing. A word w is rejected when w >= 2^64 - (2^64 mod modulus), so
     every residue keeps probability exactly 1/modulus; rejected words are
     made up from the next counter value. ``position`` counts hash calls.
+    A power-of-two modulus 2^b never rejects, and w mod 2^b is the low b
+    bits of w: those draws clear the high bits of the hashed block in place
+    and read the words as they are, with no per-value arithmetic, so values,
+    hash calls and ``position`` are what the per-word rule gives.
 
     Reproducible by construction; protocol security is verified by
     enumeration, so reproducibility matters more than entropy here.
@@ -66,18 +73,29 @@ class RandomSource:
                 f"modulus must be an int in 1..2^64, got {modulus!r}")
         if not isinstance(k, int) or k < 0:
             raise ParameterError(f"vector length must be a non-negative int, got {k!r}")
-        if modulus == 1:
+        if modulus == 1 or k == 0:
             return (0,) * k
+        if _WORDS % modulus == 0:
+            block = bytearray(self._block(k))
+            whole, part = divmod(65 - modulus.bit_length(), 8)  # high bits to clear
+            for i in range(whole):
+                block[i::8] = bytes(k)
+            block[whole::8] = block[whole::8].translate(_KEEP_LOW[part])
+            return struct.unpack(f">{k}Q", block)
         bound = _WORDS - _WORDS % modulus
         out: list[int] = []
         while len(out) < k:
             need = k - len(out)
-            block = hashlib.shake_256(
-                self._key + self._counter.to_bytes(16, "big")).digest(8 * need)
-            self._counter += 1
-            out += [w % modulus for w in struct.unpack(f">{need}Q", block)
+            out += [w % modulus for w in struct.unpack(f">{need}Q", self._block(need))
                     if w < bound]
         return tuple(out)
+
+    def _block(self, words: int) -> bytes:
+        """The next hash call's first ``words`` 8-byte words."""
+        block = hashlib.shake_256(
+            self._key + self._counter.to_bytes(16, "big")).digest(8 * words)
+        self._counter += 1
+        return block
 
 
 @dataclass(frozen=True)
@@ -342,22 +360,29 @@ def true_count(theta: int, datasets: Sequence[PartyDataset], e: int) -> int:
     return sum(1 for d in datasets if theta in d.members)
 
 
+def _threshold(pk) -> int:
+    """The word bound of a membership probability: for an int word w,
+    w < ceil(pk * 2^53) is w / 2^53 < pk (the scaling is exact)."""
+    if not isinstance(pk, (int, float)) or not 0 <= pk <= 1:
+        raise ParameterError(f"membership probability {pk!r} is not a number in [0, 1]")
+    return math.ceil(pk * _DYADIC)
+
+
 def generate_datasets(params: SchemeParams, probs,
                       rng: RandomSource) -> list[PartyDataset]:
     """Independent membership draws: element k joins each party with
     probability probs[k-1]; a scalar applies to every element."""
     if isinstance(probs, (int, float)):
-        plist = [float(probs)] * params.e
-    else:
-        plist = [float(x) for x in probs]
-        if len(plist) != params.e:
+        thresholds = repeat(_threshold(probs))  # endless, so shared by every party
+    elif isinstance(probs, (list, tuple)):
+        if len(probs) != params.e:
             raise ParameterError(
-                f"need {params.e} membership probabilities, got {len(plist)}")
-    for pk in plist:
-        if not 0.0 <= pk <= 1.0:
-            raise ParameterError(f"membership probability {pk} outside [0, 1]")
-    # for an int w, w < ceil(pk * 2^53) is w / 2^53 < pk (the scaling is exact)
-    thresholds = [math.ceil(pk * _DYADIC) for pk in plist]
+                f"need {params.e} membership probabilities, got {len(probs)}")
+        thresholds = [_threshold(pk) for pk in probs]
+    else:
+        raise ParameterError(
+            f"membership probabilities must be a number or a list of {params.e} "
+            f"numbers, got {probs!r}")
     datasets = []
     for _ in range(params.m):
         words = rng.draw_vector(_DYADIC, params.e)
@@ -368,6 +393,17 @@ def generate_datasets(params: SchemeParams, probs,
     return datasets
 
 
+def read_json(path, what: str):
+    """The parsed contents of a JSON file; a file that cannot be read or
+    parsed is a parameter error naming the path and the reason."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ParameterError(f"cannot read {what} '{path}': {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ParameterError(f"{what} '{path}' is not valid JSON: {exc}") from exc
+
+
 def load_datasets(source) -> tuple[tuple[str, ...], list[PartyDataset]]:
     """Read ``{"universe": [...], "parties": [[...], ...]}``.
 
@@ -375,10 +411,7 @@ def load_datasets(source) -> tuple[tuple[str, ...], list[PartyDataset]]:
     the sorted order of the universe; validation errors name the offending
     element.
     """
-    if isinstance(source, dict):
-        obj = source
-    else:
-        obj = json.loads(Path(source).read_text())
+    obj = read_json(source, "dataset file") if isinstance(source, (str, PathLike)) else source
     if not isinstance(obj, dict) or "universe" not in obj or "parties" not in obj:
         raise ParameterError('dataset input must be {"universe": [...], "parties": [[...]]}')
     universe = obj["universe"]

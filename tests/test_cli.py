@@ -109,6 +109,55 @@ def test_run_config_file_with_overrides(tmp_path, capsys):
     assert [r["theta"] for r in report["results"]] == [3]
 
 
+@pytest.mark.parametrize("flag", ["--config", "--datasets"])
+@pytest.mark.parametrize("content,reason", [
+    (None, "No such file or directory"),
+    ('{"variant": "pma1",', "is not valid JSON"),
+], ids=["missing", "malformed"])
+def test_run_unreadable_input_file_exit_2(tmp_path, capsys, flag, content, reason):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    code = main(["run", "--variant", "pma1", "--t", "1", flag, str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and reason in err
+
+
+@pytest.mark.parametrize("gen_probs,named", [
+    ("0.5", "'0.5'"), (None, "None"), (["a", "b", "c"], "'a'"), ([0.5, None, 0.5], "None"),
+], ids=["string", "null", "letters", "null-entry"])
+def test_run_config_bad_membership_probabilities_exit_2(tmp_path, capsys, gen_probs, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"variant": "pma1", "m": 2, "e": 3, "t": 1,
+                                "gen_probs": gen_probs}))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "membership probabilit" in err and named in err
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--variant", "pma1", "--m", "2", "--e", "2", "--t", "1"],
+    ["costs", "--variant", "pma1", "--sweep-m", "2..3", "--t", "1"],
+], ids=["run", "costs"])
+def test_json_and_csv_flags_conflict_exit_2(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--json", "--csv"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "not allowed with argument --json" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("exp_k", ["0", "-2"])
+def test_costs_exp_k_below_one_exit_2(capsys, exp_k):
+    assert main(["costs", "--variant", "pma1", "--sweep-m", "2..3", "--t", "1",
+                 "--exp-k", exp_k]) == 2
+    captured = capsys.readouterr()
+    assert "K must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_run_type2_y_list(capsys):
     code = main(["run", "--variant", "spma2", "--m", "3", "--e", "2",
                  "--t", "1", "--y", "0,0,0", "--theta", "1"])

@@ -1,13 +1,14 @@
 """Run orchestration, cost accounting and the audit suite driver."""
 
 import ast
+import hashlib
 import json
 
 import pytest
 
 from pma.errors import IntegrityError, ParameterError
 from pma.harness import (RunConfig, build_audit_suite, cost_table, measure_costs,
-                         remark_total, run_audit_suite, run_protocol,
+                         remark_total, resolve_config, run_audit_suite, run_protocol,
                          select_cases, theorem_bound, to_json)
 from pma.model import PartyDataset, RandomSource, make_params
 from pma import harness, pma1, spma1, spma2
@@ -17,6 +18,46 @@ PAPER_DATA = {
     "universe": ["a", "b", "c", "d", "e"],
     "parties": [["a", "b", "c", "d", "e"], ["b", "c", "d"]],
 }
+
+
+# Seeded outputs recorded before power-of-two draws skipped per-word
+# arithmetic: (theta, count, transcript digest) per result and a SHA-256 of
+# the sorted member sets. A change here changes every seeded report.
+_GOLDEN = {
+    "pma1-e2000": (
+        RunConfig("pma1", m=10, e=2000, t=1, theta=1234, seed=2024),
+        [(1234, 6, "3b3a08cc9bb5b89cc048940e38db3b8ce4452c8d22e72525614ccf292969cf7b")],
+        "e24737d1061fa9f294c206773636da70e8cd21954b8a35549da473b8edbd924f"),
+    "spma1-per-element-probs": (
+        RunConfig("spma1", m=3, e=6, t=1, seed=31, gen_probs=[0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
+        [(1, 0, "698409e29a54863e8c456c0d77419108ac271ddf2c6691ec42a5b44dddfe4679"),
+         (2, 1, "b9dfd0248f6afb43c5bf75644725bd1813be56ac7bee274c30bf68650c7b8050"),
+         (3, 2, "95cc833e8c3881083b223e811be65f00d91ad7b3f823b177017d66cd6c17fdd7"),
+         (4, 2, "d7d7ab42c9d19ecaf715ff9a1cb435d5f3e2b02d88dde31a783abeaf3c6b9fc7"),
+         (5, 1, "9be95431f01e484489b1ee6b8d164d9f8147fb37a9e01aa8512665675eb657e7"),
+         (6, 3, "72610ea97e0566e68fccd50094a176c9e43b53e3fee8cf2c5bae3794b0dbb857")],
+        "a68c3944398e17345d9add41361b3c7c044d934b5306607e2a3cfdd50e515e7e"),
+    "spma2-dataset-dict": (
+        RunConfig("spma2", t=1, seed=47, datasets={
+            "universe": ["ant", "bee", "cat", "dog"],
+            "parties": [["ant", "dog"], ["bee", "cat", "dog"], ["dog"], [], ["ant"]]}),
+        [(1, 2, "6239b102910889429ead67be38d68e68e75d816fcad23eeead5c91414da0b901"),
+         (2, 1, "ecfcd14fab267dc71c0c28e37cf2f463032cfdfe28ae5cebbe5b148c831b1c6d"),
+         (3, 1, "9045d5684ffca31859023595c0268da8faf586c6f5185c952233df0f753b6948"),
+         (4, 3, "5b233886b3a16350c417a03242129337ee89be2407cd1b7e5022faa0b3cd61c5")],
+        "cdf0d222bb1d9882bffca3d20f492b46ee5ee75c6ebfdae2ef2c427a3d7ba135"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_seeded_outputs_are_pinned(name):
+    config, results, members_sha = _GOLDEN[name]
+    report = run_protocol(config)
+    assert [(r["theta"], r["count"], r["transcript_digest"])
+            for r in report["results"]] == results
+    _, datasets, _, _ = resolve_config(config)
+    members = json.dumps([sorted(d.members) for d in datasets]).encode()
+    assert hashlib.sha256(members).hexdigest() == members_sha
 
 
 def test_run_config_round_trip():

@@ -93,6 +93,16 @@ def test_membership_compares_words_with_the_exact_threshold():
     assert datasets[0].members == {1, 2, 6, 8}
 
 
+@pytest.mark.parametrize("pk", [0.1, 1 / 3, 0.5, 0.999999, 1e-300, 0.0, 1.0, 0, 1])
+def test_scalar_probability_compares_words_with_the_exact_threshold(pk):
+    w0 = int(pk * 2 ** 53)
+    near = [w for w in (w0 - 1, w0, w0 + 1) if 0 <= w < 2 ** 53]
+    params = make_params("pma1", 2, len(near), t=1)
+    datasets = generate_datasets(params, pk, _FixedWords(near, near))
+    expected = {k + 1 for k, w in enumerate(near) if w < pk * 2 ** 53}
+    assert [d.members for d in datasets] == [expected, expected]
+
+
 def test_params_warnings_point_at_the_caller():
     with pytest.warns(UserWarning) as record:
         params = make_params("pma1", 2, 2, t=0, y=0, n=3)
@@ -192,20 +202,23 @@ def test_generate_extremes_and_determinism():
 
 
 def ref_memberships(params, probs, seed):
-    """The membership rule w / 2^53 < p_k, one word at a time."""
-    rng = RandomSource(seed)
+    """The membership rule w / 2^53 < p_k, one word at a time, on words
+    from the reference sampler."""
     plist = [float(probs)] * params.e if isinstance(probs, (int, float)) else probs
-    return [PartyDataset(frozenset(
-        k for k, w, pk in zip(range(1, params.e + 1),
-                              rng.draw_vector(2 ** 53, params.e), plist)
-        if w / 2 ** 53 < pk)) for _ in range(params.m)]
+    datasets, counter = [], 0
+    for _ in range(params.m):
+        words, counter = _reference_vector(seed, 2 ** 53, params.e, counter)
+        datasets.append(PartyDataset(frozenset(
+            k for k, w, pk in zip(range(1, params.e + 1), words, plist)
+            if w / 2 ** 53 < pk)))
+    return datasets
 
 
 def test_generate_matches_float_rule():
     params = make_params("pma1", 4, 300, t=1, y=0)
     # per-element probabilities: a ramp, subnormal and near-1 values, and
     # thresholds equal to a drawn word and one above it, where the rule flips
-    words = RandomSource(7).draw_vector(2 ** 53, 300)
+    words, _ = _reference_vector(7, 2 ** 53, 300)
     edges = [k / 300 for k in range(300)]
     edges[:6] = [5e-324, 2.0 ** -53, 1 - 2.0 ** -53, 1.0, 0.0, 2.0 ** -1022]
     for k in range(6, 300, 7):
@@ -222,6 +235,23 @@ def test_generate_prob_validation():
         generate_datasets(params, 1.5, RandomSource(0))
     with pytest.raises(ParameterError):
         generate_datasets(params, [0.5, 0.5], RandomSource(0))
+
+
+@pytest.mark.parametrize("probs,named", [
+    ("0.5", "'0.5'"),
+    (None, "None"),
+    (["a", "b", "c"], "'a'"),
+    ([0.5, None, 0.5], "None"),
+    ([0.5, float("nan"), 0.5], "nan"),
+    (-0.25, "-0.25"),
+], ids=["string", "none", "letters", "none-entry", "nan-entry", "negative"])
+def test_generate_names_the_bad_probability(probs, named):
+    params = make_params("pma1", 2, 3, t=1, y=0)
+    rng = RandomSource(0)
+    with pytest.raises(ParameterError, match="membership probabilit") as info:
+        generate_datasets(params, probs, rng)
+    assert named in str(info.value)
+    assert rng.position == 0  # rejected before any draw
 
 
 def test_random_source_determinism_and_range():
@@ -244,12 +274,13 @@ def test_random_source_rejects_bad_modulus():
             RandomSource(0).draw_vector(0, k)
 
 
-def _reference_vector(seed, modulus, k):
-    """The documented sampler, one word at a time: call c hashes
-    seed || c, and a word w is kept iff w < 2^64 - (2^64 mod modulus)."""
+def _reference_vector(seed, modulus, k, counter=0):
+    """The documented sampler, one word at a time from hash call
+    ``counter`` on: call c hashes seed || c, and a word w is kept iff
+    w < 2^64 - (2^64 mod modulus). Returns the values and the next call."""
     key = seed.to_bytes(8, "big")
     bound = 2 ** 64 - 2 ** 64 % modulus
-    out, counter = [], 0
+    out = []
     while len(out) < k:
         need = k - len(out)
         stream = hashlib.shake_256(key + counter.to_bytes(16, "big")).digest(8 * need)
@@ -271,6 +302,18 @@ def test_draw_vector_exact_rejection_refills():
     assert (vec, a.position) == _reference_vector(7, modulus, k)
     assert a.position > 1
     assert a.draw_vector(modulus, k) != vec and a.position > b.position
+
+
+@pytest.mark.parametrize("modulus", [
+    *(2 ** b for b in range(1, 65)), 3, 131, 2 ** 61 - 1, 2 ** 63 + 1],
+    ids=lambda m: f"2^{m.bit_length() - 1}" if m & (m - 1) == 0 else str(m))
+def test_draw_vector_matches_the_per_word_reference(modulus):
+    # consecutive draws from one source, an empty one first: an empty draw
+    # makes no hash call, whatever the modulus
+    rng, counter = RandomSource(11), 0
+    for k in (0, 1, 7, 100):
+        expected, counter = _reference_vector(11, modulus, k, counter)
+        assert (rng.draw_vector(modulus, k), rng.position) == (expected, counter), k
 
 
 def test_draw_vector_modulus_one_gives_zeros():
@@ -301,6 +344,18 @@ def test_load_datasets_unsorted_universe_sorted_first():
     obj = {"universe": ["c", "a", "b"], "parties": [["c"], []]}
     _, datasets = load_datasets(obj)
     assert datasets[0].members == frozenset({3})
+
+
+def test_load_datasets_unreadable_file_names_path_and_reason(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ParameterError, match="No such file") as info:
+        load_datasets(str(missing))
+    assert str(missing) in str(info.value)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"universe": ["a"],')
+    with pytest.raises(ParameterError, match="not valid JSON") as info:
+        load_datasets(bad)
+    assert str(bad) in str(info.value)
 
 
 def test_load_datasets_names_offender():
