@@ -265,7 +265,7 @@ def _taps(params: SchemeParams, dbs: Sequence[int]) -> tuple:
     """Checked 1-based database indices: within one party for the type-I
     variants (the query structure is identical across parties), global for
     type II."""
-    limit = params.n_alphas
+    limit = len(params.alphas_used)
     taps = tuple(dbs)
     for j in taps:
         if not 1 <= j <= limit:

@@ -87,10 +87,12 @@ class PrimeField:
 
 
 def default_alphas(p: int, count: int) -> tuple[int, ...]:
-    """Deterministic evaluation points: 1, 2, ... and finally 0, skipping p-1.
+    """The evaluation points: 1, 2, ... and finally 0, skipping p-1.
 
-    p-1 is excluded so that 1 + alpha never vanishes; the query-privacy and
-    storage-security arguments both need diag(1 + alpha) invertible.
+    They are distinct, and p-1 is excluded so that 1 + alpha never
+    vanishes; the query-privacy and storage-security arguments both need
+    diag(1 + alpha) invertible. Parameters derive their points here, so no
+    other set of points needs validating.
     """
     if count > p - 1:
         raise ParameterError(
@@ -98,38 +100,19 @@ def default_alphas(p: int, count: int) -> tuple[int, ...]:
     return tuple(k % (p - 1) for k in range(1, count + 1))
 
 
-def validate_alphas(field: PrimeField, alphas: Sequence[int]) -> tuple[int, ...]:
-    seen = set()
-    for a in alphas:
-        field.check(a)
-        if a == field.p - 1:
-            raise ParameterError(
-                f"evaluation point {a} equals p-1, so 1+alpha would vanish")
-        if a in seen:
-            raise ParameterError(f"evaluation point {a} repeated")
-        seen.add(a)
-    return tuple(alphas)
+def build_upsilon(field: PrimeField,
+                  alphas: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Square matrix with rows [1, (1+a_j), (1+a_j)^2, ...], one per point.
 
-
-def build_upsilon(field: PrimeField, alphas: Sequence[int],
-                  n: int) -> tuple[tuple[int, ...], ...]:
-    """n x n matrix with rows [1, (1+a_j), (1+a_j)^2, ...].
-
-    This is the Vandermonde-style system every decoder inverts; the validated
+    This is the Vandermonde-style system every decoder inverts; the default
     evaluation points (distinct, never p-1) keep it nonsingular.
     """
-    if n < 1 or n > len(alphas):
-        raise ParameterError(
-            f"matrix size {n} needs {n} evaluation points, have {len(alphas)}")
     p = field.p
-    rows = []
-    for a in alphas[:n]:
-        x = (1 + a) % p
-        row = [1] * n
-        for exp in range(1, n):
-            row[exp] = row[exp - 1] * x % p
-        rows.append(tuple(row))
-    return tuple(rows)
+    xs = [(1 + a) % p for a in alphas]
+    columns = [[1] * len(xs)]  # column k holds every x^k
+    for _ in range(len(xs) - 1):
+        columns.append([c * x % p for c, x in zip(columns[-1], xs)])
+    return tuple(zip(*columns))
 
 
 def solve_linear(field: PrimeField, m, rhs) -> list[int]:

@@ -59,9 +59,7 @@ class RunConfig:
 
 
 def theorem_bound(params: SchemeParams) -> int:
-    if params.is_type2:
-        return params.n_eff
-    return params.m * (max(params.t, params.y) + 1)
+    return params.n_eff if params.is_type2 else params.m * (params.mu + 1)
 
 
 def remark_total(params: SchemeParams) -> tuple[int, bool]:
@@ -77,7 +75,7 @@ def remark_total(params: SchemeParams) -> tuple[int, bool]:
     if params.variant == "spma1":
         return (m - 1) * n + e * m * n + (n - 1) + m * n, True
     total = (e + 1) * (n + params.t * n + 1) + n + n * params.t
-    applies = params.t2 == 1 and params.t * n >= max(params.y_values)
+    applies = params.t2 == 1 and params.t * n >= max(params.y)
     return total, applies
 
 
@@ -150,8 +148,8 @@ def run_protocol(config: RunConfig) -> dict:
     results = []
     cost = None
     for theta in thetas:
-        transcript = Transcript()
-        outcome = runner(params, datasets, theta, rng, transcript)
+        outcome = runner(params, datasets, theta, rng)
+        transcript = outcome.transcript
         oracle = true_count(theta, datasets, params.e)
         if outcome.count != oracle:
             raise IntegrityError(
@@ -186,12 +184,14 @@ def cost_table(variant: str, m_values: Sequence[int], *, t: int = 0, y=0,
     has an entry per party of the largest M, and row M uses the first M.
     Type-I downloads must be exactly linear in M (zero residual); the
     exponential reference column M**K * (K-1) is reported for contrast
-    only.
+    only, with K in 1..max(M).
     """
     if not m_values:
         raise ParameterError("cost sweep needs at least one party count")
-    if exp_k < 1:
-        raise ParameterError(f"exponential reference K must be at least 1, got {exp_k}")
+    if not 1 <= exp_k <= max(m_values):  # K-PSI asks for K of the M parties
+        raise ParameterError(
+            f"exponential reference K must be at least 1 and at most the largest "
+            f"party count {max(m_values)}, got {exp_k}")
     if isinstance(y, (list, tuple)) and len(y) != max(m_values):
         raise ParameterError(f"a cost sweep's Y list needs {max(m_values)} entries, "
                              f"one per party of the largest M; got {len(y)}")

@@ -15,7 +15,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import lt
@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
 from .field import (PrimeField, build_upsilon, default_alphas, is_prime,
-                    noise_pad_vector, solve_linear, validate_alphas)
+                    noise_pad_vector, solve_linear)
 
 VARIANTS = ("pma1", "spma1", "spma2")
 # the type-II scheme serves both the symmetric and the non-symmetric problem
@@ -104,20 +104,19 @@ class SchemeParams:
 
     m parties with n databases each over a universe of e elements, in
     GF(p). t is the collusion budget (databases within a party for type I,
-    whole parties for type II), y the eavesdropping budget (an int for
-    type I, one value per party for type II), t2 the count of communicating
-    parties in the type-II extension.
+    whole parties for type II), y the eavesdropping budget of each party
+    (type I: M equal values), t2 the count of communicating parties in the
+    type-II extension. The evaluation points are derived from p.
     """
 
     variant: str
     m: int
     n: int
     t: int
-    y: int | tuple[int, ...]
+    y: tuple[int, ...]
     e: int
     p: int
     t2: int = 1
-    alphas: tuple[int, ...] = ()
 
     @cached_property
     def field(self) -> PrimeField:
@@ -128,13 +127,9 @@ class SchemeParams:
         return self.variant == "spma2"
 
     @property
-    def y_values(self) -> tuple[int, ...]:
-        return self.y if isinstance(self.y, tuple) else (self.y,)
-
-    @property
     def mu(self) -> int:
         """Query noise depth."""
-        return max(self.t * self.n if self.is_type2 else self.t, max(self.y_values))
+        return max(self.t * self.n if self.is_type2 else self.t, max(self.y))
 
     @property
     def storage_depth(self) -> int:
@@ -148,19 +143,16 @@ class SchemeParams:
             raise ParameterError("n_eff is defined for the type-II variant only")
         return self.storage_depth + self.mu + 1
 
-    @property
-    def n_alphas(self) -> int:
-        return self.n_eff if self.is_type2 else self.n
-
-    @property
+    @cached_property
     def alphas_used(self) -> tuple[int, ...]:
-        return self.alphas[: self.n_alphas]
+        """One evaluation point per answering database: N, or n_eff for type II."""
+        return default_alphas(self.p, self.n_eff if self.is_type2 else self.n)
 
     @property
     def blinding_depth(self) -> int:
         """Blinding scalars per answer: 0 for pma1, else one fewer than the
         answers one decode reads (N for spma1, n_eff for spma2)."""
-        return 0 if self.variant == "pma1" else self.n_alphas - 1
+        return 0 if self.variant == "pma1" else len(self.alphas_used) - 1
 
     def summary(self) -> dict:
         out = {
@@ -168,7 +160,7 @@ class SchemeParams:
             "m": self.m,
             "n": self.n,
             "t": self.t,
-            "y": list(self.y_values) if self.is_type2 else self.y,
+            "y": list(self.y) if self.is_type2 else self.y[0],
             "e": self.e,
             "p": self.p,
             "alphas": list(self.alphas_used),
@@ -189,61 +181,75 @@ def auto_p(m: int, n: int) -> int:
     return q
 
 
-def auto_n(variant: str, m: int, t: int, y, t2: int = 1) -> int:
-    variant = VARIANT_ALIASES.get(variant, variant)
-    y_max = y if isinstance(y, int) else max(y)
+def auto_n(variant: str, m: int, t: int, y: tuple[int, ...], t2: int = 1) -> int:
+    """The fewest databases per party that meet the side condition."""
     if variant != "spma2":
-        return max(t, y_max) + 1
+        return max(t, *y) + 1
     for n in range(1, 1025):
-        if m * n >= t2 * n + max(t * n, y_max) + 1:
+        if m * n >= t2 * n + max(t * n, *y) + 1:
             return n
     raise ParameterError(
         f"no database count satisfies M*N >= T2*N + max(T*N, Y) + 1 for "
         f"M={m}, T={t}, Y={y}, T2={t2}")
 
 
+# least value and meaning of each int parameter; type int exactly, so not a bool
+_LEAST = {"m": (2, "party count M"), "n": (1, "database count N"),
+          "e": (1, "universe size E"), "t": (0, "collusion budget T"),
+          "t2": (1, "communicating-party count T2"), "p": (2, "field modulus p")}
+
+
+def _check_raw(variant: str, **ints) -> None:
+    """The variant and the given int parameters, as chosen: before anything
+    is derived from them."""
+    if variant not in VARIANTS:
+        raise ParameterError(
+            f"unknown variant {variant!r}; expected one of {VARIANTS} (or alias 'pma2')")
+    for name, v in ints.items():
+        if type(v) is not int:
+            raise ParameterError(f"{name} must be an int, got {v!r}")
+        least, what = _LEAST[name]
+        if v < least:
+            raise ParameterError(f"{what} must be at least {least}, got {v}")
+        if name == "p" and v >= _WORDS:
+            raise ParameterError(f"field modulus p must be below 2^64, the range "
+                                 f"of the random source; got p={v}")
+
+
+def _per_party_y(variant: str, m: int, y) -> tuple[int, ...]:
+    """Y as one eavesdropping budget per party. An int applies to every
+    party; a type-I list must repeat one value, a type-II list has M."""
+    values = (y,) * m if type(y) is int else y
+    if not (isinstance(values, (list, tuple))
+            and all(type(v) is int and v >= 0 for v in values)):
+        raise ParameterError(
+            f"y must be a non-negative int or a list of them, got {y!r}")
+    if variant != "spma2" and len(set(values)) != 1:
+        raise ParameterError(f"type-I variants take a single eavesdropping budget, got {y!r}")
+    values = tuple(values) if variant == "spma2" else (values[0],) * m
+    if len(values) != m:  # a type-II list of the wrong length
+        raise ParameterError(
+            f"type-II eavesdropping budgets must be {m} non-negative ints, got {y!r}")
+    return values
+
+
 def validate_params(params: SchemeParams, *, stacklevel: int = 2) -> SchemeParams:
     """Check every side condition; errors name the violated inequality."""
-    if params.variant not in VARIANTS:
-        raise ParameterError(
-            f"unknown variant {params.variant!r}; expected one of {VARIANTS} "
-            f"(or alias 'pma2')")
-    for name in ("m", "n", "t", "e", "p", "t2"):
-        v = getattr(params, name)
-        if not isinstance(v, int):
-            raise ParameterError(f"{name} must be an int, got {v!r}")
-    if params.m < 2:
-        raise ParameterError(f"party count M must be at least 2, got {params.m}")
-    if params.n < 1:
-        raise ParameterError(f"database count N must be at least 1, got {params.n}")
-    if params.e < 1:
-        raise ParameterError(f"universe size E must be at least 1, got {params.e}")
-    if params.t < 0:
-        raise ParameterError(f"collusion budget T must be non-negative, got {params.t}")
-    if params.t2 < 1:
-        raise ParameterError(f"communicating-party count T2 must be >= 1, got {params.t2}")
-    field = params.field  # validates primality
+    _check_raw(params.variant, m=params.m, n=params.n, e=params.e, t=params.t,
+               t2=params.t2, p=params.p)
+    if _per_party_y(params.variant, params.m, params.y) != params.y:
+        raise ParameterError(f"y must hold one budget per party, got {params.y!r}")
+    params.field  # validates primality
     if params.p <= params.m:
         raise ParameterError(
             f"counts range over 0..M, so p > M is required: p={params.p}, M={params.m}")
     if params.is_type2:
-        y = params.y
-        if not (isinstance(y, tuple) and len(y) == params.m
-                and all(isinstance(v, int) and v >= 0 for v in y)):
-            raise ParameterError(
-                f"type-II eavesdropping budgets must be {params.m} non-negative "
-                f"ints, got {y!r}")
-        n_eff = params.n_eff
-        if params.m * params.n < n_eff:
+        if params.m * params.n < params.n_eff:
             raise ParameterError(
                 f"type-II side condition M*N >= T2*N + max(T*N, Y_1..Y_M) + 1 "
-                f"violated: {params.m * params.n} < {n_eff}")
+                f"violated: {params.m * params.n} < {params.n_eff}")
     else:
-        if not (isinstance(params.y, int) and params.y >= 0):
-            raise ParameterError(
-                f"type-I eavesdropping budget Y must be a non-negative int, "
-                f"got {params.y!r}")
-        required = max(params.t, params.y) + 1
+        required = params.mu + 1
         if params.n < required:
             raise ParameterError(
                 f"type-I side condition N >= max(T, Y) + 1 violated: "
@@ -252,10 +258,7 @@ def validate_params(params: SchemeParams, *, stacklevel: int = 2) -> SchemeParam
             warnings.warn(
                 "N exceeds max(T, Y) + 1; the extra databases only add download cost",
                 UserWarning, stacklevel=stacklevel)
-    if len(params.alphas) < params.n_alphas:
-        raise ParameterError(
-            f"need {params.n_alphas} evaluation points, got {len(params.alphas)}")
-    validate_alphas(field, params.alphas)
+    params.alphas_used  # GF(p) must offer a point per database that answers
     if params.mu == 0:
         warnings.warn(
             "query noise depth is 0: queries are sent in the clear "
@@ -265,33 +268,20 @@ def validate_params(params: SchemeParams, *, stacklevel: int = 2) -> SchemeParam
 
 
 def make_params(variant: str, m: int, e: int, *, t: int = 0, y=0,
-                n: int | None = None, p: int | None = None, t2: int = 1,
-                alphas: Sequence[int] | None = None) -> SchemeParams:
-    """Build and validate parameters, filling N, p and the evaluation
-    points with their defaults when omitted."""
+                n: int | None = None, p: int | None = None,
+                t2: int = 1) -> SchemeParams:
+    """Build and validate parameters, deriving N and p when omitted. The
+    chosen values are checked before anything is derived from them."""
     variant = VARIANT_ALIASES.get(variant, variant)
-    if variant not in VARIANTS:
-        raise ParameterError(
-            f"unknown variant {variant!r}; expected one of {VARIANTS} (or alias 'pma2')")
-    if variant == "spma2":
-        if isinstance(y, int):
-            y = (y,) * m
-        else:
-            y = tuple(int(v) for v in y)
-    elif not isinstance(y, int):
-        vals = tuple(int(v) for v in y)
-        if len(set(vals)) != 1:
-            raise ParameterError(
-                f"type-I variants take a single eavesdropping budget, got {y!r}")
-        y = vals[0]
+    given = {k: v for k, v in {"n": n, "p": p}.items() if v is not None}  # else derived
+    _check_raw(variant, m=m, e=e, t=t, t2=t2, **given)
+    y = _per_party_y(variant, m, y)
     if n is None:
         n = auto_n(variant, m, t, y, t2)
     if p is None:
         p = auto_p(m, n)
-    params = SchemeParams(variant=variant, m=m, n=n, t=t, y=y, e=e, p=p, t2=t2)
-    if alphas is None:
-        alphas = default_alphas(p, params.n_alphas)
-    return validate_params(replace(params, alphas=tuple(alphas)), stacklevel=3)
+    return validate_params(
+        SchemeParams(variant=variant, m=m, n=n, t=t, y=y, e=e, p=p, t2=t2), stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -344,7 +334,7 @@ def decode_count(values: Sequence[int], params: SchemeParams) -> int:
     values are a polynomial in (1 + alpha) whose constant coefficient is
     the count, so one solve of the evaluation matrix recovers it. A count
     above M means the answers were corrupted."""
-    ups = build_upsilon(params.field, params.alphas_used, params.n_alphas)
+    ups = build_upsilon(params.field, params.alphas_used)
     count = solve_linear(params.field, ups, values)[0]  # validates the values
     if count > params.m:
         raise IntegrityError(

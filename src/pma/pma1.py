@@ -144,12 +144,12 @@ def answer_table(params: SchemeParams, tr: Transcript,
 
 
 def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
-        rng: RandomSource, transcript: Transcript | None = None) -> ProtocolRun:
+        rng: RandomSource) -> ProtocolRun:
     if params.variant != "pma1":
         raise ParameterError(f"expected pma1 parameters, got {params.variant!r}")
     if len(datasets) != params.m:
         raise ParameterError(f"expected {params.m} datasets, got {len(datasets)}")
-    tr = Transcript() if transcript is None else transcript
+    tr = Transcript()
     bits = [incidence(d, params.e) for d in datasets]
     queries = gen_queries(theta, params, rng)
     masks = gen_masks(params, rng)

@@ -41,12 +41,12 @@ def answer(bits: Sequence[int], query: Sequence[int], zrow: Sequence[int],
 
 
 def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
-        rng: RandomSource, transcript: Transcript | None = None) -> pma1.ProtocolRun:
+        rng: RandomSource) -> pma1.ProtocolRun:
     if params.variant != "spma1":
         raise ParameterError(f"expected spma1 parameters, got {params.variant!r}")
     if len(datasets) != params.m:
         raise ParameterError(f"expected {params.m} datasets, got {len(datasets)}")
-    tr = Transcript() if transcript is None else transcript
+    tr = Transcript()
     bits = [incidence(d, params.e) for d in datasets]
     queries = pma1.gen_queries(theta, params, rng)
     masks = pma1.gen_masks(params, rng)

@@ -129,12 +129,12 @@ def decode(answers: Sequence[int], params: SchemeParams) -> int:
 
 
 def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
-        rng: RandomSource, transcript: Transcript | None = None) -> ProtocolRun:
+        rng: RandomSource) -> ProtocolRun:
     if params.variant != "spma2":
         raise ParameterError(f"expected spma2 parameters, got {params.variant!r}")
     if len(datasets) != params.m:
         raise ParameterError(f"expected {params.m} datasets, got {len(datasets)}")
-    tr = Transcript() if transcript is None else transcript
+    tr = Transcript()
     f = params.field
     n_eff = params.n_eff
     alphas = params.alphas_used

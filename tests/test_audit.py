@@ -285,7 +285,8 @@ def test_storage_security_passes():
 
 
 def test_storage_security_minimal_field():
-    params = make_params("spma2", 2, 1, t=0, y=0, p=3)
+    with pytest.warns(UserWarning, match="in the clear"):
+        params = make_params("spma2", 2, 1, t=0, y=0, p=3)
     result = audit.audit_storage_security(params)
     assert result.passed
 
@@ -369,7 +370,7 @@ def test_expand_matches_evaluate_interpolate():
         lhs_at = tuple((lhs[0][k] + x * lhs[1][k]) % 7 for k in range(2))
         rhs_at = tuple((rhs[0][k] + x * rhs[1][k]) % 7 for k in range(2))
         evals.append(f.dot(lhs_at, rhs_at))
-    ups = build_upsilon(f, alphas, 3)
+    ups = build_upsilon(f, alphas)
     assert tuple(solve_linear(f, ups, evals)) == coeffs
 
 

@@ -136,6 +136,28 @@ def test_run_config_bad_membership_probabilities_exit_2(tmp_path, capsys, gen_pr
     assert "membership probabilit" in err and named in err
 
 
+@pytest.mark.parametrize("config,key", [
+    ({"variant": "pma1", "m": "3", "e": 3, "t": 1}, "m"),
+    ({"variant": "pma1", "m": 2, "e": 3, "t": 1, "y": 1.5}, "y"),
+    ({"variant": "spma2", "m": 2, "e": 3, "y": "00"}, "y"),
+    ({"variant": "pma1", "m": 2, "e": 3, "t": 1, "y": "1"}, "y"),
+    ({"variant": "spma2", "m": 3, "e": 3, "t": 1, "y": [1.7, 0, 0]}, "y"),
+], ids=["string-m", "float-y", "string-y-type2", "string-y-type1", "float-in-y-list"])
+def test_run_config_wrong_value_types_exit_2(tmp_path, capsys, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"parameter error: {key} must be" in captured.err
+    assert captured.out == ""
+
+
+def test_run_p_past_the_sampler_range_exit_2(capsys):
+    assert main(["run", "--variant", "pma1", "--m", "2", "--e", "3", "--t", "1",
+                 "--theta", "1", "--p", "18446744073709551629"]) == 2
+    assert "field modulus p must be below 2^64" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["run", "--variant", "pma1", "--m", "2", "--e", "2", "--t", "1"],
     ["costs", "--variant", "pma1", "--sweep-m", "2..3", "--t", "1"],
@@ -155,6 +177,15 @@ def test_costs_exp_k_below_one_exit_2(capsys, exp_k):
                  "--exp-k", exp_k]) == 2
     captured = capsys.readouterr()
     assert "K must be at least 1" in captured.err
+    assert captured.out == ""
+
+
+def test_costs_exp_k_above_largest_m_exit_2(capsys):
+    # K-PSI asks for K of the M parties, so K is at most the largest M
+    assert main(["costs", "--variant", "pma1", "--sweep-m", "9..10", "--t", "1",
+                 "--exp-k", "5000"]) == 2
+    captured = capsys.readouterr()
+    assert "at most the largest party count 10, got 5000" in captured.err
     assert captured.out == ""
 
 

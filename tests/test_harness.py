@@ -12,7 +12,7 @@ from pma.harness import (RunConfig, build_audit_suite, cost_table, measure_costs
                          select_cases, theorem_bound, to_json)
 from pma.model import PartyDataset, RandomSource, make_params
 from pma import harness, pma1, spma1, spma2
-from pma.transcript import NOISE_SHARE, Transcript
+from pma.transcript import NOISE_SHARE
 
 PAPER_DATA = {
     "universe": ["a", "b", "c", "d", "e"],
@@ -58,6 +58,46 @@ def test_seeded_outputs_are_pinned(name):
     _, datasets, _, _ = resolve_config(config)
     members = json.dumps([sorted(d.members) for d in datasets]).encode()
     assert hashlib.sha256(members).hexdigest() == members_sha
+
+
+# Parameter summaries and cost tables recorded while the evaluation points
+# were a stored field and a type-I Y an int; deriving them must not change
+# a report.
+_SUMMARIES = [
+    (("pma1", 3, 4, {"t": 1, "y": 2}),
+     {"variant": "pma1", "m": 3, "n": 3, "t": 1, "y": 2, "e": 4, "p": 11,
+      "alphas": [1, 2, 3]}),
+    (("spma1", 4, 5, {"t": 2, "y": [1, 1, 1, 1]}),
+     {"variant": "spma1", "m": 4, "n": 3, "t": 2, "y": 1, "e": 5, "p": 17,
+      "alphas": [1, 2, 3]}),
+    (("spma2", 5, 3, {"t": 1, "y": [1, 0, 2, 0, 1]}),
+     {"variant": "spma2", "m": 5, "n": 1, "t": 1, "y": [1, 0, 2, 0, 1], "e": 3, "p": 7,
+      "alphas": [1, 2, 3, 4], "t2": 1, "n_eff": 4, "idle_databases": 1}),
+    (("pma2", 3, 2, {"t": 1}),
+     {"variant": "spma2", "m": 3, "n": 1, "t": 1, "y": [0, 0, 0], "e": 2, "p": 5,
+      "alphas": [1, 2, 3], "t2": 1, "n_eff": 3, "idle_databases": 0}),
+]
+
+
+@pytest.mark.parametrize("args,summary", _SUMMARIES,
+                         ids=["pma1", "spma1", "spma2", "pma2-alias"])
+def test_param_summaries_are_pinned(args, summary):
+    variant, m, e, kwargs = args
+    assert make_params(variant, m, e, **kwargs).summary() == summary
+
+
+def test_cost_tables_are_pinned():
+    assert cost_table("pma1", [2, 3, 4], t=1) == {
+        "schema": "pma-costs/1", "variant": "pma1", "t": 1, "y": 0, "e": 2, "exp_k": 2,
+        "rows": [{"m": m, "n": 2, "download": 2 * m, "bound": 2 * m, "bound_exact": True,
+                  "exp_reference": m * m} for m in (2, 3, 4)],
+        "linear_in_m": True, "per_party_coefficient": 2, "zero_residual": True}
+    assert cost_table("spma2", [3, 4, 5], t=1, y=[0, 1, 0, 1, 0]) == {
+        "schema": "pma-costs/1", "variant": "spma2", "t": 1, "y": [0, 1, 0, 1, 0],
+        "e": 2, "exp_k": 2,
+        "rows": [{"m": m, "n": 1, "download": 3, "bound": 3, "bound_exact": True,
+                  "exp_reference": m * m, "n_eff": 3} for m in (3, 4, 5)],
+        "constant_download": True}
 
 
 def test_run_config_round_trip():
@@ -222,11 +262,11 @@ def test_different_seeds_change_transcripts_not_counts():
 
 def test_measure_costs_bound_flag():
     with pytest.warns(UserWarning, match="extra databases"):
-        params = make_params("pma1", 2, 2, t=0, y=0, n=2)
+        with pytest.warns(UserWarning, match="in the clear"):
+            params = make_params("pma1", 2, 2, t=0, y=0, n=2)
     datasets = [PartyDataset(frozenset({1})), PartyDataset(frozenset())]
-    tr = Transcript()
-    pma1.run(params, datasets, 1, RandomSource(0), tr)
-    cost = measure_costs(tr, params)
+    run = pma1.run(params, datasets, 1, RandomSource(0))
+    cost = measure_costs(run.transcript, params)
     assert cost["download_symbols"] == 4
     assert cost["theorem_bound"] == 2
     assert cost["bound_met"] is False  # oversized N is allowed but wasteful

@@ -35,7 +35,8 @@ def test_type2_infeasible_named_inequality():
 
 
 def test_type2_zero_budgets_need_n_plus_one():
-    params = make_params("spma2", 2, 1, t=0, y=0)
+    with pytest.warns(UserWarning, match="in the clear"):
+        params = make_params("spma2", 2, 1, t=0, y=0)
     assert params.n_eff == params.n + 1
 
 
@@ -45,8 +46,8 @@ def test_p_must_exceed_m():
 
 
 def test_auto_n():
-    assert auto_n("pma1", 4, 1, 0) == 2
-    assert auto_n("pma1", 4, 0, 2) == 3
+    assert auto_n("pma1", 4, 1, (0,) * 4) == 2
+    assert auto_n("pma1", 4, 0, (2,) * 4) == 3
     assert auto_n("spma2", 3, 1, (0, 0, 0)) == 1
     with pytest.raises(ParameterError):
         auto_n("spma2", 2, 1, (0, 0))
@@ -60,7 +61,8 @@ def test_auto_p_smallest_prime_above_bound():
 
 def test_oversized_n_warns():
     with pytest.warns(UserWarning, match="extra databases"):
-        make_params("pma1", 2, 2, t=0, y=0, n=3)
+        with pytest.warns(UserWarning, match="in the clear"):
+            make_params("pma1", 2, 2, t=0, y=0, n=3)
 
 
 def test_degenerate_depth_warns():
@@ -123,23 +125,65 @@ def test_unknown_variant():
 
 def test_alphas_default_skips_p_minus_one():
     params = make_params("pma1", 2, 2, t=1, y=0, p=3)
-    assert params.alphas == (1, 0)
+    assert params.alphas_used == (1, 0)
 
 
-def test_custom_alphas_validated():
-    with pytest.raises(ParameterError, match="p-1"):
-        make_params("pma1", 2, 2, t=1, y=0, p=7, alphas=(1, 6))
-    with pytest.raises(ParameterError, match="repeated"):
-        make_params("pma1", 2, 2, t=1, y=0, p=7, alphas=(2, 2))
-    with pytest.raises(ParameterError, match="evaluation points"):
-        make_params("pma1", 2, 2, t=1, y=0, p=7, alphas=(1,))
+def test_too_few_evaluation_points_named():
+    # GF(5) offers the points 1, 2, 3 and 0 (4 = p-1 is never used)
+    assert make_params("spma2", 4, 2, t=1, p=5).alphas_used == (1, 2, 3)
+    with pytest.raises(ParameterError, match="only 4 usable evaluation points, need 6"):
+        make_params("spma2", 4, 2, t=1, y=[0, 0, 3, 0], p=5)
 
 
 def test_validate_params_rejects_bad_y_shapes():
-    bad = SchemeParams(variant="spma2", m=3, n=1, t=1, y=(0, 0), e=2, p=5,
-                       alphas=(1, 2, 3))
+    bad = SchemeParams(variant="spma2", m=3, n=1, t=1, y=(0, 0), e=2, p=5)
     with pytest.raises(ParameterError, match="budgets"):
         validate_params(bad)
+    for y in (1, (1,), (1, 1, 1)):  # type I stores one equal budget per party
+        with pytest.raises(ParameterError, match="per party"):
+            validate_params(SchemeParams(variant="pma1", m=2, n=2, t=1, y=y, e=2, p=5))
+
+
+def test_y_is_stored_per_party_for_every_variant():
+    assert make_params("pma1", 3, 2, t=1, y=2).y == (2, 2, 2)
+    assert make_params("spma1", 2, 2, t=1, y=[1, 1]).y == (1, 1)
+    assert make_params("spma2", 3, 2, t=1, y=1).y == (1, 1, 1)
+    assert make_params("spma2", 3, 2, t=1, y=[0, 2, 1]).y == (0, 2, 1)
+    with pytest.raises(ParameterError, match="single eavesdropping budget"):
+        make_params("pma1", 2, 2, t=1, y=[0, 1])
+
+
+@pytest.mark.parametrize("key,value", [
+    ("m", "3"), ("m", 2.0), ("e", None), ("t", True), ("t2", "1"), ("n", 2.5),
+    ("p", "7"), ("y", "1"), ("y", "00"), ("y", 1.5), ("y", [1.7, 0, 0]),
+    ("y", -1), ("y", [0, None, 0]), ("y", {"a": 1}),
+])
+def test_raw_values_checked_before_n_and_p_are_derived(key, value):
+    kwargs = {"m": 3, "e": 2, "t": 1, key: value}
+    m, e = kwargs.pop("m"), kwargs.pop("e")
+    with pytest.raises(ParameterError, match=f"^{key} must be"):
+        make_params("spma2", m, e, **kwargs)
+
+
+def test_lower_bounds_checked_before_n_and_p_are_derived():
+    for kwargs, named in [({"m": 1}, "party count M"), ({"e": 0}, "universe size E"),
+                          ({"t": -1}, "collusion budget T"),
+                          ({"t2": 0}, "communicating-party count T2"),
+                          ({"n": 0}, "database count N")]:
+        args = {"m": 3, "e": 2, "t": 1, **kwargs}
+        m, e = args.pop("m"), args.pop("e")
+        with pytest.raises(ParameterError, match=f"{named} must be at least"):
+            make_params("spma2", m, e, **args)
+
+
+def test_p_past_the_sampler_range_named():
+    p = 18446744073709551629  # the smallest prime above 2^64
+    with pytest.raises(ParameterError, match="field modulus p must be below 2\\^64"):
+        make_params("pma1", 2, 3, t=1, p=p)
+    with pytest.raises(ParameterError, match="field modulus p must be below 2\\^64"):
+        validate_params(SchemeParams(variant="pma1", m=2, n=2, t=1, y=(0, 0), e=3, p=p))
+    # the largest prime below 2^64 is in range
+    assert make_params("pma1", 2, 3, t=1, p=18446744073709551557).p < 2 ** 64
 
 
 def test_incidence_examples():

@@ -33,7 +33,7 @@ def test_zero_noise_queries_are_unit_vectors():
 
 def test_query_vector_direct_evaluation():
     # e_1 + (1+1)^1 * (1,2) = (1,0) + (2,4) = (0,1) over GF(3)
-    params = make_params("pma1", 2, 2, t=1, y=0, p=3, alphas=(1, 0))
+    params = make_params("pma1", 2, 2, t=1, y=0, p=3)
     q = query_vector(1, 1, [(1, 2)], params)
     assert q == (0, 1)
 
@@ -54,7 +54,7 @@ def test_masks_two_party_cancellation():
 
 def test_masks_completion_example():
     # S3 = -(S1 + S2) = -(4, 0) = (1, 0) over GF(5)
-    params = make_params("pma1", 3, 1, t=1, y=0, n=2, p=5, alphas=(1, 2))
+    params = make_params("pma1", 3, 1, t=1, y=0, n=2, p=5)
     masks = pma1.masks_from_free(params, [(1, 2), (3, 3)])
     assert masks[2] == (1, 0)
 

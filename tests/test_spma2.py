@@ -40,7 +40,9 @@ def test_storage_encode_zero_noise_replicates():
 
 def test_storage_encode_direct_evaluation():
     # 1 + (1+1)^1 * 2 = 0 over GF(5)
-    params = make_params("spma2", 2, 1, t=0, y=0, p=5, n=1, alphas=(1, 2))
+    with pytest.warns(UserWarning, match="in the clear"):
+        params = make_params("spma2", 2, 1, t=0, y=0, p=5, n=1)
+    assert params.alphas_used == (1, 2)
     enc = spma2.encode_from_noise((1,), params, [(2,)])
     assert enc.shares[0] == (0,)
 
@@ -113,7 +115,7 @@ def test_decode_round_trip_constant_coefficient():
     # answers = Upsilon_3 * (2, r1, r2): decode must return 2
     params = params_small(e=2, p=7)
     f = params.field
-    ups = build_upsilon(f, params.alphas_used, 3)
+    ups = build_upsilon(f, params.alphas_used)
     answers = [f.dot(row, (2, 5, 1)) for row in ups]
     assert spma2.decode(list(answers), params) == 2
 
@@ -121,7 +123,7 @@ def test_decode_round_trip_constant_coefficient():
 def test_decode_count_range_checked():
     params = params_small(e=2, p=7)
     f = params.field
-    ups = build_upsilon(f, params.alphas_used, 3)
+    ups = build_upsilon(f, params.alphas_used)
     answers = [f.dot(row, (6, 0, 0)) for row in ups]
     with pytest.raises(IntegrityError, match="outside 0..3"):
         spma2.decode(list(answers), params)
