@@ -9,6 +9,7 @@ check lengths only and trust their elements to lie in GF(p).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -115,42 +116,56 @@ def build_upsilon(field: PrimeField,
     return tuple(zip(*columns))
 
 
+@lru_cache(maxsize=8)
+def _factor(p: int, rows: tuple[tuple[int, ...], ...]):
+    """LU factorization with partial pivoting over GF(p), validating the
+    elements: per column the pivot row, the pivot's inverse and the
+    multipliers below it, then the U rows right of the (implicit, unit)
+    diagonal. About n^3/3 multiply-adds, once per (p, matrix): every decode
+    of one parameter set solves the same matrix."""
+    n = len(rows)
+    field = PrimeField(p)
+    work = [list(field.check_all(row)) for row in rows]
+    steps = []
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            raise IntegrityError(
+                "singular linear system; evaluation points must be distinct")
+        work[col], work[pivot] = work[pivot], work[col]
+        head = work[col]
+        inv = pow(head[col], p - 2, p)
+        tail = head[col + 1:] = [x * inv % p for x in head[col + 1:]]
+        below = tuple(row[col] for row in work[col + 1:])
+        for row, factor in zip(work[col + 1:], below):
+            if factor:
+                row[col + 1:] = [(a - factor * b) % p
+                                 for a, b in zip(row[col + 1:], tail)]
+        steps.append((pivot, inv, below))
+    return tuple(steps), tuple(tuple(row[col + 1:]) for col, row in enumerate(work))
+
+
 def solve_linear(field: PrimeField, m, rhs) -> list[int]:
-    """Solve m x = rhs by Gaussian elimination over GF(p).
-
-    Forward elimination touches only the columns right of the pivot (about
-    n^3/3 multiply-adds), then back-substitution; a pivot row is scaled so
-    its diagonal is 1, which is left implicit.
-
-    A singular system is unreachable for matrices built from valid
-    evaluation points; hitting one means the inputs are corrupted.
-    """
+    """Solve m x = rhs over GF(p): the memoized factorization of m, then
+    about n^2 multiply-adds of substitution. A singular m, unreachable from
+    valid evaluation points, means corrupted inputs; it raises on every
+    call, as a failed factorization is not memoized."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ParameterError("matrix must be square")
     if len(rhs) != n:
         raise ParameterError(f"right-hand side has length {len(rhs)}, expected {n}")
     p = field.p
-    aug = [[*field.check_all(row), field.check(b)] for row, b in zip(m, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise IntegrityError(
-                "singular linear system; evaluation points must be distinct")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        head = aug[col]
-        inv = pow(head[col], p - 2, p)
-        tail = head[col + 1:] = [x * inv % p for x in head[col + 1:]]
-        for r in range(col + 1, n):
-            row = aug[r]
-            factor = row[col]
-            if factor:
-                row[col + 1:] = [(a - factor * b) % p
-                                 for a, b in zip(row[col + 1:], tail)]
+    b = list(field.check_all(rhs))
+    steps, upper = _factor(p, tuple(map(tuple, m)))
+    for col, (pivot, inv, below) in enumerate(steps):
+        b[col], b[pivot] = b[pivot], b[col]
+        head = b[col] = b[col] * inv % p
+        if head:
+            b[col + 1:] = [(a - f * head) % p for a, f in zip(b[col + 1:], below)]
     x = [0] * n
     for i in range(n - 1, -1, -1):
-        row = aug[i]
-        x[i] = (row[n] - sum(map(mul, row[i + 1:n], x[i + 1:]))) % p
+        x[i] = (b[i] - sum(map(mul, upper[i], x[i + 1:]))) % p
     return x
 
 

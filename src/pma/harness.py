@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 from . import audit, pma1, spma1, spma2
 from .errors import IntegrityError, ParameterError
-from .model import (RandomSource, SchemeParams, generate_datasets, load_datasets,
-                    make_params, true_count)
+from .model import (LEAST, RandomSource, SchemeParams, check_raw, generate_datasets,
+                    load_datasets, make_params, true_count)
 from .transcript import (ANSWER, MASK_SHARE, NOISE_SHARE, QUERY, STORAGE_SHARE,
                          Transcript)
 
@@ -110,8 +110,11 @@ def resolve_config(config: RunConfig):
     """Build validated params, the datasets and the run's randomness source.
 
     Dataset generation consumes the source first, so a seeded run is fully
-    reproducible end to end.
+    reproducible end to end. The chosen values are checked first; None
+    values are derived.
     """
+    check_raw(config.variant, **{k: v for k, v in vars(config).items()
+                                 if k in LEAST and v is not None})
     rng = RandomSource(config.seed)
     universe = datasets = None
     m, e = config.m, config.e

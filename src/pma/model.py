@@ -148,6 +148,11 @@ class SchemeParams:
         """One evaluation point per answering database: N, or n_eff for type II."""
         return default_alphas(self.p, self.n_eff if self.is_type2 else self.n)
 
+    @cached_property
+    def upsilon(self) -> tuple[tuple[int, ...], ...]:
+        """The evaluation matrix every count decode solves, built once."""
+        return build_upsilon(self.field, self.alphas_used)
+
     @property
     def blinding_depth(self) -> int:
         """Blinding scalars per answer: 0 for pma1, else one fewer than the
@@ -193,27 +198,31 @@ def auto_n(variant: str, m: int, t: int, y: tuple[int, ...], t2: int = 1) -> int
         f"M={m}, T={t}, Y={y}, T2={t2}")
 
 
-# least value and meaning of each int parameter; type int exactly, so not a bool
-_LEAST = {"m": (2, "party count M"), "n": (1, "database count N"),
-          "e": (1, "universe size E"), "t": (0, "collusion budget T"),
-          "t2": (1, "communicating-party count T2"), "p": (2, "field modulus p")}
+# least value (None: any) and meaning of each int a caller chooses, as
+# parameters or in a run configuration; type int exactly, so not a bool
+LEAST = {"m": (2, "party count M"), "n": (1, "database count N"),
+         "e": (1, "universe size E"), "t": (0, "collusion budget T"),
+         "t2": (1, "communicating-party count T2"), "p": (2, "field modulus p"),
+         "theta": (1, "queried index theta"), "seed": (None, "seed")}
 
 
-def _check_raw(variant: str, **ints) -> None:
+def check_raw(variant, **ints) -> str:
     """The variant and the given int parameters, as chosen: before anything
-    is derived from them."""
-    if variant not in VARIANTS:
+    is derived from them. Returns the variant with its alias resolved."""
+    resolved = VARIANT_ALIASES.get(variant, variant) if type(variant) is str else None
+    if resolved not in VARIANTS:
         raise ParameterError(
             f"unknown variant {variant!r}; expected one of {VARIANTS} (or alias 'pma2')")
     for name, v in ints.items():
         if type(v) is not int:
             raise ParameterError(f"{name} must be an int, got {v!r}")
-        least, what = _LEAST[name]
-        if v < least:
+        least, what = LEAST[name]
+        if least is not None and v < least:
             raise ParameterError(f"{what} must be at least {least}, got {v}")
         if name == "p" and v >= _WORDS:
             raise ParameterError(f"field modulus p must be below 2^64, the range "
                                  f"of the random source; got p={v}")
+    return resolved
 
 
 def _per_party_y(variant: str, m: int, y) -> tuple[int, ...]:
@@ -235,8 +244,9 @@ def _per_party_y(variant: str, m: int, y) -> tuple[int, ...]:
 
 def validate_params(params: SchemeParams, *, stacklevel: int = 2) -> SchemeParams:
     """Check every side condition; errors name the violated inequality."""
-    _check_raw(params.variant, m=params.m, n=params.n, e=params.e, t=params.t,
-               t2=params.t2, p=params.p)
+    if check_raw(params.variant, m=params.m, n=params.n, e=params.e, t=params.t,
+                 t2=params.t2, p=params.p) != params.variant:
+        raise ParameterError(f"parameters take no variant alias, got {params.variant!r}")
     if _per_party_y(params.variant, params.m, params.y) != params.y:
         raise ParameterError(f"y must hold one budget per party, got {params.y!r}")
     params.field  # validates primality
@@ -272,9 +282,8 @@ def make_params(variant: str, m: int, e: int, *, t: int = 0, y=0,
                 t2: int = 1) -> SchemeParams:
     """Build and validate parameters, deriving N and p when omitted. The
     chosen values are checked before anything is derived from them."""
-    variant = VARIANT_ALIASES.get(variant, variant)
     given = {k: v for k, v in {"n": n, "p": p}.items() if v is not None}  # else derived
-    _check_raw(variant, m=m, e=e, t=t, t2=t2, **given)
+    variant = check_raw(variant, m=m, e=e, t=t, t2=t2, **given)
     y = _per_party_y(variant, m, y)
     if n is None:
         n = auto_n(variant, m, t, y, t2)
@@ -334,8 +343,7 @@ def decode_count(values: Sequence[int], params: SchemeParams) -> int:
     values are a polynomial in (1 + alpha) whose constant coefficient is
     the count, so one solve of the evaluation matrix recovers it. A count
     above M means the answers were corrupted."""
-    ups = build_upsilon(params.field, params.alphas_used)
-    count = solve_linear(params.field, ups, values)[0]  # validates the values
+    count = solve_linear(params.field, params.upsilon, values)[0]  # validates the values
     if count > params.m:
         raise IntegrityError(
             f"decoded count {count} outside 0..{params.m}; transcript corrupted")
@@ -353,8 +361,9 @@ def true_count(theta: int, datasets: Sequence[PartyDataset], e: int) -> int:
 def _threshold(pk) -> int:
     """The word bound of a membership probability: for an int word w,
     w < ceil(pk * 2^53) is w / 2^53 < pk (the scaling is exact)."""
-    if not isinstance(pk, (int, float)) or not 0 <= pk <= 1:
-        raise ParameterError(f"membership probability {pk!r} is not a number in [0, 1]")
+    if type(pk) not in (int, float) or not 0 <= pk <= 1:
+        raise ParameterError(
+            f"membership probability {pk!r} in gen_probs is not a number in [0, 1]")
     return math.ceil(pk * _DYADIC)
 
 

@@ -57,9 +57,8 @@ class Transcript:
         Per event: the 8-byte little-endian length of a JSON header
         [round, sender, receiver, link, category, symbols, value count],
         the header, then a 0 tag byte and the values as little-endian
-        64-bit words. Values that do not all fit that format (negative,
-        2^64 or more, not integers) are written instead as a 1 tag byte,
-        an 8-byte length and their JSON array.
+        64-bit words. Field elements always fit, since p < 2^64; any other
+        value raises struct.error.
         """
         h = hashlib.sha256()
         for ev in self.events:
@@ -67,9 +66,5 @@ class Transcript:
                                  ev.category, ev.symbols, len(ev.values)]).encode()
             h.update(len(header).to_bytes(8, "little"))
             h.update(header)
-            try:
-                h.update(b"\x00" + struct.pack(f"<{len(ev.values)}Q", *ev.values))
-            except struct.error:
-                blob = json.dumps(list(ev.values)).encode()
-                h.update(b"\x01" + len(blob).to_bytes(8, "little") + blob)
+            h.update(b"\x00" + struct.pack(f"<{len(ev.values)}Q", *ev.values))
         return h.hexdigest()

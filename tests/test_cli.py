@@ -152,6 +152,20 @@ def test_run_config_wrong_value_types_exit_2(tmp_path, capsys, config, key):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("key,value", [
+    ("variant", ["pma1"]), ("theta", True), ("seed", True), ("seed", False),
+    ("gen_probs", False),
+], ids=["list-variant", "bool-theta", "true-seed", "false-seed", "bool-gen-probs"])
+def test_run_config_bools_and_list_variant_exit_2(tmp_path, capsys, key, value):
+    # JSON true and false are Python bools, which are ints to isinstance
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"variant": "pma1", "m": 2, "e": 3, "t": 1, key: value}))
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err and repr(value) in captured.err
+    assert captured.out == ""
+
+
 def test_run_p_past_the_sampler_range_exit_2(capsys):
     assert main(["run", "--variant", "pma1", "--m", "2", "--e", "3", "--t", "1",
                  "--theta", "1", "--p", "18446744073709551629"]) == 2

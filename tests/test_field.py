@@ -3,12 +3,12 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pma import pma1, spma1, spma2
 from pma.errors import IntegrityError, ParameterError
-from pma.field import (PrimeField, build_upsilon, default_alphas, is_prime,
+from pma.field import (PrimeField, _factor, build_upsilon, default_alphas, is_prime,
                        noise_pad_scalar, noise_pad_vector, solve_linear)
 from pma.model import PartyDataset, RandomSource, incidence, make_params, unit_vector
 
@@ -264,6 +264,53 @@ def test_solve_singular_systems_raise():
                 solve_linear(f, m, [0] * n)
 
 
+def test_solve_factors_each_matrix_once():
+    # five right-hand sides on one matrix, as lists and then as tuples: one
+    # factorization, then substitution only
+    p = 131
+    f = PrimeField(p)
+    rng = RandomSource(21)
+    m = random_matrix(rng, p, 7)
+    assert determinant(f, m) != 0
+    rhss = [list(rng.draw_vector(p, 7)) for _ in range(5)]
+    before = _factor.cache_info()
+    for matrix, wrap in ((m, list), (tuple(map(tuple, m)), tuple)):
+        for rhs in rhss:
+            assert solve_linear(f, matrix, wrap(rhs)) == ref_solve(p, m, rhs)
+    after = _factor.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 9)
+
+
+def test_solve_singular_raises_on_every_call():
+    f = PrimeField(7)
+    for _ in range(2):
+        with pytest.raises(IntegrityError):
+            solve_linear(f, ((1, 2), (2, 4)), [1, 2])
+
+
+def test_solve_checks_rhs_after_matrix_is_cached():
+    f = PrimeField(7)
+    m = ((1, 2), (3, 4))
+    assert solve_linear(f, m, [1, 2]) == ref_solve(7, m, [1, 2])
+    for bad in (7, -1, 1.0):
+        with pytest.raises(ParameterError, match="not an element of GF"):
+            solve_linear(f, m, [1, bad])
+    assert solve_linear(f, m, [5, 0]) == ref_solve(7, m, [5, 0])
+
+
+@pytest.mark.parametrize("bad", (7, -1))
+def test_solve_rejects_matrix_outside_field(bad):
+    with pytest.raises(ParameterError, match="not an element of GF"):
+        solve_linear(PrimeField(7), ((1, 2), (bad, 4)), [1, 2])
+
+
+@pytest.mark.parametrize("p", (131, 2 ** 61 - 1))
+def test_params_upsilon_is_the_built_matrix(p):
+    params = make_params("spma1", 3, 2, t=2, p=p)
+    assert params.upsilon == build_upsilon(params.field, params.alphas_used)
+    assert params.upsilon is params.upsilon  # built once per parameter set
+
+
 def test_upsilon_matches_pow_definition():
     cases = [(p, default_alphas(p, n)) for p, n in ((2, 1), (3, 2), (7, 6), (131, 64))]
     # non-default points, 0 among them, and leading slices of each list
@@ -370,7 +417,6 @@ def field_vectors(draw):
             draw(st.lists(element, min_size=depth, max_size=depth)))
 
 
-@settings(deadline=None)
 @given(field_vectors())
 # the collusion-wide shape: 63 noise rows on a length-2 vector
 @example((131, [1, 0], [5, 7], [[k % 131, (3 * k) % 131] for k in range(63)],

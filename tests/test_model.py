@@ -119,8 +119,12 @@ def test_pma2_alias_resolves_to_type2():
 
 
 def test_unknown_variant():
-    with pytest.raises(ParameterError):
-        make_params("pma3", 2, 2)
+    for variant in ("pma3", ["pma1"], None):
+        with pytest.raises(ParameterError, match="unknown variant"):
+            make_params(variant, 2, 2)
+    # parameters hold the resolved name
+    with pytest.raises(ParameterError, match="no variant alias"):
+        validate_params(SchemeParams(variant="pma2", m=3, n=1, t=1, y=(0, 0, 0), e=2, p=5))
 
 
 def test_alphas_default_skips_p_minus_one():
