@@ -10,6 +10,7 @@ check lengths only and trust their elements to lie in GF(p).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from operator import mul
 from typing import Sequence
 
@@ -116,33 +117,45 @@ def build_upsilon(field: PrimeField,
     return tuple(zip(*columns))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _factor(p: int, rows: tuple[tuple[int, ...], ...]):
     """LU factorization with partial pivoting over GF(p), validating the
     elements: per column the pivot row, the pivot's inverse and the
     multipliers below it, then the U rows right of the (implicit, unit)
-    diagonal. About n^3/3 multiply-adds, once per (p, matrix): every decode
-    of one parameter set solves the same matrix."""
+    diagonal. One entry suffices: every decode of a run solves one matrix.
+
+    Each row is packed into one int, ``size`` bytes per element, so a row
+    update is one big-int multiply-add. Elements are reduced only when read;
+    a slot gains at most (p-1)^2 per update, at most n times.
+    """
     n = len(rows)
     field = PrimeField(p)
-    work = [list(field.check_all(row)) for row in rows]
-    steps = []
+    size = ((p + n * (p - 1) ** 2).bit_length() + 7) // 8
+    w, mask = 8 * size, (1 << 8 * size) - 1
+
+    def pack(values):
+        return int.from_bytes(b"".join(a.to_bytes(size, "little") for a in values), "little")
+
+    work = [pack(field.check_all(row)) for row in rows]
+    steps, upper = [], []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        column = [(r >> col * w & mask) % p for r in work[col:]]
+        pivot = next((i for i, a in enumerate(column) if a), None)
         if pivot is None:
             raise IntegrityError(
                 "singular linear system; evaluation points must be distinct")
-        work[col], work[pivot] = work[pivot], work[col]
-        head = work[col]
-        inv = pow(head[col], p - 2, p)
-        tail = head[col + 1:] = [x * inv % p for x in head[col + 1:]]
-        below = tuple(row[col] for row in work[col + 1:])
-        for row, factor in zip(work[col + 1:], below):
-            if factor:
-                row[col + 1:] = [(a - factor * b) % p
-                                 for a, b in zip(row[col + 1:], tail)]
-        steps.append((pivot, inv, below))
-    return tuple(steps), tuple(tuple(row[col + 1:]) for col, row in enumerate(work))
+        work[col], work[col + pivot] = work[col + pivot], work[col]
+        column[0], column[pivot] = column[pivot], column[0]
+        inv = pow(column[0], p - 2, p)
+        head = work[col] >> (col + 1) * w
+        tail = tuple((head >> j * w & mask) * inv % p for j in range(n - col - 1))
+        packed = pack(tail) << (col + 1) * w
+        below = tuple(column[1:])
+        work[col + 1:] = [r + (p - f) * packed if f else r
+                          for r, f in zip(work[col + 1:], below)]
+        steps.append((col + pivot, inv, below))
+        upper.append(tail)
+    return tuple(steps), tuple(upper)
 
 
 def solve_linear(field: PrimeField, m, rhs) -> list[int]:
@@ -157,7 +170,12 @@ def solve_linear(field: PrimeField, m, rhs) -> list[int]:
         raise ParameterError(f"right-hand side has length {len(rhs)}, expected {n}")
     p = field.p
     b = list(field.check_all(rhs))
-    steps, upper = _factor(p, tuple(map(tuple, m)))
+    rows = tuple(map(tuple, m))
+    if {*map(type, chain.from_iterable(rows))} - {int}:
+        # before the lookup: 1.0 would hit a cached 1, a list is unhashable
+        for row in rows:
+            field.check_all(row)
+    steps, upper = _factor(p, rows)
     for col, (pivot, inv, below) in enumerate(steps):
         b[col], b[pivot] = b[pivot], b[col]
         head = b[col] = b[col] * inv % p

@@ -298,10 +298,13 @@ def test_solve_checks_rhs_after_matrix_is_cached():
     assert solve_linear(f, m, [5, 0]) == ref_solve(7, m, [5, 0])
 
 
-@pytest.mark.parametrize("bad", (7, -1))
+@pytest.mark.parametrize("bad", (7, -1, 3.0, [3]))
 def test_solve_rejects_matrix_outside_field(bad):
+    # with ((1, 2), (3, 4)) cached: 3.0 equals its 3, and a list is no key
+    f = PrimeField(7)
+    assert solve_linear(f, ((1, 2), (3, 4)), [1, 2]) == ref_solve(7, ((1, 2), (3, 4)), [1, 2])
     with pytest.raises(ParameterError, match="not an element of GF"):
-        solve_linear(PrimeField(7), ((1, 2), (bad, 4)), [1, 2])
+        solve_linear(f, ((1, 2), (bad, 4)), [1, 2])
 
 
 @pytest.mark.parametrize("p", (131, 2 ** 61 - 1))
