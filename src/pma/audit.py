@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Sequence
 from . import pma1, spma1, spma2
 from .errors import AuditInfeasibleError, IntegrityError, ParameterError
 from .field import noise_pad_scalar, noise_pad_vector
-from .model import SchemeParams, query_vector
+from .model import SchemeParams, query_vectors
 from .transcript import MASK_SHARE, ROUND_SETUP, Transcript
 
 # view evaluations per audit case for the coset laws; assignments per
@@ -295,15 +295,12 @@ def audit_query_privacy(params: SchemeParams, colluding_dbs: Sequence[int], *,
     ``colluding_dbs`` are 1-based database indices: within one party for
     the type-I variants, global for type II.
     """
-    alphas = params.alphas_used
     taps = _taps(params, colluding_dbs)
+    powers = [params.upsilon[j - 1] for j in taps]
 
     def view(assignment, theta):
         rows = _Cursor(assignment).rows(params.mu, params.e)
-        out = []
-        for j in taps:
-            out.extend(query_vector(theta, alphas[j - 1], rows, params))
-        return tuple(out)
+        return sum(query_vectors(theta, powers, rows, params), ())  # taps' queries, joined
 
     members = [(("theta", theta), partial(view, theta=theta))
                for theta in range(1, params.e + 1)]
@@ -346,7 +343,7 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
         raise ParameterError("blind-estimation audit applies to the type-I variants")
     f = params.field
     m, n, e, mu = params.m, params.n, params.e, params.mu
-    alphas = params.alphas_used
+    ups = params.upsilon
     depth = params.blinding_depth
     zero_free = tuple(((0,) * n) for _ in range(m - 1))
 
@@ -358,9 +355,10 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
         blinding = cur.rows(m, depth)
         out = []
         for i in range(m):
+            queries = query_vectors(theta, ups, noise[i], params)
             for j in range(n):
-                q = query_vector(theta, alphas[j], noise[i], params)
-                out.append(spma1.answer(bits[i], q, blinding[i], masks[i][j], alphas[j], f))
+                out.append(spma1.answer(bits[i], queries[j], blinding[i], masks[i][j],
+                                        ups[j], f))
         return tuple(out)
 
     def classes():
@@ -396,7 +394,7 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
     """
     f = params.field
     m, e, mu = params.m, params.e, params.mu
-    alphas = params.alphas_used
+    ups = params.upsilon
     depth = 0 if zero_blinding else params.blinding_depth
     # secrets(rows) yields (label, kappa, view) per dataset secret, with
     # every query padded by the noise rows ``rows``
@@ -407,16 +405,15 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
 
         def view(assignment, ptildes, queries):
             zp = _Cursor(assignment).vec(depth)
-            return tuple(spma2.answer(ptildes[nn], queries[nn], zp, alphas[nn], f)
+            return tuple(spma2.answer(ptildes[nn], queries[nn], zp, ups[nn], f)
                          for nn in range(n_eff))
 
         def secrets(rows):
-            queries = [query_vector(1, alphas[nn], rows, params) for nn in range(n_eff)]
+            queries = query_vectors(1, ups, rows, params)
             # answers read the datasets only through the aggregated
             # bit-sums, so range over those directly
             for sigma in itertools.product(range(m + 1), repeat=e):
-                ptildes = [noise_pad_vector(f, sigma, alphas[nn], xrows)
-                           for nn in range(n_eff)]
+                ptildes = noise_pad_vector(f, sigma, ups, xrows)
                 yield ("sums", sigma), sigma[0], partial(view, ptildes=ptildes,
                                                          queries=queries)
     else:
@@ -430,13 +427,13 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
             out = []
             for i in range(m):
                 for j in range(n):
-                    a = noise_pad_scalar(f, base[i][j], alphas[j], blinding[i])
+                    a = noise_pad_scalar(f, base[i][j], ups[j], blinding[i])
                     out.append((a + masks[i][j]) % f.p)
             return tuple(out)
 
         def secrets(rows):
             # every party pads with the same rows, so its queries are alike
-            queries = [query_vector(1, alphas[j], rows, params) for j in range(n)]
+            queries = query_vectors(1, ups, rows, params)
             for bits in _all_datasets(m, e):
                 base = [[f.dot(bits[i], queries[j]) for j in range(n)] for i in range(m)]
                 yield ("bits", bits), sum(bits[i][0] for i in range(m)), partial(view, base=base)
@@ -465,23 +462,20 @@ def audit_storage_security(params: SchemeParams, *, subset_size: int | None = No
         raise ParameterError("storage-security audit applies to the type-II variant")
     f = params.field
     e, n_eff = params.e, params.n_eff
-    alphas = params.alphas_used
     size = params.storage_depth if subset_size is None else subset_size
     if not 1 <= size <= n_eff:
         raise ParameterError(f"share subset size {size} outside 1..{n_eff}")
     depth = 0 if zero_storage_noise else params.storage_depth
 
-    def view(assignment, bits, subset):
+    def view(assignment, bits, powers):
         rows = _Cursor(assignment).rows(depth, e)
-        out = []
-        for j in subset:
-            out.extend(noise_pad_vector(f, bits, alphas[j], rows))
-        return tuple(out)
+        return sum(noise_pad_vector(f, bits, powers, rows), ())  # the shares, joined
 
     def classes():
         for subset in itertools.combinations(range(n_eff), size):
+            powers = [params.upsilon[j] for j in subset]
             yield {"subset": [j + 1 for j in subset]}, [
-                (("bits", bits), partial(view, bits=bits, subset=subset))
+                (("bits", bits), partial(view, bits=bits, powers=powers))
                 for bits in itertools.product((0, 1), repeat=e)]
 
     return _audit("storage-security", "lemma5", params, depth * e, classes(),
@@ -507,8 +501,8 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
     """
     f = params.field
     e, mu = params.e, params.mu
-    alphas = params.alphas_used
     taps = _taps(params, taps)
+    powers = [params.upsilon[j - 1] for j in taps]
     depth = params.blinding_depth
 
     if params.is_type2:
@@ -520,17 +514,16 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
             zrows = cur.rows(mu, e)
             zp = cur.vec(depth)
             out = []
-            for j in taps:
-                q = query_vector(theta, alphas[j - 1], zrows, params)
+            for q, ptilde, w in zip(query_vectors(theta, powers, zrows, params),
+                                    ptildes, powers):
                 out.extend(q)
-                out.append(spma2.answer(ptildes[j], q, zp, alphas[j - 1], f))
+                out.append(spma2.answer(ptilde, q, zp, w, f))
             return tuple(out)
 
         members = []
         for theta in range(1, e + 1):
             for sigma in itertools.product(range(m + 1), repeat=e):
-                ptildes = {j: noise_pad_vector(f, sigma, alphas[j - 1], xrows)
-                           for j in taps}
+                ptildes = noise_pad_vector(f, sigma, powers, xrows)
                 members.append((("theta", theta, "sums", sigma),
                                 partial(view, theta=theta, ptildes=ptildes)))
         lemma, dims = "lemma7", mu * e + depth
@@ -545,10 +538,9 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
             svec = zero_mask_vec if zero_masks else cur.vec(n)
             blinding = cur.vec(depth)
             out = []
-            for j in taps:
-                q = query_vector(theta, alphas[j - 1], zrows, params)
+            for q, j, w in zip(query_vectors(theta, powers, zrows, params), taps, powers):
                 out.extend(q)
-                out.append(spma1.answer(bits, q, blinding, svec[j - 1], alphas[j - 1], f))
+                out.append(spma1.answer(bits, q, blinding, svec[j - 1], w, f))
             return tuple(out)
 
         members = [(("theta", theta, "bits", bits), partial(view, theta=theta, bits=bits))

@@ -106,8 +106,9 @@ def build_upsilon(field: PrimeField,
                   alphas: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Square matrix with rows [1, (1+a_j), (1+a_j)^2, ...], one per point.
 
-    This is the Vandermonde-style system every decoder inverts; the default
-    evaluation points (distinct, never p-1) keep it nonsingular.
+    Every decoder inverts it and every pad weights its noise with its rows:
+    the one place powers of (1+alpha) are computed. The default evaluation
+    points (distinct, never p-1) keep it nonsingular.
     """
     p = field.p
     xs = [(1 + a) % p for a in alphas]
@@ -187,40 +188,49 @@ def solve_linear(field: PrimeField, m, rhs) -> list[int]:
     return x
 
 
-def noise_pad_vector(field: PrimeField, base: Sequence[int], alpha: int,
-                     noise_rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """base + sum_l (1+alpha)^l * noise[l-1], componentwise.
+def noise_pad_vector(field: PrimeField, base: Sequence[int],
+                     powers: Sequence[Sequence[int]],
+                     noise_rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """base + sum_l w[l] * noise[l-1], componentwise, for each row w of
+    ``powers``: one padded vector per row.
 
-    The shared coding primitive: queries pad the unit vector, storage
-    shares pad the incidence vector.
+    Each row is a row of Upsilon, [1, x, x^2, ...] with x = 1+alpha at one
+    evaluation point, so one call pads every point it is given. The shared
+    coding primitive: queries pad the unit vector, storage shares pad the
+    incidence vector.
     """
     p = field.p
-    x = (1 + alpha) % p
-    weights = []
-    c = 1
+    depth = len(noise_rows)
     for row in noise_rows:
         if len(row) != len(base):
             raise ParameterError("noise row length does not match the base vector")
-        c = c * x % p
-        weights.append(c)
-    if len(noise_rows) > len(base):
-        # deep noise on a short vector (high collusion): one dot per column
-        return tuple((a + sum(map(mul, weights, column))) % p
-                     for a, column in zip(base, zip(*noise_rows)))
-    out = base
-    for c, row in zip(weights, noise_rows):
-        out = [(a + c * z) % p for a, z in zip(out, row)]
-    return tuple(out)
+    for w in powers:
+        if len(w) <= depth:
+            raise ParameterError(f"noise of depth {depth} needs powers up to x^{depth}")
+    if depth > len(base):
+        # deep noise on a short vector (high collusion): one dot per column,
+        # the base leading each column at weight w[0] = 1
+        columns = tuple(zip(base, *noise_rows))
+        return tuple([tuple([sum(map(mul, w, column)) % p for column in columns])
+                      for w in powers])
+    padded = []
+    for w in powers:
+        out = base
+        for c, row in zip(w[1:], noise_rows):
+            out = [(a + c * z) % p for a, z in zip(out, row)]
+        padded.append(tuple(out))
+    return tuple(padded)
 
 
-def noise_pad_scalar(field: PrimeField, base: int, alpha: int,
+def noise_pad_scalar(field: PrimeField, base: int, powers: Sequence[int],
                      noise: Sequence[int]) -> int:
-    """base + sum_l (1+alpha)^l * noise[l-1]; the inputs are trusted elements."""
-    p = field.p
-    x = (1 + alpha) % p
+    """base + sum_l powers[l] * noise[l-1] for one row of Upsilon; the
+    inputs are trusted elements."""
+    if len(powers) <= len(noise):
+        raise ParameterError(f"noise of depth {len(noise)} needs powers up to x^{len(noise)}")
     acc = base
-    weight = 1
+    l = 0
     for z in noise:
-        weight = weight * x % p
-        acc += weight * z
-    return acc % p
+        l += 1
+        acc += powers[l] * z
+    return acc % field.p

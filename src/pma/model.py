@@ -150,7 +150,8 @@ class SchemeParams:
 
     @cached_property
     def upsilon(self) -> tuple[tuple[int, ...], ...]:
-        """The evaluation matrix every count decode solves, built once."""
+        """The evaluation matrix every count decode solves, built once; row j
+        holds the powers of (1 + alpha_j) every pad at point j weights with."""
         return build_upsilon(self.field, self.alphas_used)
 
     @property
@@ -331,11 +332,11 @@ class QuerySet:
     queries: tuple
 
 
-def query_vector(theta: int, alpha: int, noise_rows, params: SchemeParams) -> tuple[int, ...]:
-    """The query for the database at ``alpha``: the unit vector of
-    ``theta`` padded with the noise rows weighted by powers of
-    (1 + alpha). Every scheme builds its queries this way."""
-    return noise_pad_vector(params.field, unit_vector(theta, params.e), alpha, noise_rows)
+def query_vectors(theta: int, powers, noise_rows, params: SchemeParams) -> tuple:
+    """The query at each point given by a row of Upsilon in ``powers``: the
+    unit vector of ``theta`` padded with the noise rows. Every scheme builds
+    its queries this way."""
+    return noise_pad_vector(params.field, unit_vector(theta, params.e), powers, noise_rows)
 
 
 def decode_count(values: Sequence[int], params: SchemeParams) -> int:
@@ -429,6 +430,8 @@ def load_datasets(source) -> tuple[tuple[str, ...], list[PartyDataset]]:
     for pp in parties:
         members = set()
         for el in pp:
+            if not isinstance(el, str):  # before the lookup: a list is unhashable
+                raise ParameterError(f"party element {el!r} is not a string")
             if el not in index:
                 raise ParameterError(f"unknown element {el!r} (not in universe)")
             members.add(index[el])

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .errors import ParameterError
 from .model import (PartyDataset, QuerySet, RandomSource, SchemeParams, decode_count,
-                    incidence, query_vector)
+                    incidence, query_vectors)
 from .transcript import (ANSWER, MASK_SHARE, QUERY, ROUND_ANSWER, ROUND_QUERY,
                          ROUND_SETUP, Transcript)
 
@@ -52,10 +52,7 @@ def draw_query_noise(params: SchemeParams, rng: RandomSource) -> tuple:
 def queries_from_noise(theta: int, params: SchemeParams, noise) -> QuerySet:
     for row in chain(*noise):  # once per row; the party's databases reuse it
         params.field.check_all(row)
-    alphas = params.alphas_used
-    queries = tuple(
-        tuple(query_vector(theta, alphas[j], noise[i], params) for j in range(params.n))
-        for i in range(params.m))
+    queries = tuple(query_vectors(theta, params.upsilon, rows, params) for rows in noise)
     return QuerySet(theta=theta, noise=noise, queries=queries)
 
 

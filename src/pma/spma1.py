@@ -34,9 +34,10 @@ def draw_party_noise(params: SchemeParams, rng: RandomSource) -> tuple:
 
 
 def answer(bits: Sequence[int], query: Sequence[int], zrow: Sequence[int],
-           mask_symbol: int, alpha: int, field) -> int:
-    """pma1.answer plus the power-weighted blinding scalars; a zero zrow adds nothing."""
-    padded_mask = noise_pad_scalar(field, mask_symbol, alpha, zrow)
+           mask_symbol: int, powers: Sequence[int], field) -> int:
+    """pma1.answer plus the blinding scalars weighted by ``powers``, the
+    database's row of Upsilon; a zero zrow adds nothing."""
+    padded_mask = noise_pad_scalar(field, mask_symbol, powers, zrow)
     return (sum(compress(query, bits)) + padded_mask) % field.p
 
 
@@ -58,9 +59,9 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
                 values=(), symbols=params.blinding_depth)
     pma1.emit_query_events(params, queries, tr)
     f = params.field
-    alphas = params.alphas_used
+    ups = params.upsilon
     table = pma1.answer_table(params, tr, lambda i, j: answer(
-        bits[i], queries.queries[i][j], blinding[i], masks[i][j], alphas[j], f))
+        bits[i], queries.queries[i][j], blinding[i], masks[i][j], ups[j], f))
     return pma1.ProtocolRun(params=params, theta=theta, count=decode(table, params),
                             queries=queries, masks=masks, answers=table,
                             transcript=tr, blinding=blinding)

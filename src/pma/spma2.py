@@ -27,7 +27,7 @@ from typing import Sequence
 from .errors import IntegrityError, ParameterError
 from .field import noise_pad_scalar, noise_pad_vector
 from .model import (PartyDataset, QuerySet, RandomSource, SchemeParams, decode_count,
-                    incidence, query_vector)
+                    incidence, query_vectors)
 from .transcript import (ANSWER, NOISE_SHARE, QUERY, ROUND_ANSWER, ROUND_QUERY,
                          ROUND_SETUP, STORAGE_SHARE, Transcript)
 
@@ -66,9 +66,7 @@ def encode_from_noise(bits: Sequence[int], params: SchemeParams,
             f"storage encoding needs {params.storage_depth} noise vectors, "
             f"got {len(noise_rows)}")
     noise_rows = tuple(tuple(params.field.check_all(r)) for r in noise_rows)  # once per row
-    alphas = params.alphas_used
-    shares = tuple(noise_pad_vector(params.field, bits, alphas[n], noise_rows)
-                   for n in range(params.n_eff))
+    shares = noise_pad_vector(params.field, bits, params.upsilon, noise_rows)
     return StorageShare(noise=noise_rows, shares=shares)
 
 
@@ -97,9 +95,7 @@ def draw_query_noise(params: SchemeParams, rng: RandomSource) -> tuple:
 
 def queries_from_noise(theta: int, params: SchemeParams, noise) -> QuerySet:
     noise = tuple(tuple(params.field.check_all(r)) for r in noise)  # once per row
-    alphas = params.alphas_used
-    queries = tuple(query_vector(theta, alphas[n], noise, params)
-                    for n in range(params.n_eff))
+    queries = query_vectors(theta, params.upsilon, noise, params)
     return QuerySet(theta=theta, noise=noise, queries=queries)
 
 
@@ -112,14 +108,14 @@ def draw_global_noise(params: SchemeParams, rng: RandomSource) -> tuple:
 
 
 def answer(ptilde: Sequence[int], query: Sequence[int], zprime: Sequence[int],
-           alpha: int, field) -> int:
+           powers: Sequence[int], field) -> int:
     """One database's reply: aggregated-storage inner product plus the
-    power-weighted global blinding scalars.
+    global blinding scalars weighted by ``powers``, its row of Upsilon.
 
     The result is the evaluation at (1 + alpha) of a polynomial of degree
     at most n_eff - 1 whose constant coefficient is the count.
     """
-    return noise_pad_scalar(field, field.dot(ptilde, query), alpha, zprime)
+    return noise_pad_scalar(field, field.dot(ptilde, query), powers, zprime)
 
 
 def decode(answers: Sequence[int], params: SchemeParams) -> int:
@@ -137,7 +133,7 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     tr = Transcript()
     f = params.field
     n_eff = params.n_eff
-    alphas = params.alphas_used
+    ups = params.upsilon
 
     storage = tuple(
         encode_storage(incidence(d, params.e), params, rng) for d in datasets)
@@ -159,7 +155,7 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
                 queries.queries[n])
     answers = []
     for n in range(n_eff):
-        a = answer(aggregated[n], queries.queries[n], blinding, alphas[n], f)
+        a = answer(aggregated[n], queries.queries[n], blinding, ups[n], f)
         tr.emit(ROUND_ANSWER, f"d{n + 1}", "user", f"user:d{n + 1}", ANSWER, (a,))
         answers.append(a)
     count = decode(answers, params)

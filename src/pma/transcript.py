@@ -9,9 +9,9 @@ accounting conventions.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 
 ROUND_SETUP = 0
 ROUND_QUERY = 1
@@ -54,17 +54,17 @@ class Transcript:
     def digest(self) -> str:
         """SHA-256 of a length-framed binary encoding of every event.
 
-        Per event: the 8-byte little-endian length of a JSON header
-        [round, sender, receiver, link, category, symbols, value count],
-        the header, then a 0 tag byte and the values as little-endian
-        64-bit words. Field elements always fit, since p < 2^64; any other
-        value raises struct.error.
+        Per event: the 8-byte little-endian length of a header, the header
+        (json.dumps of [round, sender, receiver, link, category, symbols,
+        value count], built without the encoder object), then a 0 tag byte
+        and the values as little-endian 64-bit words. Field elements always
+        fit, since p < 2^64; any other value raises struct.error.
         """
         h = hashlib.sha256()
         for ev in self.events:
-            header = json.dumps([ev.round, ev.sender, ev.receiver, ev.link,
-                                 ev.category, ev.symbols, len(ev.values)]).encode()
-            h.update(len(header).to_bytes(8, "little"))
-            h.update(header)
-            h.update(b"\x00" + struct.pack(f"<{len(ev.values)}Q", *ev.values))
+            header = (f"[{ev.round}, {_string(ev.sender)}, {_string(ev.receiver)}, "
+                      f"{_string(ev.link)}, {_string(ev.category)}, {ev.symbols}, "
+                      f"{len(ev.values)}]").encode()
+            h.update(len(header).to_bytes(8, "little") + header + b"\x00")
+            h.update(struct.pack(f"<{len(ev.values)}Q", *ev.values))
         return h.hexdigest()

@@ -183,10 +183,10 @@ def test_criterion_6_reduction_property():
         assert plain.masks == sym.masks, case
         assert plain.count == sym.count, case
         assert _query_and_mask_events(plain) == _query_and_mask_events(sym), case
-        f, alphas = sym_params.field, sym_params.alphas_used
+        f, ups = sym_params.field, sym_params.upsilon
         for i, row in enumerate(sym.answers):
             for j, a in enumerate(row):
-                pad = noise_pad_scalar(f, 0, alphas[j], sym.blinding[i])
+                pad = noise_pad_scalar(f, 0, ups[j], sym.blinding[i])
                 assert a == (plain.answers[i][j] + pad) % f.p, case
     _announce(6, "blinded runs send the plain queries and masks and shift "
                  "each answer by its blinding on 100 random configs")

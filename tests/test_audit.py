@@ -10,7 +10,7 @@ import pytest
 from pma import audit
 from pma.errors import AuditInfeasibleError, IntegrityError, ParameterError
 from pma.harness import build_audit_suite
-from pma.model import make_params, query_vector
+from pma.model import make_params, query_vectors
 from tests.oracles import oracle_polynomial_expand
 
 
@@ -50,7 +50,7 @@ def test_enumerate_single_query_uniform():
     params = t1()
 
     def view(assignment):
-        return query_vector(1, params.alphas_used[0], [assignment], params)
+        return query_vectors(1, params.upsilon[:1], [assignment], params)[0]
 
     dist = audit.enumerate_distribution(view, 2, 3)
     assert len(dist) == 9
@@ -93,11 +93,11 @@ def test_non_affine_view_raises_naming_point():
 
 
 def test_non_affine_scheme_fails_the_affinity_check(monkeypatch):
-    def squared(theta, alpha, noise_rows, params):
-        return tuple(x * x % params.p
-                     for x in query_vector(theta, alpha, noise_rows, params))
+    def squared(theta, powers, noise_rows, params):
+        return tuple(tuple(x * x % params.p for x in q)
+                     for q in query_vectors(theta, powers, noise_rows, params))
 
-    monkeypatch.setattr(audit, "query_vector", squared)
+    monkeypatch.setattr(audit, "query_vectors", squared)
     with pytest.raises(IntegrityError, match="audit query-privacy: .*point"):
         audit.audit_query_privacy(t1(), [1])
 

@@ -166,6 +166,23 @@ def test_run_config_bools_and_list_variant_exit_2(tmp_path, capsys, key, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag", ["--config", "--datasets"])
+@pytest.mark.parametrize("element", [["x"], {"x": 1}], ids=["list", "object"])
+def test_run_non_string_party_element_exit_2(tmp_path, capsys, flag, element):
+    datasets = {"universe": ["a"], "parties": [["a"], [element]]}
+    path = tmp_path / "input.json"
+    if flag == "--config":
+        path.write_text(json.dumps({"variant": "pma1", "datasets": datasets}))
+        args = ["run", "--config", str(path)]
+    else:
+        path.write_text(json.dumps(datasets))
+        args = ["run", "--variant", "pma1", "--datasets", str(path)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert f"party element {element!r} is not a string" in captured.err
+    assert captured.out == ""
+
+
 def test_run_p_past_the_sampler_range_exit_2(capsys):
     assert main(["run", "--variant", "pma1", "--m", "2", "--e", "3", "--t", "1",
                  "--theta", "1", "--p", "18446744073709551629"]) == 2

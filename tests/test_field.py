@@ -334,16 +334,28 @@ def test_solve_shape_errors():
 
 
 def test_noise_pad_vector_direct():
-    # 1 + (1+1)^1 * 2 = 5 = 0 mod 5
+    # rows of Upsilon over GF(5) at alpha = 1 and 2: (1, 2, 4) and (1, 3, 4)
+    # 1 + (1+1)^1 * 2 = 5 = 0 and 1 + (1+2)^1 * 2 = 7 = 2 mod 5
     f = PrimeField(5)
-    assert noise_pad_vector(f, (1,), 1, [(2,)]) == (0,)
+    assert noise_pad_vector(f, (1,), [(1, 2, 4), (1, 3, 4)], [(2,)]) == ((0,), (2,))
+    assert noise_pad_vector(f, (1, 2), [], [(2, 3)]) == ()
 
 
 def test_noise_pad_scalar_direct():
-    # 3 + 2*1 + 4*2 = 13 = 3 mod 5
+    # 3 + 2*1 + 4*2 = 13 = 3 mod 5, with the Upsilon row (1, 2, 4) at alpha = 1
     f = PrimeField(5)
-    assert noise_pad_scalar(f, 3, 1, (1, 2)) == 3
-    assert noise_pad_scalar(f, 3, 1, ()) == 3
+    assert noise_pad_scalar(f, 3, (1, 2, 4), (1, 2)) == 3
+    assert noise_pad_scalar(f, 3, (1,), ()) == 3
+
+
+def test_noise_pad_rejects_ragged_rows_and_short_powers():
+    f = PrimeField(5)
+    with pytest.raises(ParameterError, match="noise row length"):
+        noise_pad_vector(f, (1, 2), [(1, 2, 4)], [(1, 2), (3,)])
+    with pytest.raises(ParameterError, match="needs powers up to x\\^2"):
+        noise_pad_vector(f, (1, 2), [(1, 2, 4), (1, 3)], [(1, 2), (3, 4)])
+    with pytest.raises(ParameterError, match="needs powers up to x\\^2"):
+        noise_pad_scalar(f, 3, (1, 2), (1, 2))
 
 
 # not elements of GF(5): negative, equal to p, not an int. The pads take
@@ -409,32 +421,38 @@ def ref_pad_scalar(p, base, alpha, noise):
 @st.composite
 def field_vectors(draw):
     p = draw(st.sampled_from((2, 3, 5, 131, 2 ** 61 - 1)))
-    length = draw(st.integers(0, 50))
-    # depths above the length take noise_pad_vector's column-order branch
-    depth = draw(st.integers(0, 12))
+    length = draw(st.integers(0, 20))
+    # a depth above the length takes noise_pad_vector's column-order branch
+    depth = draw(st.sampled_from((0, 1, 2, 3, length + 1)))
     element = st.integers(0, p - 1)
     vector = st.lists(element, min_size=length, max_size=length)
     return (p, draw(vector), draw(vector),
             draw(st.lists(vector, min_size=depth, max_size=depth)),
-            draw(element), draw(element),
+            draw(st.lists(element, min_size=1, max_size=4)),  # the points' alphas
+            draw(st.integers(0, 2)),  # powers past x^depth, as in a row of Upsilon
+            draw(element),
             draw(st.lists(element, min_size=depth, max_size=depth)))
 
 
 @given(field_vectors())
 # the collusion-wide shape: 63 noise rows on a length-2 vector
 @example((131, [1, 0], [5, 7], [[k % 131, (3 * k) % 131] for k in range(63)],
-          1, 9, list(range(63))))
-@example((2 ** 61 - 1, [], [], [[]] * 4, 3, 2 ** 61 - 2, [1, 2, 3, 4]))
-@example((5, [4], [3], [[4], [3], [2]], 2, 4, [1, 2, 3]))
+          [1, 2, 64], 0, 9, list(range(63))))
+@example((2 ** 61 - 1, [], [], [[]] * 4, [3, 0], 0, 2 ** 61 - 2, [1, 2, 3, 4]))
+@example((5, [4], [3], [[4], [3], [2]], [2, 0, 1, 3], 1, 4, [1, 2, 3]))
 def test_vector_ops_match_per_element_reference(case):
-    p, u, v, rows, alpha, scalar, noise = case
+    p, u, v, rows, alphas, extra, scalar, noise = case
     f = PrimeField(p)
+    powers = [tuple(ref_weight(p, a, k) for k in range(len(rows) + 1 + extra))
+              for a in alphas]
     assert f.dot(u, v) == ref_dot(p, u, v)
-    assert noise_pad_vector(f, u, alpha, rows) == ref_pad_vector(p, u, alpha, rows)
-    assert noise_pad_scalar(f, scalar, alpha, noise) == \
-        ref_pad_scalar(p, scalar, alpha, noise)
+    assert noise_pad_vector(f, u, powers, rows) == tuple(
+        ref_pad_vector(p, u, a, rows) for a in alphas)
     # type-I answers read 0/1 incidence bits as member sums
     bits = [a % 2 for a in u]
     assert pma1.answer(bits, v, scalar, f) == (ref_dot(p, bits, v) + scalar) % p
-    assert spma1.answer(bits, v, noise, scalar, alpha, f) == (
-        ref_dot(p, bits, v) + ref_pad_scalar(p, 0, alpha, noise) + scalar) % p
+    for alpha, w in zip(alphas, powers):
+        assert noise_pad_scalar(f, scalar, w, noise) == \
+            ref_pad_scalar(p, scalar, alpha, noise)
+        assert spma1.answer(bits, v, noise, scalar, w, f) == (
+            ref_dot(p, bits, v) + ref_pad_scalar(p, 0, alpha, noise) + scalar) % p

@@ -46,6 +46,18 @@ _GOLDEN = {
          (3, 1, "9045d5684ffca31859023595c0268da8faf586c6f5185c952233df0f753b6948"),
          (4, 3, "5b233886b3a16350c417a03242129337ee89be2407cd1b7e5022faa0b3cd61c5")],
         "cdf0d222bb1d9882bffca3d20f492b46ee5ee75c6ebfdae2ef2c427a3d7ba135"),
+    # deep noise: more noise rows than the vectors have entries (N=64 and
+    # blinding depth 63 on E=2; query depth 3 on E=2)
+    "spma1-deep-blinding": (
+        RunConfig("spma1", m=2, e=2, t=63, seed=7),
+        [(1, 0, "9d668be2116f760c757d21cdb10d48967b9c9cbea275e82020f21d79e49bbb52"),
+         (2, 0, "e93039d229303d67eb739383faebc39537ffc924c599d66c9b08772831dc9d50")],
+        "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795"),
+    "spma2-deep-query": (
+        RunConfig("spma2", m=5, e=2, t=3, seed=7),
+        [(1, 2, "dc9a272f6561b88922dd62c1a04aa8f8c2c94537331f2e4fe384fada0e9b2e08"),
+         (2, 2, "9b9dc11a78d99194a11a4fcd88109879b66916a86d0676fdb4e7199b91fbd21d")],
+        "ea43d2450511beddd778816a3dc0346c0505e6926f00ce52c06ad82e7f676921"),
 }
 
 

@@ -8,7 +8,7 @@ from pma import pma1
 from pma.errors import IntegrityError, ParameterError
 from pma.field import PrimeField
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
-                       make_params, query_vector, true_count, unit_vector)
+                       make_params, query_vectors, true_count, unit_vector)
 from pma.transcript import ANSWER, MASK_SHARE, QUERY
 from tests.oracles import members_of, oracle_polynomial_expand
 
@@ -32,10 +32,10 @@ def test_zero_noise_queries_are_unit_vectors():
 
 
 def test_query_vector_direct_evaluation():
-    # e_1 + (1+1)^1 * (1,2) = (1,0) + (2,4) = (0,1) over GF(3)
+    # e_1 + (1+1)^1 * (1,2) = (1,0) + (2,4) = (0,1) over GF(3), at the
+    # Upsilon row (1, 2) of alpha = 1; the row (1, 0) of alpha = 2 gives e_1
     params = make_params("pma1", 2, 2, t=1, y=0, p=3)
-    q = query_vector(1, 1, [(1, 2)], params)
-    assert q == (0, 1)
+    assert query_vectors(1, [(1, 2), (1, 0)], [(1, 2)], params) == ((0, 1), (1, 0))
 
 
 def test_queries_deterministic_per_seed():

@@ -47,13 +47,14 @@ def test_answer_reduces_to_unblinded_with_zero_noise():
     f = PrimeField(11)
     bits = (0, 1, 1, 1, 0)
     q = unit_vector(2, 5)
-    assert spma1.answer(bits, q, (0,), 3, 1, f) == pma1.answer(bits, q, 3, f)
+    powers = (1, 2)  # the Upsilon row at alpha = 1: (1+1)^0, (1+1)^1
+    assert spma1.answer(bits, q, (0,), 3, powers, f) == pma1.answer(bits, q, 3, f)
 
 
 def test_answer_direct_evaluation():
     # <P, e1> + (1+1)^1 * 2 = 1 + 4 = 0 over GF(5)
     f = PrimeField(5)
-    assert spma1.answer((1, 0), (1, 0), (2,), 0, 1, f) == 0
+    assert spma1.answer((1, 0), (1, 0), (2,), 0, (1, 2), f) == 0
 
 
 def test_answer_noise_only_passthrough():
@@ -62,7 +63,7 @@ def test_answer_noise_only_passthrough():
     zrow = (3, 5)
     x = 2  # 1 + alpha with alpha = 1
     expected = (x * 3 + x * x * 5) % 7
-    assert spma1.answer((1, 1), (0, 0), zrow, 0, 1, f) == expected
+    assert spma1.answer((1, 1), (0, 0), zrow, 0, (1, x, x * x % 7), f) == expected
 
 
 def test_decode_is_shared_with_plain_scheme():
@@ -108,8 +109,7 @@ def test_blinded_run_is_plain_run_plus_blinding():
              if ev.category in (QUERY, MASK_SHARE)]
         for i, row in enumerate(run_sym.answers):
             for j, a in enumerate(row):
-                pad = noise_pad_scalar(sp.field, 0, sp.alphas_used[j],
-                                       run_sym.blinding[i])
+                pad = noise_pad_scalar(sp.field, 0, sp.upsilon[j], run_sym.blinding[i])
                 assert a == (run_plain.answers[i][j] + pad) % sp.p
 
 
