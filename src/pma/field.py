@@ -208,11 +208,11 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
         if len(w) <= depth:
             raise ParameterError(f"noise of depth {depth} needs powers up to x^{depth}")
     if depth > len(base):
-        # deep noise on a short vector (high collusion): one dot per column,
-        # the base leading each column at weight w[0] = 1
-        columns = tuple(zip(base, *noise_rows))
-        return tuple([tuple([sum(map(mul, w, column)) % p for column in columns])
-                      for w in powers])
+        # deep noise on a short vector (high collusion): one dot per column
+        columns = tuple(zip(*noise_rows))
+        return tuple([tuple([(a + sum(map(mul, ws, column))) % p
+                             for a, column in zip(base, columns)])
+                      for ws in [w[1:] for w in powers]])
     padded = []
     for w in powers:
         out = base
@@ -228,9 +228,4 @@ def noise_pad_scalar(field: PrimeField, base: int, powers: Sequence[int],
     inputs are trusted elements."""
     if len(powers) <= len(noise):
         raise ParameterError(f"noise of depth {len(noise)} needs powers up to x^{len(noise)}")
-    acc = base
-    l = 0
-    for z in noise:
-        l += 1
-        acc += powers[l] * z
-    return acc % field.p
+    return (base + sum(map(mul, powers[1:], noise))) % field.p
