@@ -10,8 +10,8 @@ check lengths only and trust their elements to lie in GF(p).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
-from operator import mul
+from itertools import chain, islice
+from operator import lshift, mul
 from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
@@ -121,13 +121,13 @@ def build_upsilon(field: PrimeField,
 @lru_cache(maxsize=1)
 def _factor(p: int, rows: tuple[tuple[int, ...], ...]):
     """LU factorization with partial pivoting over GF(p), validating the
-    elements: per column the pivot row, the pivot's inverse and the
-    multipliers below it, then the U rows right of the (implicit, unit)
-    diagonal. One entry suffices: every decode of a run solves one matrix.
+    elements, by rows: the rows' pivot order, per row of L its multipliers
+    and its pivot's inverse, per row of the unit U its entries right of the
+    diagonal, reversed. One entry: every decode of a run solves one matrix.
 
-    Each row is packed into one int, ``size`` bytes per element, so a row
-    update is one big-int multiply-add. Elements are reduced only when read;
-    a slot gains at most (p-1)^2 per update, at most n times.
+    Each work row is packed into one int, ``size`` bytes per element, so a
+    row update is one big-int multiply-add. Elements are reduced only when
+    read; a slot gains at most (p-1)^2 per update, at most n times.
     """
     n = len(rows)
     field = PrimeField(p)
@@ -138,54 +138,69 @@ def _factor(p: int, rows: tuple[tuple[int, ...], ...]):
         return int.from_bytes(b"".join(a.to_bytes(size, "little") for a in values), "little")
 
     work = [pack(field.check_all(row)) for row in rows]
-    steps, upper = [], []
+    order, lower, invs, upper = list(range(n)), [[] for _ in range(n)], [], []
     for col in range(n):
         column = [(r >> col * w & mask) % p for r in work[col:]]
         pivot = next((i for i, a in enumerate(column) if a), None)
         if pivot is None:
             raise IntegrityError(
                 "singular linear system; evaluation points must be distinct")
-        work[col], work[col + pivot] = work[col + pivot], work[col]
+        for seq in (work, order, lower):
+            seq[col], seq[col + pivot] = seq[col + pivot], seq[col]
         column[0], column[pivot] = column[pivot], column[0]
         inv = pow(column[0], p - 2, p)
         head = work[col] >> (col + 1) * w
-        tail = tuple((head >> j * w & mask) * inv % p for j in range(n - col - 1))
+        tail = [(head >> j * w & mask) * inv % p for j in range(n - col - 1)]
         packed = pack(tail) << (col + 1) * w
-        below = tuple(column[1:])
+        below = column[1:]
         work[col + 1:] = [r + (p - f) * packed if f else r
                           for r, f in zip(work[col + 1:], below)]
-        steps.append((col + pivot, inv, below))
-        upper.append(tail)
-    return tuple(steps), tuple(upper)
+        for row, f in zip(lower[col + 1:], below):
+            row.append(f)
+        invs.append(inv)
+        upper.append(tuple(reversed(tail)))
+    return tuple(order), tuple(map(tuple, lower)), tuple(invs), tuple(upper)
 
 
 def solve_linear(field: PrimeField, m, rhs) -> list[int]:
     """Solve m x = rhs over GF(p): the memoized factorization of m, then
-    about n^2 multiply-adds of substitution. A singular m, unreachable from
-    valid evaluation points, means corrupted inputs; it raises on every
-    call, as a failed factorization is not memoized."""
+    forward and back substitution, one dot per row. A singular m,
+    unreachable from valid evaluation points, means corrupted inputs; it
+    raises on every call, as a failed factorization is not memoized."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ParameterError("matrix must be square")
     if len(rhs) != n:
         raise ParameterError(f"right-hand side has length {len(rhs)}, expected {n}")
     p = field.p
-    b = list(field.check_all(rhs))
+    b = field.check_all(rhs)
     rows = tuple(map(tuple, m))
     if {*map(type, chain.from_iterable(rows))} - {int}:
         # before the lookup: 1.0 would hit a cached 1, a list is unhashable
         for row in rows:
             field.check_all(row)
-    steps, upper = _factor(p, rows)
-    for col, (pivot, inv, below) in enumerate(steps):
-        b[col], b[pivot] = b[pivot], b[col]
-        head = b[col] = b[col] * inv % p
-        if head:
-            b[col + 1:] = [(a - f * head) % p for a, f in zip(b[col + 1:], below)]
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - sum(map(mul, upper[i], x[i + 1:]))) % p
-    return x
+    order, lower, invs, upper = _factor(p, rows)
+    y = []  # L y = P b; each dot stops at the end of its row of L
+    for i, row, inv in zip(order, lower, invs):
+        y.append((b[i] - sum(map(mul, row, y))) * inv % p)
+    x = []  # U x = y from the last unknown up, so x is built reversed
+    for yi, row in zip(reversed(y), reversed(upper)):
+        x.append((yi - sum(map(mul, row, x))) % p)
+    return x[::-1]
+
+
+@lru_cache(maxsize=1)
+def _packed_columns(p: int, depth: int, powers: tuple[tuple[int, ...], ...]):
+    """Columns 1..depth of ``powers`` packed across the points, point j in
+    the s bits at j*s; a 1 in every slot; the slot shifts and mask. A slot
+    sums at most (p-1) + depth*(p-1)^2 for any elements, so s is that
+    bound's bit length and no slot carries into the next. One entry keyed by
+    content: a run's points share one Upsilon, the audits pass row subsets."""
+    s = ((p - 1) + depth * (p - 1) ** 2).bit_length()
+    shifts = range(0, len(powers) * s, s)
+    columns = tuple(sum(map(lshift, column, shifts))
+                    for column in islice(zip(*powers), 1, depth + 1))
+    return columns, sum(1 << shift for shift in shifts), shifts, (1 << s) - 1
 
 
 def noise_pad_vector(field: PrimeField, base: Sequence[int],
@@ -197,7 +212,7 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
     Each row is a row of Upsilon, [1, x, x^2, ...] with x = 1+alpha at one
     evaluation point, so one call pads every point it is given. The shared
     coding primitive: queries pad the unit vector, storage shares pad the
-    incidence vector.
+    incidence vector. The base is added unweighted; w[0] is never read.
     """
     p = field.p
     depth = len(noise_rows)
@@ -207,12 +222,13 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
     for w in powers:
         if len(w) <= depth:
             raise ParameterError(f"noise of depth {depth} needs powers up to x^{depth}")
-    if depth > len(base):
-        # deep noise on a short vector (high collusion): one dot per column
-        columns = tuple(zip(*noise_rows))
-        return tuple([tuple([(a + sum(map(mul, ws, column))) % p
-                             for a, column in zip(base, columns)])
-                      for ws in [w[1:] for w in powers]])
+    if 0 < len(base) < depth:
+        # deep noise (high collusion): per entry, one packed product for all points
+        packed, ones, shifts, mask = _packed_columns(p, depth, tuple(map(tuple, powers)))
+        entries = [[(t >> shift & mask) % p for shift in shifts]
+                   for t in [a * ones + sum(map(mul, column, packed))
+                             for a, column in zip(base, zip(*noise_rows))]]
+        return tuple(zip(*entries))
     padded = []
     for w in powers:
         out = base

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
+from typing import NamedTuple
 
 ROUND_SETUP = 0
 ROUND_QUERY = 1
@@ -24,8 +24,7 @@ NOISE_SHARE = "noise-share"
 STORAGE_SHARE = "storage-share"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     round: int
     sender: str
     receiver: str
@@ -42,9 +41,8 @@ class Transcript:
     def emit(self, round: int, sender: str, receiver: str, link: str,
              category: str, values=(), symbols: int | None = None) -> Event:
         values = tuple(values)
-        ev = Event(round=round, sender=sender, receiver=receiver, link=link,
-                   category=category, values=values,
-                   symbols=len(values) if symbols is None else symbols)
+        ev = Event(round, sender, receiver, link, category, values,
+                   len(values) if symbols is None else symbols)
         self.events.append(ev)
         return ev
 

@@ -1,6 +1,7 @@
 """GF(p) arithmetic and the exact solver."""
 
 import itertools
+from operator import mul
 
 import pytest
 from hypothesis import example, given
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from pma import pma1, spma1, spma2
 from pma.errors import IntegrityError, ParameterError
-from pma.field import (PrimeField, _factor, build_upsilon, default_alphas, is_prime,
-                       noise_pad_scalar, noise_pad_vector, solve_linear)
+from pma.field import (PrimeField, _factor, _packed_columns, build_upsilon, default_alphas,
+                       is_prime, noise_pad_scalar, noise_pad_vector, solve_linear)
 from pma.model import PartyDataset, RandomSource, incidence, make_params, unit_vector
 
 
@@ -456,3 +457,112 @@ def test_vector_ops_match_per_element_reference(case):
             ref_pad_scalar(p, scalar, alpha, noise)
         assert spma1.answer(bits, v, noise, scalar, w, f) == (
             ref_dot(p, bits, v) + ref_pad_scalar(p, 0, alpha, noise) + scalar) % p
+
+
+def ref_pad_rows(p, base, powers, rows):
+    """The vector pad at explicit rows of powers, one element at a time;
+    w[0] is not read, so the base enters unweighted."""
+    padded = []
+    for w in powers:
+        out = list(base)
+        for depth, row in enumerate(rows, start=1):
+            for k, z in enumerate(row):
+                out[k] = (out[k] + w[depth] * z) % p
+        padded.append(tuple(out))
+    return tuple(padded)
+
+
+@pytest.mark.parametrize("p", (131, 2 ** 61 - 1))
+def test_deep_pad_worst_case_slot_sums(p):
+    # every input at p-1 fills each packed slot to its bound
+    # (p-1) + depth*(p-1)^2; 64 points and depth 63, as on the N=64 shape
+    f = PrimeField(p)
+    top = p - 1
+    powers = [(top,) * 64] * 64
+    for length in (0, 1, 2):
+        base, rows = (top,) * length, [(top,) * length] * 63
+        assert noise_pad_vector(f, base, powers, rows) == ref_pad_rows(p, base, powers, rows)
+
+
+def test_deep_pad_packed_columns_follow_the_rows_given():
+    # one memoized entry: other rows replace it, and a repeat is a hit
+    p = 131
+    f = PrimeField(p)
+    rng = RandomSource(17)
+    alphas = default_alphas(p, 64)
+    ups = build_upsilon(f, alphas)
+    taps = (3, 0, 40, 63)
+    subset, subset_alphas = [ups[j] for j in taps], [alphas[j] for j in taps]
+    rows = [rng.draw_vector(p, 2) for _ in range(63)]
+    _packed_columns.cache_clear()
+    for powers, points, hit in ((ups, alphas, False), (subset, subset_alphas, False),
+                                (subset, subset_alphas, True), (ups, alphas, False)):
+        before = _packed_columns.cache_info()
+        padded = noise_pad_vector(f, (1, 0), powers, rows)
+        after = _packed_columns.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
+        assert padded == ref_pad_rows(p, (1, 0), powers, rows)
+        assert padded == tuple(ref_pad_vector(p, (1, 0), a, rows) for a in points)
+
+
+def zero_pivot_columns(p, m):
+    """The columns at which elimination without swaps meets a zero on the
+    diagonal: where the solver must pick a row further down."""
+    work = [list(row) for row in m]
+    zeros = []
+    for col in range(len(work)):
+        pivot = next(r for r in range(col, len(work)) if work[r][col])
+        if pivot != col:
+            zeros.append(col)
+            work[col], work[pivot] = work[pivot], work[col]
+        inv = pow(work[col][col], p - 2, p)
+        for r in range(col + 1, len(work)):
+            factor = work[r][col] * inv % p
+            work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[col])]
+    return zeros
+
+
+def pivoting_matrix(rng, p, n):
+    """P L U, nonsingular: L lower triangular with a nonzero diagonal and
+    about half its entries below it 0, U unit upper triangular, P a random
+    row order. Where P brings up a row whose L entry is 0 at a column, the
+    leading entry there is 0 once the columns to its left are eliminated;
+    drawn until that happens at several columns."""
+    while True:
+        lower = []
+        for i in range(n):
+            keep = rng.draw_vector(2, n)
+            lower.append([a * b if k < i else (a or 1) if k == i else 0
+                          for k, (a, b) in enumerate(zip(rng.draw_vector(p, n), keep))])
+        upper = [[a if k > i else int(k == i) for k, a in enumerate(rng.draw_vector(p, n))]
+                 for i in range(n)]
+        m = [[sum(map(mul, row, col)) % p for col in zip(*upper)] for row in lower]
+        for i in range(n - 1, 0, -1):  # Fisher-Yates
+            j = rng.draw_vector(i + 1, 1)[0]
+            m[i], m[j] = m[j], m[i]
+        if len(zero_pivot_columns(p, m)) >= min(3, n - 1):
+            return m
+
+
+@pytest.mark.parametrize("p", (2, 3, 131, 2 ** 61 - 1))
+def test_row_form_lu_pivots_past_zero_leading_entries(p):
+    f = PrimeField(p)
+    rng = RandomSource(p + 1)
+    for n in (2, 3, 5, 8, 13):
+        m = pivoting_matrix(rng, p, n)
+        assert determinant(f, m) != 0
+        for hit in (False, True):  # factorized, then from the memoized entry
+            before = _factor.cache_info()
+            rhs = list(rng.draw_vector(p, n))
+            x = solve_linear(f, m, rhs)
+            after = _factor.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
+            assert x == ref_solve(p, m, rhs)
+            assert mat_vec(f, m, x) == tuple(rhs)
+        # the same matrix made singular: its last row a combination of the rest
+        weights = rng.draw_vector(p, n - 1)
+        singular = m[:-1] + [[sum(w * r[k] for w, r in zip(weights, m)) % p
+                              for k in range(n)]]
+        for _ in range(2):
+            with pytest.raises(IntegrityError):
+                solve_linear(f, singular, list(rng.draw_vector(p, n)))
