@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 from . import audit, pma1, spma1, spma2
 from .errors import IntegrityError, ParameterError
-from .model import (LEAST, RandomSource, SchemeParams, check_raw, generate_datasets,
-                    load_datasets, make_params, true_count)
+from .model import (RandomSource, SchemeParams, generate_datasets, load_datasets,
+                    make_params, true_count)
 from .transcript import (ANSWER, MASK_SHARE, NOISE_SHARE, QUERY, STORAGE_SHARE,
                          Transcript)
 
@@ -110,29 +110,26 @@ def resolve_config(config: RunConfig):
     """Build validated params, the datasets and the run's randomness source.
 
     Dataset generation consumes the source first, so a seeded run is fully
-    reproducible end to end. The chosen values are checked first; None
-    values are derived.
+    reproducible end to end. ``make_params`` checks the chosen values, or
+    the dataset's shape where M or E is not given, and derives the None
+    values; a given M or E must then match the dataset.
     """
-    check_raw(config.variant, **{k: v for k, v in vars(config).items()
-                                 if k in LEAST and v is not None})
     rng = RandomSource(config.seed)
     universe = datasets = None
     m, e = config.m, config.e
     if config.datasets is not None:
         universe, datasets = load_datasets(config.datasets)
-        m, e = len(datasets), len(universe)
-        if config.m is not None and config.m != m:
-            raise ParameterError(
-                f"config says M={config.m} but the dataset file has {m} parties")
-        if config.e is not None and config.e != e:
-            raise ParameterError(
-                f"config says E={config.e} but the dataset universe has {e} elements")
+        m = len(datasets) if m is None else m
+        e = len(universe) if e is None else e
     elif m is None or e is None:
         raise ParameterError("m and e are required when no dataset file is given")
     params = make_params(config.variant, m, e, t=config.t, y=config.y,
                          n=config.n, p=config.p, t2=config.t2)
     if datasets is None:
         datasets = generate_datasets(params, config.gen_probs, rng)
+    elif (m, e) != (len(datasets), len(universe)):
+        raise ParameterError(f"M={m}, E={e} do not match the dataset's "
+                             f"{len(datasets)} parties and {len(universe)} elements")
     return params, datasets, universe, rng
 
 

@@ -58,7 +58,7 @@ class RandomSource:
     __slots__ = ("_key", "_counter")
 
     def __init__(self, seed: int) -> None:
-        if not isinstance(seed, int):
+        if type(seed) is not int:  # not a bool
             raise ParameterError(f"seed must be an int, got {seed!r}")
         self._key = (seed & _MASK64).to_bytes(8, "big")
         self._counter = 0
@@ -199,12 +199,10 @@ def auto_n(variant: str, m: int, t: int, y: tuple[int, ...], t2: int = 1) -> int
         f"M={m}, T={t}, Y={y}, T2={t2}")
 
 
-# least value (None: any) and meaning of each int a caller chooses, as
-# parameters or in a run configuration; type int exactly, so not a bool
+# least value and meaning of each int make_params takes, as type int (not bool)
 LEAST = {"m": (2, "party count M"), "n": (1, "database count N"),
          "e": (1, "universe size E"), "t": (0, "collusion budget T"),
-         "t2": (1, "communicating-party count T2"), "p": (2, "field modulus p"),
-         "theta": (1, "queried index theta"), "seed": (None, "seed")}
+         "t2": (1, "communicating-party count T2"), "p": (2, "field modulus p")}
 
 
 def check_raw(variant, **ints) -> str:
@@ -218,7 +216,7 @@ def check_raw(variant, **ints) -> str:
         if type(v) is not int:
             raise ParameterError(f"{name} must be an int, got {v!r}")
         least, what = LEAST[name]
-        if least is not None and v < least:
+        if v < least:
             raise ParameterError(f"{what} must be at least {least}, got {v}")
         if name == "p" and v >= _WORDS:
             raise ParameterError(f"field modulus p must be below 2^64, the range "
@@ -243,55 +241,50 @@ def _per_party_y(variant: str, m: int, y) -> tuple[int, ...]:
     return values
 
 
-def validate_params(params: SchemeParams, *, stacklevel: int = 2) -> SchemeParams:
-    """Check every side condition; errors name the violated inequality."""
-    if check_raw(params.variant, m=params.m, n=params.n, e=params.e, t=params.t,
-                 t2=params.t2, p=params.p) != params.variant:
-        raise ParameterError(f"parameters take no variant alias, got {params.variant!r}")
-    if _per_party_y(params.variant, params.m, params.y) != params.y:
-        raise ParameterError(f"y must hold one budget per party, got {params.y!r}")
-    params.field  # validates primality
-    if params.p <= params.m:
-        raise ParameterError(
-            f"counts range over 0..M, so p > M is required: p={params.p}, M={params.m}")
-    if params.is_type2:
-        if params.m * params.n < params.n_eff:
-            raise ParameterError(
-                f"type-II side condition M*N >= T2*N + max(T*N, Y_1..Y_M) + 1 "
-                f"violated: {params.m * params.n} < {params.n_eff}")
-    else:
-        required = params.mu + 1
-        if params.n < required:
-            raise ParameterError(
-                f"type-I side condition N >= max(T, Y) + 1 violated: "
-                f"N={params.n} < {required}")
-        if params.n > required:
-            warnings.warn(
-                "N exceeds max(T, Y) + 1; the extra databases only add download cost",
-                UserWarning, stacklevel=stacklevel)
-    params.alphas_used  # GF(p) must offer a point per database that answers
-    if params.mu == 0:
-        warnings.warn(
-            "query noise depth is 0: queries are sent in the clear "
-            "(no collusion or eavesdropping budget)",
-            UserWarning, stacklevel=stacklevel)
-    return params
-
-
 def make_params(variant: str, m: int, e: int, *, t: int = 0, y=0,
                 n: int | None = None, p: int | None = None,
                 t2: int = 1) -> SchemeParams:
-    """Build and validate parameters, deriving N and p when omitted. The
-    chosen values are checked before anything is derived from them."""
+    """Build and validate parameters, deriving N and p when omitted; the one
+    parameter check. The chosen values are checked before anything is
+    derived from them, and errors name the violated inequality."""
     given = {k: v for k, v in {"n": n, "p": p}.items() if v is not None}  # else derived
     variant = check_raw(variant, m=m, e=e, t=t, t2=t2, **given)
+    if m >= _WORDS - 59:  # the largest prime below 2^64; before Y is expanded to M
+        raise ParameterError(f"counts range over 0..M, so p > M is required, and no "
+                             f"prime below 2^64 exceeds M={m}")
     y = _per_party_y(variant, m, y)
     if n is None:
         n = auto_n(variant, m, t, y, t2)
     if p is None:
         p = auto_p(m, n)
-    return validate_params(
-        SchemeParams(variant=variant, m=m, n=n, t=t, y=y, e=e, p=p, t2=t2), stacklevel=3)
+        check_raw(variant, p=p)  # before the evaluation points are built
+    params = SchemeParams(variant=variant, m=m, n=n, t=t, y=y, e=e, p=p, t2=t2)
+    params.field  # validates primality
+    if p <= m:
+        raise ParameterError(
+            f"counts range over 0..M, so p > M is required: p={p}, M={m}")
+    if params.is_type2:
+        if m * n < params.n_eff:
+            raise ParameterError(
+                f"type-II side condition M*N >= T2*N + max(T*N, Y_1..Y_M) + 1 "
+                f"violated: {m * n} < {params.n_eff}")
+    else:
+        required = params.mu + 1
+        if n < required:
+            raise ParameterError(
+                f"type-I side condition N >= max(T, Y) + 1 violated: "
+                f"N={n} < {required}")
+        if n > required:
+            warnings.warn(
+                "N exceeds max(T, Y) + 1; the extra databases only add download cost",
+                UserWarning, stacklevel=2)
+    params.alphas_used  # GF(p) must offer a point per database that answers
+    if params.mu == 0:
+        warnings.warn(
+            "query noise depth is 0: queries are sent in the clear "
+            "(no collusion or eavesdropping budget)",
+            UserWarning, stacklevel=2)
+    return params
 
 
 @dataclass(frozen=True)
@@ -311,9 +304,14 @@ def incidence(dataset: PartyDataset, e: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_theta(theta, e: int) -> None:
+    """The queried index must be an int, not a bool, in 1..E."""
+    if type(theta) is not int or not 1 <= theta <= e:
+        raise ParameterError(f"queried index theta={theta!r} outside 1..{e} or not an int")
+
+
 def unit_vector(theta: int, e: int) -> tuple[int, ...]:
-    if not (isinstance(theta, int) and 1 <= theta <= e):
-        raise ParameterError(f"queried index {theta!r} outside 1..{e}")
+    _check_theta(theta, e)
     out = [0] * e
     out[theta - 1] = 1
     return tuple(out)
@@ -354,8 +352,7 @@ def decode_count(values: Sequence[int], params: SchemeParams) -> int:
 def true_count(theta: int, datasets: Sequence[PartyDataset], e: int) -> int:
     """Brute-force count of parties holding element theta; the oracle every
     decoder is checked against."""
-    if not (isinstance(theta, int) and 1 <= theta <= e):
-        raise ParameterError(f"queried index {theta!r} outside 1..{e}")
+    _check_theta(theta, e)
     return sum(1 for d in datasets if theta in d.members)
 
 

@@ -6,12 +6,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pma
 from pma.cli import main
+from tests.configs import BASES, check_accepted_run, patched_configs
 
 PAPER_DATA = {
     "universe": ["a", "b", "c", "d", "e"],
@@ -187,6 +193,47 @@ def test_run_p_past_the_sampler_range_exit_2(capsys):
     assert main(["run", "--variant", "pma1", "--m", "2", "--e", "3", "--t", "1",
                  "--theta", "1", "--p", "18446744073709551629"]) == 2
     assert "field modulus p must be below 2^64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [2 ** 64 - 59, 2 ** 64])
+def test_run_m_without_a_field_exit_2(capsys, m):
+    # p > M and p < 2^64: no field exists, so Y is never expanded to M budgets
+    assert main(["run", "--variant", "pma1", "--m", str(m), "--e", "1",
+                 "--theta", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parameter error:") and "p > M" in captured.err
+    assert captured.out == ""
+
+
+@settings(max_examples=150)
+@given(patched_configs(), st.booleans())
+@example(BASES[1], True)
+@example(dict(BASES[2], theta=True), False)
+@example(dict(BASES[3], m="3"), True)
+@example(dict(BASES[5], seed=True), True)
+def test_any_json_config_file_exits_0_at_the_oracle_or_2(config, datasets_file):
+    """The config in a --config file, its datasets in a --datasets file of
+    their own when ``datasets_file`` is set: the run counts every index
+    right, or exits 2 with a parameter error."""
+    args = ["run", "--json"]
+    files = {"config": dict(config)}
+    if datasets_file and "datasets" in config:
+        files["datasets"] = files["config"].pop("datasets")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for name, obj in files.items():
+            path = Path(tmp, f"{name}.json")
+            path.write_text(json.dumps(obj))
+            args += [f"--{name}", str(path)]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(args)
+    assert all(w.category is UserWarning for w in caught), caught
+    if code == 2:
+        assert err.getvalue().startswith("parameter error:") and out.getvalue() == ""
+    else:
+        assert code == 0, err.getvalue()
+        check_accepted_run(config, json.loads(out.getvalue()))
 
 
 @pytest.mark.parametrize("command", [

@@ -4,11 +4,9 @@ import ast
 import hashlib
 import json
 import warnings
-from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from pma.errors import IntegrityError, ParameterError
 from pma.harness import (RunConfig, build_audit_suite, cost_table, measure_costs,
@@ -17,6 +15,7 @@ from pma.harness import (RunConfig, build_audit_suite, cost_table, measure_costs
 from pma.model import PartyDataset, RandomSource, make_params
 from pma import harness, pma1, spma1, spma2
 from pma.transcript import NOISE_SHARE
+from tests.configs import BASES, check_accepted_run, patched_configs
 
 PAPER_DATA = {
     "universe": ["a", "b", "c", "d", "e"],
@@ -475,66 +474,14 @@ def test_every_vector_a_run_builds_lies_in_the_field(variant, p):
         assert all(type(x) is int and 0 <= x < params.p for x in leaves), name
 
 
-# Arbitrary JSON values for the keys of a run config. Ints stay small: an
-# accepted int is a party count, universe size or budget, and a run's time
-# grows with it.
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 9)
-    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=8)
-_NAMES = st.sampled_from(("a", "b", "c", "d"))
-_ABSENT = object()
-# besides arbitrary values, shapes that a run may accept
-_VALUES = {
-    "variant": st.sampled_from(("pma1", "spma1", "spma2", "pma2")),
-    "datasets": st.fixed_dictionaries({
-        "universe": st.lists(_NAMES, min_size=1, max_size=4, unique=True)
-        | st.lists(_NAMES | _JSON, max_size=3),
-        "parties": st.lists(st.lists(_NAMES | _JSON, max_size=3), max_size=4)}),
-    "gen_probs": st.floats(0, 1) | st.lists(st.floats(0, 1), max_size=4),
-    "y": st.lists(st.integers(0, 3), max_size=4),
-}
-# per variant, a valid config with generated and with given datasets
-_BASES = [{"variant": v, "t": 1, "seed": 5, **source} for v in ("pma1", "spma1", "spma2")
-          for source in ({"m": 3, "e": 2},
-                         {"datasets": {"universe": ["c", "a", "b"],
-                                       "parties": [["a"], ["a", "b"], ["c", "a"]]}})]
-
-
-@st.composite
-def patched_configs(draw):
-    """A valid config of one variant with up to three keys replaced by any
-    JSON value, or removed."""
-    config = dict(draw(st.sampled_from(_BASES)))
-    keys = st.sampled_from(sorted(f.name for f in fields(RunConfig)))
-    for key in draw(st.sets(keys, min_size=1, max_size=3)):
-        value = draw(st.just(_ABSENT) | _JSON | _VALUES.get(key, _JSON))
-        if value is _ABSENT:
-            config.pop(key, None)
-        else:
-            config[key] = value
-    return config
-
-
-def _holds_bool(value):
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        return any(map(_holds_bool, value))
-    return isinstance(value, bool)
-
-
 @settings(max_examples=300)
 @given(patched_configs())
 @example({"variant": "spma1", "t": 1, "seed": 5, "theta": 2,
           "datasets": {"universe": ["b", "a"], "parties": [["a", "b"], ["b"], []]}})
-@example(dict(_BASES[0], seed=True))
-@example(dict(_BASES[4], gen_probs=False))
-@example(dict(_BASES[0], y=[False, 0]))
+@example(dict(BASES[0], seed=True))
+@example(dict(BASES[4], gen_probs=False))
+@example(dict(BASES[0], y=[False, 0]))
 def test_any_json_config_runs_to_the_oracle_or_is_a_parameter_error(config):
-    datasets = config.get("datasets")
     # parameter warnings (queries in the clear, idle databases) are recorded,
     # so that they cannot stop an accepted run; any other kind fails
     with warnings.catch_warnings(record=True) as caught:
@@ -544,24 +491,6 @@ def test_any_json_config_runs_to_the_oracle_or_is_a_parameter_error(config):
             report = run_protocol(cfg)
         except ParameterError:
             report = None
-        if report is not None and not isinstance(datasets, dict):
-            members = [d.members for d in resolve_config(cfg)[1]]
     assert all(w.category is UserWarning for w in caught), caught
-    if report is None:
-        return
-    # accepted: no value the run read held a bool
-    read = dict(config)
-    if datasets is not None:  # gen_probs is read only to generate datasets
-        read.pop("gen_probs", None)
-    if isinstance(datasets, dict):  # only these two entries are read
-        read["datasets"] = [datasets["universe"], datasets["parties"]]
-        universe = sorted(datasets["universe"])
-        members = [{universe.index(x) + 1 for x in party} for party in datasets["parties"]]
-    assert not any(map(_holds_bool, read.values())), read
-    # every count equals the brute-force count over the parties
-    theta = config.get("theta")
-    e = report["params"]["e"]
-    assert [r["theta"] for r in report["results"]] == \
-        (list(range(1, e + 1)) if theta is None else [theta])
-    for r in report["results"]:
-        assert r["count"] == sum(r["theta"] in held for held in members)
+    if report is not None:
+        check_accepted_run(config, report)

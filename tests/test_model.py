@@ -7,9 +7,8 @@ import json
 import pytest
 
 from pma.errors import ParameterError
-from pma.model import (PartyDataset, RandomSource, SchemeParams, auto_n, auto_p,
-                       generate_datasets, incidence, load_datasets, make_params,
-                       true_count, unit_vector, validate_params)
+from pma.model import (PartyDataset, RandomSource, auto_n, auto_p, generate_datasets,
+                       incidence, load_datasets, make_params, true_count, unit_vector)
 from tests.oracles import members_of
 
 P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
@@ -107,9 +106,8 @@ def test_scalar_probability_compares_words_with_the_exact_threshold(pk):
 
 def test_params_warnings_point_at_the_caller():
     with pytest.warns(UserWarning) as record:
-        params = make_params("pma1", 2, 2, t=0, y=0, n=3)
-        validate_params(params)
-    assert len(record) == 4  # extra databases and clear queries, twice
+        make_params("pma1", 2, 2, t=0, y=0, n=3)
+    assert len(record) == 2  # extra databases and clear queries
     assert {w.filename for w in record} == {__file__}
 
 
@@ -122,9 +120,6 @@ def test_unknown_variant():
     for variant in ("pma3", ["pma1"], None):
         with pytest.raises(ParameterError, match="unknown variant"):
             make_params(variant, 2, 2)
-    # parameters hold the resolved name
-    with pytest.raises(ParameterError, match="no variant alias"):
-        validate_params(SchemeParams(variant="pma2", m=3, n=1, t=1, y=(0, 0, 0), e=2, p=5))
 
 
 def test_alphas_default_skips_p_minus_one():
@@ -139,15 +134,6 @@ def test_too_few_evaluation_points_named():
         make_params("spma2", 4, 2, t=1, y=[0, 0, 3, 0], p=5)
 
 
-def test_validate_params_rejects_bad_y_shapes():
-    bad = SchemeParams(variant="spma2", m=3, n=1, t=1, y=(0, 0), e=2, p=5)
-    with pytest.raises(ParameterError, match="budgets"):
-        validate_params(bad)
-    for y in (1, (1,), (1, 1, 1)):  # type I stores one equal budget per party
-        with pytest.raises(ParameterError, match="per party"):
-            validate_params(SchemeParams(variant="pma1", m=2, n=2, t=1, y=y, e=2, p=5))
-
-
 def test_y_is_stored_per_party_for_every_variant():
     assert make_params("pma1", 3, 2, t=1, y=2).y == (2, 2, 2)
     assert make_params("spma1", 2, 2, t=1, y=[1, 1]).y == (1, 1)
@@ -155,6 +141,10 @@ def test_y_is_stored_per_party_for_every_variant():
     assert make_params("spma2", 3, 2, t=1, y=[0, 2, 1]).y == (0, 2, 1)
     with pytest.raises(ParameterError, match="single eavesdropping budget"):
         make_params("pma1", 2, 2, t=1, y=[0, 1])
+    with pytest.raises(ParameterError, match="single eavesdropping budget"):
+        make_params("spma1", 2, 2, t=1, y=(1, 0))
+    with pytest.raises(ParameterError, match="budgets must be 3"):
+        make_params("spma2", 3, 2, t=1, y=(0, 0))
 
 
 @pytest.mark.parametrize("key,value", [
@@ -180,14 +170,23 @@ def test_lower_bounds_checked_before_n_and_p_are_derived():
             make_params("spma2", m, e, **args)
 
 
-def test_p_past_the_sampler_range_named():
+def test_p_past_the_sampler_range_named(monkeypatch):
     p = 18446744073709551629  # the smallest prime above 2^64
     with pytest.raises(ParameterError, match="field modulus p must be below 2\\^64"):
         make_params("pma1", 2, 3, t=1, p=p)
-    with pytest.raises(ParameterError, match="field modulus p must be below 2\\^64"):
-        validate_params(SchemeParams(variant="pma1", m=2, n=2, t=1, y=(0, 0), e=3, p=p))
     # the largest prime below 2^64 is in range
     assert make_params("pma1", 2, 3, t=1, p=18446744073709551557).p < 2 ** 64
+    # a derived p is checked before the 2^63 evaluation points are built
+    monkeypatch.setattr("pma.model.default_alphas", lambda p, n: pytest.fail("points built"))
+    with pytest.raises(ParameterError, match="field modulus p must be below 2\\^64"):
+        make_params("pma1", 2, 3, t=1, n=2 ** 63)
+
+
+@pytest.mark.parametrize("m", [2 ** 64 - 59, 2 ** 64])
+def test_m_without_a_field_named_before_y_is_expanded(m):
+    # p > M and p < 2^64, so no p exists from the largest prime below 2^64 on
+    with pytest.raises(ParameterError, match="p > M is required"):
+        make_params("pma1", m, 1)
 
 
 def test_incidence_examples():
