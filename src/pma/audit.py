@@ -45,11 +45,12 @@ from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import partial
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import pma1, spma1, spma2
 from .errors import AuditInfeasibleError, IntegrityError, ParameterError
-from .field import noise_pad_scalar, noise_pad_vector
+from .field import noise_pad_vector
 from .model import SchemeParams, query_vectors
 from .transcript import MASK_SHARE, ROUND_SETUP, Transcript
 
@@ -60,7 +61,8 @@ METHOD = "coset"
 
 
 class _Cursor:
-    """Slices one flat randomness assignment into noise/mask structures."""
+    """Hands out one flat randomness assignment in order. It stands in for
+    a RandomSource, so views draw through the schemes' own samplers."""
 
     __slots__ = ("flat", "i")
 
@@ -68,13 +70,18 @@ class _Cursor:
         self.flat = flat
         self.i = 0
 
-    def vec(self, k):
+    def draw_vector(self, modulus, k):
+        """The next k symbols of the assignment tuple; they are GF(p)
+        elements already."""
         v = self.flat[self.i:self.i + k]
+        if len(v) < k:
+            raise IntegrityError(f"audit view draws {self.i + k} randomness symbols, "
+                                 f"past the {len(self.flat)} of its assignment")
         self.i += k
-        return tuple(v)
+        return v
 
     def rows(self, r, k):
-        return tuple(self.vec(k) for _ in range(r))
+        return tuple(self.draw_vector(None, k) for _ in range(r))
 
 
 def enumerate_distribution(view: Callable, dims: int, p: int,
@@ -178,12 +185,10 @@ def coset_law(view: Callable, dims: int, p: int, audit: str) -> Coset:
             raise IntegrityError(
                 f"audit {audit}: view length changes from {len(offset)} to "
                 f"{len(v)} at unit vector {k}")
-        columns.append(tuple((x - y) % p for x, y in zip(v, offset)))
+        columns.append([(x - y) % p for x, y in zip(v, offset)])
+    rows = [(b, row) for b, *row in zip(offset, *columns)]  # per view symbol
     for point in _probes(dims, p):
-        predicted = list(offset)
-        for x, col in zip(point, columns):
-            if x:
-                predicted = [(a + x * c) % p for a, c in zip(predicted, col)]
+        predicted = [(b + sum(map(mul, point, row))) % p for b, row in rows]
         if list(view(point)) != predicted:
             raise IntegrityError(
                 f"audit {audit}: view is not affine in its {dims} GF({p}) "
@@ -344,22 +349,15 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
     f = params.field
     m, n, e, mu = params.m, params.n, params.e, params.mu
     ups = params.upsilon
-    depth = params.blinding_depth
-    zero_free = tuple(((0,) * n) for _ in range(m - 1))
+    zero = pma1.masks_from_free(params, ((0,) * n,) * (m - 1))
 
     def view(assignment, theta, bits):
         cur = _Cursor(assignment)
-        noise = tuple(cur.rows(mu, e) for _ in range(m))
-        free = zero_free if zero_masks else cur.rows(m - 1, n)
-        masks = pma1.masks_from_free(params, free)
-        blinding = cur.rows(m, depth)
-        out = []
-        for i in range(m):
-            queries = query_vectors(theta, ups, noise[i], params)
-            for j in range(n):
-                out.append(spma1.answer(bits[i], queries[j], blinding[i], masks[i][j],
-                                        ups[j], f))
-        return tuple(out)
+        queries = pma1.gen_queries(theta, params, cur).queries
+        masks = zero if zero_masks else pma1.gen_masks(params, cur)
+        blinding = spma1.draw_party_noise(params, cur)
+        return tuple(spma1.answer(bits[i], queries[i][j], blinding[i], masks[i][j], ups[j], f)
+                     for i in range(m) for j in range(n))
 
     def classes():
         for theta in range(1, e + 1):
@@ -374,7 +372,7 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
                              gamma_flat, placement, theta, m, e)))
                         for placement in placements]
 
-    dims = m * mu * e + (0 if zero_masks else (m - 1) * n) + m * depth
+    dims = m * mu * e + (0 if zero_masks else (m - 1) * n) + m * params.blinding_depth
     return _audit("blind-estimation", "lemma2", params, dims, classes(),
                   {"zero_masks": zero_masks}, cap)
 
@@ -404,7 +402,7 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
         xrows = _canonical_rows(params.storage_depth, e, f.p)
 
         def view(assignment, ptildes, queries):
-            zp = _Cursor(assignment).vec(depth)
+            zp = _Cursor(assignment).draw_vector(f.p, depth)
             return tuple(spma2.answer(ptildes[nn], queries[nn], zp, ups[nn], f)
                          for nn in range(n_eff))
 
@@ -420,23 +418,19 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
         n = params.n
         dims = (m - 1) * n + m * depth
 
-        def view(assignment, base):
+        def view(assignment, bits, queries):
             cur = _Cursor(assignment)
-            masks = pma1.masks_from_free(params, cur.rows(m - 1, n))
+            masks = pma1.gen_masks(params, cur)
             blinding = cur.rows(m, depth)
-            out = []
-            for i in range(m):
-                for j in range(n):
-                    a = noise_pad_scalar(f, base[i][j], ups[j], blinding[i])
-                    out.append((a + masks[i][j]) % f.p)
-            return tuple(out)
+            return tuple(spma1.answer(bits[i], queries[j], blinding[i], masks[i][j], ups[j], f)
+                         for i in range(m) for j in range(n))
 
         def secrets(rows):
             # every party pads with the same rows, so its queries are alike
             queries = query_vectors(1, ups, rows, params)
             for bits in _all_datasets(m, e):
-                base = [[f.dot(bits[i], queries[j]) for j in range(n)] for i in range(m)]
-                yield ("bits", bits), sum(bits[i][0] for i in range(m)), partial(view, base=base)
+                yield (("bits", bits), sum(bits[i][0] for i in range(m)),
+                       partial(view, bits=bits, queries=queries))
 
     def classes():
         for rlabel, value in (("zero", 0), ("one", 1)):
@@ -506,13 +500,16 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
     depth = params.blinding_depth
 
     if params.is_type2:
+        if zero_masks:
+            raise ParameterError("zero_masks applies to the type-I variants, "
+                                 "whose answers carry masks")
         m = params.m
         xrows = _canonical_rows(params.storage_depth, e, f.p)
 
         def view(assignment, theta, ptildes):
             cur = _Cursor(assignment)
-            zrows = cur.rows(mu, e)
-            zp = cur.vec(depth)
+            zrows = spma2.draw_query_noise(params, cur)
+            zp = spma2.draw_global_noise(params, cur)
             out = []
             for q, ptilde, w in zip(query_vectors(theta, powers, zrows, params),
                                     ptildes, powers):
@@ -535,8 +532,8 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
         def view(assignment, theta, bits):
             cur = _Cursor(assignment)
             zrows = cur.rows(mu, e)
-            svec = zero_mask_vec if zero_masks else cur.vec(n)
-            blinding = cur.vec(depth)
+            svec = zero_mask_vec if zero_masks else cur.draw_vector(f.p, n)
+            blinding = cur.draw_vector(f.p, depth)
             out = []
             for q, j, w in zip(query_vectors(theta, powers, zrows, params), taps, powers):
                 out.extend(q)
@@ -572,8 +569,7 @@ def audit_interparty_dealing(params: SchemeParams, *, leak_incidence: bool = Fal
 
     def view(assignment, bits):
         tr = Transcript()
-        pma1.emit_mask_events(
-            params, pma1.masks_from_free(params, _Cursor(assignment).rows(m - 1, n)), tr)
+        pma1.emit_mask_events(params, pma1.gen_masks(params, _Cursor(assignment)), tr)
         if leak_incidence:
             for i in range(m - 1):
                 tr.emit(ROUND_SETUP, f"p{i + 1}", dealer, f"p{i + 1}:{dealer}",

@@ -1,4 +1,4 @@
-"""Arithmetic in GF(p) plus the exact linear algebra the decoders rely on.
+"""Arithmetic in GF(p) plus the evaluation matrix the pads and decoders rely on.
 
 Field elements are plain ints in ``[0, p)``; the modulus is carried by a
 :class:`PrimeField` context object, not by each element. Everything here is
@@ -119,54 +119,43 @@ def build_upsilon(field: PrimeField,
 
 
 @lru_cache(maxsize=1)
-def _factor(p: int, rows: tuple[tuple[int, ...], ...]):
-    """LU factorization with partial pivoting over GF(p), validating the
-    elements, by rows: the rows' pivot order, per row of L its multipliers
-    and its pivot's inverse, per row of the unit U its entries right of the
-    diagonal, reversed. One entry: every decode of a run solves one matrix.
-
-    Each work row is packed into one int, ``size`` bytes per element, so a
-    row update is one big-int multiply-add. Elements are reduced only when
-    read; a slot gains at most (p-1)^2 per update, at most n times.
-    """
-    n = len(rows)
+def _inverse(p: int, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The inverse of an evaluation matrix over GF(p), by rows, validating
+    the elements. Its points x_j are column 1. Column j holds the
+    coefficients of the Lagrange basis polynomial of x_j: prod_k (x - x_k)
+    divided by (x - x_j), scaled by 1 / prod_{k != j} (x_j - x_k). One
+    entry: every decode of a run solves one matrix, and a failed build is
+    not memoized."""
     field = PrimeField(p)
-    size = ((p + n * (p - 1) ** 2).bit_length() + 7) // 8
-    w, mask = 8 * size, (1 << 8 * size) - 1
-
-    def pack(values):
-        return int.from_bytes(b"".join(a.to_bytes(size, "little") for a in values), "little")
-
-    work = [pack(field.check_all(row)) for row in rows]
-    order, lower, invs, upper = list(range(n)), [[] for _ in range(n)], [], []
-    for col in range(n):
-        column = [(r >> col * w & mask) % p for r in work[col:]]
-        pivot = next((i for i, a in enumerate(column) if a), None)
-        if pivot is None:
-            raise IntegrityError(
-                "singular linear system; evaluation points must be distinct")
-        for seq in (work, order, lower):
-            seq[col], seq[col + pivot] = seq[col + pivot], seq[col]
-        column[0], column[pivot] = column[pivot], column[0]
-        inv = pow(column[0], p - 2, p)
-        head = work[col] >> (col + 1) * w
-        tail = [(head >> j * w & mask) * inv % p for j in range(n - col - 1)]
-        packed = pack(tail) << (col + 1) * w
-        below = column[1:]
-        work[col + 1:] = [r + (p - f) * packed if f else r
-                          for r, f in zip(work[col + 1:], below)]
-        for row, f in zip(lower[col + 1:], below):
-            row.append(f)
-        invs.append(inv)
-        upper.append(tuple(reversed(tail)))
-    return tuple(order), tuple(map(tuple, lower)), tuple(invs), tuple(upper)
+    for row in rows:
+        field.check_all(row)
+    n = len(rows)
+    xs = [row[1] if n > 1 else 0 for row in rows]  # 1 x 1: (1,) at any point
+    if rows != build_upsilon(field, [x - 1 for x in xs]):
+        raise ParameterError("only evaluation matrices, rows [1, x, x^2, ...], are solved")
+    if len(set(xs)) < n:
+        raise IntegrityError("singular linear system; evaluation points must be distinct")
+    master = [1]  # prod_k (x - x_k), from the highest power down
+    for x in xs:
+        master = [(a - x * b) % p for a, b in zip(master + [0], [0] + master)]
+    columns = []
+    for x in xs:
+        basis = [1]  # master / (x - x_j) by synthetic division, highest power first
+        for c in master[1:-1]:
+            basis.append((c + x * basis[-1]) % p)
+        value = 0  # basis at x_j by Horner: prod_{k != j} (x_j - x_k)
+        for c in basis:
+            value = (value * x + c) % p
+        scale = pow(value, p - 2, p)
+        columns.append([c * scale % p for c in reversed(basis)])
+    return tuple(zip(*columns))
 
 
 def solve_linear(field: PrimeField, m, rhs) -> list[int]:
-    """Solve m x = rhs over GF(p): the memoized factorization of m, then
-    forward and back substitution, one dot per row. A singular m,
-    unreachable from valid evaluation points, means corrupted inputs; it
-    raises on every call, as a failed factorization is not memoized."""
+    """Solve m x = rhs over GF(p) for an evaluation matrix m, as
+    ``build_upsilon`` makes: one dot per unknown with a row of the memoized
+    inverse. Any other matrix is refused. Repeated points, unreachable from
+    valid parameters, mean corrupted inputs; they raise on every call."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ParameterError("matrix must be square")
@@ -179,14 +168,7 @@ def solve_linear(field: PrimeField, m, rhs) -> list[int]:
         # before the lookup: 1.0 would hit a cached 1, a list is unhashable
         for row in rows:
             field.check_all(row)
-    order, lower, invs, upper = _factor(p, rows)
-    y = []  # L y = P b; each dot stops at the end of its row of L
-    for i, row, inv in zip(order, lower, invs):
-        y.append((b[i] - sum(map(mul, row, y))) * inv % p)
-    x = []  # U x = y from the last unknown up, so x is built reversed
-    for yi, row in zip(reversed(y), reversed(upper)):
-        x.append((yi - sum(map(mul, row, x))) % p)
-    return x[::-1]
+    return [sum(map(mul, row, b)) % p for row in _inverse(p, rows)]
 
 
 @lru_cache(maxsize=1)

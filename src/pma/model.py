@@ -126,7 +126,7 @@ class SchemeParams:
     def is_type2(self) -> bool:
         return self.variant == "spma2"
 
-    @property
+    @cached_property
     def mu(self) -> int:
         """Query noise depth."""
         return max(self.t * self.n if self.is_type2 else self.t, max(self.y))
@@ -154,7 +154,7 @@ class SchemeParams:
         holds the powers of (1 + alpha_j) every pad at point j weights with."""
         return build_upsilon(self.field, self.alphas_used)
 
-    @property
+    @cached_property
     def blinding_depth(self) -> int:
         """Blinding scalars per answer: 0 for pma1, else one fewer than the
         answers one decode reads (N for spma1, n_eff for spma2)."""
@@ -226,19 +226,19 @@ def check_raw(variant, **ints) -> str:
 
 def _per_party_y(variant: str, m: int, y) -> tuple[int, ...]:
     """Y as one eavesdropping budget per party. An int applies to every
-    party; a type-I list must repeat one value, a type-II list has M."""
+    party; a list has M entries, and a type-I list repeats one value."""
     values = (y,) * m if type(y) is int else y
     if not (isinstance(values, (list, tuple))
             and all(type(v) is int and v >= 0 for v in values)):
         raise ParameterError(
             f"y must be a non-negative int or a list of them, got {y!r}")
-    if variant != "spma2" and len(set(values)) != 1:
-        raise ParameterError(f"type-I variants take a single eavesdropping budget, got {y!r}")
-    values = tuple(values) if variant == "spma2" else (values[0],) * m
-    if len(values) != m:  # a type-II list of the wrong length
+    if len(values) != m:
         raise ParameterError(
-            f"type-II eavesdropping budgets must be {m} non-negative ints, got {y!r}")
-    return values
+            f"eavesdropping budgets must be {m} non-negative ints, one per party "
+            f"(M={m}), got {y!r}")
+    if variant != "spma2" and len(set(values)) > 1:
+        raise ParameterError(f"type-I variants take a single eavesdropping budget, got {y!r}")
+    return tuple(values)
 
 
 def make_params(variant: str, m: int, e: int, *, t: int = 0, y=0,

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pma import audit
+from pma import audit, pma1, spma1
 from pma.errors import AuditInfeasibleError, IntegrityError, ParameterError
 from pma.harness import build_audit_suite
 from pma.model import make_params, query_vectors
@@ -329,6 +329,27 @@ def test_eavesdropper_overbudget_fails():
 
 def test_eavesdropper_type2_overbudget_fails():
     assert not audit.audit_eavesdropper(t2(y=1), [1, 2, 3]).passed
+
+
+def test_eavesdropper_type2_refuses_zero_masks():
+    # type-II answers carry no masks, so the type-I control switch is refused
+    params = make_params("spma2", 3, 2, t=1, y=1, p=5)
+    with pytest.raises(ParameterError, match="zero_masks applies to the type-I"):
+        audit.audit_eavesdropper(params, [1], zero_masks=True)
+
+
+def test_cursor_draws_in_order_and_not_past_its_assignment():
+    # the schemes' samplers draw from it as from a RandomSource
+    params = t1("spma1")
+    flat = tuple(range(3)) * 4
+    cursor = audit._Cursor(flat)
+    queries = pma1.gen_queries(1, params, cursor)
+    assert queries.noise == ((flat[0:2],), (flat[2:4],))
+    assert pma1.gen_masks(params, cursor) == pma1.masks_from_free(params, (flat[4:6],))
+    assert spma1.draw_party_noise(params, cursor) == (flat[6:7], flat[7:8])
+    assert cursor.draw_vector(3, 4) == flat[8:12]
+    with pytest.raises(IntegrityError, match="past the 12 of its assignment"):
+        cursor.draw_vector(3, 1)
 
 
 def test_zero_taps_vacuous_pass():

@@ -273,6 +273,16 @@ def test_run_type2_y_list(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("variant,y", [("pma1", "1,1,1,1,1"), ("spma1", "1,1"),
+                                       ("spma2", "0,0")])
+def test_run_y_list_of_the_wrong_length_exit_2(capsys, variant, y):
+    assert main(["run", "--variant", variant, "--m", "3", "--e", "2", "--t", "1",
+                 "--y", y, "--theta", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parameter error:") and "(M=3)" in captured.err
+    assert captured.out == ""
+
+
 def test_audit_named_case(capsys):
     code = main(["audit", "--suite", "storage-security:spma2", "--json"])
     assert code == 0

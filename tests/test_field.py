@@ -1,15 +1,14 @@
-"""GF(p) arithmetic and the exact solver."""
+"""GF(p) arithmetic and the evaluation-matrix solver."""
 
 import itertools
-from operator import mul
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pma import pma1, spma1, spma2
 from pma.errors import IntegrityError, ParameterError
-from pma.field import (PrimeField, _factor, _packed_columns, build_upsilon, default_alphas,
+from pma.field import (PrimeField, _inverse, _packed_columns, build_upsilon, default_alphas,
                        is_prime, noise_pad_scalar, noise_pad_vector, solve_linear)
 from pma.model import PartyDataset, RandomSource, incidence, make_params, unit_vector
 
@@ -61,11 +60,16 @@ def test_is_prime_matches_trial_division():
 
 
 def test_inverse_cancels_for_all_nonzero():
-    # the solver's pivot inverse: a x = 1 on a 1 x 1 system
+    # a 1 x 1 evaluation matrix is ((1,),) at any point; ((a,),) is no other
+    # point's, and the solver refuses it
     f = PrimeField(31)
+    assert solve_linear(f, [[1]], [5]) == [5]
+    for a in range(2, 31):
+        with pytest.raises(ParameterError, match="evaluation matrices"):
+            solve_linear(f, [[a]], [1])
+    # at the points 0 and a the line through (0, 0) and (a, 1) has slope 1/a
     for a in range(1, 31):
-        (x,) = solve_linear(f, [[a]], [1])
-        assert a * x % 31 == 1
+        assert solve_linear(f, ((1, 0), (1, a)), [0, 1])[1] * a % 31 == 1
 
 
 def test_element_range_enforced():
@@ -135,9 +139,12 @@ def test_upsilon_deterministic():
 
 
 def test_solve_identity():
+    # nonsingular, but no evaluation matrix: refused on every call
     f = PrimeField(7)
     ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert solve_linear(f, ident, [3, 0, 6]) == [3, 0, 6]
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="evaluation matrices"):
+            solve_linear(f, ident, [3, 0, 6])
 
 
 def test_solve_trivial_1x1():
@@ -191,58 +198,46 @@ def random_matrix(rng, p, n):
     return [list(rng.draw_vector(p, n)) for _ in range(n)]
 
 
-@pytest.mark.parametrize("p,sizes", [(2, range(1, 9)), (7, range(1, 9)),
+def random_points(rng, p, n):
+    """n distinct points of GF(p), 0 among the candidates."""
+    points = []
+    while len(points) < n:
+        (x,) = rng.draw_vector(p, 1)
+        if x not in points:
+            points.append(x)
+    return points
+
+
+def evaluation_matrix(p, points):
+    """Rows [1, x, x^2, ...] by pow, independent of build_upsilon."""
+    return [[pow(x, k, p) for k in range(len(points))] for x in points]
+
+
+@pytest.mark.parametrize("p,sizes", [(2, range(1, 3)), (7, range(1, 8)),
                                      (131, (1, 2, 3, 5, 8, 17)),
                                      (2 ** 61 - 1, (1, 2, 4, 9))])
 def test_solve_matches_reference_on_random_systems(p, sizes):
     f = PrimeField(p)
     rng = RandomSource(p)
     for n in sizes:
-        solved = 0
-        while solved < 4:
-            m = random_matrix(rng, p, n)
-            if determinant(f, m) == 0:
-                continue
+        for _ in range(4):
+            m = evaluation_matrix(p, random_points(rng, p, n))
             rhs = list(rng.draw_vector(p, n))
             x = solve_linear(f, m, rhs)
             assert x == ref_solve(p, m, rhs)
             assert mat_vec(f, m, x) == tuple(rhs)
-            solved += 1
-
-
-def test_solve_row_swaps():
-    f = PrimeField(131)
-    rng = RandomSource(5)
-    # zeros on and below the leading diagonal entries force a swap at every
-    # column but the last: the reversed rows of an upper triangular matrix
-    for n in (2, 3, 6, 12):
-        upper = [[0] * r + [1 + rng.draw_vector(130, 1)[0]]
-                 + list(rng.draw_vector(131, n - r - 1))
-                 for r in range(n)]
-        m = upper[::-1]
-        rhs = list(rng.draw_vector(131, n))
-        x = solve_linear(f, m, rhs)
-        assert x == ref_solve(131, m, rhs)
-        assert mat_vec(f, m, x) == tuple(rhs)
-    # a zero pivot that appears only after eliminating the first column
-    m = [[1, 2, 3], [2, 4, 5], [3, 5, 6]]
-    x = solve_linear(PrimeField(7), m, [1, 2, 3])
-    assert x == ref_solve(7, m, [1, 2, 3])
 
 
 def test_solve_collusion_wide_shape():
-    # N = 64 databases at p = 131: the Vandermonde decode and a random system
+    # N = 64 databases at p = 131: the Vandermonde decode
     f = PrimeField(131)
     rng = RandomSource(64)
     ups = build_upsilon(f, default_alphas(131, 64))
-    m = random_matrix(rng, 131, 64)
-    assert determinant(f, m) != 0
-    for matrix in (ups, m):
-        for _ in range(2):
-            rhs = list(rng.draw_vector(131, 64))
-            x = solve_linear(f, matrix, rhs)
-            assert x == ref_solve(131, matrix, rhs)
-            assert mat_vec(f, matrix, x) == tuple(rhs)
+    for _ in range(2):
+        rhs = list(rng.draw_vector(131, 64))
+        x = solve_linear(f, ups, rhs)
+        assert x == ref_solve(131, ups, rhs)
+        assert mat_vec(f, ups, x) == tuple(rhs)
 
 
 def test_solve_singular_systems_raise():
@@ -250,48 +245,52 @@ def test_solve_singular_systems_raise():
     for p in (2, 7, 131):
         f = PrimeField(p)
         for n in (2, 3, 5, 9):
+            if n <= p:
+                # one point repeated: rows i and j are equal
+                points = random_points(rng, p, n)
+                i, j = sorted(random_points(rng, n, 2))
+                points[j] = points[i]
+                m = evaluation_matrix(p, points)
+                assert determinant(f, m) == 0
+                with pytest.raises(IntegrityError, match="distinct"):
+                    solve_linear(f, m, list(rng.draw_vector(p, n)))
+            # a zero row, or a zero column: singular, and no evaluation
+            # matrix, since each of its rows starts with a 1
             m = random_matrix(rng, p, n)
-            # last row a combination of the others: the rank deficit shows
-            # only at the last column
-            weights = rng.draw_vector(p, n - 1)
-            m[-1] = [sum(w * row[k] for w, row in zip(weights, m)) % p
-                     for k in range(n)]
-            assert determinant(f, m) == 0
-            with pytest.raises(IntegrityError):
-                solve_linear(f, m, list(rng.draw_vector(p, n)))
-            m[0] = [0] * n  # a zero column at the first step
-            m = [list(col) for col in zip(*m)]
-            with pytest.raises(IntegrityError):
-                solve_linear(f, m, [0] * n)
+            m[0] = [0] * n
+            for matrix in (m, [list(col) for col in zip(*m)]):
+                assert determinant(f, matrix) == 0
+                with pytest.raises(ParameterError, match="evaluation matrices"):
+                    solve_linear(f, matrix, [0] * n)
 
 
 def test_solve_factors_each_matrix_once():
     # five right-hand sides on one matrix, as lists and then as tuples: one
-    # factorization, then substitution only
+    # inverse, then a dot per unknown only
     p = 131
     f = PrimeField(p)
     rng = RandomSource(21)
-    m = random_matrix(rng, p, 7)
-    assert determinant(f, m) != 0
+    m = evaluation_matrix(p, random_points(rng, p, 7))
     rhss = [list(rng.draw_vector(p, 7)) for _ in range(5)]
-    before = _factor.cache_info()
+    before = _inverse.cache_info()
     for matrix, wrap in ((m, list), (tuple(map(tuple, m)), tuple)):
         for rhs in rhss:
             assert solve_linear(f, matrix, wrap(rhs)) == ref_solve(p, m, rhs)
-    after = _factor.cache_info()
+    after = _inverse.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 9)
 
 
 def test_solve_singular_raises_on_every_call():
+    # the point 2 twice; a failed inverse is not memoized
     f = PrimeField(7)
     for _ in range(2):
         with pytest.raises(IntegrityError):
-            solve_linear(f, ((1, 2), (2, 4)), [1, 2])
+            solve_linear(f, ((1, 2), (1, 2)), [1, 2])
 
 
 def test_solve_checks_rhs_after_matrix_is_cached():
     f = PrimeField(7)
-    m = ((1, 2), (3, 4))
+    m = ((1, 2), (1, 3))
     assert solve_linear(f, m, [1, 2]) == ref_solve(7, m, [1, 2])
     for bad in (7, -1, 1.0):
         with pytest.raises(ParameterError, match="not an element of GF"):
@@ -301,11 +300,50 @@ def test_solve_checks_rhs_after_matrix_is_cached():
 
 @pytest.mark.parametrize("bad", (7, -1, 3.0, [3]))
 def test_solve_rejects_matrix_outside_field(bad):
-    # with ((1, 2), (3, 4)) cached: 3.0 equals its 3, and a list is no key
+    # with ((1, 2), (1, 3)) cached: 3.0 equals its 3, and a list is no key
     f = PrimeField(7)
-    assert solve_linear(f, ((1, 2), (3, 4)), [1, 2]) == ref_solve(7, ((1, 2), (3, 4)), [1, 2])
+    assert solve_linear(f, ((1, 2), (1, 3)), [1, 2]) == ref_solve(7, ((1, 2), (1, 3)), [1, 2])
     with pytest.raises(ParameterError, match="not an element of GF"):
-        solve_linear(f, ((1, 2), (bad, 4)), [1, 2])
+        solve_linear(f, ((1, 2), (1, bad)), [1, 2])
+
+
+@st.composite
+def evaluation_systems(draw):
+    p = draw(st.sampled_from((3, 7, 31, 131, 2 ** 61 - 1)))
+    element = st.integers(0, p - 1)
+    points = draw(st.lists(element, unique=True, max_size=min(p, 64)))
+    n = len(points)
+    rhs = draw(st.lists(element, min_size=n, max_size=n))
+    # one entry moved off [1, x, x^2, ...]: row i, column k, by a nonzero delta
+    change = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                            st.integers(1, p - 1))) if n else None
+    return p, points, rhs, change
+
+
+@settings(max_examples=100)
+@given(evaluation_systems())
+@example((131, list(range(64)), [k * k % 131 for k in range(64)], (63, 0, 5)))
+@example((2 ** 61 - 1, [0, 2 ** 61 - 2, 1], [1, 2, 3], (1, 1, 2)))
+def test_solve_inverts_every_evaluation_matrix_and_refuses_the_rest(case):
+    p, points, rhs, change = case
+    f = PrimeField(p)
+    m = evaluation_matrix(p, points)
+    x = solve_linear(f, m, rhs)
+    assert x == ref_solve(p, m, rhs)
+    assert mat_vec(f, m, x) == tuple(rhs)
+    if change is None:
+        return
+    i, k, delta = change
+    m[i][k] = (m[i][k] + delta) % p
+    moved = [row[1] if len(row) > 1 else 0 for row in m]
+    if m != evaluation_matrix(p, moved):
+        with pytest.raises(ParameterError, match="evaluation matrices"):
+            solve_linear(f, m, rhs)
+    elif len(set(moved)) < len(moved):  # column 1 moved onto another point
+        with pytest.raises(IntegrityError, match="distinct"):
+            solve_linear(f, m, rhs)
+    else:  # column 1 moved to a point whose other powers agree
+        assert mat_vec(f, m, solve_linear(f, m, rhs)) == tuple(rhs)
 
 
 @pytest.mark.parametrize("p", (131, 2 ** 61 - 1))
@@ -503,66 +541,3 @@ def test_deep_pad_packed_columns_follow_the_rows_given():
         assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
         assert padded == ref_pad_rows(p, (1, 0), powers, rows)
         assert padded == tuple(ref_pad_vector(p, (1, 0), a, rows) for a in points)
-
-
-def zero_pivot_columns(p, m):
-    """The columns at which elimination without swaps meets a zero on the
-    diagonal: where the solver must pick a row further down."""
-    work = [list(row) for row in m]
-    zeros = []
-    for col in range(len(work)):
-        pivot = next(r for r in range(col, len(work)) if work[r][col])
-        if pivot != col:
-            zeros.append(col)
-            work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col], p - 2, p)
-        for r in range(col + 1, len(work)):
-            factor = work[r][col] * inv % p
-            work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[col])]
-    return zeros
-
-
-def pivoting_matrix(rng, p, n):
-    """P L U, nonsingular: L lower triangular with a nonzero diagonal and
-    about half its entries below it 0, U unit upper triangular, P a random
-    row order. Where P brings up a row whose L entry is 0 at a column, the
-    leading entry there is 0 once the columns to its left are eliminated;
-    drawn until that happens at several columns."""
-    while True:
-        lower = []
-        for i in range(n):
-            keep = rng.draw_vector(2, n)
-            lower.append([a * b if k < i else (a or 1) if k == i else 0
-                          for k, (a, b) in enumerate(zip(rng.draw_vector(p, n), keep))])
-        upper = [[a if k > i else int(k == i) for k, a in enumerate(rng.draw_vector(p, n))]
-                 for i in range(n)]
-        m = [[sum(map(mul, row, col)) % p for col in zip(*upper)] for row in lower]
-        for i in range(n - 1, 0, -1):  # Fisher-Yates
-            j = rng.draw_vector(i + 1, 1)[0]
-            m[i], m[j] = m[j], m[i]
-        if len(zero_pivot_columns(p, m)) >= min(3, n - 1):
-            return m
-
-
-@pytest.mark.parametrize("p", (2, 3, 131, 2 ** 61 - 1))
-def test_row_form_lu_pivots_past_zero_leading_entries(p):
-    f = PrimeField(p)
-    rng = RandomSource(p + 1)
-    for n in (2, 3, 5, 8, 13):
-        m = pivoting_matrix(rng, p, n)
-        assert determinant(f, m) != 0
-        for hit in (False, True):  # factorized, then from the memoized entry
-            before = _factor.cache_info()
-            rhs = list(rng.draw_vector(p, n))
-            x = solve_linear(f, m, rhs)
-            after = _factor.cache_info()
-            assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
-            assert x == ref_solve(p, m, rhs)
-            assert mat_vec(f, m, x) == tuple(rhs)
-        # the same matrix made singular: its last row a combination of the rest
-        weights = rng.draw_vector(p, n - 1)
-        singular = m[:-1] + [[sum(w * r[k] for w, r in zip(weights, m)) % p
-                              for k in range(n)]]
-        for _ in range(2):
-            with pytest.raises(IntegrityError):
-                solve_linear(f, singular, list(rng.draw_vector(p, n)))

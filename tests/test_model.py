@@ -147,6 +147,14 @@ def test_y_is_stored_per_party_for_every_variant():
         make_params("spma2", 3, 2, t=1, y=(0, 0))
 
 
+@pytest.mark.parametrize("variant", ["pma1", "spma1", "spma2"])
+@pytest.mark.parametrize("y", [[1] * 5, [1], []])
+def test_y_list_of_the_wrong_length_names_m(variant, y):
+    # a type-I list repeats one value, but it still has one entry per party
+    with pytest.raises(ParameterError, match=r"budgets must be 2 .*\(M=2\)"):
+        make_params(variant, 2, 2, t=1, y=y)
+
+
 @pytest.mark.parametrize("key,value", [
     ("m", "3"), ("m", 2.0), ("e", None), ("t", True), ("t2", "1"), ("n", 2.5),
     ("p", "7"), ("y", "1"), ("y", "00"), ("y", 1.5), ("y", [1.7, 0, 0]),
