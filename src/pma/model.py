@@ -16,7 +16,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from operator import lt
 from os import PathLike
@@ -150,9 +150,10 @@ class SchemeParams:
 
     @cached_property
     def upsilon(self) -> tuple[tuple[int, ...], ...]:
-        """The evaluation matrix every count decode solves, built once; row j
-        holds the powers of (1 + alpha_j) every pad at point j weights with."""
-        return build_upsilon(self.field, self.alphas_used)
+        """The evaluation matrix every count decode solves, shared by every
+        parameter set of one field and points; row j holds the powers of
+        (1 + alpha_j) every pad at point j weights with."""
+        return _upsilon(self.p, self.alphas_used)
 
     @cached_property
     def blinding_depth(self) -> int:
@@ -176,6 +177,12 @@ class SchemeParams:
             out["n_eff"] = self.n_eff
             out["idle_databases"] = self.m * self.n - self.n_eff
         return out
+
+
+@lru_cache(maxsize=8)
+def _upsilon(p: int, alphas: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Upsilon of GF(p) at ``alphas``; one immutable matrix per shape."""
+    return build_upsilon(PrimeField(p), alphas)
 
 
 def auto_p(m: int, n: int) -> int:

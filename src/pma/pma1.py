@@ -17,6 +17,7 @@ transcript for cost accounting but is not part of any adversary view.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, compress
 from typing import Callable, Sequence
 
@@ -103,12 +104,11 @@ def decode(answers, params: SchemeParams) -> int:
     return decode_count([sum(column) % f.p for column in zip(*answers)], params)
 
 
-def _db_name(i: int, j: int) -> str:
-    return f"p{i + 1}.d{j + 1}"
-
-
-def _db_link(i: int, j: int) -> str:
-    return f"user:p{i + 1}.d{j + 1}"
+@lru_cache(maxsize=8)
+def _db_names(m: int, n: int) -> tuple:
+    """(name, user link) of database j+1 of party i+1, at [i][j]."""
+    return tuple(tuple((f"p{i}.d{j}", f"user:p{i}.d{j}") for j in range(1, n + 1))
+                 for i in range(1, m + 1))
 
 
 def emit_mask_events(params: SchemeParams, masks: tuple, tr: Transcript) -> None:
@@ -119,10 +119,9 @@ def emit_mask_events(params: SchemeParams, masks: tuple, tr: Transcript) -> None
 
 
 def emit_query_events(params: SchemeParams, queries: QuerySet, tr: Transcript) -> None:
-    for i in range(params.m):
-        for j in range(params.n):
-            tr.emit(ROUND_QUERY, "user", _db_name(i, j), _db_link(i, j),
-                    QUERY, queries.queries[i][j])
+    for row, names in zip(queries.queries, _db_names(params.m, params.n)):
+        for query, (name, link) in zip(row, names):
+            tr.emit(ROUND_QUERY, "user", name, link, QUERY, query)
 
 
 def answer_table(params: SchemeParams, tr: Transcript,
@@ -130,11 +129,11 @@ def answer_table(params: SchemeParams, tr: Transcript,
     """Every database's reply, ``reply(i, j)`` for database j+1 of party
     i+1, logged on its link; rows are parties."""
     table = []
-    for i in range(params.m):
+    for i, names in enumerate(_db_names(params.m, params.n)):
         row = []
-        for j in range(params.n):
+        for j, (name, link) in enumerate(names):
             a = reply(i, j)
-            tr.emit(ROUND_ANSWER, _db_name(i, j), "user", _db_link(i, j), ANSWER, (a,))
+            tr.emit(ROUND_ANSWER, name, "user", link, ANSWER, (a,))
             row.append(a)
         table.append(tuple(row))
     return tuple(table)

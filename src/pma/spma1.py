@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import pma1
 from .errors import ParameterError
-from .field import noise_pad_scalar
+from .field import noise_pad_scalar, noise_pad_vector
 from .model import PartyDataset, RandomSource, SchemeParams, incidence
 from .transcript import NOISE_SHARE, ROUND_SETUP, Transcript
 
@@ -36,7 +36,8 @@ def draw_party_noise(params: SchemeParams, rng: RandomSource) -> tuple:
 def answer(bits: Sequence[int], query: Sequence[int], zrow: Sequence[int],
            mask_symbol: int, powers: Sequence[int], field) -> int:
     """pma1.answer plus the blinding scalars weighted by ``powers``, the
-    database's row of Upsilon; a zero zrow adds nothing."""
+    database's row of Upsilon; a zero zrow adds nothing. One database's
+    answer, as the audit views take it; ``run`` gives the same symbols."""
     padded_mask = noise_pad_scalar(field, mask_symbol, powers, zrow)
     return (sum(compress(query, bits)) + padded_mask) % field.p
 
@@ -59,9 +60,12 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
                 values=(), symbols=params.blinding_depth)
     pma1.emit_query_events(params, queries, tr)
     f = params.field
-    ups = params.upsilon
-    table = pma1.answer_table(params, tr, lambda i, j: answer(
-        bits[i], queries.queries[i][j], blinding[i], masks[i][j], ups[j], f))
+    # each party's blinding at every point: one pad of the base (0,), the
+    # scalars as length-1 rows; deep blinding takes the packed branch
+    pads = [[z for (z,) in noise_pad_vector(f, (0,), params.upsilon, [(b,) for b in zrow])]
+            for zrow in blinding]
+    table = pma1.answer_table(params, tr, lambda i, j: pma1.answer(
+        bits[i], queries.queries[i][j], masks[i][j] + pads[i][j], f))
     return pma1.ProtocolRun(params=params, theta=theta, count=decode(table, params),
                             queries=queries, masks=masks, answers=table,
                             transcript=tr, blinding=blinding)

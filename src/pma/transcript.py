@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _string
 from typing import NamedTuple
 
@@ -54,15 +55,24 @@ class Transcript:
 
         Per event: the 8-byte little-endian length of a header, the header
         (json.dumps of [round, sender, receiver, link, category, symbols,
-        value count], built without the encoder object), then a 0 tag byte
-        and the values as little-endian 64-bit words. Field elements always
-        fit, since p < 2^64; any other value raises struct.error.
+        value count], built without the encoder object and memoized), then
+        a 0 tag byte and the values as little-endian 64-bit words. Field
+        elements always fit, since p < 2^64; any other value raises
+        struct.error.
         """
         h = hashlib.sha256()
         for ev in self.events:
-            header = (f"[{ev.round}, {_string(ev.sender)}, {_string(ev.receiver)}, "
-                      f"{_string(ev.link)}, {_string(ev.category)}, {ev.symbols}, "
-                      f"{len(ev.values)}]").encode()
-            h.update(len(header).to_bytes(8, "little") + header + b"\x00")
+            h.update(_frame(ev.round, ev.sender, ev.receiver, ev.link, ev.category,
+                            ev.symbols, len(ev.values)))
             h.update(struct.pack(f"<{len(ev.values)}Q", *ev.values))
         return h.hexdigest()
+
+
+@lru_cache(maxsize=512, typed=True)
+def _frame(round, sender, receiver, link, category, symbols, count) -> bytes:
+    """One event's length-framed header and tag byte. Memoized: the events
+    of every run of one shape repeat the same headers; typed, so a bool
+    never shares an int's frame."""
+    header = (f"[{round}, {_string(sender)}, {_string(receiver)}, {_string(link)}, "
+              f"{_string(category)}, {symbols}, {count}]").encode()
+    return len(header).to_bytes(8, "little") + header + b"\x00"

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from pma.errors import ParameterError
+from pma.field import _inverse
+from pma.harness import RunConfig, run_protocol
 from pma.model import (PartyDataset, RandomSource, auto_n, auto_p, generate_datasets,
                        incidence, load_datasets, make_params, true_count, unit_vector)
 from tests.oracles import members_of
@@ -420,3 +422,19 @@ def test_load_datasets_names_offender():
         load_datasets({"universe": ["a", "a"], "parties": [[]]})
     with pytest.raises(ParameterError):
         load_datasets({"universe": ["a"]})
+
+
+def test_upsilon_shared_by_one_shape():
+    ups = make_params("pma1", 3, 4, t=1, p=11).upsilon
+    assert make_params("pma1", 3, 4, t=1, p=11).upsilon is ups
+    assert make_params("spma1", 4, 9, t=1, p=11).upsilon is ups  # same p and points
+    assert type(ups) is tuple and all(type(row) is tuple for row in ups)
+    assert make_params("pma1", 3, 4, t=1, p=13).upsilon is not ups  # equal entries
+    assert len(make_params("pma1", 3, 4, t=3, p=11).upsilon) == 4
+
+
+def test_runs_of_one_shape_invert_upsilon_once():
+    _inverse.cache_clear()
+    for seed in (1, 2):
+        run_protocol(RunConfig("spma1", m=2, e=2, t=3, seed=seed))
+    assert _inverse.cache_info().misses == 1

@@ -1,14 +1,15 @@
 """Symmetric type-I scheme: blinding noise, reduction to the plain scheme."""
 
 import itertools
+from contextlib import nullcontext
 
 import pytest
 
 from pma import pma1, spma1
 from pma.errors import ParameterError
 from pma.field import PrimeField, noise_pad_scalar
-from pma.model import (PartyDataset, RandomSource, generate_datasets, make_params,
-                       true_count, unit_vector)
+from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
+                       make_params, true_count, unit_vector)
 from pma.transcript import MASK_SHARE, NOISE_SHARE, QUERY
 from tests.oracles import members_of
 
@@ -111,6 +112,28 @@ def test_blinded_run_is_plain_run_plus_blinding():
             for j, a in enumerate(row):
                 pad = noise_pad_scalar(sp.field, 0, sp.upsilon[j], run_sym.blinding[i])
                 assert a == (run_plain.answers[i][j] + pad) % sp.p
+
+
+@pytest.mark.parametrize("m,e,t,p", [
+    (2, 2, 63, 131),  # the collusion-wide shape: deep blinding, packed
+    (3, 5, 2, 2 ** 61 - 1),  # packed, with slots wider than a machine word
+    (2, 3, 0, None),  # N=1: no blinding scalars at all
+])
+def test_packed_blinding_matches_scalar_reference(m, e, t, p):
+    """run pads a party's blinding at every point in one call; each answer
+    is still the plain answer plus the scalar pad of its Upsilon row."""
+    with pytest.warns(UserWarning, match="in the clear") if t == 0 else nullcontext():
+        params = make_params("spma1", m, e, t=t, p=p)
+    f, ups = params.field, params.upsilon
+    datasets = generate_datasets(params, 0.5, RandomSource(7))
+    run = spma1.run(params, datasets, 1, RandomSource(3))
+    assert run.count == true_count(1, datasets, e)
+    assert params.n == len(ups) == t + 1 and {len(z) for z in run.blinding} == {t}
+    for i, d in enumerate(datasets):
+        bits = incidence(d, e)
+        for j, a in enumerate(run.answers[i]):
+            plain = pma1.answer(bits, run.queries.queries[i][j], run.masks[i][j], f)
+            assert a == (plain + noise_pad_scalar(f, 0, ups[j], run.blinding[i])) % params.p
 
 
 def test_blinding_changes_answers_but_not_count():

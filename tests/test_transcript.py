@@ -3,10 +3,11 @@
 import hashlib
 import json
 import struct
+from itertools import zip_longest
 
 import pytest
 
-from pma.transcript import ANSWER, QUERY, Transcript
+from pma.transcript import ANSWER, QUERY, Transcript, _frame
 
 BASE = dict(round=1, sender="user", receiver="d1", link="user:d1",
             category=QUERY, values=(3, 0, 2 ** 64 - 1), symbols=None)
@@ -78,3 +79,29 @@ def test_digest_frames_values_per_event():
     # header text cannot run into the next field
     assert digest(dict(BASE, sender="ab", receiver="c")) != \
         digest(dict(BASE, sender="a", receiver="bc"))
+
+
+def test_digest_memo_overflow_interleaved():
+    """More distinct headers than the frame memo holds, digested in turn
+    with a second transcript whose frames it keeps evicting."""
+    size = _frame.cache_parameters()["maxsize"]
+    many = [dict(BASE, receiver=f"d{k}", values=(k,)) for k in range(size + 50)]
+    few = [dict(BASE, sender="d1", receiver="user", category=ANSWER, values=(k,))
+           for k in range(5)]
+    first, second = Transcript(), Transcript()
+    for a, b in zip_longest(many, few):
+        first.emit(**a)
+        if b:
+            second.emit(**b)
+    for _ in range(2):
+        assert first.digest() == reference_digest(many)
+        assert second.digest() == reference_digest(few)
+
+
+def test_digest_memo_keeps_bool_apart_from_int():
+    as_int, as_bool = dict(BASE, round=1), dict(BASE, round=True)
+    _frame.cache_clear()
+    fresh = digest(as_bool)
+    _frame.cache_clear()
+    assert digest(as_int) == reference_digest([as_int])
+    assert digest(as_bool) == fresh != digest(as_int)
