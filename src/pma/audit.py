@@ -349,7 +349,7 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
     f = params.field
     m, n, e, mu = params.m, params.n, params.e, params.mu
     ups = params.upsilon
-    zero = pma1.masks_from_free(params, ((0,) * n,) * (m - 1))
+    zero = ((0,) * n,) * m
 
     def view(assignment, theta, bits):
         cur = _Cursor(assignment)
@@ -454,22 +454,21 @@ def audit_storage_security(params: SchemeParams, *, subset_size: int | None = No
     joint distribution for every value of that party's incidence vector."""
     if not params.is_type2:
         raise ParameterError("storage-security audit applies to the type-II variant")
-    f = params.field
     e, n_eff = params.e, params.n_eff
     size = params.storage_depth if subset_size is None else subset_size
     if not 1 <= size <= n_eff:
         raise ParameterError(f"share subset size {size} outside 1..{n_eff}")
     depth = 0 if zero_storage_noise else params.storage_depth
+    silent = (0,) * (params.storage_depth * e)  # the control's storage noise
 
-    def view(assignment, bits, powers):
-        rows = _Cursor(assignment).rows(depth, e)
-        return sum(noise_pad_vector(f, bits, powers, rows), ())  # the shares, joined
+    def view(assignment, bits, subset):
+        shares = spma2.encode_storage(bits, params, _Cursor(assignment or silent)).shares
+        return sum((shares[j] for j in subset), ())
 
     def classes():
         for subset in itertools.combinations(range(n_eff), size):
-            powers = [params.upsilon[j] for j in subset]
             yield {"subset": [j + 1 for j in subset]}, [
-                (("bits", bits), partial(view, bits=bits, powers=powers))
+                (("bits", bits), partial(view, bits=bits, subset=subset))
                 for bits in itertools.product((0, 1), repeat=e)]
 
     return _audit("storage-security", "lemma5", params, depth * e, classes(),
@@ -508,11 +507,11 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
 
         def view(assignment, theta, ptildes):
             cur = _Cursor(assignment)
-            zrows = spma2.draw_query_noise(params, cur)
+            queries = spma2.gen_queries(theta, params, cur).queries
             zp = spma2.draw_global_noise(params, cur)
             out = []
-            for q, ptilde, w in zip(query_vectors(theta, powers, zrows, params),
-                                    ptildes, powers):
+            for j, ptilde, w in zip(taps, ptildes, powers):
+                q = queries[j - 1]
                 out.extend(q)
                 out.append(spma2.answer(ptilde, q, zp, w, f))
             return tuple(out)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress
 from typing import Callable, Sequence
 
 from .errors import ParameterError
@@ -43,44 +43,19 @@ class ProtocolRun:
     blinding: tuple = ()
 
 
-def draw_query_noise(params: SchemeParams, rng: RandomSource) -> tuple:
-    """mu independent uniform vectors per party."""
-    return tuple(
+def gen_queries(theta: int, params: SchemeParams, rng: RandomSource) -> QuerySet:
+    """Per party, mu uniform noise vectors pad the unit vector of ``theta``."""
+    noise = tuple(
         tuple(rng.draw_vector(params.p, params.e) for _ in range(params.mu))
         for _ in range(params.m))
-
-
-def queries_from_noise(theta: int, params: SchemeParams, noise) -> QuerySet:
-    for row in chain(*noise):  # once per row; the party's databases reuse it
-        params.field.check_all(row)
     queries = tuple(query_vectors(theta, params.upsilon, rows, params) for rows in noise)
     return QuerySet(theta=theta, noise=noise, queries=queries)
 
 
-def gen_queries(theta: int, params: SchemeParams, rng: RandomSource) -> QuerySet:
-    return queries_from_noise(theta, params, draw_query_noise(params, rng))
-
-
-def draw_free_masks(params: SchemeParams, rng: RandomSource) -> tuple:
-    """Masks of parties 1..M-1; party M completes the zero sum."""
-    return tuple(rng.draw_vector(params.p, params.n) for _ in range(params.m - 1))
-
-
-def masks_from_free(params: SchemeParams, free: Sequence[Sequence[int]]) -> tuple:
-    f = params.field
-    if len(free) != params.m - 1:
-        raise ParameterError(
-            f"expected {params.m - 1} free mask vectors, got {len(free)}")
-    for s in free:
-        if len(s) != params.n:
-            raise ParameterError(f"mask vector length {len(s)} != N={params.n}")
-        f.check_all(s)
-    closing = tuple(-sum(column) % f.p for column in zip(*free))
-    return tuple(tuple(s) for s in free) + (closing,)
-
-
 def gen_masks(params: SchemeParams, rng: RandomSource) -> tuple:
-    return masks_from_free(params, draw_free_masks(params, rng))
+    """Parties 1..M-1 draw their masks; party M completes the zero sum."""
+    free = tuple(rng.draw_vector(params.p, params.n) for _ in range(params.m - 1))
+    return free + (tuple(-sum(column) % params.p for column in zip(*free)),)
 
 
 def answer(bits: Sequence[int], query: Sequence[int], mask_symbol: int, field) -> int:

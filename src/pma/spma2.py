@@ -54,25 +54,12 @@ class ProtocolRun:
     transcript: Transcript
 
 
-def draw_storage_noise(params: SchemeParams, rng: RandomSource) -> tuple:
-    return tuple(rng.draw_vector(params.p, params.e)
-                 for _ in range(params.storage_depth))
-
-
-def encode_from_noise(bits: Sequence[int], params: SchemeParams,
-                      noise_rows) -> StorageShare:
-    if len(noise_rows) != params.storage_depth:
-        raise ParameterError(
-            f"storage encoding needs {params.storage_depth} noise vectors, "
-            f"got {len(noise_rows)}")
-    noise_rows = tuple(tuple(params.field.check_all(r)) for r in noise_rows)  # once per row
-    shares = noise_pad_vector(params.field, bits, params.upsilon, noise_rows)
-    return StorageShare(noise=noise_rows, shares=shares)
-
-
 def encode_storage(bits: Sequence[int], params: SchemeParams,
                    rng: RandomSource) -> StorageShare:
-    return encode_from_noise(bits, params, draw_storage_noise(params, rng))
+    """One party's shares: its incidence vector padded with fresh noise."""
+    noise = tuple(rng.draw_vector(params.p, params.e) for _ in range(params.storage_depth))
+    return StorageShare(noise=noise,
+                        shares=noise_pad_vector(params.field, bits, params.upsilon, noise))
 
 
 def aggregate(shares: Sequence[Sequence[int]], params: SchemeParams) -> tuple[int, ...]:
@@ -89,18 +76,11 @@ def aggregate(shares: Sequence[Sequence[int]], params: SchemeParams) -> tuple[in
     return tuple(sum(column) % f.p for column in zip(*shares))
 
 
-def draw_query_noise(params: SchemeParams, rng: RandomSource) -> tuple:
-    return tuple(rng.draw_vector(params.p, params.e) for _ in range(params.mu))
-
-
-def queries_from_noise(theta: int, params: SchemeParams, noise) -> QuerySet:
-    noise = tuple(tuple(params.field.check_all(r)) for r in noise)  # once per row
-    queries = query_vectors(theta, params.upsilon, noise, params)
-    return QuerySet(theta=theta, noise=noise, queries=queries)
-
-
 def gen_queries(theta: int, params: SchemeParams, rng: RandomSource) -> QuerySet:
-    return queries_from_noise(theta, params, draw_query_noise(params, rng))
+    """mu fresh noise vectors pad the unit vector of ``theta`` at every point."""
+    noise = tuple(rng.draw_vector(params.p, params.e) for _ in range(params.mu))
+    return QuerySet(theta=theta, noise=noise,
+                    queries=query_vectors(theta, params.upsilon, noise, params))
 
 
 def draw_global_noise(params: SchemeParams, rng: RandomSource) -> tuple:

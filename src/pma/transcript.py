@@ -14,6 +14,8 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _string
 from typing import NamedTuple
 
+from .errors import ParameterError
+
 ROUND_SETUP = 0
 ROUND_QUERY = 1
 ROUND_ANSWER = 2
@@ -42,8 +44,12 @@ class Transcript:
     def emit(self, round: int, sender: str, receiver: str, link: str,
              category: str, values=(), symbols: int | None = None) -> Event:
         values = tuple(values)
-        ev = Event(round, sender, receiver, link, category, values,
-                   len(values) if symbols is None else symbols)
+        if symbols is None:
+            symbols = len(values)
+        if type(round) is not int or type(symbols) is not int:  # not a bool either
+            raise ParameterError(f"event round and symbol count must be ints, "
+                                 f"got {round!r} and {symbols!r}")
+        ev = Event(round, sender, receiver, link, category, values, symbols)
         self.events.append(ev)
         return ev
 
@@ -68,11 +74,11 @@ class Transcript:
         return h.hexdigest()
 
 
-@lru_cache(maxsize=512, typed=True)
+@lru_cache(maxsize=512)
 def _frame(round, sender, receiver, link, category, symbols, count) -> bytes:
     """One event's length-framed header and tag byte. Memoized: the events
-    of every run of one shape repeat the same headers; typed, so a bool
-    never shares an int's frame."""
+    of every run of one shape repeat the same headers. ``emit`` admits int
+    rounds and symbol counts only, so the header is what json.dumps writes."""
     header = (f"[{round}, {_string(sender)}, {_string(receiver)}, {_string(link)}, "
               f"{_string(category)}, {symbols}, {count}]").encode()
     return len(header).to_bytes(8, "little") + header + b"\x00"

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pma import audit, pma1, spma1
+from pma import audit, pma1, spma1, spma2
 from pma.errors import AuditInfeasibleError, IntegrityError, ParameterError
 from pma.harness import build_audit_suite
 from pma.model import make_params, query_vectors
@@ -345,11 +345,24 @@ def test_cursor_draws_in_order_and_not_past_its_assignment():
     cursor = audit._Cursor(flat)
     queries = pma1.gen_queries(1, params, cursor)
     assert queries.noise == ((flat[0:2],), (flat[2:4],))
-    assert pma1.gen_masks(params, cursor) == pma1.masks_from_free(params, (flat[4:6],))
+    assert pma1.gen_masks(params, cursor) == (flat[4:6], tuple(-v % 3 for v in flat[4:6]))
     assert spma1.draw_party_noise(params, cursor) == (flat[6:7], flat[7:8])
     assert cursor.draw_vector(3, 4) == flat[8:12]
     with pytest.raises(IntegrityError, match="past the 12 of its assignment"):
         cursor.draw_vector(3, 1)
+    # type II, in spma2.run's order: each party's storage noise, the query
+    # noise, the global blinding; seeded reports rely on this order
+    params = t2()
+    depth, mu, blind = params.storage_depth, params.mu, params.blinding_depth
+    assert (params.m, params.e, depth, mu, blind) == (3, 2, 1, 1, 2)
+    flat = tuple(range(5)) * 2
+    cursor = audit._Cursor(flat)
+    assert [spma2.encode_storage((1, 0), params, cursor).noise for _ in range(3)] == \
+        [(flat[0:2],), (flat[2:4],), (flat[4:6],)]
+    assert spma2.gen_queries(1, params, cursor).noise == (flat[6:8],)
+    assert spma2.draw_global_noise(params, cursor) == flat[8:10]
+    with pytest.raises(IntegrityError, match="past the 10 of its assignment"):
+        cursor.draw_vector(5, 1)
 
 
 def test_zero_taps_vacuous_pass():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pma import pma1, spma1, spma2
+from pma import pma1, spma1
 from pma.errors import IntegrityError, ParameterError
 from pma.field import (PrimeField, _inverse, _packed_columns, build_upsilon, default_alphas,
                        is_prime, noise_pad_scalar, noise_pad_vector, solve_linear)
@@ -410,19 +410,6 @@ def test_noise_pad_vector_rejects_bad_base(bad):
         incidence(PartyDataset(frozenset({2, bad})), 3)
     with pytest.raises(ParameterError, match="outside 1..3"):
         unit_vector(bad, 3)
-
-
-@pytest.mark.parametrize("bad", NOT_IN_GF5)
-def test_noise_pad_vector_rejects_bad_noise_row(bad):
-    good, wrong = (0, 0, 0), (2, bad, 0)
-    type1 = make_params("pma1", 2, 3, t=2, p=5)
-    with pytest.raises(ParameterError, match="not an element of GF"):
-        pma1.queries_from_noise(1, type1, ((good, good), (good, wrong)))
-    type2 = make_params("spma2", 3, 3, t=1, p=5)
-    with pytest.raises(ParameterError, match="not an element of GF"):
-        spma2.queries_from_noise(1, type2, (wrong,))
-    with pytest.raises(ParameterError, match="not an element of GF"):
-        spma2.encode_from_noise((1, 0, 1), type2, (wrong,))
 
 
 # Per-element references: one modular multiply-add at a time, as the

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from pma import pma1
+from pma import audit, pma1
 from pma.errors import IntegrityError, ParameterError
 from pma.field import PrimeField
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
@@ -24,8 +24,7 @@ def params_small(**kw):
 
 def test_zero_noise_queries_are_unit_vectors():
     params = params_small()
-    zero = (((0,) * params.e,) * params.mu,) * params.m
-    qs = pma1.queries_from_noise(3, params, zero)
+    qs = pma1.gen_queries(3, params, audit._Cursor((0,) * (params.m * params.mu * params.e)))
     for i in range(params.m):
         for j in range(params.n):
             assert qs.queries[i][j] == unit_vector(3, params.e)
@@ -55,8 +54,8 @@ def test_masks_two_party_cancellation():
 def test_masks_completion_example():
     # S3 = -(S1 + S2) = -(4, 0) = (1, 0) over GF(5)
     params = make_params("pma1", 3, 1, t=1, y=0, n=2, p=5)
-    masks = pma1.masks_from_free(params, [(1, 2), (3, 3)])
-    assert masks[2] == (1, 0)
+    masks = pma1.gen_masks(params, audit._Cursor((1, 2, 3, 3)))
+    assert masks == ((1, 2), (3, 3), (1, 0))
 
 
 def test_masks_sum_to_zero_any_seed():
@@ -66,22 +65,6 @@ def test_masks_sum_to_zero_any_seed():
         masks = pma1.gen_masks(params, RandomSource(seed))
         for j in range(params.n):
             assert sum(masks[i][j] for i in range(params.m)) % f.p == 0
-
-
-def test_masks_shape_errors():
-    params = params_small(m=3)
-    with pytest.raises(ParameterError):
-        pma1.masks_from_free(params, [(0, 0)])
-    with pytest.raises(ParameterError):
-        pma1.masks_from_free(params, [(0,), (0,)])
-
-
-@pytest.mark.parametrize("bad", ["neg", "p", "float"])
-def test_masks_reject_non_elements(bad):
-    params = params_small(m=3)
-    value = {"neg": -1, "p": params.p, "float": 1.0}[bad]
-    with pytest.raises(ParameterError):
-        pma1.masks_from_free(params, [(0, 0), (1, value)])
 
 
 def test_answer_examples():

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from pma import pma1, spma1, spma2
+from pma import audit, pma1, spma1, spma2
 from pma.errors import IntegrityError, ParameterError
 from pma.field import PrimeField, build_upsilon
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
@@ -34,7 +34,7 @@ def test_effective_db_count_examples():
 def test_storage_encode_zero_noise_replicates():
     params = params_small(e=3)
     bits = (1, 0, 1)
-    enc = spma2.encode_from_noise(bits, params, [(0, 0, 0)] * params.storage_depth)
+    enc = spma2.encode_storage(bits, params, audit._Cursor((0,) * (3 * params.storage_depth)))
     assert all(share == bits for share in enc.shares)
 
 
@@ -43,7 +43,7 @@ def test_storage_encode_direct_evaluation():
     with pytest.warns(UserWarning, match="in the clear"):
         params = make_params("spma2", 2, 1, t=0, y=0, p=5, n=1)
     assert params.alphas_used == (1, 2)
-    enc = spma2.encode_from_noise((1,), params, [(2,)])
+    enc = spma2.encode_storage((1,), params, audit._Cursor((2,)))
     assert enc.shares[0] == (0,)
 
 
@@ -55,9 +55,16 @@ def test_storage_encode_reproducible():
 
 
 def test_storage_encode_noise_count_checked():
-    params = params_small()
-    with pytest.raises(ParameterError):
-        spma2.encode_from_noise((0,) * 5, params, [])
+    # storage-depth noise vectors of length E, one share of length E per
+    # participating database; a source that runs short is caught
+    params = params_small(m=3, e=2, t=1, n=2)
+    assert params.storage_depth == 2
+    flat = tuple(range(1, 5))
+    enc = spma2.encode_storage((1, 0), params, audit._Cursor(flat))
+    assert enc.noise == (flat[0:2], flat[2:4])
+    assert len(enc.shares) == params.n_eff and {len(s) for s in enc.shares} == {2}
+    with pytest.raises(IntegrityError, match="past the 3 of its assignment"):
+        spma2.encode_storage((1, 0), params, audit._Cursor(flat[:3]))
 
 
 def test_aggregate_single_party():
@@ -90,7 +97,7 @@ def test_aggregate_rejects_non_elements(bad):
 def test_queries_zero_noise_and_mu():
     params = params_small(e=2)
     assert params.mu == 1  # max(N*T, Y) = max(1, 0)
-    qs = spma2.queries_from_noise(1, params, ((0,) * params.e,) * params.mu)
+    qs = spma2.gen_queries(1, params, audit._Cursor((0,) * (params.mu * params.e)))
     assert all(q == unit_vector(1, 2) for q in qs.queries)
     assert len(qs.queries) == params.n_eff
 

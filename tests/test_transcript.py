@@ -7,6 +7,7 @@ from itertools import zip_longest
 
 import pytest
 
+from pma.errors import ParameterError
 from pma.transcript import ANSWER, QUERY, Transcript, _frame
 
 BASE = dict(round=1, sender="user", receiver="d1", link="user:d1",
@@ -98,10 +99,14 @@ def test_digest_memo_overflow_interleaved():
         assert second.digest() == reference_digest(few)
 
 
-def test_digest_memo_keeps_bool_apart_from_int():
-    as_int, as_bool = dict(BASE, round=1), dict(BASE, round=True)
+@pytest.mark.parametrize("field,value", [
+    ("round", True), ("round", 1.0), ("round", "1"), ("symbols", False), ("symbols", 3.0),
+])
+def test_emit_refuses_non_int_round_and_symbols(field, value):
+    # the header is documented as json.dumps writes it, which spells a bool
+    # round "true" where an f-string writes "True"; only ints are admitted
+    with pytest.raises(ParameterError, match="must be ints"):
+        Transcript().emit(**dict(BASE, **{field: value}))
     _frame.cache_clear()
-    fresh = digest(as_bool)
-    _frame.cache_clear()
+    as_int = dict(BASE, round=1, symbols=3)
     assert digest(as_int) == reference_digest([as_int])
-    assert digest(as_bool) == fresh != digest(as_int)
