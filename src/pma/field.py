@@ -10,7 +10,7 @@ check lengths only and trust their elements to lie in GF(p).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, compress, count, islice
 from operator import lshift, mul
 from typing import Sequence
 
@@ -185,6 +185,12 @@ def _packed_columns(p: int, depth: int, powers: tuple[tuple[int, ...], ...]):
     return columns, sum(1 << shift for shift in shifts), shifts, (1 << s) - 1
 
 
+# From this length on, padding from zero a base with one nonzero entry and
+# adding that entry afterwards saves more than its per-point bookkeeping
+# costs; shorter vectors, as the audits pad, add the base in the first pass.
+_SPARSE_FROM = 16
+
+
 def noise_pad_vector(field: PrimeField, base: Sequence[int],
                      powers: Sequence[Sequence[int]],
                      noise_rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -194,7 +200,10 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
     Each row is a row of Upsilon, [1, x, x^2, ...] with x = 1+alpha at one
     evaluation point, so one call pads every point it is given. The shared
     coding primitive: queries pad the unit vector, storage shares pad the
-    incidence vector. The base is added unweighted; w[0] is never read.
+    incidence vector. The base is added unweighted; w[0] is never read. A
+    long base with at most one nonzero entry, as a query's, is added after
+    the noise, at that entry, so the first noise row's products start the
+    sum.
     """
     p = field.p
     depth = len(noise_rows)
@@ -212,6 +221,18 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
                              for a, column in zip(base, zip(*noise_rows))]]
         return tuple(zip(*entries))
     padded = []
+    if depth and len(base) >= _SPARSE_FROM and base.count(0) >= len(base) - 1:
+        k = next(compress(count(), base), None)  # the nonzero entry, if any
+        for w in powers:
+            terms = zip(w[1:], noise_rows)
+            c, row = next(terms)
+            out = [c * z % p for z in row]
+            for c, row in terms:
+                out = [(a + c * z) % p for a, z in zip(out, row)]
+            if k is not None:
+                out[k] = (out[k] + base[k]) % p
+            padded.append(tuple(out))
+        return tuple(padded)
     for w in powers:
         out = base
         for c, row in zip(w[1:], noise_rows):

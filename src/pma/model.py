@@ -15,10 +15,9 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
-from operator import lt
+from itertools import compress
 from os import PathLike
 from pathlib import Path
 from typing import Sequence
@@ -34,8 +33,6 @@ VARIANT_ALIASES = {"pma2": "spma2"}
 _WORDS = 1 << 64
 _MASK64 = _WORDS - 1
 _DYADIC = 1 << 53
-# _KEEP_LOW[r] maps a byte to its low 8 - r bits (a bytes.translate table)
-_KEEP_LOW = tuple(bytes(v & (0xFF >> r) for v in range(256)) for r in range(8))
 
 
 class RandomSource:
@@ -46,10 +43,6 @@ class RandomSource:
     missing. A word w is rejected when w >= 2^64 - (2^64 mod modulus), so
     every residue keeps probability exactly 1/modulus; rejected words are
     made up from the next counter value. ``position`` counts hash calls.
-    A power-of-two modulus 2^b never rejects, and w mod 2^b is the low b
-    bits of w: those draws clear the high bits of the hashed block in place
-    and read the words as they are, with no per-value arithmetic, so values,
-    hash calls and ``position`` are what the per-word rule gives.
 
     Reproducible by construction; protocol security is verified by
     enumeration, so reproducibility matters more than entropy here.
@@ -75,13 +68,6 @@ class RandomSource:
             raise ParameterError(f"vector length must be a non-negative int, got {k!r}")
         if modulus == 1 or k == 0:
             return (0,) * k
-        if _WORDS % modulus == 0:
-            block = bytearray(self._block(k))
-            whole, part = divmod(65 - modulus.bit_length(), 8)  # high bits to clear
-            for i in range(whole):
-                block[i::8] = bytes(k)
-            block[whole::8] = block[whole::8].translate(_KEEP_LOW[part])
-            return struct.unpack(f">{k}Q", block)
         bound = _WORDS - _WORDS % modulus
         out: list[int] = []
         while len(out) < k:
@@ -296,15 +282,26 @@ def make_params(variant: str, m: int, e: int, *, t: int = 0, y=0,
 
 @dataclass(frozen=True)
 class PartyDataset:
-    """The element indices one party holds. Empty sets are legal."""
+    """The element indices one party holds. Empty sets are legal. Generated
+    and loaded datasets carry their incidence vector in ``bits``; only the
+    members take part in equality, hashing, repr and the oracle count."""
 
     members: frozenset[int]
+    bits: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
 
 def incidence(dataset: PartyDataset, e: int) -> tuple[int, ...]:
-    """0/1 vector with a one at each held index."""
+    """0/1 vector with a one at each held index: the carried one when it
+    has length E, else built from the members."""
+    if dataset.bits is not None and len(dataset.bits) == e:
+        return dataset.bits
+    return _incidence_bits(dataset.members, e)
+
+
+def _incidence_bits(members, e: int) -> tuple[int, ...]:
+    """The incidence vector of ``members`` over 1..E, checking each one."""
     out = [0] * e
-    for k in dataset.members:
+    for k in members:
         if not (isinstance(k, int) and 1 <= k <= e):
             raise ParameterError(f"dataset member {k!r} outside universe 1..{e}")
         out[k - 1] = 1
@@ -315,13 +312,6 @@ def _check_theta(theta, e: int) -> None:
     """The queried index must be an int, not a bool, in 1..E."""
     if type(theta) is not int or not 1 <= theta <= e:
         raise ParameterError(f"queried index theta={theta!r} outside 1..{e} or not an int")
-
-
-def unit_vector(theta: int, e: int) -> tuple[int, ...]:
-    _check_theta(theta, e)
-    out = [0] * e
-    out[theta - 1] = 1
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -340,8 +330,11 @@ class QuerySet:
 def query_vectors(theta: int, powers, noise_rows, params: SchemeParams) -> tuple:
     """The query at each point given by a row of Upsilon in ``powers``: the
     unit vector of ``theta`` padded with the noise rows. Every scheme builds
-    its queries this way."""
-    return noise_pad_vector(params.field, unit_vector(theta, params.e), powers, noise_rows)
+    its queries this way. The unit vector is bytes, built with no pass per
+    element, and the pad adds its one nonzero entry after the noise."""
+    _check_theta(theta, params.e)
+    unit = bytes(theta - 1) + b"\x01" + bytes(params.e - theta)
+    return noise_pad_vector(params.field, unit, powers, noise_rows)
 
 
 def decode_count(values: Sequence[int], params: SchemeParams) -> int:
@@ -375,25 +368,38 @@ def _threshold(pk) -> int:
 def generate_datasets(params: SchemeParams, probs,
                       rng: RandomSource) -> list[PartyDataset]:
     """Independent membership draws: element k joins each party with
-    probability probs[k-1]; a scalar applies to every element."""
+    probability probs[k-1]; a scalar applies to every element.
+
+    A party's E words come from one hash call, and element k joins iff its
+    word w has w mod 2^53 < ceil(probs[k-1] * 2^53). The E words are
+    compared at once, as the 64-bit lanes of one int: lane k holds w mod
+    2^53 + 2^53 - ceil(probs[k-1] * 2^53) < 2^54, so no lane carries into
+    the next, and its bit 53 is set exactly when element k stays out.
+    """
+    e = params.e
+    ones = int.from_bytes((bytes(7) + b"\x01") * e, "big")  # 1 in every lane
     if isinstance(probs, (int, float)):
-        thresholds = repeat(_threshold(probs))  # endless, so shared by every party
+        gaps = (_DYADIC - _threshold(probs)) * ones
     elif isinstance(probs, (list, tuple)):
-        if len(probs) != params.e:
-            raise ParameterError(
-                f"need {params.e} membership probabilities, got {len(probs)}")
-        thresholds = [_threshold(pk) for pk in probs]
+        if len(probs) != e:
+            raise ParameterError(f"need {e} membership probabilities, got {len(probs)}")
+        gaps = int.from_bytes(
+            struct.pack(f">{e}Q", *[_DYADIC - _threshold(pk) for pk in probs]), "big")
     else:
         raise ParameterError(
-            f"membership probabilities must be a number or a list of {params.e} "
+            f"membership probabilities must be a number or a list of {e} "
             f"numbers, got {probs!r}")
+    low = (_DYADIC - 1) * ones
+    indices = tuple(range(1, e + 1))  # every member set shares these ints
     datasets = []
     for _ in range(params.m):
-        words = rng.draw_vector(_DYADIC, params.e)
+        words = int.from_bytes(rng._block(e), "big")
+        joins = (((words & low) + gaps) >> 53 & ones) ^ ones
+        bits = joins.to_bytes(8 * e, "big")[7::8]  # the low byte of each lane
         # copying a set sizes the frozenset's table exactly; a generator
         # would leave it over-allocated for the dataset's lifetime
-        members = set(compress(range(1, params.e + 1), map(lt, words, thresholds)))
-        datasets.append(PartyDataset(frozenset(members)))
+        members = set(compress(indices, bits))
+        datasets.append(PartyDataset(frozenset(members), tuple(bits)))
     return datasets
 
 
@@ -439,5 +445,6 @@ def load_datasets(source) -> tuple[tuple[str, ...], list[PartyDataset]]:
             if el not in index:
                 raise ParameterError(f"unknown element {el!r} (not in universe)")
             members.add(index[el])
-        datasets.append(PartyDataset(frozenset(members)))
+        datasets.append(PartyDataset(frozenset(members),
+                                     _incidence_bits(members, len(order))))
     return order, datasets

@@ -1,5 +1,6 @@
 """Reference helpers shared by the tests: dataset construction from bits,
-and the symbolic expansion that cross-checks the answer polynomials."""
+unit vectors and queries built one symbol at a time, and the symbolic
+expansion that cross-checks the answer polynomials."""
 
 from typing import Sequence
 
@@ -11,6 +12,21 @@ from pma.model import PartyDataset
 def members_of(bits: Sequence[int]) -> PartyDataset:
     """Inverse of :func:`pma.model.incidence`."""
     return PartyDataset(frozenset(k + 1 for k, b in enumerate(bits) if b))
+
+
+def unit_vector(theta: int, e: int) -> tuple[int, ...]:
+    """The length-E vector with a single 1, at the 1-based index theta."""
+    return tuple(int(k == theta) for k in range(1, e + 1))
+
+
+def ref_query_vectors(theta: int, e: int, powers: Sequence[Sequence[int]],
+                      noise_rows: Sequence[Sequence[int]], p: int) -> tuple:
+    """e_theta + sum_l x^l z_l mod p for each row [1, x, x^2, ...] of
+    ``powers``, one symbol at a time."""
+    return tuple(
+        tuple((u + sum(w[l] * z[k] for l, z in enumerate(noise_rows, 1))) % p
+              for k, u in enumerate(unit_vector(theta, e)))
+        for w in powers)
 
 
 def oracle_polynomial_expand(lhs_coeffs: Sequence[Sequence[int]],

@@ -10,7 +10,7 @@ from pma import pma1, spma1
 from pma.errors import IntegrityError, ParameterError
 from pma.field import (PrimeField, _inverse, _packed_columns, build_upsilon, default_alphas,
                        is_prime, noise_pad_scalar, noise_pad_vector, solve_linear)
-from pma.model import PartyDataset, RandomSource, incidence, make_params, unit_vector
+from pma.model import PartyDataset, RandomSource, incidence, make_params, query_vectors
 
 
 def mat_vec(field, m, v):
@@ -404,12 +404,12 @@ NOT_IN_GF5 = (-1, 5, 1.0)
 
 @pytest.mark.parametrize("bad", NOT_IN_GF5)
 def test_noise_pad_vector_rejects_bad_base(bad):
-    # a pad's base is an incidence vector or a unit vector; their builders
-    # reject a member or an index outside the universe 1..E
+    # a pad's base is an incidence vector, or a query's unit vector; their
+    # builders reject a member or an index outside the universe 1..E
     with pytest.raises(ParameterError, match="outside universe"):
         incidence(PartyDataset(frozenset({2, bad})), 3)
     with pytest.raises(ParameterError, match="outside 1..3"):
-        unit_vector(bad, 3)
+        query_vectors(bad, ((1,),), (), make_params("pma1", 2, 3, t=1, p=5))
 
 
 # Per-element references: one modular multiply-add at a time, as the
@@ -466,6 +466,12 @@ def field_vectors(draw):
           [1, 2, 64], 0, 9, list(range(63))))
 @example((2 ** 61 - 1, [], [], [[]] * 4, [3, 0], 0, 2 ** 61 - 2, [1, 2, 3, 4]))
 @example((5, [4], [3], [[4], [3], [2]], [2, 0, 1, 3], 1, 4, [1, 2, 3]))
+# long bases with one nonzero entry, at p-1, and with none: added after the
+# noise; with two, in the first row's pass
+@example((131, [0] * 19 + [130], [1] * 20, [[130] * 20, list(range(20))], [1, 2],
+          0, 9, [1, 2]))
+@example((2 ** 61 - 1, [0] * 20, [1] * 20, [list(range(20))], [3, 0], 1, 2, [5]))
+@example((23, [1] + [0] * 18 + [1], [1] * 20, [list(range(20))], [3], 0, 2, [5]))
 def test_vector_ops_match_per_element_reference(case):
     p, u, v, rows, alphas, extra, scalar, noise = case
     f = PrimeField(p)

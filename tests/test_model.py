@@ -3,15 +3,20 @@
 import hashlib
 import itertools
 import json
+import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from pma import model
 from pma.errors import ParameterError
 from pma.field import _inverse
 from pma.harness import RunConfig, run_protocol
 from pma.model import (PartyDataset, RandomSource, auto_n, auto_p, generate_datasets,
-                       incidence, load_datasets, make_params, true_count, unit_vector)
-from tests.oracles import members_of
+                       incidence, load_datasets, make_params, query_vectors,
+                       true_count)
+from tests.oracles import members_of, ref_query_vectors
 
 P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
 P2 = PartyDataset(frozenset({2, 3, 4}))
@@ -72,13 +77,14 @@ def test_degenerate_depth_warns():
 
 
 class _FixedWords:
-    """Stands in for RandomSource: each draw hands out the next word list."""
+    """Stands in for RandomSource: each hash call hands out the next word
+    list, as the 8-byte big-endian words of its block."""
 
     def __init__(self, *words):
         self.words = list(words)
 
-    def draw_vector(self, modulus, k):
-        return tuple(self.words.pop(0)[:k])
+    def _block(self, k):
+        return b"".join(w.to_bytes(8, "big") for w in self.words.pop(0)[:k])
 
 
 def test_membership_compares_words_with_the_exact_threshold():
@@ -104,6 +110,18 @@ def test_scalar_probability_compares_words_with_the_exact_threshold(pk):
     datasets = generate_datasets(params, pk, _FixedWords(near, near))
     expected = {k + 1 for k, w in enumerate(near) if w < pk * 2 ** 53}
     assert [d.members for d in datasets] == [expected, expected]
+
+
+def test_membership_lanes_do_not_carry():
+    # neighbouring lanes at both ends of their range: 2^53 - 1 with gap 0
+    # (p = 1) next to 0 with gap 2^53 (p = 0), and a lane at its largest sum
+    # 2^54 - 1; a raw word's bits above 53 are not part of its value
+    probs = [1.0, 0.0, 0.0, 1.0, 0.0]
+    words = [2 ** 53 - 1, 0, 2 ** 53 - 1, 2 ** 64 - 1, 2 ** 53]
+    params = make_params("pma1", 2, len(probs), t=1)
+    datasets = generate_datasets(params, probs, _FixedWords(words, words[::-1]))
+    # p = 1 always joins and p = 0 never does, whatever the words
+    assert [d.members for d in datasets] == [{1, 4}, {1, 4}]
 
 
 def test_params_warnings_point_at_the_caller():
@@ -217,6 +235,77 @@ def test_incidence_bijection_small_universe():
         assert members_of(incidence(ds, 3)) == ds
 
 
+@st.composite
+def dataset_sources(draw):
+    """A generated or a loaded dataset source: (M, E, probs, seed), or a
+    dataset dict over a universe of E names."""
+    m, e = draw(st.integers(2, 4)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        probs = draw(st.floats(0, 1) | st.lists(st.floats(0, 1), min_size=e, max_size=e))
+        return m, e, probs, draw(st.integers(0, 2 ** 64 - 1))
+    universe = [f"x{k}" for k in range(e)]
+    parties = draw(st.lists(st.lists(st.sampled_from(universe), max_size=e),
+                            min_size=m, max_size=m))
+    return {"universe": universe[::-1], "parties": parties}
+
+
+@given(dataset_sources())
+def test_datasets_carry_their_incidence_vector(source):
+    if isinstance(source, dict):
+        e = len(source["universe"])
+        datasets = load_datasets(source)[1]
+    else:
+        m, e, probs, seed = source
+        rng = RandomSource(seed)
+        datasets = generate_datasets(make_params("pma1", m, e, t=1), probs, rng)
+        assert rng.position == m  # one hash call per party
+    for d in datasets:
+        built = incidence(PartyDataset(d.members), e)
+        assert d.bits == built and incidence(d, e) is d.bits
+        assert d == PartyDataset(d.members) and repr(d) == repr(PartyDataset(d.members))
+        # at another universe size the vector is built from the members
+        if d.members and max(d.members) > 1:
+            with pytest.raises(ParameterError, match="outside universe"):
+                incidence(d, max(d.members) - 1)
+        assert incidence(d, e + 1) == built + (0,)
+    outside = PartyDataset(frozenset({e + 1}))
+    for _ in range(2):  # nothing is memoized: every call checks the members
+        with pytest.raises(ParameterError, match="outside universe"):
+            incidence(outside, e)
+
+
+def test_sweep_builds_each_incidence_vector_once(monkeypatch):
+    original, builds = model._incidence_bits, []
+
+    def counted(members, e):
+        builds.append(frozenset(members))
+        return original(members, e)
+    monkeypatch.setattr(model, "_incidence_bits", counted)
+    parties = [["a", "b"], ["b", "c", "d"], [], ["d"]]
+    report = run_protocol(RunConfig("spma2", t=1, seed=3, datasets={
+        "universe": ["d", "c", "b", "a"], "parties": parties}))
+    assert len(report["results"]) == 4  # every index, one storage encoding each
+    assert builds == [frozenset({1, 2}), frozenset({2, 3, 4}), frozenset(), frozenset({4})]
+
+
+@pytest.mark.parametrize("p", [3, 23, 2 ** 61 - 1])
+@pytest.mark.parametrize("e", [3, 20])  # the unit vector added in the pass, and after it
+def test_query_vectors_match_the_reference(p, e):
+    rng = RandomSource(p)
+    with warnings.catch_warnings():  # t=0 makes clear queries
+        warnings.simplefilter("ignore", UserWarning)
+        params = make_params("pma1", 2, e, t=0, p=p)
+    # depth 0 (clear queries), 1 and 2 take the row branch, depth E too;
+    # E + 2 takes the packed deep branch
+    for depth in (0, 1, 2, e, e + 2):
+        xs = (2, 1)[:2 if depth else 1]
+        powers = [tuple(pow(x, k, p) for k in range(depth + 1)) for x in xs]
+        rows = [rng.draw_vector(p, e) for _ in range(depth)]
+        for theta in (1, e):
+            assert query_vectors(theta, powers, rows, params) == \
+                ref_query_vectors(theta, e, powers, rows, p), (depth, theta)
+
+
 def test_true_count_examples():
     assert true_count(3, [P1, P2], 5) == 2
     assert true_count(1, [P1, P2], 5) == 1
@@ -241,10 +330,12 @@ def test_true_count_range_check():
 
 
 def test_unit_vector():
-    assert unit_vector(1, 3) == (1, 0, 0)
-    assert unit_vector(3, 3) == (0, 0, 1)
+    # a query without noise is the unit vector of the queried index
+    params = make_params("pma1", 2, 3, t=1)
+    assert query_vectors(1, ((1,),), (), params) == ((1, 0, 0),)
+    assert query_vectors(3, ((1,), (1, 2)), (), params) == ((0, 0, 1),) * 2
     with pytest.raises(ParameterError):
-        unit_vector(4, 3)
+        query_vectors(4, ((1,),), (), params)
 
 
 def test_generate_extremes_and_determinism():

@@ -9,9 +9,9 @@ from pma import pma1, spma1
 from pma.errors import ParameterError
 from pma.field import PrimeField, noise_pad_scalar
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
-                       make_params, true_count, unit_vector)
+                       make_params, true_count)
 from pma.transcript import MASK_SHARE, NOISE_SHARE, QUERY
-from tests.oracles import members_of
+from tests.oracles import members_of, unit_vector
 
 P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
 P2 = PartyDataset(frozenset({2, 3, 4}))

@@ -8,9 +8,9 @@ from pma import audit, pma1, spma1, spma2
 from pma.errors import IntegrityError, ParameterError
 from pma.field import PrimeField, build_upsilon
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
-                       make_params, true_count, unit_vector)
+                       make_params, true_count)
 from pma.transcript import ANSWER, NOISE_SHARE, QUERY, STORAGE_SHARE
-from tests.oracles import members_of, oracle_polynomial_expand
+from tests.oracles import members_of, oracle_polynomial_expand, unit_vector
 
 P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
 P2 = PartyDataset(frozenset({2, 3, 4}))
