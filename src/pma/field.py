@@ -5,12 +5,21 @@ Field elements are plain ints in ``[0, p)``; the modulus is carried by a
 exact integer arithmetic, no floats anywhere. Elements are validated where
 they enter the protocol; the per-query kernels (``dot`` and the two pads)
 check lengths only and trust their elements to lie in GF(p).
+
+In a field of at most 128 elements every residue, and the sum of any two,
+fits a byte. There long vectors run in byte lanes (``lane_sum``): a product
+by a constant is one ``bytes.translate`` through a table of c*b mod p, and a
+sum adds the vectors as the 8-bit lanes of one int, reduced through a
+table. A query pad of 16 entries or more takes this path, and so does the
+random source's reduction of a block of 256 words or more
+(``model.RandomSource``); the results are those of the int arithmetic,
+element for element.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress, count, islice
+from itertools import chain, islice
 from operator import lshift, mul
 from typing import Sequence
 
@@ -118,14 +127,40 @@ def build_upsilon(field: PrimeField,
     return tuple(zip(*columns))
 
 
+class _Shared:
+    """The cache key of a shared matrix. It is hashed and compared by its
+    own identity, as any object, so a lookup reads none of the matrix; and
+    it holds the matrix, so the matrix's id is not reused while it lives."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
+
+
+# the keys of the last eight matrices passed to share(), by the matrix's id
+_SHARED: dict[int, _Shared] = {}
+
+
+def share(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Mark an evaluation matrix that ``build_upsilon`` made, and that its
+    owner memoizes, as looked up by identity in the solver's and the deep
+    pad's caches; the audits' row subsets stay keyed by content."""
+    _SHARED[id(rows)] = _Shared(rows)
+    if len(_SHARED) > 8:
+        del _SHARED[next(iter(_SHARED))]
+    return rows
+
+
 @lru_cache(maxsize=1)
-def _inverse(p: int, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+def _inverse(p: int, key) -> tuple[tuple[int, ...], ...]:
     """The inverse of an evaluation matrix over GF(p), by rows, validating
     the elements. Its points x_j are column 1. Column j holds the
     coefficients of the Lagrange basis polynomial of x_j: prod_k (x - x_k)
     divided by (x - x_j), scaled by 1 / prod_{k != j} (x_j - x_k). One
     entry: every decode of a run solves one matrix, and a failed build is
     not memoized."""
+    rows = getattr(key, "rows", key)  # a shared key, or the content
     field = PrimeField(p)
     for row in rows:
         field.check_all(row)
@@ -155,7 +190,9 @@ def solve_linear(field: PrimeField, m, rhs) -> list[int]:
     """Solve m x = rhs over GF(p) for an evaluation matrix m, as
     ``build_upsilon`` makes: one dot per unknown with a row of the memoized
     inverse. Any other matrix is refused. Repeated points, unreachable from
-    valid parameters, mean corrupted inputs; they raise on every call."""
+    valid parameters, mean corrupted inputs; they raise on every call. A
+    shared matrix is looked up by identity, unscanned: its elements are
+    ints by construction."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ParameterError("matrix must be square")
@@ -163,21 +200,25 @@ def solve_linear(field: PrimeField, m, rhs) -> list[int]:
         raise ParameterError(f"right-hand side has length {len(rhs)}, expected {n}")
     p = field.p
     b = field.check_all(rhs)
-    rows = tuple(map(tuple, m))
-    if {*map(type, chain.from_iterable(rows))} - {int}:
-        # before the lookup: 1.0 would hit a cached 1, a list is unhashable
-        for row in rows:
-            field.check_all(row)
-    return [sum(map(mul, row, b)) % p for row in _inverse(p, rows)]
+    key = _SHARED.get(id(m))
+    if key is None:
+        key = tuple(map(tuple, m))
+        if {*map(type, chain.from_iterable(key))} - {int}:
+            # before the lookup: 1.0 would hit a cached 1, a list is unhashable
+            for row in key:
+                field.check_all(row)
+    return [sum(map(mul, row, b)) % p for row in _inverse(p, key)]
 
 
 @lru_cache(maxsize=1)
-def _packed_columns(p: int, depth: int, powers: tuple[tuple[int, ...], ...]):
-    """Columns 1..depth of ``powers`` packed across the points, point j in
-    the s bits at j*s; a 1 in every slot; the slot shifts and mask. A slot
-    sums at most (p-1) + depth*(p-1)^2 for any elements, so s is that
-    bound's bit length and no slot carries into the next. One entry keyed by
-    content: a run's points share one Upsilon, the audits pass row subsets."""
+def _packed_columns(p: int, depth: int, key):
+    """Columns 1..depth of the rows of powers ``key`` stands for, packed
+    across the points, point j in the s bits at j*s; a 1 in every slot; the
+    slot shifts and mask. A slot sums at most (p-1) + depth*(p-1)^2 for any
+    elements, so s is that bound's bit length and no slot carries into the
+    next. One entry: a run's points share one Upsilon, the audits pass row
+    subsets, keyed by content."""
+    powers = getattr(key, "rows", key)
     s = ((p - 1) + depth * (p - 1) ** 2).bit_length()
     shifts = range(0, len(powers) * s, s)
     columns = tuple(sum(map(lshift, column, shifts))
@@ -185,10 +226,37 @@ def _packed_columns(p: int, depth: int, powers: tuple[tuple[int, ...], ...]):
     return columns, sum(1 << shift for shift in shifts), shifts, (1 << s) - 1
 
 
-# From this length on, padding from zero a base with one nonzero entry and
-# adding that entry afterwards saves more than its per-point bookkeeping
-# costs; shorter vectors, as the audits pad, add the base in the first pass.
-_SPARSE_FROM = 16
+# Byte lanes serve fields of at most LANES_MAX_P elements. Pads take them
+# from LANES_MIN_LENGTH entries on; shorter vectors, as the audits pad, cost
+# less per element than the kernel's fixed setup.
+LANES_MIN_LENGTH = 16
+LANES_MAX_P = 128
+
+
+@lru_cache(maxsize=256)
+def _scale_table(p: int, c: int) -> bytes:
+    """c * b mod p for every byte b: one ``translate`` multiplies a byte
+    vector by c, and c = 1 reduces one. Built on first use."""
+    return bytes(c * b % p for b in range(256))
+
+
+def lane_sum(p: int, weights: Sequence[int], vectors) -> bytes:
+    """sum_l weights[l] * vectors[l] mod p, componentwise, over equal-length
+    byte vectors, for p <= LANES_MAX_P; extra weights are not read. Each
+    product is one ``translate``. The products are added as the 8-bit lanes
+    of one int, reduced through the table whenever one more residue could
+    overflow a lane."""
+    terms = [v.translate(_scale_table(p, c)) for c, v in zip(weights, vectors)]
+    if len(terms) == 1:
+        return terms[0]
+    n, reduce = len(terms[0]), _scale_table(p, 1)
+    acc = top = 0  # top bounds every lane of acc
+    for term in terms:
+        if top + p - 1 > 255:
+            acc, top = int.from_bytes(acc.to_bytes(n, "big").translate(reduce), "big"), p - 1
+        acc += int.from_bytes(term, "big")
+        top += p - 1
+    return acc.to_bytes(n, "big").translate(reduce)
 
 
 def noise_pad_vector(field: PrimeField, base: Sequence[int],
@@ -201,9 +269,8 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
     evaluation point, so one call pads every point it is given. The shared
     coding primitive: queries pad the unit vector, storage shares pad the
     incidence vector. The base is added unweighted; w[0] is never read. A
-    long base with at most one nonzero entry, as a query's, is added after
-    the noise, at that entry, so the first noise row's products start the
-    sum.
+    long base with at most one nonzero entry, as a query's, is padded in
+    byte lanes when p <= LANES_MAX_P, its entry added after the noise.
     """
     p = field.p
     depth = len(noise_rows)
@@ -215,24 +282,25 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
             raise ParameterError(f"noise of depth {depth} needs powers up to x^{depth}")
     if 0 < len(base) < depth:
         # deep noise (high collusion): per entry, one packed product for all points
-        packed, ones, shifts, mask = _packed_columns(p, depth, tuple(map(tuple, powers)))
+        key = _SHARED.get(id(powers)) or tuple(map(tuple, powers))
+        packed, ones, shifts, mask = _packed_columns(p, depth, key)
         entries = [[(t >> shift & mask) % p for shift in shifts]
                    for t in [a * ones + sum(map(mul, column, packed))
                              for a, column in zip(base, zip(*noise_rows))]]
         return tuple(zip(*entries))
+    if depth and len(base) >= LANES_MIN_LENGTH and p <= LANES_MAX_P:
+        unit = bytes(base)
+        entry = unit.strip(b"\0")  # from the first nonzero entry to the last
+        if len(entry) <= 1:
+            k = unit.find(entry)  # 0 for a zero base, whose entry 0 adds nothing
+            rows = [bytearray(row) for row in noise_rows]
+            padded = []
+            for w in powers:
+                out = bytearray(lane_sum(p, w[1:], rows))
+                out[k] = (out[k] + unit[k]) % p
+                padded.append(tuple(out))
+            return tuple(padded)
     padded = []
-    if depth and len(base) >= _SPARSE_FROM and base.count(0) >= len(base) - 1:
-        k = next(compress(count(), base), None)  # the nonzero entry, if any
-        for w in powers:
-            terms = zip(w[1:], noise_rows)
-            c, row = next(terms)
-            out = [c * z % p for z in row]
-            for c, row in terms:
-                out = [(a + c * z) % p for a, z in zip(out, row)]
-            if k is not None:
-                out[k] = (out[k] + base[k]) % p
-            padded.append(tuple(out))
-        return tuple(padded)
     for w in powers:
         out = base
         for c, row in zip(w[1:], noise_rows):

@@ -15,7 +15,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 from os import PathLike
@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
-from .field import (PrimeField, build_upsilon, default_alphas, is_prime,
-                    noise_pad_vector, solve_linear)
+from .field import (LANES_MAX_P, PrimeField, build_upsilon, default_alphas, is_prime,
+                    lane_sum, noise_pad_vector, share, solve_linear)
 
 VARIANTS = ("pma1", "spma1", "spma2")
 # the type-II scheme serves both the symmetric and the non-symmetric problem
@@ -33,6 +33,9 @@ VARIANT_ALIASES = {"pma2": "spma2"}
 _WORDS = 1 << 64
 _MASK64 = _WORDS - 1
 _DYADIC = 1 << 53
+# From this many words on, reducing a block in byte lanes beats reducing
+# it word by word; the lanes cost a fixed 5-10 us per block (CPython 3.11).
+_LANES_MIN_WORDS = 256
 
 
 class RandomSource:
@@ -43,6 +46,12 @@ class RandomSource:
     missing. A word w is rejected when w >= 2^64 - (2^64 mod modulus), so
     every residue keeps probability exactly 1/modulus; rejected words are
     made up from the next counter value. ``position`` counts hash calls.
+
+    A block of 256 words or more for a modulus up to 128 (``LANES_MAX_P``)
+    is reduced at once in byte lanes (``lane_sum``). There 2^64 mod modulus
+    < 128, so only a word whose first seven bytes are 0xff can be rejected;
+    a block holding any run of seven 0xff bytes takes the per-word path
+    instead. Values and ``position`` are the same on either path.
 
     Reproducible by construction; protocol security is verified by
     enumeration, so reproducibility matters more than entropy here.
@@ -69,12 +78,21 @@ class RandomSource:
         if modulus == 1 or k == 0:
             return (0,) * k
         bound = _WORDS - _WORDS % modulus
-        out: list[int] = []
+        out: tuple[int, ...] = ()
         while len(out) < k:
             need = k - len(out)
-            out += [w % modulus for w in struct.unpack(f">{need}Q", self._block(need))
-                    if w < bound]
-        return tuple(out)
+            block = self._block(need)
+            if need >= _LANES_MIN_WORDS and modulus <= LANES_MAX_P \
+                    and b"\xff" * 7 not in block:
+                # no word reaches the bound, so all are kept: byte i of each
+                # word weighs 256^(7-i), and its slice of digits is reduced
+                # in byte lanes
+                out += tuple(lane_sum(modulus, [pow(256, 7 - i, modulus) for i in range(8)],
+                                      [block[i::8] for i in range(8)]))
+            else:
+                out += tuple([w % modulus for w in struct.unpack(f">{need}Q", block)
+                              if w < bound])
+        return out
 
     def _block(self, words: int) -> bytes:
         """The next hash call's first ``words`` 8-byte words."""
@@ -167,8 +185,9 @@ class SchemeParams:
 
 @lru_cache(maxsize=8)
 def _upsilon(p: int, alphas: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Upsilon of GF(p) at ``alphas``; one immutable matrix per shape."""
-    return build_upsilon(PrimeField(p), alphas)
+    """Upsilon of GF(p) at ``alphas``; one immutable matrix per shape,
+    shared, so the solver and the deep pad look it up by identity."""
+    return share(build_upsilon(PrimeField(p), alphas))
 
 
 def auto_p(m: int, n: int) -> int:
@@ -280,14 +299,54 @@ def make_params(variant: str, m: int, e: int, *, t: int = 0, y=0,
     return params
 
 
-@dataclass(frozen=True)
 class PartyDataset:
     """The element indices one party holds. Empty sets are legal. Generated
-    and loaded datasets carry their incidence vector in ``bits``; only the
-    members take part in equality, hashing, repr and the oracle count."""
+    and loaded datasets carry their incidence vector in ``bits``; a
+    generated one builds its member set from it on first read. Equality,
+    hashing and repr are those of ``PartyDataset(members)``; ``bits`` takes
+    no part in them."""
 
-    members: frozenset[int]
-    bits: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("_members", "bits")
+
+    def __init__(self, members: frozenset[int] | None = None,
+                 bits: tuple[int, ...] | None = None) -> None:
+        if members is None and bits is None:
+            raise TypeError("a PartyDataset needs its members or its incidence bits")
+        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PartyDataset is immutable; cannot set {name!r}")
+
+    @property
+    def members(self) -> frozenset[int]:
+        if self._members is None:
+            # copying a set sizes the frozenset's table exactly; one built
+            # from an iterator stays over-allocated for the dataset's life
+            object.__setattr__(self, "_members", frozenset(
+                set(compress(_indices(len(self.bits)), self.bits))))
+        return self._members
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PartyDataset:
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash((self.members,))
+
+    def __repr__(self) -> str:
+        return f"PartyDataset(members={self.members!r})"
+
+    def __reduce__(self):
+        # pickle and copy through __init__, since __setattr__ refuses
+        return PartyDataset, (self._members, self.bits)
+
+
+@lru_cache(maxsize=1)
+def _indices(e: int) -> tuple[int, ...]:
+    """1..E, so that the member sets of one universe share their ints."""
+    return tuple(range(1, e + 1))
 
 
 def incidence(dataset: PartyDataset, e: int) -> tuple[int, ...]:
@@ -353,7 +412,8 @@ def true_count(theta: int, datasets: Sequence[PartyDataset], e: int) -> int:
     """Brute-force count of parties holding element theta; the oracle every
     decoder is checked against."""
     _check_theta(theta, e)
-    return sum(1 for d in datasets if theta in d.members)
+    return sum(d.bits[theta - 1] if d.bits is not None and len(d.bits) == e
+               else theta in d.members for d in datasets)
 
 
 def _threshold(pk) -> int:
@@ -390,16 +450,12 @@ def generate_datasets(params: SchemeParams, probs,
             f"membership probabilities must be a number or a list of {e} "
             f"numbers, got {probs!r}")
     low = (_DYADIC - 1) * ones
-    indices = tuple(range(1, e + 1))  # every member set shares these ints
     datasets = []
     for _ in range(params.m):
         words = int.from_bytes(rng._block(e), "big")
         joins = (((words & low) + gaps) >> 53 & ones) ^ ones
         bits = joins.to_bytes(8 * e, "big")[7::8]  # the low byte of each lane
-        # copying a set sizes the frozenset's table exactly; a generator
-        # would leave it over-allocated for the dataset's lifetime
-        members = set(compress(indices, bits))
-        datasets.append(PartyDataset(frozenset(members), tuple(bits)))
+        datasets.append(PartyDataset(bits=tuple(bits)))
     return datasets
 
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from pma import pma1, spma1
 from pma.errors import IntegrityError, ParameterError
-from pma.field import (PrimeField, _inverse, _packed_columns, build_upsilon, default_alphas,
-                       is_prime, noise_pad_scalar, noise_pad_vector, solve_linear)
+from pma.field import (_SHARED, PrimeField, _inverse, _packed_columns, build_upsilon,
+                       default_alphas, is_prime, noise_pad_scalar, noise_pad_vector, share,
+                       solve_linear)
 from pma.model import PartyDataset, RandomSource, incidence, make_params, query_vectors
 
 
@@ -534,3 +535,71 @@ def test_deep_pad_packed_columns_follow_the_rows_given():
         assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
         assert padded == ref_pad_rows(p, (1, 0), powers, rows)
         assert padded == tuple(ref_pad_vector(p, (1, 0), a, rows) for a in points)
+
+
+@st.composite
+def lane_pads(draw, length):
+    """A pad on both sides of the byte-lane bound on p, at 128: a zero,
+    sparse, two-entry or dense base, depths 1 to 3, one to three points."""
+    p = draw(st.sampled_from((113, 127, 131)))
+    depth = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("zero", "sparse", "pair", "dense")))
+    rng = RandomSource(draw(st.integers(0, 2 ** 64 - 1)))
+    base = [0] * length
+    if kind in ("sparse", "pair"):  # one nonzero entry, or two side by side
+        k = draw(st.integers(0, length - 2))
+        base[k:k + 1 + (kind == "pair")] = [draw(st.integers(1, p - 1))] * (1 + (kind == "pair"))
+    elif kind == "dense":
+        base = list(rng.draw_vector(p, length))
+    alphas = draw(st.lists(st.integers(0, p - 2), min_size=1, max_size=3, unique=True))
+    return p, base, alphas, [rng.draw_vector(p, length) for _ in range(depth)]
+
+
+@pytest.mark.parametrize("length", (15, 16, 17, 10_000))  # around the length bound, and long
+@settings(max_examples=25)
+@given(data=st.data())
+def test_byte_lane_pads_match_the_reference(length, data):
+    p, base, alphas, rows = data.draw(lane_pads(length))
+    f = PrimeField(p)
+    powers = [tuple(pow(1 + a, k, p) for k in range(4)) for a in alphas]
+    expected = ref_pad_rows(p, base, powers, rows)
+    # a query's base is bytes, any other a tuple
+    for given_base in (tuple(base), bytes(base)):
+        assert noise_pad_vector(f, given_base, powers, rows) == expected
+
+
+def test_byte_lane_pads_reduce_full_lanes():
+    # every entry at p-1, three rows: a lane is reduced before the last add
+    for p, length in ((127, 17), (113, 16), (127, 10_000)):
+        f = PrimeField(p)
+        top = p - 1
+        powers = [(top,) * 4, (1, 2, 4, 8)]
+        for base in ((top,) + (0,) * (length - 1), (0,) * (length - 1) + (top,)):
+            rows = [(top,) * length] * 3
+            assert noise_pad_vector(f, bytes(base), powers, rows) == \
+                ref_pad_rows(p, base, powers, rows)
+
+
+def test_shared_upsilon_is_looked_up_by_identity():
+    # the memoized Upsilon of a run is keyed by identity; an equal matrix
+    # built apart, as the audits' row subsets, by content
+    params = make_params("spma1", 2, 2, t=63)
+    ups, copy = params.upsilon, tuple(map(tuple, params.upsilon))
+    assert _SHARED[id(ups)].rows is ups and id(copy) not in _SHARED
+    f, rhs = params.field, list(range(64))
+    _inverse.cache_clear()
+    _packed_columns.cache_clear()
+    for matrix, hit in ((ups, False), (ups, True), (copy, False), (copy, True), (ups, False)):
+        before = _inverse.cache_info(), _packed_columns.cache_info()
+        assert solve_linear(f, matrix, rhs) == ref_solve(params.p, copy, rhs)
+        assert noise_pad_vector(f, (1, 0), matrix, [(3, 4)] * 63) == \
+            ref_pad_rows(params.p, (1, 0), copy, [(3, 4)] * 63)
+        after = _inverse.cache_info(), _packed_columns.cache_info()
+        for b, a in zip(before, after):
+            assert (a.hits - b.hits, a.misses - b.misses) == (hit, not hit)
+
+
+def test_shared_matrices_are_bounded():
+    kept = [share(build_upsilon(PrimeField(11), (a,))) for a in range(10)]
+    assert len(_SHARED) == 8
+    assert all(_SHARED[id(m)].rows is m for m in kept[2:])

@@ -3,10 +3,12 @@
 import hashlib
 import itertools
 import json
+import pickle
+import sys
 import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pma import model
@@ -76,14 +78,18 @@ def test_degenerate_depth_warns():
         make_params("pma1", 2, 2, t=0, y=0)
 
 
-class _FixedWords:
-    """Stands in for RandomSource: each hash call hands out the next word
-    list, as the 8-byte big-endian words of its block."""
+class _FixedWords(RandomSource):
+    """A RandomSource whose hash calls hand out the given word lists in
+    turn, as the 8-byte big-endian words of each block."""
+
+    __slots__ = ("words",)
 
     def __init__(self, *words):
+        super().__init__(0)
         self.words = list(words)
 
     def _block(self, k):
+        self._counter += 1
         return b"".join(w.to_bytes(8, "big") for w in self.words.pop(0)[:k])
 
 
@@ -262,7 +268,13 @@ def test_datasets_carry_their_incidence_vector(source):
     for d in datasets:
         built = incidence(PartyDataset(d.members), e)
         assert d.bits == built and incidence(d, e) is d.bits
-        assert d == PartyDataset(d.members) and repr(d) == repr(PartyDataset(d.members))
+        same = PartyDataset(d.members)  # a generated one builds its members here, once
+        assert d == same and hash(d) == hash(same) and repr(d) == repr(same)
+        assert d.members is d.members
+        with pytest.raises(AttributeError):
+            d.bits = ()
+        copied = pickle.loads(pickle.dumps(d))
+        assert copied == d and copied.bits == d.bits
         # at another universe size the vector is built from the members
         if d.members and max(d.members) > 1:
             with pytest.raises(ParameterError, match="outside universe"):
@@ -272,6 +284,33 @@ def test_datasets_carry_their_incidence_vector(source):
     for _ in range(2):  # nothing is memoized: every call checks the members
         with pytest.raises(ParameterError, match="outside universe"):
             incidence(outside, e)
+
+
+@pytest.mark.parametrize("e", [10, 10_000])
+def test_generated_member_sets_are_exact_size_copies(e):
+    # a frozenset built from an iterator keeps the over-allocated table of
+    # its growth, twice the size at E = 10^4, p = 0.5
+    d = generate_datasets(make_params("pma1", 2, e, t=1), 0.5, RandomSource(3))[0]
+    assert sys.getsizeof(d.members) == sys.getsizeof(frozenset(set(d.members)))
+    assert sys.getsizeof(d.members) < sys.getsizeof(frozenset(iter(d.members)))
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig("pma1", m=3, e=40, t=1, theta=7, seed=1),
+    RunConfig("spma1", m=3, e=20, t=2, seed=2),
+    RunConfig("spma2", m=4, e=20, t=1, seed=3)])
+def test_runs_on_generated_datasets_build_no_member_set(monkeypatch, config):
+    # the oracle reads the carried incidence vector; only a reader of the
+    # members, as the benchmark's own oracle, builds them
+    reads = []
+    members = PartyDataset.members
+    monkeypatch.setattr(PartyDataset, "members",
+                        property(lambda d: reads.append(d) or members.fget(d)))
+    report = run_protocol(config)
+    assert report["results"] and reads == []
+    d = PartyDataset(bits=(0, 1, 1))
+    assert true_count(2, [d], 3) == 1 and reads == []
+    assert true_count(2, [d], 4) == 1 and reads == [d]  # bits of another length
 
 
 def test_sweep_builds_each_incidence_vector_once(monkeypatch):
@@ -475,6 +514,40 @@ def test_draw_vector_modulus_one_gives_zeros():
 def test_draw_vector_rejects_negative_length():
     with pytest.raises(ParameterError):
         RandomSource(0).draw_vector(5, -1)
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 2 ** 64 - 1))
+def test_byte_lane_draws_match_the_per_word_reference(seed):
+    # every modulus on both sides of the byte-lane bound 128, at lengths on
+    # both sides of the pads' and the draws' thresholds, one source each
+    for modulus in range(2, 132):
+        rng, counter = RandomSource(seed), 0
+        for k in (15, 16, 17, 64, 255, 256, 257, 600):
+            expected, counter = _reference_vector(seed, modulus, k, counter)
+            assert (rng.draw_vector(modulus, k), rng.position) == (expected, counter)
+
+
+@pytest.mark.parametrize("modulus", [23, 127, 128])
+def test_byte_lane_draws_fall_back_on_seven_0xff_bytes(monkeypatch, modulus):
+    lanes, lane_sum = [], model.lane_sum
+    monkeypatch.setattr(model, "lane_sum", lambda *a: lanes.append(a) or lane_sum(*a))
+    bound = 2 ** 64 - 2 ** 64 % modulus
+    words = [int.from_bytes(hashlib.sha256(b"%d" % j).digest()[:8], "big") for j in range(300)]
+    # a rejected word (but at 128, where 2^64 - 1 is kept), and a run of seven
+    # 0xff bytes across two words that are kept
+    rejected = words[:9] + [2 ** 64 - 1] + words[10:]
+    straddling = words[:4] + [0x00000000ffffffff, 0xffffff0000000000] + words[6:]
+    refill = [w ^ 0x5555 for w in words]
+    for first in (rejected, straddling):
+        kept = [w % modulus for w in first + refill if w < bound][:300]
+        rng = _FixedWords(first, refill)
+        assert rng.draw_vector(modulus, 300) == tuple(kept)
+        assert rng.position == 1 + (len([w for w in first if w < bound]) < 300)
+        assert lanes == []  # per word, the refill too: it is shorter than 256 words
+    # the same words without the run take the byte lanes, to the same values
+    assert _FixedWords(words).draw_vector(modulus, 300) == tuple(w % modulus for w in words)
+    assert len(lanes) == 1
 
 
 def test_load_datasets_maps_sorted_universe(tmp_path):
