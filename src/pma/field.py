@@ -14,12 +14,16 @@ table. A query pad of 16 entries or more takes this path, and so does the
 random source's reduction of a block of 256 words or more
 (``model.RandomSource``); the results are those of the int arithmetic,
 element for element.
+
+The evaluation matrix is an ``Upsilon``, which memoizes its own inverse and
+packed columns. The solver and the deep pad trust an Upsilon of their field;
+any other matrix is checked, or packed, on every call.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain, islice
+from functools import cached_property, lru_cache
+from itertools import islice
 from operator import lshift, mul
 from typing import Sequence
 
@@ -111,8 +115,54 @@ def default_alphas(p: int, count: int) -> tuple[int, ...]:
     return tuple(k % (p - 1) for k in range(1, count + 1))
 
 
-def build_upsilon(field: PrimeField,
-                  alphas: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+class Upsilon(tuple):
+    """The rows of an evaluation matrix over GF(p), as ``build_upsilon``
+    makes them, with p and a memo: the inverse, built on first read, and
+    the deep pad's packed columns, built once per noise depth."""
+
+    def __new__(cls, p: int, rows):
+        self = super().__new__(cls, rows)
+        self.p = p
+        self._packed = {}
+        return self
+
+    def __getnewargs__(self):  # pickle and copy call __new__ with these
+        return self.p, tuple(self)
+
+    @cached_property
+    def inverse(self) -> tuple[tuple[int, ...], ...]:
+        """The inverse, by rows. Its points x_j are column 1. Column j holds
+        the coefficients of the Lagrange basis polynomial of x_j: prod_k
+        (x - x_k) divided by (x - x_j), scaled by 1 / prod_{k != j} (x_j -
+        x_k). Repeated points raise on every read: a failed build is not
+        memoized."""
+        p, n = self.p, len(self)
+        xs = [row[1] if n > 1 else 0 for row in self]  # 1 x 1: (1,) at any point
+        if len(set(xs)) < n:
+            raise IntegrityError("singular linear system; evaluation points must be distinct")
+        master = [1]  # prod_k (x - x_k), from the highest power down
+        for x in xs:
+            master = [(a - x * b) % p for a, b in zip(master + [0], [0] + master)]
+        columns = []
+        for x in xs:
+            basis = [1]  # master / (x - x_j) by synthetic division, highest power first
+            for c in master[1:-1]:
+                basis.append((c + x * basis[-1]) % p)
+            value = 0  # basis at x_j by Horner: prod_{k != j} (x_j - x_k)
+            for c in basis:
+                value = (value * x + c) % p
+            scale = pow(value, p - 2, p)
+            columns.append([c * scale % p for c in reversed(basis)])
+        return tuple(zip(*columns))
+
+    def packed(self, depth: int):
+        """``_pack`` of these rows at ``depth``, built on first use."""
+        if depth not in self._packed:
+            self._packed[depth] = _pack(self.p, depth, self)
+        return self._packed[depth]
+
+
+def build_upsilon(field: PrimeField, alphas: Sequence[int]) -> Upsilon:
     """Square matrix with rows [1, (1+a_j), (1+a_j)^2, ...], one per point.
 
     Every decoder inverts it and every pad weights its noise with its rows:
@@ -124,75 +174,17 @@ def build_upsilon(field: PrimeField,
     columns = [[1] * len(xs)]  # column k holds every x^k
     for _ in range(len(xs) - 1):
         columns.append([c * x % p for c, x in zip(columns[-1], xs)])
-    return tuple(zip(*columns))
-
-
-class _Shared:
-    """The cache key of a shared matrix. It is hashed and compared by its
-    own identity, as any object, so a lookup reads none of the matrix; and
-    it holds the matrix, so the matrix's id is not reused while it lives."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows) -> None:
-        self.rows = rows
-
-
-# the keys of the last eight matrices passed to share(), by the matrix's id
-_SHARED: dict[int, _Shared] = {}
-
-
-def share(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Mark an evaluation matrix that ``build_upsilon`` made, and that its
-    owner memoizes, as looked up by identity in the solver's and the deep
-    pad's caches; the audits' row subsets stay keyed by content."""
-    _SHARED[id(rows)] = _Shared(rows)
-    if len(_SHARED) > 8:
-        del _SHARED[next(iter(_SHARED))]
-    return rows
-
-
-@lru_cache(maxsize=1)
-def _inverse(p: int, key) -> tuple[tuple[int, ...], ...]:
-    """The inverse of an evaluation matrix over GF(p), by rows, validating
-    the elements. Its points x_j are column 1. Column j holds the
-    coefficients of the Lagrange basis polynomial of x_j: prod_k (x - x_k)
-    divided by (x - x_j), scaled by 1 / prod_{k != j} (x_j - x_k). One
-    entry: every decode of a run solves one matrix, and a failed build is
-    not memoized."""
-    rows = getattr(key, "rows", key)  # a shared key, or the content
-    field = PrimeField(p)
-    for row in rows:
-        field.check_all(row)
-    n = len(rows)
-    xs = [row[1] if n > 1 else 0 for row in rows]  # 1 x 1: (1,) at any point
-    if rows != build_upsilon(field, [x - 1 for x in xs]):
-        raise ParameterError("only evaluation matrices, rows [1, x, x^2, ...], are solved")
-    if len(set(xs)) < n:
-        raise IntegrityError("singular linear system; evaluation points must be distinct")
-    master = [1]  # prod_k (x - x_k), from the highest power down
-    for x in xs:
-        master = [(a - x * b) % p for a, b in zip(master + [0], [0] + master)]
-    columns = []
-    for x in xs:
-        basis = [1]  # master / (x - x_j) by synthetic division, highest power first
-        for c in master[1:-1]:
-            basis.append((c + x * basis[-1]) % p)
-        value = 0  # basis at x_j by Horner: prod_{k != j} (x_j - x_k)
-        for c in basis:
-            value = (value * x + c) % p
-        scale = pow(value, p - 2, p)
-        columns.append([c * scale % p for c in reversed(basis)])
-    return tuple(zip(*columns))
+    return Upsilon(p, zip(*columns))
 
 
 def solve_linear(field: PrimeField, m, rhs) -> list[int]:
     """Solve m x = rhs over GF(p) for an evaluation matrix m, as
-    ``build_upsilon`` makes: one dot per unknown with a row of the memoized
-    inverse. Any other matrix is refused. Repeated points, unreachable from
-    valid parameters, mean corrupted inputs; they raise on every call. A
-    shared matrix is looked up by identity, unscanned: its elements are
-    ints by construction."""
+    ``build_upsilon`` makes: one dot per unknown with a row of its
+    inverse. An Upsilon of this field is trusted and inverted once. Any
+    other matrix is checked on every call: its elements are validated, and
+    it is refused unless it equals the Upsilon of its points, column 1, whose
+    inverse then solves it. Repeated points, unreachable from valid
+    parameters, mean corrupted inputs; they raise on every call."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ParameterError("matrix must be square")
@@ -200,25 +192,21 @@ def solve_linear(field: PrimeField, m, rhs) -> list[int]:
         raise ParameterError(f"right-hand side has length {len(rhs)}, expected {n}")
     p = field.p
     b = field.check_all(rhs)
-    key = _SHARED.get(id(m))
-    if key is None:
-        key = tuple(map(tuple, m))
-        if {*map(type, chain.from_iterable(key))} - {int}:
-            # before the lookup: 1.0 would hit a cached 1, a list is unhashable
-            for row in key:
-                field.check_all(row)
-    return [sum(map(mul, row, b)) % p for row in _inverse(p, key)]
+    if not (isinstance(m, Upsilon) and m.p == p):
+        rows = tuple(map(tuple, m))
+        for row in rows:
+            field.check_all(row)
+        m = build_upsilon(field, [row[1] - 1 if n > 1 else 0 for row in rows])  # 1 x 1: (1,)
+        if rows != m:
+            raise ParameterError("only evaluation matrices, rows [1, x, x^2, ...], are solved")
+    return [sum(map(mul, row, b)) % p for row in m.inverse]
 
 
-@lru_cache(maxsize=1)
-def _packed_columns(p: int, depth: int, key):
-    """Columns 1..depth of the rows of powers ``key`` stands for, packed
-    across the points, point j in the s bits at j*s; a 1 in every slot; the
-    slot shifts and mask. A slot sums at most (p-1) + depth*(p-1)^2 for any
-    elements, so s is that bound's bit length and no slot carries into the
-    next. One entry: a run's points share one Upsilon, the audits pass row
-    subsets, keyed by content."""
-    powers = getattr(key, "rows", key)
+def _pack(p: int, depth: int, powers):
+    """Columns 1..depth of the rows of powers, packed across the points,
+    point j in the s bits at j*s; a 1 in every slot; the slot shifts and
+    mask. A slot sums at most (p-1) + depth*(p-1)^2 for any elements, so s
+    is that bound's bit length and no slot carries into the next."""
     s = ((p - 1) + depth * (p - 1) ** 2).bit_length()
     shifts = range(0, len(powers) * s, s)
     columns = tuple(sum(map(lshift, column, shifts))
@@ -270,7 +258,9 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
     coding primitive: queries pad the unit vector, storage shares pad the
     incidence vector. The base is added unweighted; w[0] is never read. A
     long base with at most one nonzero entry, as a query's, is padded in
-    byte lanes when p <= LANES_MAX_P, its entry added after the noise.
+    byte lanes when p <= LANES_MAX_P, its entry added after the noise. Deep
+    noise on an Upsilon of this field reads its packed columns; any other
+    rows, as the audits' row subsets, are packed on each call.
     """
     p = field.p
     depth = len(noise_rows)
@@ -282,8 +272,8 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
             raise ParameterError(f"noise of depth {depth} needs powers up to x^{depth}")
     if 0 < len(base) < depth:
         # deep noise (high collusion): per entry, one packed product for all points
-        key = _SHARED.get(id(powers)) or tuple(map(tuple, powers))
-        packed, ones, shifts, mask = _packed_columns(p, depth, key)
+        owned = isinstance(powers, Upsilon) and powers.p == p
+        packed, ones, shifts, mask = powers.packed(depth) if owned else _pack(p, depth, powers)
         entries = [[(t >> shift & mask) % p for shift in shifts]
                    for t in [a * ones + sum(map(mul, column, packed))
                              for a, column in zip(base, zip(*noise_rows))]]

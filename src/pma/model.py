@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
-from .field import (LANES_MAX_P, PrimeField, build_upsilon, default_alphas, is_prime,
-                    lane_sum, noise_pad_vector, share, solve_linear)
+from .field import (LANES_MAX_P, PrimeField, Upsilon, build_upsilon, default_alphas,
+                    is_prime, lane_sum, noise_pad_vector, solve_linear)
 
 VARIANTS = ("pma1", "spma1", "spma2")
 # the type-II scheme serves both the symmetric and the non-symmetric problem
@@ -153,10 +153,10 @@ class SchemeParams:
         return default_alphas(self.p, self.n_eff if self.is_type2 else self.n)
 
     @cached_property
-    def upsilon(self) -> tuple[tuple[int, ...], ...]:
-        """The evaluation matrix every count decode solves, shared by every
-        parameter set of one field and points; row j holds the powers of
-        (1 + alpha_j) every pad at point j weights with."""
+    def upsilon(self) -> Upsilon:
+        """The evaluation matrix every count decode solves, with its memo,
+        shared by every parameter set of one field and points; row j holds
+        the powers of (1 + alpha_j) every pad at point j weights with."""
         return _upsilon(self.p, self.alphas_used)
 
     @cached_property
@@ -184,10 +184,10 @@ class SchemeParams:
 
 
 @lru_cache(maxsize=8)
-def _upsilon(p: int, alphas: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Upsilon of GF(p) at ``alphas``; one immutable matrix per shape,
-    shared, so the solver and the deep pad look it up by identity."""
-    return share(build_upsilon(PrimeField(p), alphas))
+def _upsilon(p: int, alphas: tuple[int, ...]) -> Upsilon:
+    """Upsilon of GF(p) at ``alphas``; one matrix per shape, so the runs of
+    one shape build its inverse and packed columns once."""
+    return build_upsilon(PrimeField(p), alphas)
 
 
 def auto_p(m: int, n: int) -> int:
@@ -203,12 +203,12 @@ def auto_n(variant: str, m: int, t: int, y: tuple[int, ...], t2: int = 1) -> int
     """The fewest databases per party that meet the side condition."""
     if variant != "spma2":
         return max(t, *y) + 1
-    for n in range(1, 1025):
-        if m * n >= t2 * n + max(t * n, *y) + 1:
-            return n
-    raise ParameterError(
-        f"no database count satisfies M*N >= T2*N + max(T*N, Y) + 1 for "
-        f"M={m}, T={t}, Y={y}, T2={t2}")
+    # (M - T2)*N >= max(T*N, Y) + 1 needs M - T2 > T, then N >= (Y + 1)/(M - T2)
+    if m <= t + t2:
+        raise ParameterError(
+            f"no database count satisfies M*N >= T2*N + max(T*N, Y) + 1 unless "
+            f"M > T + T2: M={m}, T={t}, T2={t2}")
+    return -(-(max(y) + 1) // (m - t2))
 
 
 # least value and meaning of each int make_params takes, as type int (not bool)

@@ -7,11 +7,38 @@ that cache goes to the system's temporary directory, not the source tree.
 """
 
 import tempfile
+from functools import cached_property
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+
+from pma import field
 
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
 settings.load_profile("derandomized")
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "pma-hypothesis")
+
+
+@pytest.fixture
+def upsilon_builds(monkeypatch):
+    """What the solver and the deep pad build while a test runs, in order:
+    ("inverse", matrix, None) for each inverse an Upsilon computes, and
+    ("pack", rows, depth) for each packing of pad rows."""
+    log = []
+    invert, pack = field.Upsilon.__dict__["inverse"].func, field._pack
+
+    def inverse(ups):
+        log.append(("inverse", ups, None))
+        return invert(ups)
+
+    def packing(p, depth, powers):
+        log.append(("pack", powers, depth))
+        return pack(p, depth, powers)
+
+    memo = cached_property(inverse)
+    memo.__set_name__(field.Upsilon, "inverse")
+    monkeypatch.setattr(field.Upsilon, "inverse", memo)
+    monkeypatch.setattr(field, "_pack", packing)
+    return log

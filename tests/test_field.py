@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from pma import pma1, spma1
 from pma.errors import IntegrityError, ParameterError
-from pma.field import (_SHARED, PrimeField, _inverse, _packed_columns, build_upsilon,
-                       default_alphas, is_prime, noise_pad_scalar, noise_pad_vector, share,
-                       solve_linear)
+from pma.field import (PrimeField, build_upsilon, default_alphas, is_prime, noise_pad_scalar,
+                       noise_pad_vector, solve_linear)
 from pma.model import PartyDataset, RandomSource, incidence, make_params, query_vectors
 
 
@@ -265,20 +264,23 @@ def test_solve_singular_systems_raise():
                     solve_linear(f, matrix, [0] * n)
 
 
-def test_solve_factors_each_matrix_once():
-    # five right-hand sides on one matrix, as lists and then as tuples: one
-    # inverse, then a dot per unknown only
+def test_solve_factors_each_matrix_once(upsilon_builds):
+    # five right-hand sides on one Upsilon, as lists and then as tuples: one
+    # inverse, then a dot per unknown only; the same matrix as plain rows
+    # is checked and rebuilt on every call
     p = 131
     f = PrimeField(p)
     rng = RandomSource(21)
-    m = evaluation_matrix(p, random_points(rng, p, 7))
+    points = random_points(rng, p, 7)
+    ups, m = build_upsilon(f, [x - 1 for x in points]), evaluation_matrix(p, points)
     rhss = [list(rng.draw_vector(p, 7)) for _ in range(5)]
-    before = _inverse.cache_info()
-    for matrix, wrap in ((m, list), (tuple(map(tuple, m)), tuple)):
-        for rhs in rhss:
-            assert solve_linear(f, matrix, wrap(rhs)) == ref_solve(p, m, rhs)
-    after = _inverse.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 9)
+    for matrix in (ups, m):
+        for wrap in (list, tuple):
+            for rhs in rhss:
+                assert solve_linear(f, matrix, wrap(rhs)) == ref_solve(p, m, rhs)
+    inverses = [matrix for _, matrix, _ in upsilon_builds]
+    assert len(inverses) == 11 and inverses[0] is ups
+    assert all(matrix == ups and matrix is not ups for matrix in inverses[1:])
 
 
 def test_solve_singular_raises_on_every_call():
@@ -516,8 +518,9 @@ def test_deep_pad_worst_case_slot_sums(p):
         assert noise_pad_vector(f, base, powers, rows) == ref_pad_rows(p, base, powers, rows)
 
 
-def test_deep_pad_packed_columns_follow_the_rows_given():
-    # one memoized entry: other rows replace it, and a repeat is a hit
+def test_deep_pad_packed_columns_follow_the_rows_given(upsilon_builds):
+    # an Upsilon packs its columns once per depth; other rows, as the
+    # audits' row subsets, are packed on every call
     p = 131
     f = PrimeField(p)
     rng = RandomSource(17)
@@ -525,16 +528,14 @@ def test_deep_pad_packed_columns_follow_the_rows_given():
     ups = build_upsilon(f, alphas)
     taps = (3, 0, 40, 63)
     subset, subset_alphas = [ups[j] for j in taps], [alphas[j] for j in taps]
-    rows = [rng.draw_vector(p, 2) for _ in range(63)]
-    _packed_columns.cache_clear()
-    for powers, points, hit in ((ups, alphas, False), (subset, subset_alphas, False),
-                                (subset, subset_alphas, True), (ups, alphas, False)):
-        before = _packed_columns.cache_info()
-        padded = noise_pad_vector(f, (1, 0), powers, rows)
-        after = _packed_columns.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
-        assert padded == ref_pad_rows(p, (1, 0), powers, rows)
-        assert padded == tuple(ref_pad_vector(p, (1, 0), a, rows) for a in points)
+    for depth in (63, 62, 63):
+        rows = [rng.draw_vector(p, 2) for _ in range(depth)]
+        for powers, points in ((ups, alphas), (subset, subset_alphas), (ups, alphas)):
+            padded = noise_pad_vector(f, (1, 0), powers, rows)
+            assert padded == ref_pad_rows(p, (1, 0), powers, rows)
+            assert padded == tuple(ref_pad_vector(p, (1, 0), a, rows) for a in points)
+    assert [(powers is ups, depth) for _, powers, depth in upsilon_builds] == \
+        [(True, 63), (False, 63), (True, 62), (False, 62), (False, 63)]
 
 
 @st.composite
@@ -580,26 +581,30 @@ def test_byte_lane_pads_reduce_full_lanes():
                 ref_pad_rows(p, base, powers, rows)
 
 
-def test_shared_upsilon_is_looked_up_by_identity():
-    # the memoized Upsilon of a run is keyed by identity; an equal matrix
-    # built apart, as the audits' row subsets, by content
-    params = make_params("spma1", 2, 2, t=63)
-    ups, copy = params.upsilon, tuple(map(tuple, params.upsilon))
-    assert _SHARED[id(ups)].rows is ups and id(copy) not in _SHARED
-    f, rhs = params.field, list(range(64))
-    _inverse.cache_clear()
-    _packed_columns.cache_clear()
-    for matrix, hit in ((ups, False), (ups, True), (copy, False), (copy, True), (ups, False)):
-        before = _inverse.cache_info(), _packed_columns.cache_info()
-        assert solve_linear(f, matrix, rhs) == ref_solve(params.p, copy, rhs)
-        assert noise_pad_vector(f, (1, 0), matrix, [(3, 4)] * 63) == \
-            ref_pad_rows(params.p, (1, 0), copy, [(3, 4)] * 63)
-        after = _inverse.cache_info(), _packed_columns.cache_info()
-        for b, a in zip(before, after):
-            assert (a.hits - b.hits, a.misses - b.misses) == (hit, not hit)
-
-
-def test_shared_matrices_are_bounded():
-    kept = [share(build_upsilon(PrimeField(11), (a,))) for a in range(10)]
-    assert len(_SHARED) == 8
-    assert all(_SHARED[id(m)].rows is m for m in kept[2:])
+def test_plain_copy_of_upsilon_is_checked_on_every_call(upsilon_builds):
+    # the N = 64 shape: plain rows equal to Upsilon solve and pad to the
+    # same values, and are checked, rebuilt and packed on every call
+    p = 131
+    f = PrimeField(p)
+    ups = build_upsilon(f, default_alphas(p, 64))
+    rhs, rows = list(range(64)), [(3, 4)] * 63
+    copies = (tuple(map(tuple, ups)), [list(row) for row in ups])
+    for matrix in (ups, *copies, ups, *copies):
+        assert solve_linear(f, matrix, rhs) == ref_solve(p, ups, rhs)
+        assert noise_pad_vector(f, (1, 0), matrix, rows) == ref_pad_rows(p, (1, 0), ups, rows)
+    built = [(kind, matrix is ups) for kind, matrix, _ in upsilon_builds]
+    assert built[:2] == [("inverse", True), ("pack", True)]
+    assert built[2:] == [("inverse", False), ("pack", False)] * 4
+    # equal in value to an entry of the Upsilon just solved, but no element
+    bad = [list(row) for row in ups]
+    bad[5][0] = 1.0
+    with pytest.raises(ParameterError, match="not an element of GF"):
+        solve_linear(f, bad, rhs)
+    # the Upsilon of GF(131) is no evaluation matrix of GF(137), and is
+    # packed apart from its own columns there
+    other = PrimeField(137)
+    with pytest.raises(ParameterError, match="evaluation matrices"):
+        solve_linear(other, ups, rhs)
+    assert noise_pad_vector(other, (1, 0), ups, rows) == ref_pad_rows(137, (1, 0), ups, rows)
+    assert len(upsilon_builds) == 11 and upsilon_builds[-1] == ("pack", ups, 63)
+    assert upsilon_builds[-1][1] is ups

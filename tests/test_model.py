@@ -1,5 +1,6 @@
 """Parameter validation, datasets, incidence vectors, randomness source."""
 
+import copy
 import hashlib
 import itertools
 import json
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pma import model
+from pma import model, pma1, spma1, spma2
 from pma.errors import ParameterError
-from pma.field import _inverse
+from pma.field import Upsilon
 from pma.harness import RunConfig, run_protocol
 from pma.model import (PartyDataset, RandomSource, auto_n, auto_p, generate_datasets,
                        incidence, load_datasets, make_params, query_vectors,
@@ -57,8 +58,23 @@ def test_auto_n():
     assert auto_n("pma1", 4, 1, (0,) * 4) == 2
     assert auto_n("pma1", 4, 0, (2,) * 4) == 3
     assert auto_n("spma2", 3, 1, (0, 0, 0)) == 1
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"M > T \+ T2: M=2, T=1, T2=1"):
         auto_n("spma2", 2, 1, (0, 0))
+    # no ceiling on N: Y = 3000 at M - T2 = 2 needs N = 1501; only the
+    # parameters are built, a run would build a 4502 x 4502 Upsilon
+    assert auto_n("spma2", 3, 1, (3000, 0, 0)) == 1501
+    assert make_params("spma2", 3, 2, t=1, y=[3000, 0, 0]).n == 1501
+
+
+def test_auto_n_type2_is_the_least_feasible_count():
+    for m, t, t2, y in itertools.product(range(2, 7), range(4), range(1, 4), range(13)):
+        budgets = (y,) + (0,) * (m - 1)
+        feasible = [n for n in range(1, 15) if m * n >= t2 * n + max(t * n, y) + 1]
+        if feasible:
+            assert auto_n("spma2", m, t, budgets, t2) == feasible[0]
+        else:
+            with pytest.raises(ParameterError, match="M > T"):
+                auto_n("spma2", m, t, budgets, t2)
 
 
 def test_auto_p_smallest_prime_above_bound():
@@ -592,13 +608,32 @@ def test_upsilon_shared_by_one_shape():
     ups = make_params("pma1", 3, 4, t=1, p=11).upsilon
     assert make_params("pma1", 3, 4, t=1, p=11).upsilon is ups
     assert make_params("spma1", 4, 9, t=1, p=11).upsilon is ups  # same p and points
-    assert type(ups) is tuple and all(type(row) is tuple for row in ups)
+    assert type(ups) is Upsilon and ups.p == 11 and all(type(row) is tuple for row in ups)
     assert make_params("pma1", 3, 4, t=1, p=13).upsilon is not ups  # equal entries
     assert len(make_params("pma1", 3, 4, t=3, p=11).upsilon) == 4
 
 
-def test_runs_of_one_shape_invert_upsilon_once():
-    _inverse.cache_clear()
+def test_runs_of_one_shape_invert_upsilon_once(upsilon_builds):
+    # N = 4: the blinding has depth 3, past the one-entry base, so its pad
+    # reads packed columns too
+    model._upsilon.cache_clear()
     for seed in (1, 2):
         run_protocol(RunConfig("spma1", m=2, e=2, t=3, seed=seed))
-    assert _inverse.cache_info().misses == 1
+    ups = make_params("spma1", 2, 2, t=3).upsilon
+    assert [(kind, matrix is ups, depth) for kind, matrix, depth in upsilon_builds] == \
+        [("pack", True, 3), ("inverse", True, None)]
+
+
+@pytest.mark.parametrize("variant,scheme", [("pma1", pma1), ("spma1", spma1), ("spma2", spma2)])
+def test_params_and_runs_survive_pickle_and_deepcopy(variant, scheme):
+    # with Upsilon's inverse and packed columns built
+    params = make_params(variant, 3, 2, t=1)
+    run = scheme.run(params, [PartyDataset(frozenset({1, 2}))] * 3, 2, RandomSource(4))
+    ups = params.upsilon
+    built = ups.inverse, ups.packed(1)
+    for copied in (pickle.loads(pickle.dumps((params, run))), copy.deepcopy((params, run))):
+        copied_params, copied_run = copied
+        for p in (copied_params, copied_run.params):
+            assert p == params and type(p.upsilon) is Upsilon and p.upsilon.p == params.p
+            assert p.upsilon == ups and (p.upsilon.inverse, p.upsilon.packed(1)) == built
+        assert (copied_run.count, copied_run.answers) == (3, run.answers)
