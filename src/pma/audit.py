@@ -355,7 +355,7 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
         cur = _Cursor(assignment)
         queries = pma1.gen_queries(theta, params, cur).queries
         masks = zero if zero_masks else pma1.gen_masks(params, cur)
-        blinding = spma1.draw_party_noise(params, cur)
+        blinding = pma1.draw_party_noise(params, cur)
         return tuple(spma1.answer(bits[i], queries[i][j], blinding[i], masks[i][j], ups[j], f)
                      for i in range(m) for j in range(n))
 

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
-from . import audit, pma1, spma1, spma2
+from . import audit, pma1, spma2
 from .errors import IntegrityError, ParameterError
 from .model import (RandomSource, SchemeParams, generate_datasets, load_datasets,
                     make_params, true_count)
@@ -70,10 +70,8 @@ def remark_total(params: SchemeParams) -> tuple[int, bool]:
     dominates the eavesdropping budgets and one communicating party.
     """
     m, n, e = params.m, params.n, params.e
-    if params.variant == "pma1":
-        return (m - 1) * n + e * m * n + m * n, True
-    if params.variant == "spma1":
-        return (m - 1) * n + e * m * n + (n - 1) + m * n, True
+    if not params.is_type2:
+        return (m - 1) * n + e * m * n + params.blinding_depth + m * n, True
     total = (e + 1) * (n + params.t * n + 1) + n + n * params.t
     applies = params.t2 == 1 and params.t * n >= max(params.y)
     return total, applies
@@ -101,9 +99,6 @@ def measure_costs(transcript: Transcript, params: SchemeParams) -> dict:
         "remark_applicable": applies,
         "remark_match": (accounted == remark) if applies else None,
     }
-
-
-_SCHEME_RUNNERS = {"pma1": pma1.run, "spma1": spma1.run, "spma2": spma2.run}
 
 
 def resolve_config(config: RunConfig):
@@ -140,7 +135,7 @@ def run_protocol(config: RunConfig) -> dict:
     run; a mismatch raises IntegrityError.
     """
     params, datasets, universe, rng = resolve_config(config)
-    runner = _SCHEME_RUNNERS[params.variant]
+    runner = spma2.run if params.is_type2 else pma1.run
     if config.theta is not None:
         thetas = [config.theta]
     else:

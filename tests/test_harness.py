@@ -431,8 +431,8 @@ def test_blinding_drawn_and_billed_at_blinding_depth(variant, scheme, t, depth):
     datasets = [PartyDataset(frozenset({1})), PartyDataset(frozenset({1, 2})),
                 PartyDataset(frozenset())]
     run = scheme.run(params, datasets, 1, RandomSource(3))
-    rows = run.blinding if variant == "spma1" else (run.blinding,)
-    assert len(rows) == (params.m if variant == "spma1" else 1)
+    rows = (run.blinding,) if params.is_type2 else run.blinding  # type I: a row per party
+    assert len(rows) == (1 if params.is_type2 else params.m)
     assert all(len(row) == depth for row in rows)
     assert run.transcript.symbols_in(NOISE_SHARE) == depth
 

@@ -137,8 +137,9 @@ def test_answer_decomposition_against_expansion_oracle():
             assert run.answers[i][j] == (value + run.masks[i][j]) % params.p
 
 
-def test_correctness_exhaustive_tiny():
-    params = make_params("pma1", 2, 2, t=1, y=0, p=5)
+@pytest.mark.parametrize("variant", ["pma1", "spma1"])
+def test_correctness_exhaustive_tiny(variant):
+    params = make_params(variant, 2, 2, t=1, y=0, p=5)
     for bits_a in itertools.product((0, 1), repeat=2):
         for bits_b in itertools.product((0, 1), repeat=2):
             datasets = [members_of(bits_a), members_of(bits_b)]
@@ -160,8 +161,8 @@ def test_transcript_symbol_counts():
 
 def test_run_validates_inputs():
     params = params_small()
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="expected 2 datasets"):
         pma1.run(params, [P1], 1, RandomSource(0))
-    spma_params = make_params("spma1", 2, 5, t=1, y=0)
-    with pytest.raises(ParameterError):
-        pma1.run(spma_params, [P1, P2], 1, RandomSource(0))
+    type2_params = make_params("spma2", 3, 5, t=1, y=0)
+    with pytest.raises(ParameterError, match="type-I"):
+        pma1.run(type2_params, [P1, P2, P2], 1, RandomSource(0))

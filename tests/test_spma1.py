@@ -1,6 +1,5 @@
 """Symmetric type-I scheme: blinding noise, reduction to the plain scheme."""
 
-import itertools
 from contextlib import nullcontext
 
 import pytest
@@ -11,7 +10,7 @@ from pma.field import PrimeField, noise_pad_scalar
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
                        make_params, true_count)
 from pma.transcript import MASK_SHARE, NOISE_SHARE, QUERY
-from tests.oracles import members_of, unit_vector
+from tests.oracles import unit_vector
 
 P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
 P2 = PartyDataset(frozenset({2, 3, 4}))
@@ -67,8 +66,11 @@ def test_answer_noise_only_passthrough():
     assert spma1.answer((1, 1), (0, 0), zrow, 0, (1, x, x * x % 7), f) == expected
 
 
-def test_decode_is_shared_with_plain_scheme():
-    assert spma1.decode is pma1.decode
+def test_run_and_blinding_draw_are_the_plain_schemes():
+    """One type-I run: spma1 re-exports pma1's, by identity, so a wrapper
+    installed on either name is the one that runs."""
+    assert spma1.run is pma1.run
+    assert spma1.draw_party_noise is pma1.draw_party_noise
 
 
 def test_paper_style_vectors_theta4():
@@ -83,14 +85,21 @@ def test_all_empty_parties():
     assert run.count == 0
 
 
-def test_correctness_exhaustive_tiny():
-    params = make_params("spma1", 2, 2, t=1, y=0, p=5)
-    for bits_a in itertools.product((0, 1), repeat=2):
-        for bits_b in itertools.product((0, 1), repeat=2):
-            datasets = [members_of(bits_a), members_of(bits_b)]
-            for theta in (1, 2):
-                run = spma1.run(params, datasets, theta, RandomSource(theta))
-                assert run.count == true_count(theta, datasets, 2)
+def test_depth_zero_run_is_plain_run():
+    """At T=0 (N=1) the blinding depth is 0: the symmetric run draws and
+    bills nothing more than the plain run on the same seed."""
+    with pytest.warns(UserWarning, match="in the clear"):
+        sp = make_params("spma1", 3, 5, t=0, y=0)
+        pp = make_params("pma1", 3, 5, t=0, y=0)
+    assert sp.blinding_depth == 0
+    datasets = generate_datasets(pp, 0.5, RandomSource(40))
+    rng_sym, rng_plain = RandomSource(4), RandomSource(4)
+    sym = spma1.run(sp, datasets, 2, rng_sym)
+    plain = pma1.run(pp, datasets, 2, rng_plain)
+    assert sym.answers == plain.answers and sym.count == plain.count
+    assert rng_sym.position == rng_plain.position
+    assert sym.blinding == ((),) * 3
+    assert not [ev for ev in sym.transcript.events if ev.category == NOISE_SHARE]
 
 
 def test_blinded_run_is_plain_run_plus_blinding():
@@ -156,6 +165,8 @@ def test_noise_share_billed_once():
 
 
 def test_run_validates_variant():
-    params = make_params("pma1", 2, 5, t=1, y=0)
-    with pytest.raises(ParameterError):
-        spma1.run(params, [P1, P2], 1, RandomSource(0))
+    """spma1.run is pma1.run: it takes both type-I variants and refuses
+    type-II parameters."""
+    params = make_params("spma2", 3, 5, t=1, y=0)
+    with pytest.raises(ParameterError, match="type-I"):
+        spma1.run(params, [P1, P2, P2], 1, RandomSource(0))
