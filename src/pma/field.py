@@ -10,10 +10,17 @@ In a field of at most 128 elements every residue, and the sum of any two,
 fits a byte. There long vectors run in byte lanes (``lane_sum``): a product
 by a constant is one ``bytes.translate`` through a table of c*b mod p, and a
 sum adds the vectors as the 8-bit lanes of one int, reduced through a
-table. A query pad of 16 entries or more takes this path, and so does the
-random source's reduction of a block of 256 words or more
-(``model.RandomSource``); the results are those of the int arithmetic,
-element for element.
+table. The values are those of the int arithmetic, element for element.
+
+Representation rule: a vector is a ``Sequence[int]``, either ``bytes`` or a
+tuple of ints. Incidence bits are bytes at any p. For p <= 128 long vectors
+stay bytes from the draw to the digest: a draw of 256 words or more
+(``model.RandomSource``), and the rows of a noised, not deep, pad of 16
+entries or more whose base has at most one nonzero entry, as a query's.
+``pma1.answer`` sums a bytes query in lanes (``masked_lane_sum``), and
+``transcript`` digests a bytes payload as the 64-bit words of the same
+values. Any other vector is a tuple. The form depends only on p, lengths
+and how sparse the base is, never on random content.
 
 The evaluation matrix is an ``Upsilon``, which memoizes its own inverse and
 packed columns. The solver and the deep pad trust an Upsilon of their field;
@@ -247,9 +254,28 @@ def lane_sum(p: int, weights: Sequence[int], vectors) -> bytes:
     return acc.to_bytes(n, "big").translate(reduce)
 
 
+def masked_lane_sum(p: int, values: bytes, bits: Sequence[int]) -> int:
+    """sum(compress(values, bits)) mod p, for residues of GF(p), p <=
+    LANES_MAX_P, as bytes and 0/1 bits of the same length. The masked values
+    are the 8-bit lanes of one int; adding its top half to its bottom half
+    halves the lanes until one is left, reduced through the table whenever
+    the next add could overflow a lane."""
+    n = len(values)
+    if len(bits) != n:
+        raise ParameterError(f"vector length mismatch: {n} vs {len(bits)}")
+    acc, top = int.from_bytes(values, "big") & int.from_bytes(bits, "big") * 255, p - 1
+    while n > 1:
+        if 2 * top > 255:
+            acc, top = int.from_bytes(acc.to_bytes(n, "big").translate(_scale_table(p, 1)),
+                                      "big"), p - 1
+        half = n // 2
+        acc, n, top = (acc >> 8 * half) + (acc & ((1 << 8 * half) - 1)), n - half, 2 * top
+    return acc % p
+
+
 def noise_pad_vector(field: PrimeField, base: Sequence[int],
                      powers: Sequence[Sequence[int]],
-                     noise_rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+                     noise_rows: Sequence[Sequence[int]]) -> tuple[Sequence[int], ...]:
     """base + sum_l w[l] * noise[l-1], componentwise, for each row w of
     ``powers``: one padded vector per row.
 
@@ -258,9 +284,10 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
     coding primitive: queries pad the unit vector, storage shares pad the
     incidence vector. The base is added unweighted; w[0] is never read. A
     long base with at most one nonzero entry, as a query's, is padded in
-    byte lanes when p <= LANES_MAX_P, its entry added after the noise. Deep
-    noise on an Upsilon of this field reads its packed columns; any other
-    rows, as the audits' row subsets, are packed on each call.
+    byte lanes to bytes rows when p <= LANES_MAX_P, its entry added after
+    the noise. Deep noise on an Upsilon of this field reads its packed
+    columns; any other rows, as the audits' row subsets, are packed on each
+    call.
     """
     p = field.p
     depth = len(noise_rows)
@@ -283,12 +310,12 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
         entry = unit.strip(b"\0")  # from the first nonzero entry to the last
         if len(entry) <= 1:
             k = unit.find(entry)  # 0 for a zero base, whose entry 0 adds nothing
-            rows = [bytearray(row) for row in noise_rows]
+            rows = [bytes(row) for row in noise_rows]  # a long draw passes as is
             padded = []
             for w in powers:
                 out = bytearray(lane_sum(p, w[1:], rows))
                 out[k] = (out[k] + unit[k]) % p
-                padded.append(tuple(out))
+                padded.append(bytes(out))
             return tuple(padded)
     padded = []
     for w in powers:

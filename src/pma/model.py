@@ -3,7 +3,7 @@ scheme parameters, the query pad and record, the count decode every scheme
 shares, and a deterministic randomness source.
 
 Conventions used throughout the package: universe elements and the queried
-index are 1-based (element k sits at position k-1 of an incidence tuple);
+index are 1-based (element k sits at position k-1 of an incidence vector);
 parties and databases are numbered from 1 in link names but stored 0-based
 in internal lists.
 """
@@ -51,7 +51,8 @@ class RandomSource:
     is reduced at once in byte lanes (``lane_sum``). There 2^64 mod modulus
     < 128, so only a word whose first seven bytes are 0xff can be rejected;
     a block holding any run of seven 0xff bytes takes the per-word path
-    instead. Values and ``position`` are the same on either path.
+    instead. Values and ``position`` are the same on either path, and such a
+    draw is bytes on both (see ``field``); any other is a tuple.
 
     Reproducible by construction; protocol security is verified by
     enumeration, so reproducibility matters more than entropy here.
@@ -69,29 +70,29 @@ class RandomSource:
     def position(self) -> int:
         return self._counter
 
-    def draw_vector(self, modulus: int, k: int) -> tuple[int, ...]:
+    def draw_vector(self, modulus: int, k: int) -> Sequence[int]:
         if not isinstance(modulus, int) or not 1 <= modulus <= _WORDS:
             raise ParameterError(
                 f"modulus must be an int in 1..2^64, got {modulus!r}")
         if not isinstance(k, int) or k < 0:
             raise ParameterError(f"vector length must be a non-negative int, got {k!r}")
+        lanes = k >= _LANES_MIN_WORDS and modulus <= LANES_MAX_P
         if modulus == 1 or k == 0:
-            return (0,) * k
+            return bytes(k) if lanes else (0,) * k
+        out = b"" if lanes else ()
         bound = _WORDS - _WORDS % modulus
-        out: tuple[int, ...] = ()
         while len(out) < k:
             need = k - len(out)
             block = self._block(need)
-            if need >= _LANES_MIN_WORDS and modulus <= LANES_MAX_P \
-                    and b"\xff" * 7 not in block:
+            if lanes and need >= _LANES_MIN_WORDS and b"\xff" * 7 not in block:
                 # no word reaches the bound, so all are kept: byte i of each
                 # word weighs 256^(7-i), and its slice of digits is reduced
                 # in byte lanes
-                out += tuple(lane_sum(modulus, [pow(256, 7 - i, modulus) for i in range(8)],
-                                      [block[i::8] for i in range(8)]))
+                out += lane_sum(modulus, [pow(256, 7 - i, modulus) for i in range(8)],
+                                [block[i::8] for i in range(8)])
             else:
-                out += tuple([w % modulus for w in struct.unpack(f">{need}Q", block)
-                              if w < bound])
+                kept = [w % modulus for w in struct.unpack(f">{need}Q", block) if w < bound]
+                out += bytes(kept) if lanes else tuple(kept)
         return out
 
     def _block(self, words: int) -> bytes:
@@ -301,7 +302,7 @@ def make_params(variant: str, m: int, e: int, *, t: int = 0, y=0,
 
 class PartyDataset:
     """The element indices one party holds. Empty sets are legal. Generated
-    and loaded datasets carry their incidence vector in ``bits``; a
+    and loaded datasets carry their incidence vector in ``bits``, as bytes; a
     generated one builds its member set from it on first read. Equality,
     hashing and repr are those of ``PartyDataset(members)``; ``bits`` takes
     no part in them."""
@@ -309,7 +310,7 @@ class PartyDataset:
     __slots__ = ("_members", "bits")
 
     def __init__(self, members: frozenset[int] | None = None,
-                 bits: tuple[int, ...] | None = None) -> None:
+                 bits: Sequence[int] | None = None) -> None:
         if members is None and bits is None:
             raise TypeError("a PartyDataset needs its members or its incidence bits")
         object.__setattr__(self, "_members", members)
@@ -349,22 +350,22 @@ def _indices(e: int) -> tuple[int, ...]:
     return tuple(range(1, e + 1))
 
 
-def incidence(dataset: PartyDataset, e: int) -> tuple[int, ...]:
+def incidence(dataset: PartyDataset, e: int) -> Sequence[int]:
     """0/1 vector with a one at each held index: the carried one when it
-    has length E, else built from the members."""
+    has length E, else built from the members, as bytes."""
     if dataset.bits is not None and len(dataset.bits) == e:
         return dataset.bits
     return _incidence_bits(dataset.members, e)
 
 
-def _incidence_bits(members, e: int) -> tuple[int, ...]:
+def _incidence_bits(members, e: int) -> bytes:
     """The incidence vector of ``members`` over 1..E, checking each one."""
-    out = [0] * e
+    out = bytearray(e)
     for k in members:
         if not (isinstance(k, int) and 1 <= k <= e):
             raise ParameterError(f"dataset member {k!r} outside universe 1..{e}")
         out[k - 1] = 1
-    return tuple(out)
+    return bytes(out)
 
 
 def _check_theta(theta, e: int) -> None:
@@ -379,11 +380,12 @@ class QuerySet:
     them. Type I: noise[i] holds party i+1's rows, shared by its databases,
     and queries[i][j] goes to database j+1 of that party. Type II: noise
     holds the rows shared by every participating database, and queries[n]
-    goes to database n+1."""
+    goes to database n+1. Each row and query is a ``Sequence[int]``, bytes
+    or a tuple by ``field``'s representation rule."""
 
     theta: int
-    noise: tuple
-    queries: tuple
+    noise: tuple[Sequence, ...]
+    queries: tuple[Sequence, ...]
 
 
 def query_vectors(theta: int, powers, noise_rows, params: SchemeParams) -> tuple:
@@ -455,7 +457,7 @@ def generate_datasets(params: SchemeParams, probs,
         words = int.from_bytes(rng._block(e), "big")
         joins = (((words & low) + gaps) >> 53 & ones) ^ ones
         bits = joins.to_bytes(8 * e, "big")[7::8]  # the low byte of each lane
-        datasets.append(PartyDataset(bits=tuple(bits)))
+        datasets.append(PartyDataset(bits=bits))
     return datasets
 
 

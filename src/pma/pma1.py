@@ -30,7 +30,7 @@ from itertools import compress
 from typing import Callable, Sequence
 
 from .errors import ParameterError
-from .field import noise_pad_vector
+from .field import masked_lane_sum, noise_pad_vector
 from .model import (PartyDataset, QuerySet, RandomSource, SchemeParams, decode_count,
                     incidence, query_vectors)
 from .transcript import (ANSWER, MASK_SHARE, NOISE_SHARE, QUERY, ROUND_ANSWER,
@@ -76,7 +76,10 @@ def draw_party_noise(params: SchemeParams, rng: RandomSource) -> tuple:
 
 
 def answer(bits: Sequence[int], query: Sequence[int], mask_symbol: int, field) -> int:
-    """Inner product of 0/1 ``bits`` with the query (a member sum) plus the mask."""
+    """Inner product of 0/1 ``bits`` with the query (a member sum) plus the
+    mask; a bytes query is summed in byte lanes."""
+    if type(query) is bytes:
+        return (masked_lane_sum(field.p, query, bits) + mask_symbol) % field.p
     return (sum(compress(query, bits)) + mask_symbol) % field.p
 
 

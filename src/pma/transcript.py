@@ -12,7 +12,7 @@ import hashlib
 import struct
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _string
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import ParameterError
 
@@ -33,7 +33,7 @@ class Event(NamedTuple):
     receiver: str
     link: str
     category: str
-    values: tuple[int, ...]
+    values: Sequence[int]  # bytes or a tuple of ints, see field
     symbols: int
 
 
@@ -43,7 +43,8 @@ class Transcript:
 
     def emit(self, round: int, sender: str, receiver: str, link: str,
              category: str, values=(), symbols: int | None = None) -> Event:
-        values = tuple(values)
+        if type(values) is not bytes:
+            values = tuple(values)
         if symbols is None:
             symbols = len(values)
         if type(round) is not int or type(symbols) is not int:  # not a bool either
@@ -64,13 +65,19 @@ class Transcript:
         value count], built without the encoder object and memoized), then
         a 0 tag byte and the values as little-endian 64-bit words. Field
         elements always fit, since p < 2^64; any other value raises
-        struct.error.
+        struct.error. A bytes payload is widened to the same words.
         """
         h = hashlib.sha256()
         for ev in self.events:
+            values = ev.values
             h.update(_frame(ev.round, ev.sender, ev.receiver, ev.link, ev.category,
-                            ev.symbols, len(ev.values)))
-            h.update(struct.pack(f"<{len(ev.values)}Q", *ev.values))
+                            ev.symbols, len(values)))
+            if type(values) is bytes:
+                words = bytearray(8 * len(values))
+                words[::8] = values
+                h.update(words)
+            else:
+                h.update(struct.pack(f"<{len(values)}Q", *values))
         return h.hexdigest()
 
 

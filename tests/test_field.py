@@ -1,6 +1,8 @@
 """GF(p) arithmetic and the evaluation-matrix solver."""
 
 import itertools
+import random
+from itertools import compress
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 
 from pma import pma1, spma1
 from pma.errors import IntegrityError, ParameterError
-from pma.field import (PrimeField, build_upsilon, default_alphas, is_prime, noise_pad_scalar,
-                       noise_pad_vector, solve_linear)
+from pma.field import (PrimeField, build_upsilon, default_alphas, is_prime, masked_lane_sum,
+                       noise_pad_scalar, noise_pad_vector, solve_linear)
 from pma.model import PartyDataset, RandomSource, incidence, make_params, query_vectors
 
 
@@ -564,9 +566,13 @@ def test_byte_lane_pads_match_the_reference(length, data):
     f = PrimeField(p)
     powers = [tuple(pow(1 + a, k, p) for k in range(4)) for a in alphas]
     expected = ref_pad_rows(p, base, powers, rows)
+    # the lane path, with its bytes rows, is chosen by p, length and sparsity
+    lanes = length >= 16 and p <= 128 and sum(map(bool, base)) <= 1
     # a query's base is bytes, any other a tuple
     for given_base in (tuple(base), bytes(base)):
-        assert noise_pad_vector(f, given_base, powers, rows) == expected
+        padded = noise_pad_vector(f, given_base, powers, rows)
+        assert tuple(map(tuple, padded)) == expected
+        assert {type(row) for row in padded} == {bytes if lanes else tuple}
 
 
 def test_byte_lane_pads_reduce_full_lanes():
@@ -577,8 +583,27 @@ def test_byte_lane_pads_reduce_full_lanes():
         powers = [(top,) * 4, (1, 2, 4, 8)]
         for base in ((top,) + (0,) * (length - 1), (0,) * (length - 1) + (top,)):
             rows = [(top,) * length] * 3
-            assert noise_pad_vector(f, bytes(base), powers, rows) == \
-                ref_pad_rows(p, base, powers, rows)
+            padded = noise_pad_vector(f, bytes(base), powers, rows)
+            assert tuple(map(tuple, padded)) == ref_pad_rows(p, base, powers, rows)
+            assert {type(row) for row in padded} == {bytes}
+
+
+@pytest.mark.parametrize("p", (2, 3, 23, 127))
+@pytest.mark.parametrize("length", (0, 1, 2, 3, 15, 16, 17, 255, 256, 257, 10_000))
+def test_masked_lane_sum_matches_the_member_sum(p, length):
+    gen = random.Random(p * 100_003 + length)
+    cases = [(bytes([p - 1]) * length, bytes([1]) * length),  # every lane at p-1: reduced
+             (bytes([p - 1]) * length, bytes(length))]  # nothing selected
+    for _ in range(3):
+        cases.append((bytes(gen.randrange(p) for _ in range(length)),
+                      bytes(gen.randrange(2) for _ in range(length))))
+    for values, bits in cases:
+        assert masked_lane_sum(p, values, bits) == \
+            sum(compress(tuple(values), tuple(bits))) % p
+        assert masked_lane_sum(p, values, tuple(bits)) == masked_lane_sum(p, values, bits)
+    if length:
+        with pytest.raises(ParameterError, match="length mismatch"):
+            masked_lane_sum(p, values, bits[1:])
 
 
 def test_plain_copy_of_upsilon_is_checked_on_every_call(upsilon_builds):

@@ -240,9 +240,9 @@ def test_m_without_a_field_named_before_y_is_expanded(m):
 
 
 def test_incidence_examples():
-    assert incidence(P1, 5) == (1, 1, 1, 1, 1)
-    assert incidence(P2, 5) == (0, 1, 1, 1, 0)
-    assert incidence(PartyDataset(frozenset()), 3) == (0, 0, 0)
+    assert incidence(P1, 5) == bytes((1, 1, 1, 1, 1))
+    assert incidence(P2, 5) == bytes((0, 1, 1, 1, 0))
+    assert incidence(PartyDataset(frozenset()), 3) == bytes((0, 0, 0))
 
 
 def test_incidence_out_of_range_member():
@@ -283,6 +283,7 @@ def test_datasets_carry_their_incidence_vector(source):
         assert rng.position == m  # one hash call per party
     for d in datasets:
         built = incidence(PartyDataset(d.members), e)
+        assert type(d.bits) is bytes and type(built) is bytes  # one incidence type
         assert d.bits == built and incidence(d, e) is d.bits
         same = PartyDataset(d.members)  # a generated one builds its members here, once
         assert d == same and hash(d) == hash(same) and repr(d) == repr(same)
@@ -295,7 +296,7 @@ def test_datasets_carry_their_incidence_vector(source):
         if d.members and max(d.members) > 1:
             with pytest.raises(ParameterError, match="outside universe"):
                 incidence(d, max(d.members) - 1)
-        assert incidence(d, e + 1) == built + (0,)
+        assert tuple(incidence(d, e + 1)) == tuple(built) + (0,)
     outside = PartyDataset(frozenset({e + 1}))
     for _ in range(2):  # nothing is memoized: every call checks the members
         with pytest.raises(ParameterError, match="outside universe"):
@@ -357,8 +358,11 @@ def test_query_vectors_match_the_reference(p, e):
         powers = [tuple(pow(x, k, p) for k in range(depth + 1)) for x in xs]
         rows = [rng.draw_vector(p, e) for _ in range(depth)]
         for theta in (1, e):
-            assert query_vectors(theta, powers, rows, params) == \
+            queries = query_vectors(theta, powers, rows, params)
+            assert tuple(map(tuple, queries)) == \
                 ref_query_vectors(theta, e, powers, rows, p), (depth, theta)
+            lanes = 0 < depth <= e and e >= 16 and p <= 128  # the pad's lane path
+            assert {type(q) for q in queries} == {bytes if lanes else tuple}
 
 
 def test_true_count_examples():
@@ -541,7 +545,9 @@ def test_byte_lane_draws_match_the_per_word_reference(seed):
         rng, counter = RandomSource(seed), 0
         for k in (15, 16, 17, 64, 255, 256, 257, 600):
             expected, counter = _reference_vector(seed, modulus, k, counter)
-            assert (rng.draw_vector(modulus, k), rng.position) == (expected, counter)
+            drawn = rng.draw_vector(modulus, k)
+            assert (tuple(drawn), rng.position) == (expected, counter)
+            assert type(drawn) is (bytes if k >= 256 and modulus <= 128 else tuple)
 
 
 @pytest.mark.parametrize("modulus", [23, 127, 128])
@@ -558,11 +564,13 @@ def test_byte_lane_draws_fall_back_on_seven_0xff_bytes(monkeypatch, modulus):
     for first in (rejected, straddling):
         kept = [w % modulus for w in first + refill if w < bound][:300]
         rng = _FixedWords(first, refill)
-        assert rng.draw_vector(modulus, 300) == tuple(kept)
+        drawn = rng.draw_vector(modulus, 300)
+        assert tuple(drawn) == tuple(kept) and type(drawn) is bytes  # bytes on either path
         assert rng.position == 1 + (len([w for w in first if w < bound]) < 300)
         assert lanes == []  # per word, the refill too: it is shorter than 256 words
     # the same words without the run take the byte lanes, to the same values
-    assert _FixedWords(words).draw_vector(modulus, 300) == tuple(w % modulus for w in words)
+    drawn = _FixedWords(words).draw_vector(modulus, 300)
+    assert tuple(drawn) == tuple(w % modulus for w in words) and type(drawn) is bytes
     assert len(lanes) == 1
 
 

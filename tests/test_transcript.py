@@ -110,3 +110,14 @@ def test_emit_refuses_non_int_round_and_symbols(field, value):
     _frame.cache_clear()
     as_int = dict(BASE, round=1, symbols=3)
     assert digest(as_int) == reference_digest([as_int])
+
+
+@pytest.mark.parametrize("values", [(), (0,), (255,), (0, 1, 254, 255), tuple(range(256)) * 40])
+def test_bytes_and_tuple_payloads_give_one_digest(values):
+    # a bytes payload is kept as it is and widened to the words a tuple packs
+    kept = Transcript().emit(**dict(BASE, values=bytes(values))).values
+    assert type(kept) is bytes and kept == bytes(values)
+    assert type(Transcript().emit(**dict(BASE, values=list(values))).values) is tuple
+    as_bytes, as_tuple = dict(BASE, values=bytes(values)), dict(BASE, values=values)
+    assert digest(as_bytes) == digest(as_tuple) == reference_digest([as_tuple])
+    assert digest(as_bytes, BASE, as_bytes) == digest(as_tuple, BASE, as_tuple)
