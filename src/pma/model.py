@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
 from .field import (LANES_MAX_P, PrimeField, Upsilon, build_upsilon, default_alphas,
-                    is_prime, lane_sum, noise_pad_vector, solve_linear)
+                    is_prime, noise_pad_vector, solve_linear)
 
 VARIANTS = ("pma1", "spma1", "spma2")
 # the type-II scheme serves both the symmetric and the non-symmetric problem
@@ -33,26 +33,35 @@ VARIANT_ALIASES = {"pma2": "spma2"}
 _WORDS = 1 << 64
 _MASK64 = _WORDS - 1
 _DYADIC = 1 << 53
-# From this many words on, reducing a block in byte lanes beats reducing
-# it word by word; the lanes cost a fixed 5-10 us per block (CPython 3.11).
-_LANES_MIN_WORDS = 256
+# A draw of this many values or more at a modulus up to LANES_MAX_P is bytes.
+_BYTES_MIN_VALUES = 256
+# A membership word is 7 bytes: its first byte, then a tail of 6.
+_TAIL, _TAILS = 6, 1 << 48
+_TIE = 2  # marks an element whose first byte does not decide it
+# a list's lane compare gives 0 (joins), 1 (tie) or 2 (stays out)
+_LANE_MARKS = bytes((1, _TIE, 0)) + bytes(253)
+
+
+@lru_cache(maxsize=128)
+def _byte_rule(modulus: int) -> tuple[bytes, bytes]:
+    """The ``translate`` arguments of a byte draw: the table b mod modulus,
+    and the bytes at or above the rejection bound 256 - 256 mod modulus."""
+    return bytes(b % modulus for b in range(256)), bytes(range(256 - 256 % modulus, 256))
 
 
 class RandomSource:
     """Counter-mode SHAKE-256 generator: one hash call per drawn vector.
 
     Call number c hashes key || c (seed as 8 bytes, counter as 16, both big
-    endian) and reads as many 8-byte big-endian words as values are still
-    missing. A word w is rejected when w >= 2^64 - (2^64 mod modulus), so
-    every residue keeps probability exactly 1/modulus; rejected words are
-    made up from the next counter value. ``position`` counts hash calls.
+    endian) and reads one word per value still missing: a byte for a modulus
+    up to 128 (``LANES_MAX_P``), else an 8-byte big-endian word. A word w of
+    b bits is rejected when w >= 2^b - (2^b mod modulus), so every residue
+    keeps probability exactly 1/modulus; rejected words are made up from
+    the next counter value. ``position`` counts hash calls.
 
-    A block of 256 words or more for a modulus up to 128 (``LANES_MAX_P``)
-    is reduced at once in byte lanes (``lane_sum``). There 2^64 mod modulus
-    < 128, so only a word whose first seven bytes are 0xff can be rejected;
-    a block holding any run of seven 0xff bytes takes the per-word path
-    instead. Values and ``position`` are the same on either path, and such a
-    draw is bytes on both (see ``field``); any other is a tuple.
+    The bytes of one call are reduced, and the rejected ones deleted, by one
+    ``bytes.translate``. A draw of 256 values or more for a modulus up to
+    128 is bytes (see ``field``); any other is a tuple.
 
     Reproducible by construction; protocol security is verified by
     enumeration, so reproducibility matters more than entropy here.
@@ -76,29 +85,25 @@ class RandomSource:
                 f"modulus must be an int in 1..2^64, got {modulus!r}")
         if not isinstance(k, int) or k < 0:
             raise ParameterError(f"vector length must be a non-negative int, got {k!r}")
-        lanes = k >= _LANES_MIN_WORDS and modulus <= LANES_MAX_P
-        if modulus == 1 or k == 0:
-            return bytes(k) if lanes else (0,) * k
-        out = b"" if lanes else ()
-        bound = _WORDS - _WORDS % modulus
-        while len(out) < k:
-            need = k - len(out)
-            block = self._block(need)
-            if lanes and need >= _LANES_MIN_WORDS and b"\xff" * 7 not in block:
-                # no word reaches the bound, so all are kept: byte i of each
-                # word weighs 256^(7-i), and its slice of digits is reduced
-                # in byte lanes
-                out += lane_sum(modulus, [pow(256, 7 - i, modulus) for i in range(8)],
-                                [block[i::8] for i in range(8)])
-            else:
-                kept = [w % modulus for w in struct.unpack(f">{need}Q", block) if w < bound]
-                out += bytes(kept) if lanes else tuple(kept)
-        return out
+        if modulus > LANES_MAX_P:
+            bound, out = _WORDS - _WORDS % modulus, ()
+            while len(out) < k:
+                words = struct.unpack(f">{k - len(out)}Q", self._read(8 * (k - len(out))))
+                out += tuple(w % modulus for w in words if w < bound)
+            return out
+        if modulus == 1 or k == 0:  # no hash call
+            out = bytes(k)
+        else:
+            table, rejected = _byte_rule(modulus)
+            out = b""
+            while len(out) < k:
+                out += self._read(k - len(out)).translate(table, rejected)
+        return out if k >= _BYTES_MIN_VALUES else tuple(out)
 
-    def _block(self, words: int) -> bytes:
-        """The next hash call's first ``words`` 8-byte words."""
+    def _read(self, n: int) -> bytes:
+        """The next hash call's first ``n`` bytes."""
         block = hashlib.shake_256(
-            self._key + self._counter.to_bytes(16, "big")).digest(8 * words)
+            self._key + self._counter.to_bytes(16, "big")).digest(n)
         self._counter += 1
         return block
 
@@ -303,9 +308,9 @@ def make_params(variant: str, m: int, e: int, *, t: int = 0, y=0,
 class PartyDataset:
     """The element indices one party holds. Empty sets are legal. Generated
     and loaded datasets carry their incidence vector in ``bits``, as bytes; a
-    generated one builds its member set from it on first read. Equality,
-    hashing and repr are those of ``PartyDataset(members)``; ``bits`` takes
-    no part in them."""
+    generated one builds its member set from it on first read. Given bits
+    must be 0 or 1 and are kept as bytes. Equality, hashing and repr are
+    those of ``PartyDataset(members)``; ``bits`` takes no part in them."""
 
     __slots__ = ("_members", "bits")
 
@@ -313,6 +318,13 @@ class PartyDataset:
                  bits: Sequence[int] | None = None) -> None:
         if members is None and bits is None:
             raise TypeError("a PartyDataset needs its members or its incidence bits")
+        if bits is not None:
+            try:  # bytes(n) of an int n would pass as n zeros
+                bits = None if isinstance(bits, int) else bytes(bits)
+            except (TypeError, ValueError):
+                bits = None
+            if bits is None or bits.translate(None, b"\0\1"):
+                raise ParameterError("incidence bits must be a sequence of 0s and 1s")
         object.__setattr__(self, "_members", members)
         object.__setattr__(self, "bits", bits)
 
@@ -419,12 +431,13 @@ def true_count(theta: int, datasets: Sequence[PartyDataset], e: int) -> int:
 
 
 def _threshold(pk) -> int:
-    """The word bound of a membership probability: for an int word w,
-    w < ceil(pk * 2^53) is w / 2^53 < pk (the scaling is exact)."""
+    """The bound of a membership probability on a 56-bit word U': for the
+    53-bit U = U' >> 3, U' < 8 * ceil(pk * 2^53) is U < ceil(pk * 2^53),
+    which is U / 2^53 < pk (the scaling is exact)."""
     if type(pk) not in (int, float) or not 0 <= pk <= 1:
         raise ParameterError(
             f"membership probability {pk!r} in gen_probs is not a number in [0, 1]")
-    return math.ceil(pk * _DYADIC)
+    return 8 * math.ceil(pk * _DYADIC)
 
 
 def generate_datasets(params: SchemeParams, probs,
@@ -432,33 +445,60 @@ def generate_datasets(params: SchemeParams, probs,
     """Independent membership draws: element k joins each party with
     probability probs[k-1]; a scalar applies to every element.
 
-    A party's E words come from one hash call, and element k joins iff its
-    word w has w mod 2^53 < ceil(probs[k-1] * 2^53). The E words are
-    compared at once, as the 64-bit lanes of one int: lane k holds w mod
-    2^53 + 2^53 - ceil(probs[k-1] * 2^53) < 2^54, so no lane carries into
-    the next, and its bit 53 is set exactly when element k stays out.
+    Element k joins iff its 56-bit word U' < T = 8 * ceil(probs[k-1] * 2^53),
+    read lazily. One hash call per party gives every element the first
+    byte b of its word. It joins if b < floor(T / 2^48) and stays out if b
+    >= ceil(T / 2^48), whatever its other 6 bytes. The rest, about 1 in
+    256, tie: b is T's first byte and T's tail is not zero. They read the
+    tails of their words, in order, from the party's next hash call and
+    compare them as bytes with T's. A scalar marks the first bytes through
+    one table; a list compares them at once, as the 16-bit lanes of one
+    int.
     """
-    e = params.e
-    ones = int.from_bytes((bytes(7) + b"\x01") * e, "big")  # 1 in every lane
-    if isinstance(probs, (int, float)):
-        gaps = (_DYADIC - _threshold(probs)) * ones
+    e, scalar = params.e, isinstance(probs, (int, float))
+    if scalar:
+        thresholds = [_threshold(probs)]
+        lo, hi = thresholds[0] // _TAILS, -(-thresholds[0] // _TAILS)
+        marks = bytes(1 if b < lo else _TIE if b < hi else 0 for b in range(256))
     elif isinstance(probs, (list, tuple)):
         if len(probs) != e:
             raise ParameterError(f"need {e} membership probabilities, got {len(probs)}")
-        gaps = int.from_bytes(
-            struct.pack(f">{e}Q", *[_DYADIC - _threshold(pk) for pk in probs]), "big")
+        thresholds = [_threshold(pk) for pk in probs]
+        # lane k holds its first byte b plus 256 - floor(T / 2^48), or plus
+        # 256 - ceil(T / 2^48); its bit 8 is then set iff b is at least that
+        # bound, and below 512 nothing carries into the next lane
+        gaps_lo = _lanes16([256 - t // _TAILS for t in thresholds])
+        gaps_hi = _lanes16([256 + (-t // _TAILS) for t in thresholds])
+        ones = _lanes16([1] * e)
+        lanes = bytearray(2 * e)
     else:
         raise ParameterError(
             f"membership probabilities must be a number or a list of {e} "
             f"numbers, got {probs!r}")
-    low = (_DYADIC - 1) * ones
     datasets = []
     for _ in range(params.m):
-        words = int.from_bytes(rng._block(e), "big")
-        joins = (((words & low) + gaps) >> 53 & ones) ^ ones
-        bits = joins.to_bytes(8 * e, "big")[7::8]  # the low byte of each lane
+        if scalar:
+            bits = rng._read(e).translate(marks)
+        else:
+            lanes[1::2] = rng._read(e)
+            words = int.from_bytes(lanes, "big")
+            above = (words + gaps_lo >> 8 & ones) + (words + gaps_hi >> 8 & ones)  # 0, 1 or 2
+            bits = above.to_bytes(2 * e, "big")[1::2].translate(_LANE_MARKS)
+        ties = bits.count(_TIE)
+        if ties:
+            bits, tails, k = bytearray(bits), rng._read(_TAIL * ties), -1
+            for j in range(0, _TAIL * ties, _TAIL):
+                k = bits.find(_TIE, k + 1)
+                t = thresholds[0 if scalar else k]
+                bits[k] = tails[j:j + _TAIL] < (t % _TAILS).to_bytes(_TAIL, "big")
+            bits = bytes(bits)
         datasets.append(PartyDataset(bits=bits))
     return datasets
+
+
+def _lanes16(values) -> int:
+    """The values as the 16-bit lanes of one int, the first one highest."""
+    return int.from_bytes(struct.pack(f">{len(values)}H", *values), "big")
 
 
 def read_json(path, what: str):

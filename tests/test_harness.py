@@ -23,44 +23,48 @@ PAPER_DATA = {
 }
 
 
-# Seeded outputs recorded before power-of-two draws skipped per-word
-# arithmetic: (theta, count, transcript digest) per result and a SHA-256 of
-# the sorted member sets. A change here changes every seeded report.
+# Seeded outputs recorded when the sampler began to read one byte per value
+# for a modulus up to 128, and memberships from 56-bit words read lazily:
+# (theta, count, transcript digest) per result and a SHA-256 of the sorted
+# member sets. A change here changes every seeded report. The loaded
+# datasets of spma2-dataset-dict do not depend on the seed, so only its
+# digests moved with the sampler; its counts (2, 1, 1, 3) and member sets
+# are those of its dataset dict and must never move.
 _GOLDEN = {
     "pma1-e2000": (
         RunConfig("pma1", m=10, e=2000, t=1, theta=1234, seed=2024),
-        [(1234, 6, "3b3a08cc9bb5b89cc048940e38db3b8ce4452c8d22e72525614ccf292969cf7b")],
-        "e24737d1061fa9f294c206773636da70e8cd21954b8a35549da473b8edbd924f"),
+        [(1234, 7, "80eed10b1658e479c58512024b7e5cee6987448ec35db65fcd462d316ad56265")],
+        "11592c046e97b925e2cac70ba2e5c7080f6175b5a1794440370b049568a62426"),
     "spma1-per-element-probs": (
         RunConfig("spma1", m=3, e=6, t=1, seed=31, gen_probs=[0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
-        [(1, 0, "698409e29a54863e8c456c0d77419108ac271ddf2c6691ec42a5b44dddfe4679"),
-         (2, 1, "b9dfd0248f6afb43c5bf75644725bd1813be56ac7bee274c30bf68650c7b8050"),
-         (3, 2, "95cc833e8c3881083b223e811be65f00d91ad7b3f823b177017d66cd6c17fdd7"),
-         (4, 2, "d7d7ab42c9d19ecaf715ff9a1cb435d5f3e2b02d88dde31a783abeaf3c6b9fc7"),
-         (5, 1, "9be95431f01e484489b1ee6b8d164d9f8147fb37a9e01aa8512665675eb657e7"),
-         (6, 3, "72610ea97e0566e68fccd50094a176c9e43b53e3fee8cf2c5bae3794b0dbb857")],
-        "a68c3944398e17345d9add41361b3c7c044d934b5306607e2a3cfdd50e515e7e"),
+        [(1, 0, "633cbb5dfa037cdef85b6195c59115192160d9ec56dd24abd22ac9bfb2e5e65f"),
+         (2, 1, "7d7e32dd79ca8f5c4edf0c309a40f70c9bf0801d8abb292e942fc6285823f303"),
+         (3, 1, "a1fbcf718706d3603a21a90a0535012c92642328b46e5c95db5f6c329a9c02bb"),
+         (4, 2, "77acb59512aa9ed619d411752a4665b3cc2156f693a3f8bd988367fbd6578ede"),
+         (5, 2, "b47d665437f867013a7e58de9b4cfb1bbbc81dc39165ce4504088ebd0e60ef7c"),
+         (6, 3, "c156106956316d72e6219b75c5741c3d61366ab7773453a9e04eb675f9be5101")],
+        "97cf8ba366564e27247f310ca6a63c1133d0ca0e3620a7acfa7e0ecb7d0a18dd"),
     "spma2-dataset-dict": (
         RunConfig("spma2", t=1, seed=47, datasets={
             "universe": ["ant", "bee", "cat", "dog"],
             "parties": [["ant", "dog"], ["bee", "cat", "dog"], ["dog"], [], ["ant"]]}),
-        [(1, 2, "6239b102910889429ead67be38d68e68e75d816fcad23eeead5c91414da0b901"),
-         (2, 1, "ecfcd14fab267dc71c0c28e37cf2f463032cfdfe28ae5cebbe5b148c831b1c6d"),
-         (3, 1, "9045d5684ffca31859023595c0268da8faf586c6f5185c952233df0f753b6948"),
-         (4, 3, "5b233886b3a16350c417a03242129337ee89be2407cd1b7e5022faa0b3cd61c5")],
+        [(1, 2, "a7d281a516b90630b0fd2af400fce59ee9db68d6ac3abc2873ab3df459a7b618"),
+         (2, 1, "08e3278321502e707fece6e0fa0a3ae32524e0f2ab54e0816834fe48b2fd153b"),
+         (3, 1, "71ed6de4f6f0f2a437d04a6e618f15a0ede56d6cc97855b28b68e8a0f66575d4"),
+         (4, 3, "357eb6e64cfee7bc111066ebe724a74504812666e145b7259c2d48db4126f282")],
         "cdf0d222bb1d9882bffca3d20f492b46ee5ee75c6ebfdae2ef2c427a3d7ba135"),
     # deep noise: more noise rows than the vectors have entries (N=64 and
     # blinding depth 63 on E=2; query depth 3 on E=2)
     "spma1-deep-blinding": (
         RunConfig("spma1", m=2, e=2, t=63, seed=7),
-        [(1, 0, "9d668be2116f760c757d21cdb10d48967b9c9cbea275e82020f21d79e49bbb52"),
-         (2, 0, "e93039d229303d67eb739383faebc39537ffc924c599d66c9b08772831dc9d50")],
-        "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795"),
+        [(1, 1, "158de8ab314e4828a66a08f523848da6589041ca222ef4853861af775e33d199"),
+         (2, 1, "fe3ec1ebb2bd0a1eb618143036e45f9359586dc12c807e87dd4ef82e496c746c")],
+        "9d4bf863bdfab8810c92c615f7f0114dcc7559b0fc22391789867353edc9e8e7"),
     "spma2-deep-query": (
         RunConfig("spma2", m=5, e=2, t=3, seed=7),
-        [(1, 2, "dc9a272f6561b88922dd62c1a04aa8f8c2c94537331f2e4fe384fada0e9b2e08"),
-         (2, 2, "9b9dc11a78d99194a11a4fcd88109879b66916a86d0676fdb4e7199b91fbd21d")],
-        "ea43d2450511beddd778816a3dc0346c0505e6926f00ce52c06ad82e7f676921"),
+        [(1, 2, "2958aefe6bd7a594a6d33f1180dbb1d5c0171bf4fc601b2dbac7b45502ee069e"),
+         (2, 3, "94ef3c0150dfedba8c7e84eb62d94dd56ad494253ac39b52ac908d4057b71752")],
+        "130c40cbbad2b6fcec38ec2dd3c5fb88964057d6d943e460dd014c8dc75153cf"),
 }
 
 

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import pickle
 import sys
 import warnings
@@ -94,54 +95,115 @@ def test_degenerate_depth_warns():
         make_params("pma1", 2, 2, t=0, y=0)
 
 
-class _FixedWords(RandomSource):
-    """A RandomSource whose hash calls hand out the given word lists in
-    turn, as the 8-byte big-endian words of each block."""
+class _FixedBytes(RandomSource):
+    """A RandomSource whose hash calls hand out the given byte strings in
+    turn, each cut to the length asked for; ``asked`` logs those lengths."""
 
-    __slots__ = ("words",)
+    __slots__ = ("blocks", "asked")
 
-    def __init__(self, *words):
+    def __init__(self, *blocks):
         super().__init__(0)
-        self.words = list(words)
+        self.blocks, self.asked = list(blocks), []
 
-    def _block(self, k):
+    def _read(self, n):
         self._counter += 1
-        return b"".join(w.to_bytes(8, "big") for w in self.words.pop(0)[:k])
+        self.asked.append(n)
+        return self.blocks.pop(0)[:n]
+
+
+def _threshold56(pk):
+    """The membership bound on a 56-bit word: U' joins iff U' < it."""
+    return 8 * math.ceil(pk * 2 ** 53)
+
+
+def _lazy_blocks(words, probs):
+    """The hash calls a party's 56-bit membership words take when read
+    lazily: every first byte, then the 6-byte tails, in order, of the
+    elements whose first byte equals their threshold's while its tail is
+    not zero (no call if none)."""
+    tied = [w for w, t in zip(words, map(_threshold56, probs))
+            if w >> 48 == t >> 48 and t % 2 ** 48]
+    return [bytes(w >> 48 for w in words)] + (
+        [b"".join((w % 2 ** 48).to_bytes(6, "big") for w in tied)] if tied else [])
+
+
+def _generate_from_words(words_by_party, probs, given=None):
+    """generate_datasets on parties whose 56-bit membership words are
+    given; also returns the byte counts it asked each hash call for."""
+    blocks = [b for words in words_by_party for b in _lazy_blocks(words, probs)]
+    rng = _FixedBytes(*blocks)
+    params = make_params("pma1", len(words_by_party), len(probs), t=1)
+    datasets = generate_datasets(params, probs if given is None else given, rng)
+    assert rng.blocks == []  # every call read
+    return datasets, rng.asked, [len(b) for b in blocks]
 
 
 def test_membership_compares_words_with_the_exact_threshold():
-    # words at and next to each threshold pk * 2^53, where an integer
-    # threshold that rounds the wrong way would flip membership
+    # 53-bit words U at and next to each threshold pk * 2^53, where an
+    # integer threshold that rounds the wrong way would flip membership;
+    # the 56-bit word read is 8U plus three low bits, which never count
     probs = [0.1, 1 / 3, 0.5, 2 / 3, 0.999999, 1e-300, 0.0, 1.0]
     below = [min(int(pk * 2 ** 53), 2 ** 53 - 1) for pk in probs]
-    above = [min(w + 1, 2 ** 53 - 1) for w in below]
-    params = make_params("pma1", 2, len(probs), t=1)
-    datasets = generate_datasets(params, probs, _FixedWords(below, above))
-    for words, d in zip((below, above), datasets):
-        assert d.members == {k + 1 for k, (w, pk) in enumerate(zip(words, probs))
-                             if w < pk * 2 ** 53}
+    above = [min(u + 1, 2 ** 53 - 1) for u in below]
+    words = [[8 * u + low for u in us] for us, low in ((below, 7), (above, 0))]
+    datasets, asked, expected = _generate_from_words(words, probs)
+    assert asked == expected
+    for us, d in zip((below, above), datasets):
+        assert d.members == {k + 1 for k, (u, pk) in enumerate(zip(us, probs))
+                             if u < pk * 2 ** 53}
     # 0.5 up to 1 scale to integers (their ulp is 2^-53), so only 1, 2, 6, 8
     assert datasets[0].members == {1, 2, 6, 8}
 
 
 @pytest.mark.parametrize("pk", [0.1, 1 / 3, 0.5, 0.999999, 1e-300, 0.0, 1.0, 0, 1])
 def test_scalar_probability_compares_words_with_the_exact_threshold(pk):
-    w0 = int(pk * 2 ** 53)
-    near = [w for w in (w0 - 1, w0, w0 + 1) if 0 <= w < 2 ** 53]
-    params = make_params("pma1", 2, len(near), t=1)
-    datasets = generate_datasets(params, pk, _FixedWords(near, near))
-    expected = {k + 1 for k, w in enumerate(near) if w < pk * 2 ** 53}
-    assert [d.members for d in datasets] == [expected, expected]
+    u0 = int(pk * 2 ** 53)
+    near = [8 * u + low for u in (u0 - 1, u0, u0 + 1) if 0 <= u < 2 ** 53 for low in (0, 7)]
+    datasets, asked, expected = _generate_from_words([near, near], [pk] * len(near), pk)
+    assert asked == expected
+    members = {k + 1 for k, w in enumerate(near) if w >> 3 < pk * 2 ** 53}
+    assert [d.members for d in datasets] == [members, members]
+
+
+@pytest.mark.parametrize("pk", [0, 1e-300, 0.1, 1 / 3, 0.5, 0.999999, 1])
+def test_lazy_membership_compare_equals_the_full_compare(pk):
+    # every first byte, each with the tails at the threshold's tail - 1, 0
+    # and + 1: the first byte alone must decide all but the threshold's own,
+    # and a tied one must read its tail and compare it as bytes
+    t = _threshold56(pk)
+    tails = sorted({min(max(t % 2 ** 48 + d, 0), 2 ** 48 - 1) for d in (-1, 0, 1)})
+    words = [b << 48 | tail for b in range(256) for tail in tails]
+    members = {k + 1 for k, w in enumerate(words) if w < t}
+    ties = [6 * len(tails)] if t % 2 ** 48 else []  # 0, 0.5 and 1 tie nothing
+    for given in (pk, [pk] * len(words)):  # one table, and the lane compare
+        datasets, asked, expected = _generate_from_words(
+            [words, words[::-1]], [pk] * len(words), given)
+        assert asked == expected == [len(words), *ties] * 2
+        reversed_members = {len(words) + 1 - k for k in members}
+        assert [d.members for d in datasets] == [members, reversed_members]
+
+
+def test_lazy_membership_compare_takes_a_threshold_per_lane():
+    # every probability above at once, interleaved, on the words above:
+    # neighbouring lanes hold different thresholds
+    cases = [(b << 48 | min(max(_threshold56(pk) % 2 ** 48 + d, 0), 2 ** 48 - 1), pk)
+             for b in range(256) for pk in (0, 1e-300, 0.1, 1 / 3, 0.5, 0.999999, 1)
+             for d in (-1, 0, 1)]
+    words, probs = [w for w, _ in cases], [pk for _, pk in cases]
+    datasets, asked, expected = _generate_from_words([words, words], probs)
+    assert asked == expected
+    members = {k + 1 for k, (w, pk) in enumerate(cases) if w < _threshold56(pk)}
+    assert [d.members for d in datasets] == [members, members]
 
 
 def test_membership_lanes_do_not_carry():
-    # neighbouring lanes at both ends of their range: 2^53 - 1 with gap 0
-    # (p = 1) next to 0 with gap 2^53 (p = 0), and a lane at its largest sum
-    # 2^54 - 1; a raw word's bits above 53 are not part of its value
-    probs = [1.0, 0.0, 0.0, 1.0, 0.0]
-    words = [2 ** 53 - 1, 0, 2 ** 53 - 1, 2 ** 64 - 1, 2 ** 53]
-    params = make_params("pma1", 2, len(probs), t=1)
-    datasets = generate_datasets(params, probs, _FixedWords(words, words[::-1]))
+    # neighbouring lanes at both ends of their range: first byte 0 at p = 1
+    # (0 + 0) next to 255 at p = 0 (255 + 256, the largest sum), and a tie
+    # at p = 1/3 on its threshold itself between them
+    probs = [1.0, 0.0, 1 / 3, 1.0, 0.0]
+    words = [0, 2 ** 56 - 1, _threshold56(1 / 3), 2 ** 56 - 1, 0]
+    datasets, asked, expected = _generate_from_words([words, words], probs)
+    assert asked == expected == [5, 6, 5, 6]
     # p = 1 always joins and p = 0 never does, whatever the words
     assert [d.members for d in datasets] == [{1, 4}, {1, 4}]
 
@@ -280,7 +342,8 @@ def test_datasets_carry_their_incidence_vector(source):
         m, e, probs, seed = source
         rng = RandomSource(seed)
         datasets = generate_datasets(make_params("pma1", m, e, t=1), probs, rng)
-        assert rng.position == m  # one hash call per party
+        # one hash call per party, and one more for the tails of its ties
+        assert m <= rng.position <= 2 * m
     for d in datasets:
         built = incidence(PartyDataset(d.members), e)
         assert type(d.bits) is bytes and type(built) is bytes  # one incidence type
@@ -328,6 +391,33 @@ def test_runs_on_generated_datasets_build_no_member_set(monkeypatch, config):
     d = PartyDataset(bits=(0, 1, 1))
     assert true_count(2, [d], 3) == 1 and reads == []
     assert true_count(2, [d], 4) == 1 and reads == [d]  # bits of another length
+
+
+@pytest.mark.parametrize("bits", [
+    (0,) * 10 + (2,) + (0,) * 9, b"\0\1\2", (0, 1, 255), (0, 1, 256), (0, -1), [True, 2],
+    (0, 1.0), "01", 3, True], ids=lambda b: repr(b)[:12])
+def test_party_dataset_refuses_bits_other_than_0_and_1(bits):
+    with pytest.raises(ParameterError, match="0s and 1s"):
+        PartyDataset(bits=bits)
+
+
+@pytest.mark.parametrize("variant", ["pma1", "spma2"])
+def test_runs_count_only_datasets_of_0_1_bits(variant):
+    # a 2 among the bits once counted as a member (tuple path), carried
+    # across byte lanes into a wrong count or an IntegrityError (bytes
+    # path), or weighed a storage share twice (spma2); it is now refused
+    # before any run, and the 1 in its place is counted once
+    bad = (0,) * 10 + (2,) + (0,) * 9
+    with pytest.raises(ParameterError, match="0s and 1s"):
+        PartyDataset(bits=bad)
+    params = make_params(variant, 3, 20, t=1)
+    good = [PartyDataset(bits=tuple(min(b, 1) for b in bad)) for _ in range(2)]
+    datasets = good + [PartyDataset(frozenset())]
+    assert all(type(d.bits) is bytes for d in good)
+    scheme = pma1 if variant == "pma1" else spma2
+    for seed in range(6):
+        assert [scheme.run(params, datasets, theta, RandomSource(seed)).count
+                for theta in (10, 11, 12)] == [0, 2, 0]
 
 
 def test_sweep_builds_each_incidence_vector_once(monkeypatch):
@@ -408,32 +498,54 @@ def test_generate_extremes_and_determinism():
     assert a == b
 
 
+def _stream(seed, counter, n):
+    """The first n bytes of hash call ``counter`` of the documented sampler."""
+    return hashlib.shake_256(seed.to_bytes(8, "big") + counter.to_bytes(16, "big")).digest(n)
+
+
 def ref_memberships(params, probs, seed):
-    """The membership rule w / 2^53 < p_k, one word at a time, on words
-    from the reference sampler."""
-    plist = [float(probs)] * params.e if isinstance(probs, (int, float)) else probs
+    """The membership rule U / 2^53 < p_k, element by element, for the
+    53-bit U = U' >> 3 of a 56-bit word U'. Each party's hash call gives
+    the first bytes of its words. Where the rule holds for every tail or
+    for none the first byte decides; the others read their 6-byte tails,
+    in order, from the party's next hash call."""
+    plist = [probs] * params.e if isinstance(probs, (int, float)) else probs
     datasets, counter = [], 0
     for _ in range(params.m):
-        words, counter = _reference_vector(seed, 2 ** 53, params.e, counter)
-        datasets.append(PartyDataset(frozenset(
-            k for k, w, pk in zip(range(1, params.e + 1), words, plist)
-            if w / 2 ** 53 < pk)))
-    return datasets
+        first = _stream(seed, counter, params.e)
+        counter += 1
+        joins = {}
+        for k, (b, pk) in enumerate(zip(first, plist)):
+            low, high = ((b << 48 | tail) >> 3 < pk * 2 ** 53 for tail in (0, 2 ** 48 - 1))
+            if low == high:
+                joins[k] = low
+        tied = [k for k in range(params.e) if k not in joins]
+        if tied:
+            tails = _stream(seed, counter, 6 * len(tied))
+            counter += 1
+            for j, k in enumerate(tied):
+                word = first[k] << 48 | int.from_bytes(tails[6 * j:6 * j + 6], "big")
+                joins[k] = word >> 3 < plist[k] * 2 ** 53
+        datasets.append(PartyDataset(frozenset(k + 1 for k in range(params.e) if joins[k])))
+    return datasets, counter
 
 
 def test_generate_matches_float_rule():
     params = make_params("pma1", 4, 300, t=1, y=0)
     # per-element probabilities: a ramp, subnormal and near-1 values, and
-    # thresholds equal to a drawn word and one above it, where the rule flips
-    words, _ = _reference_vector(7, 2 ** 53, 300)
+    # thresholds whose first byte equals the first party's first byte at
+    # seeds 7 and 42, so that those elements read their tails
     edges = [k / 300 for k in range(300)]
     edges[:6] = [5e-324, 2.0 ** -53, 1 - 2.0 ** -53, 1.0, 0.0, 2.0 ** -1022]
-    for k in range(6, 300, 7):
-        edges[k] = (words[k] + k % 2) / 2 ** 53
+    for seed in (7, 42):
+        first = _stream(seed, 0, 300)
+        for k in range(6 + seed % 2, 300, 4):
+            edges[k] = ((first[k] << 45) + k * 0x9E3779B97F % 2 ** 45) / 2 ** 53
     for seed in (0, 1, 7, 42, 2 ** 40):
         for probs in (0, 0.0, 0.5, 1, 1.0, 0.3, edges):
-            got = generate_datasets(params, probs, RandomSource(seed))
-            assert got == ref_memberships(params, probs, seed), (seed, probs)
+            rng = RandomSource(seed)
+            got = generate_datasets(params, probs, rng)
+            assert (got, rng.position) == ref_memberships(params, probs, seed), (seed, probs)
 
 
 def test_generate_prob_validation():
@@ -483,17 +595,19 @@ def test_random_source_rejects_bad_modulus():
 
 def _reference_vector(seed, modulus, k, counter=0):
     """The documented sampler, one word at a time from hash call
-    ``counter`` on: call c hashes seed || c, and a word w is kept iff
-    w < 2^64 - (2^64 mod modulus). Returns the values and the next call."""
-    key = seed.to_bytes(8, "big")
-    bound = 2 ** 64 - 2 ** 64 % modulus
+    ``counter`` on: a word is a byte for a modulus up to 128, else 8 bytes;
+    call c hashes seed || c and reads one word per value still missing,
+    and a word w of b bits is kept iff w < 2^b - (2^b mod modulus).
+    Returns the values and the next call."""
+    width = 1 if modulus <= 128 else 8
+    bound = 2 ** (8 * width) - 2 ** (8 * width) % modulus
     out = []
     while len(out) < k:
         need = k - len(out)
-        stream = hashlib.shake_256(key + counter.to_bytes(16, "big")).digest(8 * need)
+        stream = _stream(seed, counter, width * need)
         counter += 1
         for i in range(need):
-            w = int.from_bytes(stream[8 * i:8 * i + 8], "big")
+            w = int.from_bytes(stream[width * i:width * i + width], "big")
             if w < bound:
                 out.append(w % modulus)
     return tuple(out), counter
@@ -551,27 +665,26 @@ def test_byte_lane_draws_match_the_per_word_reference(seed):
 
 
 @pytest.mark.parametrize("modulus", [23, 127, 128])
-def test_byte_lane_draws_fall_back_on_seven_0xff_bytes(monkeypatch, modulus):
-    lanes, lane_sum = [], model.lane_sum
-    monkeypatch.setattr(model, "lane_sum", lambda *a: lanes.append(a) or lane_sum(*a))
-    bound = 2 ** 64 - 2 ** 64 % modulus
-    words = [int.from_bytes(hashlib.sha256(b"%d" % j).digest()[:8], "big") for j in range(300)]
-    # a rejected word (but at 128, where 2^64 - 1 is kept), and a run of seven
-    # 0xff bytes across two words that are kept
-    rejected = words[:9] + [2 ** 64 - 1] + words[10:]
-    straddling = words[:4] + [0x00000000ffffffff, 0xffffff0000000000] + words[6:]
-    refill = [w ^ 0x5555 for w in words]
-    for first in (rejected, straddling):
-        kept = [w % modulus for w in first + refill if w < bound][:300]
-        rng = _FixedWords(first, refill)
-        drawn = rng.draw_vector(modulus, 300)
-        assert tuple(drawn) == tuple(kept) and type(drawn) is bytes  # bytes on either path
-        assert rng.position == 1 + (len([w for w in first if w < bound]) < 300)
-        assert lanes == []  # per word, the refill too: it is shorter than 256 words
-    # the same words without the run take the byte lanes, to the same values
-    drawn = _FixedWords(words).draw_vector(modulus, 300)
-    assert tuple(drawn) == tuple(w % modulus for w in words) and type(drawn) is bytes
-    assert len(lanes) == 1
+def test_byte_draws_reject_and_refill(modulus):
+    bound = 256 - 256 % modulus  # 253, 254 and 256
+    first = bytes(range(256)) + bytes(range(44))  # 300 bytes, every value
+    rejected = len([b for b in first if b >= bound])  # 3, 2 and none
+    refill = bytes(range(256))
+    rng = _FixedBytes(first, refill)
+    drawn = rng.draw_vector(modulus, 300)
+    assert drawn == bytes(b % modulus for b in (first + refill) if b < bound)[:300]
+    # the refill reads one byte per value still missing, from the next call
+    assert rng.asked == ([300, rejected] if rejected else [300])
+    # a call of nothing but rejected bytes is made up from the next ones,
+    # and a draw below 256 values is a tuple of the same values
+    every = bytes(range(256))
+    rng = _FixedBytes(b"\xff" * 200, every, every)
+    drawn = rng.draw_vector(modulus, 200)
+    assert type(drawn) is tuple
+    if modulus == 128:  # 255 is kept: 2^8 mod 128 = 0
+        assert drawn == (127,) * 200 and rng.asked == [200]
+    else:
+        assert drawn == tuple(b % modulus for b in every[:200]) and rng.asked == [200, 200]
 
 
 def test_load_datasets_maps_sorted_universe(tmp_path):
