@@ -18,9 +18,10 @@ stay bytes from the draw to the digest: a draw of 256 values or more
 (``model.RandomSource``, one byte per value), and the rows of a noised,
 not deep, pad of 16 entries or more whose base has at most one nonzero
 entry, as a query's. ``pma1.answer`` sums a bytes query in lanes
-(``masked_lane_sum``), and ``transcript`` digests a bytes payload as the
-64-bit words of the same values. Any other vector is a tuple. The form depends only on p, lengths
-and how sparse the base is, never on random content.
+(``masked_lane_sum``), and ``transcript`` hashes a bytes payload as it
+is, one byte per value, as it hashes a tuple of values in 0..255. Any
+other vector is a tuple. The form depends only on p, lengths and how
+sparse the base is, never on random content.
 
 The evaluation matrix is an ``Upsilon``, which memoizes its own inverse and
 packed columns. The solver and the deep pad trust an Upsilon of their field;
@@ -254,16 +255,34 @@ def lane_sum(p: int, weights: Sequence[int], vectors) -> bytes:
     return acc.to_bytes(n, "big").translate(reduce)
 
 
-def masked_lane_sum(p: int, values: bytes, bits: Sequence[int]) -> int:
+class LaneMask:
+    """0/1 bits as the 8-bit lanes of one int, 0xff where a bit is set and
+    0 elsewhere, with their count: what ``masked_lane_sum`` ands a byte
+    vector with. Built once, it serves every query summed over the same
+    bits."""
+
+    __slots__ = ("lanes", "n")
+
+    def __init__(self, bits: Sequence[int]) -> None:
+        self.n = len(bits)
+        self.lanes = int.from_bytes(bits, "big") * 255
+
+    def __len__(self) -> int:
+        return self.n
+
+
+def masked_lane_sum(p: int, values: bytes, bits: Sequence[int] | LaneMask) -> int:
     """sum(compress(values, bits)) mod p, for residues of GF(p), p <=
-    LANES_MAX_P, as bytes and 0/1 bits of the same length. The masked values
-    are the 8-bit lanes of one int; adding its top half to its bottom half
-    halves the lanes until one is left, reduced through the table whenever
-    the next add could overflow a lane."""
+    LANES_MAX_P, as bytes and 0/1 bits of the same length, or their
+    LaneMask. The masked values are the 8-bit lanes of one int; adding its
+    top half to its bottom half halves the lanes until one is left, reduced
+    through the table whenever the next add could overflow a lane."""
     n = len(values)
     if len(bits) != n:
         raise ParameterError(f"vector length mismatch: {n} vs {len(bits)}")
-    acc, top = int.from_bytes(values, "big") & int.from_bytes(bits, "big") * 255, p - 1
+    if type(bits) is not LaneMask:
+        bits = LaneMask(bits)
+    acc, top = int.from_bytes(values, "big") & bits.lanes, p - 1
     while n > 1:
         if 2 * top > 255:
             acc, top = int.from_bytes(acc.to_bytes(n, "big").translate(_scale_table(p, 1)),
@@ -307,7 +326,7 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
         return tuple(zip(*entries))
     if depth and len(base) >= LANES_MIN_LENGTH and p <= LANES_MAX_P:
         unit = bytes(base)
-        entry = unit.strip(b"\0")  # from the first nonzero entry to the last
+        entry = unit.translate(None, b"\0")  # the nonzero entries
         if len(entry) <= 1:
             k = unit.find(entry)  # 0 for a zero base, whose entry 0 adds nothing
             rows = [bytes(row) for row in noise_rows]  # a long draw passes as is

@@ -30,7 +30,7 @@ from itertools import compress
 from typing import Callable, Sequence
 
 from .errors import ParameterError
-from .field import masked_lane_sum, noise_pad_vector
+from .field import LaneMask, masked_lane_sum, noise_pad_vector
 from .model import (PartyDataset, QuerySet, RandomSource, SchemeParams, decode_count,
                     incidence, query_vectors)
 from .transcript import (ANSWER, MASK_SHARE, NOISE_SHARE, QUERY, ROUND_ANSWER,
@@ -75,9 +75,11 @@ def draw_party_noise(params: SchemeParams, rng: RandomSource) -> tuple:
                  for _ in range(params.m))
 
 
-def answer(bits: Sequence[int], query: Sequence[int], mask_symbol: int, field) -> int:
+def answer(bits: Sequence[int] | LaneMask, query: Sequence[int], mask_symbol: int,
+           field) -> int:
     """Inner product of 0/1 ``bits`` with the query (a member sum) plus the
-    mask; a bytes query is summed in byte lanes."""
+    mask; a bytes query is summed in byte lanes, over the bits or their
+    LaneMask."""
     if type(query) is bytes:
         return (masked_lane_sum(field.p, query, bits) + mask_symbol) % field.p
     return (sum(compress(query, bits)) + mask_symbol) % field.p
@@ -158,6 +160,9 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
             f, (0,), params.upsilon, [(b,) for b in zrow]))]
             for row, zrow in zip(masks, blinding)]
     emit_query_events(params, queries, tr)
+    # a party's bytes queries are summed through one LaneMask of its bits
+    bits = [LaneMask(b) if type(row[0]) is bytes else b
+            for b, row in zip(bits, queries.queries)]
     table = answer_table(params, tr, lambda i, j: answer(
         bits[i], queries.queries[i][j], offsets[i][j], f))
     return ProtocolRun(params=params, theta=theta, count=decode(table, params),

@@ -62,30 +62,33 @@ class Transcript:
 
         Per event: the 8-byte little-endian length of a header, the header
         (json.dumps of [round, sender, receiver, link, category, symbols,
-        value count], built without the encoder object and memoized), then
-        a 0 tag byte and the values as little-endian 64-bit words. Field
-        elements always fit, since p < 2^64; any other value raises
-        struct.error. A bytes payload is widened to the same words.
+        value count], built without the encoder object and memoized), then a
+        tag byte and the values. Tag 1: every value is in 0..255, one byte
+        each; a bytes payload is hashed as it is, and a tuple takes this form
+        exactly when bytes(values) succeeds. Tag 0: any other payload, as
+        little-endian 64-bit words. Field elements always fit, since p <
+        2^64; any other value raises struct.error. The encoding depends on
+        the values only, never on whether they came as bytes or a tuple.
         """
         h = hashlib.sha256()
         for ev in self.events:
             values = ev.values
             h.update(_frame(ev.round, ev.sender, ev.receiver, ev.link, ev.category,
                             ev.symbols, len(values)))
-            if type(values) is bytes:
-                words = bytearray(8 * len(values))
-                words[::8] = values
-                h.update(words)
-            else:
-                h.update(struct.pack(f"<{len(values)}Q", *values))
+            try:  # a bytes payload is returned as it is, not copied
+                tag, payload = b"\x01", bytes(values)
+            except (ValueError, TypeError):  # a value outside 0..255, or no int
+                tag, payload = b"\x00", struct.pack(f"<{len(values)}Q", *values)
+            h.update(tag)
+            h.update(payload)
         return h.hexdigest()
 
 
 @lru_cache(maxsize=512)
 def _frame(round, sender, receiver, link, category, symbols, count) -> bytes:
-    """One event's length-framed header and tag byte. Memoized: the events
-    of every run of one shape repeat the same headers. ``emit`` admits int
-    rounds and symbol counts only, so the header is what json.dumps writes."""
+    """One event's length-framed header. Memoized: the events of every run
+    of one shape repeat the same headers. ``emit`` admits int rounds and
+    symbol counts only, so the header is what json.dumps writes."""
     header = (f"[{round}, {_string(sender)}, {_string(receiver)}, {_string(link)}, "
               f"{_string(category)}, {symbols}, {count}]").encode()
-    return len(header).to_bytes(8, "little") + header + b"\x00"
+    return len(header).to_bytes(8, "little") + header

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from pma import pma1, spma1
 from pma.errors import IntegrityError, ParameterError
-from pma.field import (PrimeField, build_upsilon, default_alphas, is_prime, masked_lane_sum,
-                       noise_pad_scalar, noise_pad_vector, solve_linear)
+from pma.field import (LaneMask, PrimeField, build_upsilon, default_alphas, is_prime,
+                       masked_lane_sum, noise_pad_scalar, noise_pad_vector, solve_linear)
 from pma.model import PartyDataset, RandomSource, incidence, make_params, query_vectors
 
 
@@ -543,15 +543,18 @@ def test_deep_pad_packed_columns_follow_the_rows_given(upsilon_builds):
 @st.composite
 def lane_pads(draw, length):
     """A pad on both sides of the byte-lane bound on p, at 128: a zero,
-    sparse, two-entry or dense base, depths 1 to 3, one to three points."""
+    sparse, two-entry (side by side, or spread to both ends) or dense base,
+    depths 1 to 3, one to three points."""
     p = draw(st.sampled_from((113, 127, 131)))
     depth = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(("zero", "sparse", "pair", "dense")))
+    kind = draw(st.sampled_from(("zero", "sparse", "pair", "spread", "dense")))
     rng = RandomSource(draw(st.integers(0, 2 ** 64 - 1)))
     base = [0] * length
     if kind in ("sparse", "pair"):  # one nonzero entry, or two side by side
         k = draw(st.integers(0, length - 2))
         base[k:k + 1 + (kind == "pair")] = [draw(st.integers(1, p - 1))] * (1 + (kind == "pair"))
+    elif kind == "spread":  # two nonzero entries, far apart
+        base[0], base[-1] = draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))
     elif kind == "dense":
         base = list(rng.draw_vector(p, length))
     alphas = draw(st.lists(st.integers(0, p - 2), min_size=1, max_size=3, unique=True))
@@ -601,9 +604,12 @@ def test_masked_lane_sum_matches_the_member_sum(p, length):
         assert masked_lane_sum(p, values, bits) == \
             sum(compress(tuple(values), tuple(bits))) % p
         assert masked_lane_sum(p, values, tuple(bits)) == masked_lane_sum(p, values, bits)
+        # the mask a party builds once for all its queries sums the same
+        assert masked_lane_sum(p, values, LaneMask(bits)) == masked_lane_sum(p, values, bits)
     if length:
-        with pytest.raises(ParameterError, match="length mismatch"):
-            masked_lane_sum(p, values, bits[1:])
+        for short in (bits[1:], LaneMask(bits[1:])):
+            with pytest.raises(ParameterError, match="length mismatch"):
+                masked_lane_sum(p, values, short)
 
 
 def test_plain_copy_of_upsilon_is_checked_on_every_call(upsilon_builds):

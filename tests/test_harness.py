@@ -23,47 +23,49 @@ PAPER_DATA = {
 }
 
 
-# Seeded outputs recorded when the sampler began to read one byte per value
-# for a modulus up to 128, and memberships from 56-bit words read lazily:
-# (theta, count, transcript digest) per result and a SHA-256 of the sorted
-# member sets. A change here changes every seeded report. The loaded
-# datasets of spma2-dataset-dict do not depend on the seed, so only its
-# digests moved with the sampler; its counts (2, 1, 1, 3) and member sets
-# are those of its dataset dict and must never move.
+# Seeded outputs: (theta, count, transcript digest) per result and a
+# SHA-256 of the sorted member sets. The counts and member sets were
+# recorded when the sampler began to read one byte per value for a modulus
+# up to 128, and memberships from 56-bit words read lazily. The digests
+# were re-recorded when the digest began to hash a payload of values in
+# 0..255 one byte each, under its own tag; the events they hash did not
+# change. A change here changes every seeded report. The counts (2, 1, 1,
+# 3) and member sets of spma2-dataset-dict are those of its dataset dict,
+# which does not depend on the seed, and must never move.
 _GOLDEN = {
     "pma1-e2000": (
         RunConfig("pma1", m=10, e=2000, t=1, theta=1234, seed=2024),
-        [(1234, 7, "80eed10b1658e479c58512024b7e5cee6987448ec35db65fcd462d316ad56265")],
+        [(1234, 7, "1a3205de64d404eb33442a4736fa45b0c0ab17085a09a4ca64c8cd985001a40d")],
         "11592c046e97b925e2cac70ba2e5c7080f6175b5a1794440370b049568a62426"),
     "spma1-per-element-probs": (
         RunConfig("spma1", m=3, e=6, t=1, seed=31, gen_probs=[0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
-        [(1, 0, "633cbb5dfa037cdef85b6195c59115192160d9ec56dd24abd22ac9bfb2e5e65f"),
-         (2, 1, "7d7e32dd79ca8f5c4edf0c309a40f70c9bf0801d8abb292e942fc6285823f303"),
-         (3, 1, "a1fbcf718706d3603a21a90a0535012c92642328b46e5c95db5f6c329a9c02bb"),
-         (4, 2, "77acb59512aa9ed619d411752a4665b3cc2156f693a3f8bd988367fbd6578ede"),
-         (5, 2, "b47d665437f867013a7e58de9b4cfb1bbbc81dc39165ce4504088ebd0e60ef7c"),
-         (6, 3, "c156106956316d72e6219b75c5741c3d61366ab7773453a9e04eb675f9be5101")],
+        [(1, 0, "fff2a0dbf2451c22d428c3cc359db49c77b2924decb3e593a1c6fc89e4fe8268"),
+         (2, 1, "487d8f3fab543410bbbb6afb6ad45f3bc26881dd50aeb0c18f0dd82d10631455"),
+         (3, 1, "fbc6e21e917e978dd70dd1a22b44d57a2761c0efaf7060d0060369262de40bf8"),
+         (4, 2, "8b713c9498ca2eca6ff4077c6bbf6b3573d9996dfe51aa57501563461eb18530"),
+         (5, 2, "b7e240577ccd20d566f94734bfe8bbb76c92808da182f272505e06c8c459cbe6"),
+         (6, 3, "3a75ab51f2919539346032be7116d2b2cdabe6a26bd2ada9cfd2baaf8057d2b2")],
         "97cf8ba366564e27247f310ca6a63c1133d0ca0e3620a7acfa7e0ecb7d0a18dd"),
     "spma2-dataset-dict": (
         RunConfig("spma2", t=1, seed=47, datasets={
             "universe": ["ant", "bee", "cat", "dog"],
             "parties": [["ant", "dog"], ["bee", "cat", "dog"], ["dog"], [], ["ant"]]}),
-        [(1, 2, "a7d281a516b90630b0fd2af400fce59ee9db68d6ac3abc2873ab3df459a7b618"),
-         (2, 1, "08e3278321502e707fece6e0fa0a3ae32524e0f2ab54e0816834fe48b2fd153b"),
-         (3, 1, "71ed6de4f6f0f2a437d04a6e618f15a0ede56d6cc97855b28b68e8a0f66575d4"),
-         (4, 3, "357eb6e64cfee7bc111066ebe724a74504812666e145b7259c2d48db4126f282")],
+        [(1, 2, "5aad2cbeb9a2b91066e8e8cd8aad5534e506e2daa0137cba051cb5ca5743aa23"),
+         (2, 1, "f87345fbc25eac0936487c35663ce8d41f0a67f00d8d0a4798e1073c6f8986fe"),
+         (3, 1, "2bd5d4f8ee0d32ae5fb933c7ed3afa934e847fd426737211ffcf2f24f09de1a1"),
+         (4, 3, "b0ac19bb2af3ded02ad8b7e991b27692ac73a56ba16c8a0eae35b789c92905fe")],
         "cdf0d222bb1d9882bffca3d20f492b46ee5ee75c6ebfdae2ef2c427a3d7ba135"),
     # deep noise: more noise rows than the vectors have entries (N=64 and
     # blinding depth 63 on E=2; query depth 3 on E=2)
     "spma1-deep-blinding": (
         RunConfig("spma1", m=2, e=2, t=63, seed=7),
-        [(1, 1, "158de8ab314e4828a66a08f523848da6589041ca222ef4853861af775e33d199"),
-         (2, 1, "fe3ec1ebb2bd0a1eb618143036e45f9359586dc12c807e87dd4ef82e496c746c")],
+        [(1, 1, "9704847644df35b47ba81df17a79214e69f4f5fec9208124c27ab1f02b3b3f19"),
+         (2, 1, "e6c286c981939b5fdade8e69ee49d0f163c86ce4dddcabf88e26eb68e2e6e6db")],
         "9d4bf863bdfab8810c92c615f7f0114dcc7559b0fc22391789867353edc9e8e7"),
     "spma2-deep-query": (
         RunConfig("spma2", m=5, e=2, t=3, seed=7),
-        [(1, 2, "2958aefe6bd7a594a6d33f1180dbb1d5c0171bf4fc601b2dbac7b45502ee069e"),
-         (2, 3, "94ef3c0150dfedba8c7e84eb62d94dd56ad494253ac39b52ac908d4057b71752")],
+        [(1, 2, "c21695765d888d969e3e26d5f9dc8e7dd7ee914c61947604311f360ad9421e58"),
+         (2, 3, "f553914bbd5e4d3ca7a1d2e84ec9080ee2bbec6b07095b20351e498a1af6ff51")],
         "130c40cbbad2b6fcec38ec2dd3c5fb88964057d6d943e460dd014c8dc75153cf"),
 }
 

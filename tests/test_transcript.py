@@ -47,7 +47,10 @@ def reference_digest(events):
         header = json.dumps([ev["round"], ev["sender"], ev["receiver"], ev["link"],
                              ev["category"], symbols, len(values)]).encode()
         out += len(header).to_bytes(8, "little") + header
-        out += b"\x00" + b"".join(v.to_bytes(8, "little") for v in values)
+        if all(0 <= v <= 255 for v in values):
+            out += b"\x01" + b"".join(v.to_bytes(1, "little") for v in values)
+        else:
+            out += b"\x00" + b"".join(v.to_bytes(8, "little") for v in values)
     return hashlib.sha256(out).hexdigest()
 
 
@@ -64,6 +67,13 @@ def test_digest_matches_documented_encoding():
                    dict(BASE, category=name, values=(), symbols=2)]
         assert digest(*escaped) == reference_digest(escaped), name
     assert digest() == hashlib.sha256(b"").hexdigest()
+    # the width tag: an empty payload, one value on each side of 255, and
+    # long payloads of values below 256 (bytes) or with one 256 (words)
+    long_bytes = tuple(range(256)) * 4
+    for values in ((), (255,), (256,), long_bytes, long_bytes[:500] + (256,) + long_bytes[500:]):
+        one = [dict(BASE, values=values)]
+        assert digest(*one) == reference_digest(one), values[:3]
+    assert digest(dict(BASE, values=(255,))) != digest(dict(BASE, values=(256,)))
     # only 64-bit words are encoded; field elements always are
     for values in ((2 ** 64,), (1, -1), (0.5,)):
         with pytest.raises(struct.error):
@@ -114,7 +124,7 @@ def test_emit_refuses_non_int_round_and_symbols(field, value):
 
 @pytest.mark.parametrize("values", [(), (0,), (255,), (0, 1, 254, 255), tuple(range(256)) * 40])
 def test_bytes_and_tuple_payloads_give_one_digest(values):
-    # a bytes payload is kept as it is and widened to the words a tuple packs
+    # a bytes payload is kept as it is and hashed as a tuple of its values is
     kept = Transcript().emit(**dict(BASE, values=bytes(values))).values
     assert type(kept) is bytes and kept == bytes(values)
     assert type(Transcript().emit(**dict(BASE, values=list(values))).values) is tuple
