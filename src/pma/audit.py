@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 from . import pma1, spma1, spma2
 from .errors import AuditInfeasibleError, IntegrityError, ParameterError
 from .field import noise_pad_vector
-from .model import SchemeParams, query_vectors
+from .model import RandomSource, SchemeParams, query_vectors
 from .transcript import MASK_SHARE, ROUND_SETUP, Transcript
 
 # view evaluations per audit case for the coset laws; assignments per
@@ -80,8 +80,7 @@ class _Cursor:
         self.i += k
         return v
 
-    def rows(self, r, k):
-        return tuple(self.draw_vector(None, k) for _ in range(r))
+    rows = RandomSource.rows  # one draw cut into rows, as from a RandomSource
 
 
 def enumerate_distribution(view: Callable, dims: int, p: int,
@@ -304,7 +303,7 @@ def audit_query_privacy(params: SchemeParams, colluding_dbs: Sequence[int], *,
     powers = [params.upsilon[j - 1] for j in taps]
 
     def view(assignment, theta):
-        rows = _Cursor(assignment).rows(params.mu, params.e)
+        rows = _Cursor(assignment).rows(params.p, params.mu, params.e)
         return sum(query_vectors(theta, powers, rows, params), ())  # taps' queries, joined
 
     members = [(("theta", theta), partial(view, theta=theta))
@@ -421,7 +420,7 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
         def view(assignment, bits, queries):
             cur = _Cursor(assignment)
             masks = pma1.gen_masks(params, cur)
-            blinding = cur.rows(m, depth)
+            blinding = cur.rows(f.p, m, depth)
             return tuple(spma1.answer(bits[i], queries[j], blinding[i], masks[i][j], ups[j], f)
                          for i in range(m) for j in range(n))
 
@@ -530,7 +529,7 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
 
         def view(assignment, theta, bits):
             cur = _Cursor(assignment)
-            zrows = cur.rows(mu, e)
+            zrows = cur.rows(f.p, mu, e)
             svec = zero_mask_vec if zero_masks else cur.draw_vector(f.p, n)
             blinding = cur.draw_vector(f.p, depth)
             out = []

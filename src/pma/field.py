@@ -14,14 +14,14 @@ table. The values are those of the int arithmetic, element for element.
 
 Representation rule: a vector is a ``Sequence[int]``, either ``bytes`` or a
 tuple of ints. Incidence bits are bytes at any p. For p <= 128 long vectors
-stay bytes from the draw to the digest: a draw of 256 values or more
-(``model.RandomSource``, one byte per value), and the rows of a noised,
-not deep, pad of 16 entries or more whose base has at most one nonzero
-entry, as a query's. ``pma1.answer`` sums a bytes query in lanes
-(``masked_lane_sum``), and ``transcript`` hashes a bytes payload as it
-is, one byte per value, as it hashes a tuple of values in 0..255. Any
-other vector is a tuple. The form depends only on p, lengths and how
-sparse the base is, never on random content.
+stay bytes from the draw to the digest: a drawn row of 256 values or more
+(``model.RandomSource``, one byte per value; its own length decides, not
+its draw's), and the rows of a noised, not deep, pad of 16 entries or more
+whose base has at most one nonzero entry, as a query's. ``pma1.answer``
+sums a bytes query in lanes (``masked_lane_sum``), and ``transcript``
+hashes a bytes payload as it is, one byte per value, as it hashes a tuple
+of values in 0..255. Any other vector is a tuple. The form depends only on
+p, lengths and how sparse the base is, never on random content.
 
 The evaluation matrix is an ``Upsilon``, which memoizes its own inverse and
 packed columns. The solver and the deep pad trust an Upsilon of their field;

@@ -167,6 +167,7 @@ def run_protocol(config: RunConfig) -> dict:
         "params": params.summary(),
         "results": results,
         "cost": cost,
+        "work": {"hash_calls": rng.position},  # every hash call, datasets too
     }
 
 

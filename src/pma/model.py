@@ -33,8 +33,9 @@ VARIANT_ALIASES = {"pma2": "spma2"}
 _WORDS = 1 << 64
 _MASK64 = _WORDS - 1
 _DYADIC = 1 << 53
-# A draw of this many values or more at a modulus up to LANES_MAX_P is bytes.
+# A draw or row of this many values or more at a modulus up to LANES_MAX_P is bytes.
 _BYTES_MIN_VALUES = 256
+_WIDE2_MAX_P = 1 << 15  # a larger modulus up to this one reads 2-byte words
 # A membership word is 7 bytes: its first byte, then a tail of 6.
 _TAIL, _TAILS = 6, 1 << 48
 _TIE = 2  # marks an element whose first byte does not decide it
@@ -54,14 +55,14 @@ class RandomSource:
 
     Call number c hashes key || c (seed as 8 bytes, counter as 16, both big
     endian) and reads one word per value still missing: a byte for a modulus
-    up to 128 (``LANES_MAX_P``), else an 8-byte big-endian word. A word w of
-    b bits is rejected when w >= 2^b - (2^b mod modulus), so every residue
-    keeps probability exactly 1/modulus; rejected words are made up from
-    the next counter value. ``position`` counts hash calls.
+    up to 128 (``LANES_MAX_P``), 2 bytes up to 2^15, else 8, big endian. A
+    word w of b bits is rejected when w >= 2^b - (2^b mod modulus), so every
+    residue keeps probability exactly 1/modulus; rejected words are made up
+    from the next counter value. ``position`` counts hash calls.
 
-    The bytes of one call are reduced, and the rejected ones deleted, by one
-    ``bytes.translate``. A draw of 256 values or more for a modulus up to
-    128 is bytes (see ``field``); any other is a tuple.
+    Each sampler makes one draw, which ``rows`` cuts in order into rows; its
+    form, bytes or a tuple, follows ``field``'s representation rule. One
+    ``bytes.translate`` reduces a call's bytes and deletes the rejected ones.
 
     Reproducible by construction; protocol security is verified by
     enumeration, so reproducibility matters more than entropy here.
@@ -86,9 +87,11 @@ class RandomSource:
         if not isinstance(k, int) or k < 0:
             raise ParameterError(f"vector length must be a non-negative int, got {k!r}")
         if modulus > LANES_MAX_P:
-            bound, out = _WORDS - _WORDS % modulus, ()
+            width, code = (2, "H") if modulus <= _WIDE2_MAX_P else (8, "Q")
+            bound, out = (1 << 8 * width) - (1 << 8 * width) % modulus, ()
             while len(out) < k:
-                words = struct.unpack(f">{k - len(out)}Q", self._read(8 * (k - len(out))))
+                words = struct.unpack(f">{k - len(out)}{code}",
+                                      self._read(width * (k - len(out))))
                 out += tuple(w % modulus for w in words if w < bound)
             return out
         if modulus == 1 or k == 0:  # no hash call
@@ -99,6 +102,12 @@ class RandomSource:
             while len(out) < k:
                 out += self._read(k - len(out)).translate(table, rejected)
         return out if k >= _BYTES_MIN_VALUES else tuple(out)
+
+    def rows(self, modulus: int, r: int, k: int) -> tuple:
+        """r rows of k values, cut in order from one draw of r*k values."""
+        flat = self.draw_vector(modulus, r * k)
+        flat = flat if k >= _BYTES_MIN_VALUES else tuple(flat)  # a short row is a tuple
+        return tuple(flat[i * k:i * k + k] for i in range(r))
 
     def _read(self, n: int) -> bytes:
         """The next hash call's first ``n`` bytes."""

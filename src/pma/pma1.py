@@ -53,17 +53,15 @@ class ProtocolRun:
 
 
 def gen_queries(theta: int, params: SchemeParams, rng: RandomSource) -> QuerySet:
-    """Per party, mu uniform noise vectors pad the unit vector of ``theta``."""
-    noise = tuple(
-        tuple(rng.draw_vector(params.p, params.e) for _ in range(params.mu))
-        for _ in range(params.m))
+    """Per party, one draw of mu uniform noise rows pads the unit vector of ``theta``."""
+    noise = tuple(rng.rows(params.p, params.mu, params.e) for _ in range(params.m))
     queries = tuple(query_vectors(theta, params.upsilon, rows, params) for rows in noise)
     return QuerySet(theta=theta, noise=noise, queries=queries)
 
 
 def gen_masks(params: SchemeParams, rng: RandomSource) -> tuple:
-    """Parties 1..M-1 draw their masks; party M completes the zero sum."""
-    free = tuple(rng.draw_vector(params.p, params.n) for _ in range(params.m - 1))
+    """Parties 1..M-1 draw their masks at once; party M completes the zero sum."""
+    free = rng.rows(params.p, params.m - 1, params.n)
     return free + (tuple(-sum(column) % params.p for column in zip(*free)),)
 
 
@@ -71,8 +69,7 @@ def draw_party_noise(params: SchemeParams, rng: RandomSource) -> tuple:
     """The blinding scalars of each party, shared by its databases;
     independent across parties and of everything else. At depth 0 (pma1)
     each row is empty and no randomness is drawn."""
-    return tuple(rng.draw_vector(params.p, params.blinding_depth)
-                 for _ in range(params.m))
+    return rng.rows(params.p, params.m, params.blinding_depth)
 
 
 def answer(bits: Sequence[int] | LaneMask, query: Sequence[int], mask_symbol: int,

@@ -57,7 +57,7 @@ class ProtocolRun:
 def encode_storage(bits: Sequence[int], params: SchemeParams,
                    rng: RandomSource) -> StorageShare:
     """One party's shares: its incidence vector padded with fresh noise."""
-    noise = tuple(rng.draw_vector(params.p, params.e) for _ in range(params.storage_depth))
+    noise = rng.rows(params.p, params.storage_depth, params.e)
     return StorageShare(noise=noise,
                         shares=noise_pad_vector(params.field, bits, params.upsilon, noise))
 
@@ -78,7 +78,7 @@ def aggregate(shares: Sequence[Sequence[int]], params: SchemeParams) -> tuple[in
 
 def gen_queries(theta: int, params: SchemeParams, rng: RandomSource) -> QuerySet:
     """mu fresh noise vectors pad the unit vector of ``theta`` at every point."""
-    noise = tuple(rng.draw_vector(params.p, params.e) for _ in range(params.mu))
+    noise = rng.rows(params.p, params.mu, params.e)
     return QuerySet(theta=theta, noise=noise,
                     queries=query_vectors(theta, params.upsilon, noise, params))
 

@@ -1,12 +1,39 @@
-"""Reference helpers shared by the tests: dataset construction from bits,
-unit vectors and queries built one symbol at a time, and the symbolic
-expansion that cross-checks the answer polynomials."""
+"""Reference helpers shared by the tests: the documented random stream
+read one word at a time, dataset construction from bits, unit vectors and
+queries built one symbol at a time, and the symbolic expansion that
+cross-checks the answer polynomials."""
 
+import hashlib
 from typing import Sequence
 
 from pma.errors import ParameterError
 from pma.field import PrimeField
 from pma.model import PartyDataset
+
+
+def ref_stream(seed, counter, n):
+    """The first n bytes of hash call ``counter`` of the documented sampler."""
+    return hashlib.shake_256(seed.to_bytes(8, "big") + counter.to_bytes(16, "big")).digest(n)
+
+
+def ref_draw(seed, modulus, k, counter=0):
+    """The documented sampler, one word at a time from hash call
+    ``counter`` on: a word is a byte for a modulus up to 128, 2 bytes up to
+    2^15, else 8 bytes; call c hashes seed || c and reads one word per value
+    still missing, and a word w of b bits is kept iff w < 2^b - (2^b mod
+    modulus). Returns the values and the next call."""
+    width = 1 if modulus <= 128 else 2 if modulus <= 2 ** 15 else 8
+    bound = 2 ** (8 * width) - 2 ** (8 * width) % modulus
+    out = []
+    while len(out) < k:
+        need = k - len(out)
+        stream = ref_stream(seed, counter, width * need)
+        counter += 1
+        for i in range(need):
+            w = int.from_bytes(stream[width * i:width * i + width], "big")
+            if w < bound:
+                out.append(w % modulus)
+    return tuple(out), counter
 
 
 def members_of(bits: Sequence[int]) -> PartyDataset:

@@ -28,23 +28,32 @@ PAPER_DATA = {
 # recorded when the sampler began to read one byte per value for a modulus
 # up to 128, and memberships from 56-bit words read lazily. The digests
 # were re-recorded when the digest began to hash a payload of values in
-# 0..255 one byte each, under its own tag; the events they hash did not
-# change. A change here changes every seeded report. The counts (2, 1, 1,
-# 3) and member sets of spma2-dataset-dict are those of its dataset dict,
-# which does not depend on the seed, and must never move.
+# 0..255 one byte each, under its own tag, and again when every sampler
+# became one hash call cut into rows and a modulus in 129..2^15 began to
+# read 2-byte words: type-I masks at M >= 3, spma1 blinding and noise of
+# depth 2 or more moved, the counts and member sets did not. A change here
+# changes every seeded report. The counts (2, 1, 1, 3) and member sets of
+# spma2-dataset-dict are those of its dataset dict, which does not depend
+# on the seed, and must never move. The word widths each have a pin: one
+# byte (p = 23 at pma1-e2000), 2 bytes (p = 131 at spma1-deep-blinding)
+# and 8 bytes (pma1-p32771).
 _GOLDEN = {
     "pma1-e2000": (
         RunConfig("pma1", m=10, e=2000, t=1, theta=1234, seed=2024),
-        [(1234, 7, "1a3205de64d404eb33442a4736fa45b0c0ab17085a09a4ca64c8cd985001a40d")],
+        [(1234, 7, "d18fedd664697da4dff69a82ae4d0f6134b1bbd83e5261c5308de6e1074a8e0f")],
         "11592c046e97b925e2cac70ba2e5c7080f6175b5a1794440370b049568a62426"),
+    "pma1-p32771": (
+        RunConfig("pma1", m=10, e=300, t=1, theta=7, p=32771, seed=2026),
+        [(7, 5, "2d1587f47f000d49620399c6a5cae8dee94b2c3c1dbade03bdc72c046f407a7a")],
+        "2bd2d672277285185e8e4353b1be4f368eac336608d4565447418b243c325cfc"),
     "spma1-per-element-probs": (
         RunConfig("spma1", m=3, e=6, t=1, seed=31, gen_probs=[0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
-        [(1, 0, "fff2a0dbf2451c22d428c3cc359db49c77b2924decb3e593a1c6fc89e4fe8268"),
-         (2, 1, "487d8f3fab543410bbbb6afb6ad45f3bc26881dd50aeb0c18f0dd82d10631455"),
-         (3, 1, "fbc6e21e917e978dd70dd1a22b44d57a2761c0efaf7060d0060369262de40bf8"),
-         (4, 2, "8b713c9498ca2eca6ff4077c6bbf6b3573d9996dfe51aa57501563461eb18530"),
-         (5, 2, "b7e240577ccd20d566f94734bfe8bbb76c92808da182f272505e06c8c459cbe6"),
-         (6, 3, "3a75ab51f2919539346032be7116d2b2cdabe6a26bd2ada9cfd2baaf8057d2b2")],
+        [(1, 0, "4d1bdd036ae8a9bdd09c24f400acb370198553461737ce6060aa2080be44ed27"),
+         (2, 1, "91bab32c45f45a045967edcddcaa5ae364b1c9cc3fcbfaabb8ee5eb9d8336ae9"),
+         (3, 1, "961268edf65b0be7e4fe0887f8e344cd962b7f1c5051fe4810e22d199161f2ed"),
+         (4, 2, "515a923a4073a224eef32abc7ccd518335f872b2289a434bdb2a9de6b194236f"),
+         (5, 2, "4823df9cb5f1ba826590ed4a370a8bff1b32b47af8a427a33b8041e7b8e49ec1"),
+         (6, 3, "b75c951f89df6bd78221fe8b54a1108c1cd9200f6ad4c830f94082e005f499ae")],
         "97cf8ba366564e27247f310ca6a63c1133d0ca0e3620a7acfa7e0ecb7d0a18dd"),
     "spma2-dataset-dict": (
         RunConfig("spma2", t=1, seed=47, datasets={
@@ -59,13 +68,13 @@ _GOLDEN = {
     # blinding depth 63 on E=2; query depth 3 on E=2)
     "spma1-deep-blinding": (
         RunConfig("spma1", m=2, e=2, t=63, seed=7),
-        [(1, 1, "9704847644df35b47ba81df17a79214e69f4f5fec9208124c27ab1f02b3b3f19"),
-         (2, 1, "e6c286c981939b5fdade8e69ee49d0f163c86ce4dddcabf88e26eb68e2e6e6db")],
+        [(1, 1, "844166e1668848ce2327bdd3f80642f83eb6fc46fd53dbb3aa0d39e063977ef6"),
+         (2, 1, "0cd21848d98256eb5670aa6cc90800f6044dbbd64d6e626d0b944ff1619ba3d4")],
         "9d4bf863bdfab8810c92c615f7f0114dcc7559b0fc22391789867353edc9e8e7"),
     "spma2-deep-query": (
         RunConfig("spma2", m=5, e=2, t=3, seed=7),
-        [(1, 2, "c21695765d888d969e3e26d5f9dc8e7dd7ee914c61947604311f360ad9421e58"),
-         (2, 3, "f553914bbd5e4d3ca7a1d2e84ec9080ee2bbec6b07095b20351e498a1af6ff51")],
+        [(1, 2, "e87a9ba7c7c60167d6c6c6d716deec15923ddd41e4322734aa201ff893efbdb7"),
+         (2, 3, "e4617db81b6912b11063e4c1f6fdb0050f1bd38f317923d4a99490155ff16ce1")],
         "130c40cbbad2b6fcec38ec2dd3c5fb88964057d6d943e460dd014c8dc75153cf"),
 }
 
@@ -268,6 +277,19 @@ def test_reports_are_deterministic():
     assert a == b
     parsed = json.loads(a)
     assert parsed["schema"] == "pma-run/1"
+
+
+def test_report_counts_every_hash_call():
+    # the collusion-wide shape (N = 64, p = 131): per index, each party's 63
+    # query-noise rows are one call, the masks one and the blinding one;
+    # the datasets take one call per party and, at this seed, no tie read
+    # and no rejection refill
+    config = RunConfig("spma1", m=2, e=2, t=63, seed=5)
+    _, _, _, rng = resolve_config(config)
+    assert rng.position == 2
+    report = run_protocol(config)
+    assert report["params"]["p"] == 131
+    assert report["work"] == {"hash_calls": 2 + 4 * 2}
 
 
 def test_different_seeds_change_transcripts_not_counts():

@@ -20,7 +20,7 @@ from pma.harness import RunConfig, run_protocol
 from pma.model import (PartyDataset, RandomSource, auto_n, auto_p, generate_datasets,
                        incidence, load_datasets, make_params, query_vectors,
                        true_count)
-from tests.oracles import members_of, ref_query_vectors
+from tests.oracles import members_of, ref_draw, ref_query_vectors, ref_stream
 
 P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
 P2 = PartyDataset(frozenset({2, 3, 4}))
@@ -498,11 +498,6 @@ def test_generate_extremes_and_determinism():
     assert a == b
 
 
-def _stream(seed, counter, n):
-    """The first n bytes of hash call ``counter`` of the documented sampler."""
-    return hashlib.shake_256(seed.to_bytes(8, "big") + counter.to_bytes(16, "big")).digest(n)
-
-
 def ref_memberships(params, probs, seed):
     """The membership rule U / 2^53 < p_k, element by element, for the
     53-bit U = U' >> 3 of a 56-bit word U'. Each party's hash call gives
@@ -512,7 +507,7 @@ def ref_memberships(params, probs, seed):
     plist = [probs] * params.e if isinstance(probs, (int, float)) else probs
     datasets, counter = [], 0
     for _ in range(params.m):
-        first = _stream(seed, counter, params.e)
+        first = ref_stream(seed, counter, params.e)
         counter += 1
         joins = {}
         for k, (b, pk) in enumerate(zip(first, plist)):
@@ -521,7 +516,7 @@ def ref_memberships(params, probs, seed):
                 joins[k] = low
         tied = [k for k in range(params.e) if k not in joins]
         if tied:
-            tails = _stream(seed, counter, 6 * len(tied))
+            tails = ref_stream(seed, counter, 6 * len(tied))
             counter += 1
             for j, k in enumerate(tied):
                 word = first[k] << 48 | int.from_bytes(tails[6 * j:6 * j + 6], "big")
@@ -538,7 +533,7 @@ def test_generate_matches_float_rule():
     edges = [k / 300 for k in range(300)]
     edges[:6] = [5e-324, 2.0 ** -53, 1 - 2.0 ** -53, 1.0, 0.0, 2.0 ** -1022]
     for seed in (7, 42):
-        first = _stream(seed, 0, 300)
+        first = ref_stream(seed, 0, 300)
         for k in range(6 + seed % 2, 300, 4):
             edges[k] = ((first[k] << 45) + k * 0x9E3779B97F % 2 ** 45) / 2 ** 53
     for seed in (0, 1, 7, 42, 2 ** 40):
@@ -593,26 +588,6 @@ def test_random_source_rejects_bad_modulus():
             RandomSource(0).draw_vector(0, k)
 
 
-def _reference_vector(seed, modulus, k, counter=0):
-    """The documented sampler, one word at a time from hash call
-    ``counter`` on: a word is a byte for a modulus up to 128, else 8 bytes;
-    call c hashes seed || c and reads one word per value still missing,
-    and a word w of b bits is kept iff w < 2^b - (2^b mod modulus).
-    Returns the values and the next call."""
-    width = 1 if modulus <= 128 else 8
-    bound = 2 ** (8 * width) - 2 ** (8 * width) % modulus
-    out = []
-    while len(out) < k:
-        need = k - len(out)
-        stream = _stream(seed, counter, width * need)
-        counter += 1
-        for i in range(need):
-            w = int.from_bytes(stream[width * i:width * i + width], "big")
-            if w < bound:
-                out.append(w % modulus)
-    return tuple(out), counter
-
-
 def test_draw_vector_exact_rejection_refills():
     # 2^64 mod (2^63 + 1) = 2^63 - 1, so about half the words are rejected
     modulus, k = 2 ** 63 + 1, 64
@@ -620,20 +595,21 @@ def test_draw_vector_exact_rejection_refills():
     vec = a.draw_vector(modulus, k)
     assert len(vec) == k and all(0 <= v < modulus for v in vec)
     assert vec == b.draw_vector(modulus, k)
-    assert (vec, a.position) == _reference_vector(7, modulus, k)
+    assert (vec, a.position) == ref_draw(7, modulus, k)
     assert a.position > 1
     assert a.draw_vector(modulus, k) != vec and a.position > b.position
 
 
 @pytest.mark.parametrize("modulus", [
-    *(2 ** b for b in range(1, 65)), 3, 131, 2 ** 61 - 1, 2 ** 63 + 1],
+    *(2 ** b for b in range(1, 65)), 3, 131, 2 ** 14 + 1, 32749, 32771, 2 ** 61 - 1,
+    2 ** 63 + 1],
     ids=lambda m: f"2^{m.bit_length() - 1}" if m & (m - 1) == 0 else str(m))
 def test_draw_vector_matches_the_per_word_reference(modulus):
     # consecutive draws from one source, an empty one first: an empty draw
     # makes no hash call, whatever the modulus
     rng, counter = RandomSource(11), 0
     for k in (0, 1, 7, 100):
-        expected, counter = _reference_vector(11, modulus, k, counter)
+        expected, counter = ref_draw(11, modulus, k, counter)
         assert (rng.draw_vector(modulus, k), rng.position) == (expected, counter), k
 
 
@@ -658,7 +634,7 @@ def test_byte_lane_draws_match_the_per_word_reference(seed):
     for modulus in range(2, 132):
         rng, counter = RandomSource(seed), 0
         for k in (15, 16, 17, 64, 255, 256, 257, 600):
-            expected, counter = _reference_vector(seed, modulus, k, counter)
+            expected, counter = ref_draw(seed, modulus, k, counter)
             drawn = rng.draw_vector(modulus, k)
             assert (tuple(drawn), rng.position) == (expected, counter)
             assert type(drawn) is (bytes if k >= 256 and modulus <= 128 else tuple)

@@ -51,6 +51,10 @@ def test_runs_match_a_plain_int_recomputation(variant, e, p, probs, data, seed):
     assert {type(incidence(d, e)) for d in datasets} == {bytes}
     ups = params.upsilon
     queries, answers = payloads(run, QUERY), payloads(run, ANSWER)
+    # the noise rows are bytes exactly when they are long at a small modulus
+    noise = [*run.queries.noise, *(row for enc in run.storage for row in enc.noise)] \
+        if params.is_type2 else [row for rows in run.queries.noise for row in rows]
+    assert {type(row) for row in noise} == {bytes if p <= 128 and e >= 256 else tuple}
     # the queries are bytes exactly when the pad takes the lanes: p and E decide
     assert {type(ev.values) for ev in run.transcript.events if ev.category == QUERY} == \
         {bytes if p <= 128 and e >= 16 else tuple}
@@ -83,3 +87,13 @@ def test_runs_match_a_plain_int_recomputation(variant, e, p, probs, data, seed):
                    tuple(ev.values), ev.symbols)
     assert {type(ev.values) for ev in plain.events} == {tuple}
     assert plain.digest() == run.transcript.digest()
+
+
+# a draw's rows are bytes exactly when each has 256 values or more at a
+# modulus up to 128, however long the draw they are cut from
+@pytest.mark.parametrize("p", (2, 127, 128, 129, 131, 32771))
+@pytest.mark.parametrize("r,k", ((1, 255), (1, 256), (2, 128), (3, 100), (2, 300), (300, 1)))
+def test_rows_are_bytes_exactly_when_long_at_a_small_modulus(p, r, k):
+    rows = RandomSource(5).rows(p, r, k)
+    assert len(rows) == r and {len(row) for row in rows} == {k}
+    assert {type(row) for row in rows} == {bytes if p <= 128 and k >= 256 else tuple}
