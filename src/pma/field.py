@@ -14,18 +14,19 @@ table. The values are those of the int arithmetic, element for element.
 
 Representation rule: a vector is a ``Sequence[int]``, either ``bytes`` or a
 tuple of ints. Incidence bits are bytes at any p. For p <= 128 long vectors
-stay bytes from the draw to the digest: a drawn row of 256 values or more
-(``model.RandomSource``, one byte per value; its own length decides, not
-its draw's), and the rows of a noised, not deep, pad of 16 entries or more
-whose base has at most one nonzero entry, as a query's. ``pma1.answer``
-sums a bytes query in lanes (``masked_lane_sum``), and ``transcript``
-hashes a bytes payload as it is, one byte per value, as it hashes a tuple
-of values in 0..255. Any other vector is a tuple. The form depends only on
-p, lengths and how sparse the base is, never on random content.
+stay bytes from the draw to the digest, by one bound, ``LANES_MIN_LENGTH``:
+a drawn row of at least that many values (``model.RandomSource``; its own
+length decides, not its draw's), and the rows of a noised, not deep, pad
+of at least that many entries whose base has at most one nonzero entry, as
+a query's. ``pma1.answer`` sums a bytes query in lanes (``masked_lane_sum``),
+and ``transcript`` hashes a bytes payload as it is, one byte per value, as
+it hashes a tuple of values in 0..255. Any other vector is a tuple. The
+form depends only on p, lengths and how sparse the base is, never on
+random content.
 
 The evaluation matrix is an ``Upsilon``, which memoizes its own inverse and
-packed columns. The solver and the deep pad trust an Upsilon of their field;
-any other matrix is checked, or packed, on every call.
+packed columns. The solver takes only an Upsilon of its field; the deep
+pad packs any other rows on every call.
 """
 
 from __future__ import annotations
@@ -186,27 +187,17 @@ def build_upsilon(field: PrimeField, alphas: Sequence[int]) -> Upsilon:
 
 
 def solve_linear(field: PrimeField, m, rhs) -> list[int]:
-    """Solve m x = rhs over GF(p) for an evaluation matrix m, as
-    ``build_upsilon`` makes: one dot per unknown with a row of its
-    inverse. An Upsilon of this field is trusted and inverted once. Any
-    other matrix is checked on every call: its elements are validated, and
-    it is refused unless it equals the Upsilon of its points, column 1, whose
-    inverse then solves it. Repeated points, unreachable from valid
-    parameters, mean corrupted inputs; they raise on every call."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ParameterError("matrix must be square")
-    if len(rhs) != n:
-        raise ParameterError(f"right-hand side has length {len(rhs)}, expected {n}")
+    """Solve m x = rhs over GF(p) for m an Upsilon of this field, as
+    ``build_upsilon`` makes it: one dot per unknown with a row of its
+    inverse, built once. Any other matrix is refused. Repeated points,
+    unreachable from valid parameters, mean corrupted inputs; they raise
+    on every call."""
     p = field.p
-    b = field.check_all(rhs)
     if not (isinstance(m, Upsilon) and m.p == p):
-        rows = tuple(map(tuple, m))
-        for row in rows:
-            field.check_all(row)
-        m = build_upsilon(field, [row[1] - 1 if n > 1 else 0 for row in rows])  # 1 x 1: (1,)
-        if rows != m:
-            raise ParameterError("only evaluation matrices, rows [1, x, x^2, ...], are solved")
+        raise ParameterError(f"only an Upsilon of GF({p}) is solved")
+    if len(rhs) != len(m):
+        raise ParameterError(f"right-hand side has length {len(rhs)}, expected {len(m)}")
+    b = field.check_all(rhs)
     return [sum(map(mul, row, b)) % p for row in m.inverse]
 
 
@@ -222,9 +213,9 @@ def _pack(p: int, depth: int, powers):
     return columns, sum(1 << shift for shift in shifts), shifts, (1 << s) - 1
 
 
-# Byte lanes serve fields of at most LANES_MAX_P elements. Pads take them
-# from LANES_MIN_LENGTH entries on; shorter vectors, as the audits pad, cost
-# less per element than the kernel's fixed setup.
+# Byte lanes serve fields of at most LANES_MAX_P elements. Draws are bytes,
+# and pads take the lanes, from LANES_MIN_LENGTH values on; shorter vectors,
+# as the audits pad, cost less per element than the kernel's fixed setup.
 LANES_MIN_LENGTH = 16
 LANES_MAX_P = 128
 
@@ -329,7 +320,7 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
         entry = unit.translate(None, b"\0")  # the nonzero entries
         if len(entry) <= 1:
             k = unit.find(entry)  # 0 for a zero base, whose entry 0 adds nothing
-            rows = [bytes(row) for row in noise_rows]  # a long draw passes as is
+            rows = [bytes(row) for row in noise_rows]  # a drawn row passes as is
             padded = []
             for w in powers:
                 out = bytearray(lane_sum(p, w[1:], rows))

@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
-from .field import (LANES_MAX_P, PrimeField, Upsilon, build_upsilon, default_alphas,
-                    is_prime, noise_pad_vector, solve_linear)
+from .field import (LANES_MAX_P, LANES_MIN_LENGTH, PrimeField, Upsilon, build_upsilon,
+                    default_alphas, is_prime, noise_pad_vector, solve_linear)
 
 VARIANTS = ("pma1", "spma1", "spma2")
 # the type-II scheme serves both the symmetric and the non-symmetric problem
@@ -33,8 +33,6 @@ VARIANT_ALIASES = {"pma2": "spma2"}
 _WORDS = 1 << 64
 _MASK64 = _WORDS - 1
 _DYADIC = 1 << 53
-# A draw or row of this many values or more at a modulus up to LANES_MAX_P is bytes.
-_BYTES_MIN_VALUES = 256
 _WIDE2_MAX_P = 1 << 15  # a larger modulus up to this one reads 2-byte words
 # A membership word is 7 bytes: its first byte, then a tail of 6.
 _TAIL, _TAILS = 6, 1 << 48
@@ -60,9 +58,10 @@ class RandomSource:
     residue keeps probability exactly 1/modulus; rejected words are made up
     from the next counter value. ``position`` counts hash calls.
 
-    Each sampler makes one draw, which ``rows`` cuts in order into rows; its
-    form, bytes or a tuple, follows ``field``'s representation rule. One
-    ``bytes.translate`` reduces a call's bytes and deletes the rejected ones.
+    Each sampler makes one draw, which ``rows`` cuts in order into rows. At a
+    modulus up to 128 a draw or row of ``LANES_MIN_LENGTH`` values or more,
+    ``field``'s one bound for draws and pads, is bytes; any other a tuple.
+    One ``bytes.translate`` reduces a call's bytes and deletes the rejected ones.
 
     Reproducible by construction; protocol security is verified by
     enumeration, so reproducibility matters more than entropy here.
@@ -101,12 +100,12 @@ class RandomSource:
             out = b""
             while len(out) < k:
                 out += self._read(k - len(out)).translate(table, rejected)
-        return out if k >= _BYTES_MIN_VALUES else tuple(out)
+        return out if k >= LANES_MIN_LENGTH else tuple(out)
 
     def rows(self, modulus: int, r: int, k: int) -> tuple:
         """r rows of k values, cut in order from one draw of r*k values."""
         flat = self.draw_vector(modulus, r * k)
-        flat = flat if k >= _BYTES_MIN_VALUES else tuple(flat)  # a short row is a tuple
+        flat = flat if k >= LANES_MIN_LENGTH else tuple(flat)  # a short row is a tuple
         return tuple(flat[i * k:i * k + k] for i in range(r))
 
     def _read(self, n: int) -> bytes:

@@ -87,6 +87,26 @@ def test_coset_outside_names_a_separating_view():
     assert v in a and v not in line
 
 
+def test_coset_law_refuses_a_view_whose_length_changes():
+    # one symbol at zero, two at the second unit vector
+    with pytest.raises(IntegrityError, match="audit demo: view length changes from 1 to 2 "
+                                             "at unit vector 1"):
+        audit.coset_law(lambda a: (a[0],) * (1 + a[1]), 2, 5, "demo")
+
+
+def test_compare_all_witness_comes_from_the_larger_coset():
+    # the line lies inside the plane: no view of the line is outside it, so
+    # the witness is a view of the plane, which the line never gives
+    plane = audit.Coset(5, [(1, 2, 0), (0, 1, 1)], (3, 3, 3))
+    line = audit.Coset(5, [(1, 2, 0)], (3, 3, 3))
+    for laws in ({"line": line, "plane": plane}, {"plane": plane, "line": line}):
+        witness = audit._compare_all(laws)
+        view = tuple(witness.pop("view"))
+        assert view in plane and view not in line
+        assert witness == {"config_a": "'plane'", "config_b": "'line'",
+                           "prob_a": "1/25", "prob_b": "0"}
+
+
 def test_non_affine_view_raises_naming_point():
     with pytest.raises(IntegrityError, match=r"audit demo: .*not affine.*\[1, 1\]"):
         audit.coset_law(lambda a: (a[0] * a[1] % 3,), 2, 3, "demo")
@@ -302,6 +322,14 @@ def test_storage_security_overbudget_fails():
     assert not result.passed
 
 
+def test_storage_security_rejects_subset_sizes_outside_1_to_n_eff():
+    params = t2()
+    for size in (0, params.n_eff + 1):
+        with pytest.raises(ParameterError, match=f"share subset size {size} outside "
+                                                 f"1..{params.n_eff}"):
+            audit.audit_storage_security(params, subset_size=size)
+
+
 def test_storage_security_rejects_type1():
     with pytest.raises(ParameterError):
         audit.audit_storage_security(t1())
@@ -374,6 +402,11 @@ def test_zero_taps_vacuous_pass():
 
 def test_interparty_dealing_independent():
     assert audit.audit_interparty_dealing(t1("pma1")).passed
+
+
+def test_interparty_dealing_rejects_type2():
+    with pytest.raises(ParameterError, match="applies to the type-I variants"):
+        audit.audit_interparty_dealing(t2())
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,17 @@ def test_run_with_datasets_and_element(capsys, datasets_file):
     assert entry["count"] == 2
 
 
+def test_run_with_datasets_prints_the_element_column(capsys, datasets_file):
+    # the universe a..e: a is held by one party, b..d by both, e by one
+    code = main(["run", "--variant", "pma1", "--t", "1", "--datasets", datasets_file])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["theta", "element", "count", "oracle", "ok"]
+    assert [line.split() for line in lines[2:7]] == [
+        [str(k), name, str(count), str(count), "yes"]
+        for k, (name, count) in enumerate(zip("abcde", (1, 2, 2, 2, 1)), 1)]
+
+
 def test_run_element_without_datasets_is_parameter_error(capsys):
     assert main(["run", "--variant", "pma1", "--m", "2", "--e", "2",
                  "--element", "a"]) == 2
@@ -113,6 +124,16 @@ def test_run_config_file_with_overrides(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert [r["theta"] for r in report["results"]] == [3]
+
+
+@pytest.mark.parametrize("content", ["[]", '[{"variant": "pma1"}]', '"pma1"', "3"])
+def test_run_config_file_not_an_object_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_text(content)
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "config file must hold a JSON object" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flag", ["--config", "--datasets"])
@@ -327,6 +348,15 @@ def test_costs_table(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "linear in M: True" in out
+
+
+def test_costs_type2_text_reports_constant_download(capsys):
+    code = main(["costs", "--variant", "spma2", "--sweep-m", "3..5",
+                 "--t", "1", "--e", "2"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "download independent of M: True" in out
+    assert "linear in M" not in out
 
 
 def test_costs_csv(capsys):

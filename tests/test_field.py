@@ -62,16 +62,19 @@ def test_is_prime_matches_trial_division():
 
 
 def test_inverse_cancels_for_all_nonzero():
-    # a 1 x 1 evaluation matrix is ((1,),) at any point; ((a,),) is no other
-    # point's, and the solver refuses it
+    # a 1 x 1 Upsilon is ((1,),) at any point; no plain matrix is solved,
+    # not even that one
     f = PrimeField(31)
-    assert solve_linear(f, [[1]], [5]) == [5]
-    for a in range(2, 31):
-        with pytest.raises(ParameterError, match="evaluation matrices"):
+    for alpha in range(31):
+        assert solve_linear(f, build_upsilon(f, (alpha,)), [5]) == [5]
+    for a in range(1, 31):
+        with pytest.raises(ParameterError, match="only an Upsilon"):
             solve_linear(f, [[a]], [1])
     # at the points 0 and a the line through (0, 0) and (a, 1) has slope 1/a
     for a in range(1, 31):
-        assert solve_linear(f, ((1, 0), (1, a)), [0, 1])[1] * a % 31 == 1
+        ups = build_upsilon(f, (30, a - 1))
+        assert ups == ((1, 0), (1, a))
+        assert solve_linear(f, ups, [0, 1])[1] * a % 31 == 1
 
 
 def test_element_range_enforced():
@@ -141,16 +144,17 @@ def test_upsilon_deterministic():
 
 
 def test_solve_identity():
-    # nonsingular, but no evaluation matrix: refused on every call
+    # nonsingular, but no Upsilon: refused on every call
     f = PrimeField(7)
     ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for _ in range(2):
-        with pytest.raises(ParameterError, match="evaluation matrices"):
+        with pytest.raises(ParameterError, match="only an Upsilon"):
             solve_linear(f, ident, [3, 0, 6])
 
 
 def test_solve_trivial_1x1():
-    assert solve_linear(PrimeField(7), ((1,),), [5]) == [5]
+    f = PrimeField(7)
+    assert solve_linear(f, build_upsilon(f, (4,)), [5]) == [5]
 
 
 def test_solve_upsilon_round_trip():
@@ -173,9 +177,10 @@ def test_solve_round_trip_random_vectors():
 
 
 def test_solve_singular_raises():
+    # the point 1 twice: rows ((1, 2), (1, 2))
     f = PrimeField(7)
     with pytest.raises(IntegrityError):
-        solve_linear(f, ((1, 1), (1, 1)), [1, 2])
+        solve_linear(f, build_upsilon(f, (1, 1)), [1, 2])
 
 
 def ref_solve(p, m, rhs):
@@ -215,17 +220,25 @@ def evaluation_matrix(p, points):
     return [[pow(x, k, p) for k in range(len(points))] for x in points]
 
 
+def upsilon_at(f, points):
+    """The Upsilon whose column 1 holds ``points``."""
+    return build_upsilon(f, [(x - 1) % f.p for x in points])
+
+
 @pytest.mark.parametrize("p,sizes", [(2, range(1, 3)), (7, range(1, 8)),
                                      (131, (1, 2, 3, 5, 8, 17)),
                                      (2 ** 61 - 1, (1, 2, 4, 9))])
 def test_solve_matches_reference_on_random_systems(p, sizes):
+    # random points, 0 among the candidates; the reference reads rows by pow
     f = PrimeField(p)
     rng = RandomSource(p)
     for n in sizes:
         for _ in range(4):
-            m = evaluation_matrix(p, random_points(rng, p, n))
+            points = random_points(rng, p, n)
+            m = evaluation_matrix(p, points)
+            assert upsilon_at(f, points) == tuple(map(tuple, m))
             rhs = list(rng.draw_vector(p, n))
-            x = solve_linear(f, m, rhs)
+            x = solve_linear(f, upsilon_at(f, points), rhs)
             assert x == ref_solve(p, m, rhs)
             assert mat_vec(f, m, x) == tuple(rhs)
 
@@ -252,50 +265,52 @@ def test_solve_singular_systems_raise():
                 points = random_points(rng, p, n)
                 i, j = sorted(random_points(rng, n, 2))
                 points[j] = points[i]
-                m = evaluation_matrix(p, points)
+                m = upsilon_at(f, points)
                 assert determinant(f, m) == 0
                 with pytest.raises(IntegrityError, match="distinct"):
                     solve_linear(f, m, list(rng.draw_vector(p, n)))
-            # a zero row, or a zero column: singular, and no evaluation
-            # matrix, since each of its rows starts with a 1
+            # a zero row, or a zero column: singular, and no Upsilon
             m = random_matrix(rng, p, n)
             m[0] = [0] * n
             for matrix in (m, [list(col) for col in zip(*m)]):
                 assert determinant(f, matrix) == 0
-                with pytest.raises(ParameterError, match="evaluation matrices"):
+                with pytest.raises(ParameterError, match="only an Upsilon"):
                     solve_linear(f, matrix, [0] * n)
 
 
 def test_solve_factors_each_matrix_once(upsilon_builds):
     # five right-hand sides on one Upsilon, as lists and then as tuples: one
     # inverse, then a dot per unknown only; the same matrix as plain rows
-    # is checked and rebuilt on every call
+    # is refused on every call and builds nothing
     p = 131
     f = PrimeField(p)
     rng = RandomSource(21)
     points = random_points(rng, p, 7)
-    ups, m = build_upsilon(f, [x - 1 for x in points]), evaluation_matrix(p, points)
+    ups, m = upsilon_at(f, points), evaluation_matrix(p, points)
     rhss = [list(rng.draw_vector(p, 7)) for _ in range(5)]
-    for matrix in (ups, m):
-        for wrap in (list, tuple):
-            for rhs in rhss:
-                assert solve_linear(f, matrix, wrap(rhs)) == ref_solve(p, m, rhs)
-    inverses = [matrix for _, matrix, _ in upsilon_builds]
-    assert len(inverses) == 11 and inverses[0] is ups
-    assert all(matrix == ups and matrix is not ups for matrix in inverses[1:])
+    for wrap in (list, tuple):
+        for rhs in rhss:
+            assert solve_linear(f, ups, wrap(rhs)) == ref_solve(p, m, rhs)
+            with pytest.raises(ParameterError, match="only an Upsilon"):
+                solve_linear(f, m, wrap(rhs))
+    assert upsilon_builds == [("inverse", ups, None)]
+    assert upsilon_builds[0][1] is ups
 
 
-def test_solve_singular_raises_on_every_call():
+def test_solve_singular_raises_on_every_call(upsilon_builds):
     # the point 2 twice; a failed inverse is not memoized
     f = PrimeField(7)
+    ups = build_upsilon(f, (1, 1))
     for _ in range(2):
         with pytest.raises(IntegrityError):
-            solve_linear(f, ((1, 2), (1, 2)), [1, 2])
+            solve_linear(f, ups, [1, 2])
+    assert upsilon_builds == [("inverse", ups, None)] * 2
 
 
 def test_solve_checks_rhs_after_matrix_is_cached():
     f = PrimeField(7)
-    m = ((1, 2), (1, 3))
+    m = build_upsilon(f, (1, 2))
+    assert m == ((1, 2), (1, 3))
     assert solve_linear(f, m, [1, 2]) == ref_solve(7, m, [1, 2])
     for bad in (7, -1, 1.0):
         with pytest.raises(ParameterError, match="not an element of GF"):
@@ -304,12 +319,15 @@ def test_solve_checks_rhs_after_matrix_is_cached():
 
 
 @pytest.mark.parametrize("bad", (7, -1, 3.0, [3]))
-def test_solve_rejects_matrix_outside_field(bad):
-    # with ((1, 2), (1, 3)) cached: 3.0 equals its 3, and a list is no key
+def test_solve_rejects_matrix_outside_field(bad, upsilon_builds):
+    # next to the Upsilon ((1, 2), (1, 3)), inverted: 3.0 equals its 3, and
+    # a list is no element; the plain rows are refused before any is read
     f = PrimeField(7)
-    assert solve_linear(f, ((1, 2), (1, 3)), [1, 2]) == ref_solve(7, ((1, 2), (1, 3)), [1, 2])
-    with pytest.raises(ParameterError, match="not an element of GF"):
+    ups = build_upsilon(f, (1, 2))
+    assert solve_linear(f, ups, [1, 2]) == ref_solve(7, ups, [1, 2])
+    with pytest.raises(ParameterError, match="only an Upsilon"):
         solve_linear(f, ((1, 2), (1, bad)), [1, 2])
+    assert upsilon_builds == [("inverse", ups, None)]
 
 
 @st.composite
@@ -330,25 +348,22 @@ def evaluation_systems(draw):
 @example((131, list(range(64)), [k * k % 131 for k in range(64)], (63, 0, 5)))
 @example((2 ** 61 - 1, [0, 2 ** 61 - 2, 1], [1, 2, 3], (1, 1, 2)))
 def test_solve_inverts_every_evaluation_matrix_and_refuses_the_rest(case):
+    # every Upsilon of distinct points is solved; its rows as plain lists,
+    # whether moved off [1, x, x^2, ...] or not, are refused
     p, points, rhs, change = case
     f = PrimeField(p)
     m = evaluation_matrix(p, points)
-    x = solve_linear(f, m, rhs)
+    x = solve_linear(f, upsilon_at(f, points), rhs)
     assert x == ref_solve(p, m, rhs)
     assert mat_vec(f, m, x) == tuple(rhs)
-    if change is None:
+    if change is None:  # no points: no entry to move
         return
+    with pytest.raises(ParameterError, match="only an Upsilon"):
+        solve_linear(f, m, rhs)
     i, k, delta = change
     m[i][k] = (m[i][k] + delta) % p
-    moved = [row[1] if len(row) > 1 else 0 for row in m]
-    if m != evaluation_matrix(p, moved):
-        with pytest.raises(ParameterError, match="evaluation matrices"):
-            solve_linear(f, m, rhs)
-    elif len(set(moved)) < len(moved):  # column 1 moved onto another point
-        with pytest.raises(IntegrityError, match="distinct"):
-            solve_linear(f, m, rhs)
-    else:  # column 1 moved to a point whose other powers agree
-        assert mat_vec(f, m, solve_linear(f, m, rhs)) == tuple(rhs)
+    with pytest.raises(ParameterError, match="only an Upsilon"):
+        solve_linear(f, m, rhs)
 
 
 @pytest.mark.parametrize("p", (131, 2 ** 61 - 1))
@@ -370,11 +385,14 @@ def test_upsilon_matches_pow_definition():
 
 
 def test_solve_shape_errors():
+    # a right-hand side of the wrong length, either way, and a non-square
+    # matrix, which is no Upsilon
     f = PrimeField(7)
-    with pytest.raises(ParameterError):
+    for ups, rhs in ((build_upsilon(f, (1,)), [1, 2]), (build_upsilon(f, (1, 2)), [1])):
+        with pytest.raises(ParameterError, match="right-hand side has length"):
+            solve_linear(f, ups, rhs)
+    with pytest.raises(ParameterError, match="only an Upsilon"):
         solve_linear(f, ((1, 2),), [1])
-    with pytest.raises(ParameterError):
-        solve_linear(f, ((1,),), [1, 2])
 
 
 def test_noise_pad_vector_direct():
@@ -612,30 +630,41 @@ def test_masked_lane_sum_matches_the_member_sum(p, length):
                 masked_lane_sum(p, values, short)
 
 
-def test_plain_copy_of_upsilon_is_checked_on_every_call(upsilon_builds):
-    # the N = 64 shape: plain rows equal to Upsilon solve and pad to the
-    # same values, and are checked, rebuilt and packed on every call
+def test_solve_takes_only_an_upsilon_of_its_field(upsilon_builds):
+    # the N = 64 shape: its Upsilon is inverted once; a list matrix, a plain
+    # tuple copy and an Upsilon of another field are refused on every
+    # call, before anything is built
     p = 131
     f = PrimeField(p)
     ups = build_upsilon(f, default_alphas(p, 64))
-    rhs, rows = list(range(64)), [(3, 4)] * 63
+    rhs = list(range(64))
+    other = build_upsilon(PrimeField(137), default_alphas(137, 64))
+    refused = ([list(row) for row in ups], tuple(map(tuple, ups)), other)
+    for _ in range(2):
+        assert solve_linear(f, ups, rhs) == ref_solve(p, ups, rhs)
+        for matrix in refused:
+            with pytest.raises(ParameterError, match=r"only an Upsilon of GF\(131\)"):
+                solve_linear(f, matrix, rhs)
+    # the Upsilon of GF(131) is no Upsilon of GF(137)
+    with pytest.raises(ParameterError, match=r"only an Upsilon of GF\(137\)"):
+        solve_linear(PrimeField(137), ups, rhs)
+    assert upsilon_builds == [("inverse", ups, None)]
+
+
+def test_plain_copy_of_upsilon_is_packed_on_every_call(upsilon_builds):
+    # the N = 64 shape: plain rows equal to Upsilon pad to the same values,
+    # and are packed on every call; an Upsilon only once per depth
+    p = 131
+    f = PrimeField(p)
+    ups = build_upsilon(f, default_alphas(p, 64))
+    rows = [(3, 4)] * 63
     copies = (tuple(map(tuple, ups)), [list(row) for row in ups])
     for matrix in (ups, *copies, ups, *copies):
-        assert solve_linear(f, matrix, rhs) == ref_solve(p, ups, rhs)
         assert noise_pad_vector(f, (1, 0), matrix, rows) == ref_pad_rows(p, (1, 0), ups, rows)
     built = [(kind, matrix is ups) for kind, matrix, _ in upsilon_builds]
-    assert built[:2] == [("inverse", True), ("pack", True)]
-    assert built[2:] == [("inverse", False), ("pack", False)] * 4
-    # equal in value to an entry of the Upsilon just solved, but no element
-    bad = [list(row) for row in ups]
-    bad[5][0] = 1.0
-    with pytest.raises(ParameterError, match="not an element of GF"):
-        solve_linear(f, bad, rhs)
-    # the Upsilon of GF(131) is no evaluation matrix of GF(137), and is
-    # packed apart from its own columns there
+    assert built == [("pack", True)] + [("pack", False)] * 4
+    # the Upsilon of GF(131) is packed apart from its own columns in GF(137)
     other = PrimeField(137)
-    with pytest.raises(ParameterError, match="evaluation matrices"):
-        solve_linear(other, ups, rhs)
     assert noise_pad_vector(other, (1, 0), ups, rows) == ref_pad_rows(137, (1, 0), ups, rows)
-    assert len(upsilon_builds) == 11 and upsilon_builds[-1] == ("pack", ups, 63)
+    assert len(upsilon_builds) == 6 and upsilon_builds[-1] == ("pack", ups, 63)
     assert upsilon_builds[-1][1] is ups

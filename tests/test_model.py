@@ -39,6 +39,15 @@ def test_validate_type2_example():
     assert params.m * params.n - params.n_eff == 1  # one database dropped
 
 
+def test_n_eff_is_defined_for_type2_only():
+    # type I: every one of the N databases of a party answers
+    for variant in ("pma1", "spma1"):
+        params = make_params(variant, 2, 2, t=1)
+        with pytest.raises(ParameterError, match="type-II variant only"):
+            params.n_eff
+        assert len(params.alphas_used) == params.n
+
+
 def test_type2_infeasible_named_inequality():
     with pytest.raises(ParameterError, match="T2\\*N"):
         make_params("spma2", 2, 2, t=1, y=0, n=1)
@@ -401,6 +410,12 @@ def test_party_dataset_refuses_bits_other_than_0_and_1(bits):
         PartyDataset(bits=bits)
 
 
+def test_party_dataset_needs_its_members_or_its_bits():
+    for given in ({}, {"members": None, "bits": None}):
+        with pytest.raises(TypeError, match="needs its members or its incidence bits"):
+            PartyDataset(**given)
+
+
 @pytest.mark.parametrize("variant", ["pma1", "spma2"])
 def test_runs_count_only_datasets_of_0_1_bits(variant):
     # a 2 among the bits once counted as a member (tuple path), carried
@@ -606,11 +621,14 @@ def test_draw_vector_exact_rejection_refills():
     ids=lambda m: f"2^{m.bit_length() - 1}" if m & (m - 1) == 0 else str(m))
 def test_draw_vector_matches_the_per_word_reference(modulus):
     # consecutive draws from one source, an empty one first: an empty draw
-    # makes no hash call, whatever the modulus
+    # makes no hash call, whatever the modulus; a draw of 16 values or more
+    # is bytes at a modulus up to 128, any other a tuple
     rng, counter = RandomSource(11), 0
     for k in (0, 1, 7, 100):
         expected, counter = ref_draw(11, modulus, k, counter)
-        assert (rng.draw_vector(modulus, k), rng.position) == (expected, counter), k
+        drawn = rng.draw_vector(modulus, k)
+        assert (tuple(drawn), rng.position) == (expected, counter), k
+        assert type(drawn) is (bytes if k >= 16 and modulus <= 128 else tuple)
 
 
 def test_draw_vector_modulus_one_gives_zeros():
@@ -630,14 +648,14 @@ def test_draw_vector_rejects_negative_length():
 @given(st.integers(0, 2 ** 64 - 1))
 def test_byte_lane_draws_match_the_per_word_reference(seed):
     # every modulus on both sides of the byte-lane bound 128, at lengths on
-    # both sides of the pads' and the draws' thresholds, one source each
+    # both sides of the lane length bound 16 and of 256, one source each
     for modulus in range(2, 132):
         rng, counter = RandomSource(seed), 0
         for k in (15, 16, 17, 64, 255, 256, 257, 600):
             expected, counter = ref_draw(seed, modulus, k, counter)
             drawn = rng.draw_vector(modulus, k)
             assert (tuple(drawn), rng.position) == (expected, counter)
-            assert type(drawn) is (bytes if k >= 256 and modulus <= 128 else tuple)
+            assert type(drawn) is (bytes if k >= 16 and modulus <= 128 else tuple)
 
 
 @pytest.mark.parametrize("modulus", [23, 127, 128])
@@ -652,15 +670,15 @@ def test_byte_draws_reject_and_refill(modulus):
     # the refill reads one byte per value still missing, from the next call
     assert rng.asked == ([300, rejected] if rejected else [300])
     # a call of nothing but rejected bytes is made up from the next ones,
-    # and a draw below 256 values is a tuple of the same values
+    # in a long draw and in a short one, which is a tuple of the same values
     every = bytes(range(256))
-    rng = _FixedBytes(b"\xff" * 200, every, every)
-    drawn = rng.draw_vector(modulus, 200)
-    assert type(drawn) is tuple
-    if modulus == 128:  # 255 is kept: 2^8 mod 128 = 0
-        assert drawn == (127,) * 200 and rng.asked == [200]
-    else:
-        assert drawn == tuple(b % modulus for b in every[:200]) and rng.asked == [200, 200]
+    for k, form in ((200, bytes), (15, tuple)):
+        rng = _FixedBytes(b"\xff" * k, every, every)
+        drawn = rng.draw_vector(modulus, k)
+        if modulus == 128:  # 255 is kept: 2^8 mod 128 = 0
+            assert drawn == form((127,) * k) and rng.asked == [k]
+        else:
+            assert drawn == form(b % modulus for b in every[:k]) and rng.asked == [k, k]
 
 
 def test_load_datasets_maps_sorted_universe(tmp_path):
@@ -699,6 +717,13 @@ def test_load_datasets_names_offender():
         load_datasets({"universe": ["a", "a"], "parties": [[]]})
     with pytest.raises(ParameterError):
         load_datasets({"universe": ["a"]})
+
+
+@pytest.mark.parametrize("parties", ["a", {"a": ["a"]}, [["a"], "a"], [("a",)], [None]],
+                         ids=["string", "dict", "string-entry", "tuple-entry", "null-entry"])
+def test_load_datasets_refuses_parties_other_than_a_list_of_lists(parties):
+    with pytest.raises(ParameterError, match="parties must be a list of element lists"):
+        load_datasets({"universe": ["a"], "parties": parties})
 
 
 def test_upsilon_shared_by_one_shape():

@@ -32,7 +32,7 @@ def payloads(run, category):
             if ev.category == category}
 
 
-# E around the pads' lane bound (16) and the draws' (256); p on both sides of 128
+# E around the lane length bound (16) and around 256; p on both sides of 128
 @pytest.mark.parametrize("e", (15, 16, 255, 256, 257))
 @pytest.mark.parametrize("variant", ("pma1", "spma1", "spma2"))
 @settings(derandomize=True, max_examples=16, deadline=None)
@@ -51,10 +51,11 @@ def test_runs_match_a_plain_int_recomputation(variant, e, p, probs, data, seed):
     assert {type(incidence(d, e)) for d in datasets} == {bytes}
     ups = params.upsilon
     queries, answers = payloads(run, QUERY), payloads(run, ANSWER)
-    # the noise rows are bytes exactly when they are long at a small modulus
+    # the noise rows are bytes exactly when they are long at a small modulus:
+    # one bound, the pads', decides the draws too
     noise = [*run.queries.noise, *(row for enc in run.storage for row in enc.noise)] \
         if params.is_type2 else [row for rows in run.queries.noise for row in rows]
-    assert {type(row) for row in noise} == {bytes if p <= 128 and e >= 256 else tuple}
+    assert {type(row) for row in noise} == {bytes if p <= 128 and e >= 16 else tuple}
     # the queries are bytes exactly when the pad takes the lanes: p and E decide
     assert {type(ev.values) for ev in run.transcript.events if ev.category == QUERY} == \
         {bytes if p <= 128 and e >= 16 else tuple}
@@ -89,11 +90,12 @@ def test_runs_match_a_plain_int_recomputation(variant, e, p, probs, data, seed):
     assert plain.digest() == run.transcript.digest()
 
 
-# a draw's rows are bytes exactly when each has 256 values or more at a
+# a draw's rows are bytes exactly when each has 16 values or more at a
 # modulus up to 128, however long the draw they are cut from
 @pytest.mark.parametrize("p", (2, 127, 128, 129, 131, 32771))
-@pytest.mark.parametrize("r,k", ((1, 255), (1, 256), (2, 128), (3, 100), (2, 300), (300, 1)))
+@pytest.mark.parametrize("r,k", ((1, 255), (1, 256), (2, 128), (3, 100), (2, 300), (300, 1),
+                                 (1, 15), (2, 15), (1, 16), (2, 16), (1, 17)))
 def test_rows_are_bytes_exactly_when_long_at_a_small_modulus(p, r, k):
     rows = RandomSource(5).rows(p, r, k)
     assert len(rows) == r and {len(row) for row in rows} == {k}
-    assert {type(row) for row in rows} == {bytes if p <= 128 and k >= 256 else tuple}
+    assert {type(row) for row in rows} == {bytes if p <= 128 and k >= 16 else tuple}

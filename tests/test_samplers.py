@@ -30,7 +30,8 @@ def reference_rows(p, shapes):
 @WIDTHS
 def test_type1_samplers_cut_one_draw_each_into_rows(p):
     # E = 150 and mu = 3: each party's query noise is one draw of 450
-    # values, bytes at p = 23, cut into rows of 150, each a tuple
+    # values cut into rows of 150, bytes at p = 23; the masks and blinding
+    # rows, of N = 4 and 3 values, are tuples
     params = make_params("spma1", 2, 150, t=3, p=p)
     m, n, mu, e = params.m, params.n, params.mu, params.e
     assert (mu, n, params.blinding_depth) == (3, 4, 3)
@@ -39,12 +40,13 @@ def test_type1_samplers_cut_one_draw_each_into_rows(p):
     masks = pma1.gen_masks(params, rng)
     blinding = pma1.draw_party_noise(params, rng)
     draws, calls = reference_rows(p, [(mu, e)] * m + [(m - 1, n), (m, n - 1)])
-    assert queries.noise == tuple(draws[:m])
+    noise = [row for rows in queries.noise for row in rows]
+    assert [tuple(row) for row in noise] == [row for rows in draws[:m] for row in rows]
     assert masks[:-1] == draws[m]
     assert blinding == draws[m + 1]
     assert rng.position == calls
-    rows = [*(row for rows in queries.noise for row in rows), *masks, *blinding]
-    assert {type(row) for row in rows} == {tuple}
+    assert {type(row) for row in noise} == {bytes if p <= 128 else tuple}
+    assert {type(row) for row in (*masks, *blinding)} == {tuple}
 
 
 @WIDTHS
@@ -59,10 +61,13 @@ def test_type2_samplers_cut_one_draw_each_into_rows(p):
     blinding = spma2.draw_global_noise(params, rng)
     draws, calls = reference_rows(
         p, [(depth, e)] * params.m + [(mu, e), (1, params.blinding_depth)])
-    assert [enc.noise for enc in storage] == draws[:params.m]
-    assert queries.noise == draws[params.m]
+    # rows of E = 150 values are bytes at p = 23; blinding, of 5, a tuple
+    long_rows = [*(row for enc in storage for row in enc.noise), *queries.noise]
+    assert [tuple(row) for row in long_rows] == [row for rows in draws[:-1] for row in rows]
     assert (blinding,) == draws[params.m + 1]
     assert rng.position == calls
+    assert {type(row) for row in long_rows} == {bytes if p <= 128 else tuple}
+    assert type(blinding) is tuple
 
 
 def test_empty_rows_make_no_hash_call():

@@ -86,6 +86,13 @@ def test_aggregate_missing_share_is_protocol_error():
         spma2.aggregate([(0,) * 5], params)
 
 
+@pytest.mark.parametrize("length", (4, 6, 0))
+def test_aggregate_rejects_a_share_not_of_length_e(length):
+    params = params_small()
+    with pytest.raises(ParameterError, match=f"share length {length} != E=5"):
+        spma2.aggregate([(0,) * 5, (0,) * 5, (0,) * length], params)
+
+
 @pytest.mark.parametrize("bad", ["neg", "p", "float"])
 def test_aggregate_rejects_non_elements(bad):
     params = params_small(e=2)
@@ -249,3 +256,12 @@ def test_run_validates_variant():
     params = make_params("pma1", 2, 5, t=1, y=0)
     with pytest.raises(ParameterError):
         spma2.run(params, [P1, P2], 1, RandomSource(0))
+
+
+@pytest.mark.parametrize("count", (2, 4))
+def test_run_needs_one_dataset_per_party(count):
+    params = params_small()
+    rng = RandomSource(0)
+    with pytest.raises(ParameterError, match=f"expected 3 datasets, got {count}"):
+        spma2.run(params, [P1, P2, P1, P2][:count], 1, rng)
+    assert rng.position == 0  # refused before any draw
