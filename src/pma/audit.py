@@ -48,7 +48,7 @@ from functools import partial
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from . import pma1, spma1, spma2
+from . import pma1, spma2
 from .errors import AuditInfeasibleError, IntegrityError, ParameterError
 from .field import noise_pad_vector
 from .model import RandomSource, SchemeParams, query_vectors
@@ -300,11 +300,11 @@ def audit_query_privacy(params: SchemeParams, colluding_dbs: Sequence[int], *,
     the type-I variants, global for type II.
     """
     taps = _taps(params, colluding_dbs)
-    powers = [params.upsilon[j - 1] for j in taps]
 
     def view(assignment, theta):
         rows = _Cursor(assignment).rows(params.p, params.mu, params.e)
-        return sum(query_vectors(theta, powers, rows, params), ())  # taps' queries, joined
+        queries = query_vectors(theta, rows, params)
+        return sum((queries[j - 1] for j in taps), ())  # taps' queries, joined
 
     members = [(("theta", theta), partial(view, theta=theta))
                for theta in range(1, params.e + 1)]
@@ -354,8 +354,8 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
         cur = _Cursor(assignment)
         queries = pma1.gen_queries(theta, params, cur).queries
         masks = zero if zero_masks else pma1.gen_masks(params, cur)
-        blinding = pma1.draw_party_noise(params, cur)
-        return tuple(spma1.answer(bits[i], queries[i][j], blinding[i], masks[i][j], ups[j], f)
+        pads = list(map(ups.blind, pma1.draw_party_noise(params, cur)))
+        return tuple(pma1.answer(bits[i], queries[i][j], masks[i][j] + pads[i][j], f)
                      for i in range(m) for j in range(n))
 
     def classes():
@@ -401,16 +401,16 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
         xrows = _canonical_rows(params.storage_depth, e, f.p)
 
         def view(assignment, ptildes, queries):
-            zp = _Cursor(assignment).draw_vector(f.p, depth)
-            return tuple(spma2.answer(ptildes[nn], queries[nn], zp, ups[nn], f)
+            pads = ups.blind(_Cursor(assignment).draw_vector(f.p, depth))
+            return tuple(spma2.answer(ptildes[nn], queries[nn], pads[nn], f)
                          for nn in range(n_eff))
 
         def secrets(rows):
-            queries = query_vectors(1, ups, rows, params)
+            queries = query_vectors(1, rows, params)
             # answers read the datasets only through the aggregated
             # bit-sums, so range over those directly
             for sigma in itertools.product(range(m + 1), repeat=e):
-                ptildes = noise_pad_vector(f, sigma, ups, xrows)
+                ptildes = noise_pad_vector(ups, sigma, xrows)
                 yield ("sums", sigma), sigma[0], partial(view, ptildes=ptildes,
                                                          queries=queries)
     else:
@@ -420,13 +420,13 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
         def view(assignment, bits, queries):
             cur = _Cursor(assignment)
             masks = pma1.gen_masks(params, cur)
-            blinding = cur.rows(f.p, m, depth)
-            return tuple(spma1.answer(bits[i], queries[j], blinding[i], masks[i][j], ups[j], f)
+            pads = list(map(ups.blind, cur.rows(f.p, m, depth)))
+            return tuple(pma1.answer(bits[i], queries[j], masks[i][j] + pads[i][j], f)
                          for i in range(m) for j in range(n))
 
         def secrets(rows):
             # every party pads with the same rows, so its queries are alike
-            queries = query_vectors(1, ups, rows, params)
+            queries = query_vectors(1, rows, params)
             for bits in _all_datasets(m, e):
                 yield (("bits", bits), sum(bits[i][0] for i in range(m)),
                        partial(view, bits=bits, queries=queries))
@@ -494,7 +494,7 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
     f = params.field
     e, mu = params.e, params.mu
     taps = _taps(params, taps)
-    powers = [params.upsilon[j - 1] for j in taps]
+    ups = params.upsilon
     depth = params.blinding_depth
 
     if params.is_type2:
@@ -507,18 +507,17 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
         def view(assignment, theta, ptildes):
             cur = _Cursor(assignment)
             queries = spma2.gen_queries(theta, params, cur).queries
-            zp = spma2.draw_global_noise(params, cur)
+            pads = ups.blind(spma2.draw_global_noise(params, cur))
             out = []
-            for j, ptilde, w in zip(taps, ptildes, powers):
-                q = queries[j - 1]
-                out.extend(q)
-                out.append(spma2.answer(ptilde, q, zp, w, f))
+            for j in taps:  # each tapped query, then its answer
+                out += queries[j - 1]
+                out.append(spma2.answer(ptildes[j - 1], queries[j - 1], pads[j - 1], f))
             return tuple(out)
 
         members = []
         for theta in range(1, e + 1):
             for sigma in itertools.product(range(m + 1), repeat=e):
-                ptildes = noise_pad_vector(f, sigma, powers, xrows)
+                ptildes = noise_pad_vector(ups, sigma, xrows)
                 members.append((("theta", theta, "sums", sigma),
                                 partial(view, theta=theta, ptildes=ptildes)))
         lemma, dims = "lemma7", mu * e + depth
@@ -529,13 +528,13 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
 
         def view(assignment, theta, bits):
             cur = _Cursor(assignment)
-            zrows = cur.rows(f.p, mu, e)
+            queries = query_vectors(theta, cur.rows(f.p, mu, e), params)
             svec = zero_mask_vec if zero_masks else cur.draw_vector(f.p, n)
-            blinding = cur.draw_vector(f.p, depth)
+            pads = ups.blind(cur.draw_vector(f.p, depth))
             out = []
-            for q, j, w in zip(query_vectors(theta, powers, zrows, params), taps, powers):
-                out.extend(q)
-                out.append(spma1.answer(bits, q, blinding, svec[j - 1], w, f))
+            for j in taps:  # each tapped query, then its answer
+                out += queries[j - 1]
+                out.append(pma1.answer(bits, queries[j - 1], svec[j - 1] + pads[j - 1], f))
             return tuple(out)
 
         members = [(("theta", theta, "bits", bits), partial(view, theta=theta, bits=bits))

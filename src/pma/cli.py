@@ -140,7 +140,7 @@ def _cmd_audit(args) -> int:
         for case in report["cases"]:
             mark = "ok " if case["ok"] else "BAD"
             lemma = case["lemma"] or "-"
-            print(f"[{mark}] {case['name']:<36} {lemma:<7} "
+            print(f"[{mark}] {case['name']:<37} {lemma:<7} "
                   f"expected={case['expected']} verdict={case['verdict']:<10} "
                   f"{case['ms']:8.1f} ms")
         print(f"{len(report['cases'])} audits, "

@@ -3,8 +3,8 @@
 Field elements are plain ints in ``[0, p)``; the modulus is carried by a
 :class:`PrimeField` context object, not by each element. Everything here is
 exact integer arithmetic, no floats anywhere. Elements are validated where
-they enter the protocol; the per-query kernels (``dot`` and the two pads)
-check lengths only and trust their elements to lie in GF(p).
+they enter the protocol; the per-query kernels (``dot``, the pad and the
+blinding) check lengths only and trust their elements to lie in GF(p).
 
 In a field of at most 128 elements every residue, and the sum of any two,
 fits a byte. There long vectors run in byte lanes (``lane_sum``): a product
@@ -25,8 +25,9 @@ form depends only on p, lengths and how sparse the base is, never on
 random content.
 
 The evaluation matrix is an ``Upsilon``, which memoizes its own inverse and
-packed columns. The solver takes only an Upsilon of its field; the deep
-pad packs any other rows on every call.
+packed columns. The solver takes only an Upsilon of its field. Every pad
+runs over all points of an Upsilon, and so does ``Upsilon.blind``, the one
+kernel of the blinding sum_l x^l z_l that runs and audits add to answers.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def default_alphas(p: int, count: int) -> tuple[int, ...]:
 class Upsilon(tuple):
     """The rows of an evaluation matrix over GF(p), as ``build_upsilon``
     makes them, with p and a memo: the inverse, built on first read, and
-    the deep pad's packed columns, built once per noise depth."""
+    the packed columns, built once per noise depth."""
 
     def __new__(cls, p: int, rows):
         self = super().__new__(cls, rows)
@@ -164,11 +165,38 @@ class Upsilon(tuple):
             columns.append([c * scale % p for c in reversed(basis)])
         return tuple(zip(*columns))
 
+    def _check_depth(self, depth: int) -> None:
+        """Noise of ``depth`` is weighted by columns 1..depth, x^1..x^depth."""
+        if depth >= len(self[0]):
+            raise ParameterError(f"noise of depth {depth} needs powers up to x^{depth}")
+
     def packed(self, depth: int):
-        """``_pack`` of these rows at ``depth``, built on first use."""
+        """Columns 1..depth, packed across the points, point j in the s bits
+        at j*s; a 1 in every slot; the slot shifts and mask. Built on first
+        use. A slot sums at most (p-1) + depth*(p-1)^2 for any elements, so
+        s is that bound's bit length and no slot carries into the next."""
         if depth not in self._packed:
-            self._packed[depth] = _pack(self.p, depth, self)
+            self._check_depth(depth)
+            s = ((self.p - 1) + depth * (self.p - 1) ** 2).bit_length()
+            shifts = range(0, len(self) * s, s)
+            columns = tuple(sum(map(lshift, column, shifts))
+                            for column in islice(zip(*self), 1, depth + 1))
+            self._packed[depth] = (columns, sum(1 << shift for shift in shifts),
+                                   shifts, (1 << s) - 1)
         return self._packed[depth]
+
+    def blind(self, scalars: Sequence[int]) -> list[int]:
+        """sum_l x_j^l * scalars[l-1] mod p at every point x_j: the blinding
+        every answer carries, one product of the scalars with the packed
+        columns read back slot by slot. No scalars blind with zeros."""
+        if not scalars:
+            return [0] * len(self)
+        # a dict read and a plain loop: at 2 or 3 points a call costs as much as the product
+        columns, _, shifts, mask = self._packed.get(len(scalars)) or self.packed(len(scalars))
+        t, p, out = sum(map(mul, scalars, columns)), self.p, []
+        for shift in shifts:
+            out.append((t >> shift & mask) % p)
+        return out
 
 
 def build_upsilon(field: PrimeField, alphas: Sequence[int]) -> Upsilon:
@@ -199,18 +227,6 @@ def solve_linear(field: PrimeField, m, rhs) -> list[int]:
         raise ParameterError(f"right-hand side has length {len(rhs)}, expected {len(m)}")
     b = field.check_all(rhs)
     return [sum(map(mul, row, b)) % p for row in m.inverse]
-
-
-def _pack(p: int, depth: int, powers):
-    """Columns 1..depth of the rows of powers, packed across the points,
-    point j in the s bits at j*s; a 1 in every slot; the slot shifts and
-    mask. A slot sums at most (p-1) + depth*(p-1)^2 for any elements, so s
-    is that bound's bit length and no slot carries into the next."""
-    s = ((p - 1) + depth * (p - 1) ** 2).bit_length()
-    shifts = range(0, len(powers) * s, s)
-    columns = tuple(sum(map(lshift, column, shifts))
-                    for column in islice(zip(*powers), 1, depth + 1))
-    return columns, sum(1 << shift for shift in shifts), shifts, (1 << s) - 1
 
 
 # Byte lanes serve fields of at most LANES_MAX_P elements. Draws are bytes,
@@ -283,34 +299,27 @@ def masked_lane_sum(p: int, values: bytes, bits: Sequence[int] | LaneMask) -> in
     return acc % p
 
 
-def noise_pad_vector(field: PrimeField, base: Sequence[int],
-                     powers: Sequence[Sequence[int]],
+def noise_pad_vector(upsilon: Upsilon, base: Sequence[int],
                      noise_rows: Sequence[Sequence[int]]) -> tuple[Sequence[int], ...]:
-    """base + sum_l w[l] * noise[l-1], componentwise, for each row w of
-    ``powers``: one padded vector per row.
+    """base + sum_l x^l * noise[l-1], componentwise, at every point x of
+    ``upsilon``: one padded vector per point, in GF(p) of the Upsilon.
 
-    Each row is a row of Upsilon, [1, x, x^2, ...] with x = 1+alpha at one
-    evaluation point, so one call pads every point it is given. The shared
-    coding primitive: queries pad the unit vector, storage shares pad the
-    incidence vector. The base is added unweighted; w[0] is never read. A
-    long base with at most one nonzero entry, as a query's, is padded in
+    The shared coding primitive: queries pad the unit vector, storage
+    shares pad the incidence vector. The base is added unweighted. Deep
+    noise, more rows than the base has entries, reads the packed columns.
+    A long base with at most one nonzero entry, as a query's, is padded in
     byte lanes to bytes rows when p <= LANES_MAX_P, its entry added after
-    the noise. Deep noise on an Upsilon of this field reads its packed
-    columns; any other rows, as the audits' row subsets, are packed on each
-    call.
+    the noise.
     """
-    p = field.p
+    p = upsilon.p
     depth = len(noise_rows)
     for row in noise_rows:
         if len(row) != len(base):
             raise ParameterError("noise row length does not match the base vector")
-    for w in powers:
-        if len(w) <= depth:
-            raise ParameterError(f"noise of depth {depth} needs powers up to x^{depth}")
+    upsilon._check_depth(depth)
     if 0 < len(base) < depth:
         # deep noise (high collusion): per entry, one packed product for all points
-        owned = isinstance(powers, Upsilon) and powers.p == p
-        packed, ones, shifts, mask = powers.packed(depth) if owned else _pack(p, depth, powers)
+        packed, ones, shifts, mask = upsilon.packed(depth)
         entries = [[(t >> shift & mask) % p for shift in shifts]
                    for t in [a * ones + sum(map(mul, column, packed))
                              for a, column in zip(base, zip(*noise_rows))]]
@@ -322,24 +331,15 @@ def noise_pad_vector(field: PrimeField, base: Sequence[int],
             k = unit.find(entry)  # 0 for a zero base, whose entry 0 adds nothing
             rows = [bytes(row) for row in noise_rows]  # a drawn row passes as is
             padded = []
-            for w in powers:
+            for w in upsilon:
                 out = bytearray(lane_sum(p, w[1:], rows))
                 out[k] = (out[k] + unit[k]) % p
                 padded.append(bytes(out))
             return tuple(padded)
     padded = []
-    for w in powers:
+    for w in upsilon:
         out = base
         for c, row in zip(w[1:], noise_rows):
             out = [(a + c * z) % p for a, z in zip(out, row)]
         padded.append(tuple(out))
     return tuple(padded)
-
-
-def noise_pad_scalar(field: PrimeField, base: int, powers: Sequence[int],
-                     noise: Sequence[int]) -> int:
-    """base + sum_l powers[l] * noise[l-1] for one row of Upsilon; the
-    inputs are trusted elements."""
-    if len(powers) <= len(noise):
-        raise ParameterError(f"noise of depth {len(noise)} needs powers up to x^{len(noise)}")
-    return (base + sum(map(mul, powers[1:], noise))) % field.p

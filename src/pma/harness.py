@@ -312,6 +312,10 @@ def build_audit_suite() -> list[SuiteCase]:
             lambda cap: audit.audit_symmetric_privacy(
                 _t1("spma1"), zero_blinding=True, cap=cap)),
         SuiteCase(
+            "control:zero-blinding-symmetric-spma2", "lemma1", False,
+            lambda cap: audit.audit_symmetric_privacy(
+                _t2_params(), zero_blinding=True, cap=cap)),
+        SuiteCase(
             "control:zero-storage-noise", "lemma5", False,
             lambda cap: audit.audit_storage_security(
                 _t2_params(), zero_storage_noise=True, cap=cap)),

@@ -408,14 +408,14 @@ class QuerySet:
     queries: tuple[Sequence, ...]
 
 
-def query_vectors(theta: int, powers, noise_rows, params: SchemeParams) -> tuple:
-    """The query at each point given by a row of Upsilon in ``powers``: the
-    unit vector of ``theta`` padded with the noise rows. Every scheme builds
-    its queries this way. The unit vector is bytes, built with no pass per
-    element, and the pad adds its one nonzero entry after the noise."""
+def query_vectors(theta: int, noise_rows, params: SchemeParams) -> tuple:
+    """The query at every point of Upsilon: the unit vector of ``theta``
+    padded with the noise rows. Every scheme builds its queries this way.
+    The unit vector is bytes, built with no pass per element, and the pad
+    adds its one nonzero entry after the noise."""
     _check_theta(theta, params.e)
     unit = bytes(theta - 1) + b"\x01" + bytes(params.e - theta)
-    return noise_pad_vector(params.field, unit, powers, noise_rows)
+    return noise_pad_vector(params.upsilon, unit, noise_rows)
 
 
 def decode_count(values: Sequence[int], params: SchemeParams) -> int:

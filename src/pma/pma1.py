@@ -30,7 +30,7 @@ from itertools import compress
 from typing import Callable, Sequence
 
 from .errors import ParameterError
-from .field import LaneMask, masked_lane_sum, noise_pad_vector
+from .field import LaneMask, masked_lane_sum
 from .model import (PartyDataset, QuerySet, RandomSource, SchemeParams, decode_count,
                     incidence, query_vectors)
 from .transcript import (ANSWER, MASK_SHARE, NOISE_SHARE, QUERY, ROUND_ANSWER,
@@ -55,7 +55,7 @@ class ProtocolRun:
 def gen_queries(theta: int, params: SchemeParams, rng: RandomSource) -> QuerySet:
     """Per party, one draw of mu uniform noise rows pads the unit vector of ``theta``."""
     noise = tuple(rng.rows(params.p, params.mu, params.e) for _ in range(params.m))
-    queries = tuple(query_vectors(theta, params.upsilon, rows, params) for rows in noise)
+    queries = tuple(query_vectors(theta, rows, params) for rows in noise)
     return QuerySet(theta=theta, noise=noise, queries=queries)
 
 
@@ -146,22 +146,18 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     # drawn after the queries and masks, so those match across variants on one seed
     blinding = draw_party_noise(params, rng)
     emit_mask_events(params, masks, tr)
-    f = params.field
-    offsets = masks  # what each answer adds to its member sum
     if params.blinding_depth:
         tr.emit(ROUND_SETUP, "srand", "parties", "srand:parties", NOISE_SHARE,
                 values=(), symbols=params.blinding_depth)
-        # each party's blinding at every point: one pad of the base (0,), the
-        # scalars as length-1 rows; deep blinding takes the packed branch
-        offsets = [[s + z for s, (z,) in zip(row, noise_pad_vector(
-            f, (0,), params.upsilon, [(b,) for b in zrow]))]
-            for row, zrow in zip(masks, blinding)]
+    # what each answer adds to its member sum: its mask and its blinding
+    offsets = [[s + z for s, z in zip(row, params.upsilon.blind(zrow))]
+               for row, zrow in zip(masks, blinding)]
     emit_query_events(params, queries, tr)
     # a party's bytes queries are summed through one LaneMask of its bits
     bits = [LaneMask(b) if type(row[0]) is bytes else b
             for b, row in zip(bits, queries.queries)]
     table = answer_table(params, tr, lambda i, j: answer(
-        bits[i], queries.queries[i][j], offsets[i][j], f))
+        bits[i], queries.queries[i][j], offsets[i][j], params.field))
     return ProtocolRun(params=params, theta=theta, count=decode(table, params),
                        queries=queries, masks=masks, answers=table, transcript=tr,
                        blinding=blinding)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
-from .field import noise_pad_scalar, noise_pad_vector
+from .field import noise_pad_vector
 from .model import (PartyDataset, QuerySet, RandomSource, SchemeParams, decode_count,
                     incidence, query_vectors)
 from .transcript import (ANSWER, NOISE_SHARE, QUERY, ROUND_ANSWER, ROUND_QUERY,
@@ -59,7 +59,7 @@ def encode_storage(bits: Sequence[int], params: SchemeParams,
     """One party's shares: its incidence vector padded with fresh noise."""
     noise = rng.rows(params.p, params.storage_depth, params.e)
     return StorageShare(noise=noise,
-                        shares=noise_pad_vector(params.field, bits, params.upsilon, noise))
+                        shares=noise_pad_vector(params.upsilon, bits, noise))
 
 
 def aggregate(shares: Sequence[Sequence[int]], params: SchemeParams) -> tuple[int, ...]:
@@ -80,22 +80,21 @@ def gen_queries(theta: int, params: SchemeParams, rng: RandomSource) -> QuerySet
     """mu fresh noise vectors pad the unit vector of ``theta`` at every point."""
     noise = rng.rows(params.p, params.mu, params.e)
     return QuerySet(theta=theta, noise=noise,
-                    queries=query_vectors(theta, params.upsilon, noise, params))
+                    queries=query_vectors(theta, noise, params))
 
 
 def draw_global_noise(params: SchemeParams, rng: RandomSource) -> tuple:
     return rng.draw_vector(params.p, params.blinding_depth)
 
 
-def answer(ptilde: Sequence[int], query: Sequence[int], zprime: Sequence[int],
-           powers: Sequence[int], field) -> int:
-    """One database's reply: aggregated-storage inner product plus the
-    global blinding scalars weighted by ``powers``, its row of Upsilon.
+def answer(ptilde: Sequence[int], query: Sequence[int], pad: int, field) -> int:
+    """One database's reply: aggregated-storage inner product plus its
+    blinding ``pad``, the global scalars weighted by its row of Upsilon.
 
     The result is the evaluation at (1 + alpha) of a polynomial of degree
     at most n_eff - 1 whose constant coefficient is the count.
     """
-    return noise_pad_scalar(field, field.dot(ptilde, query), powers, zprime)
+    return (field.dot(ptilde, query) + pad) % field.p
 
 
 def decode(answers: Sequence[int], params: SchemeParams) -> int:
@@ -113,7 +112,6 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     tr = Transcript()
     f = params.field
     n_eff = params.n_eff
-    ups = params.upsilon
 
     storage = tuple(
         encode_storage(incidence(d, params.e), params, rng) for d in datasets)
@@ -133,9 +131,10 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     for n in range(n_eff):
         tr.emit(ROUND_QUERY, "user", f"d{n + 1}", f"user:d{n + 1}", QUERY,
                 queries.queries[n])
+    pads = params.upsilon.blind(blinding)
     answers = []
     for n in range(n_eff):
-        a = answer(aggregated[n], queries.queries[n], blinding, ups[n], f)
+        a = answer(aggregated[n], queries.queries[n], pads[n], f)
         tr.emit(ROUND_ANSWER, f"d{n + 1}", "user", f"user:d{n + 1}", ANSWER, (a,))
         answers.append(a)
     count = decode(answers, params)

@@ -23,22 +23,23 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "pma-hypothesis")
 
 @pytest.fixture
 def upsilon_builds(monkeypatch):
-    """What the solver and the deep pad build while a test runs, in order:
-    ("inverse", matrix, None) for each inverse an Upsilon computes, and
-    ("pack", rows, depth) for each packing of pad rows."""
+    """What the solver, the deep pad and the blinding build while a test
+    runs, in order: ("inverse", matrix, None) for each inverse an Upsilon
+    computes, and ("pack", matrix, depth) for each packing of its columns."""
     log = []
-    invert, pack = field.Upsilon.__dict__["inverse"].func, field._pack
+    invert, pack = field.Upsilon.__dict__["inverse"].func, field.Upsilon.packed
 
     def inverse(ups):
         log.append(("inverse", ups, None))
         return invert(ups)
 
-    def packing(p, depth, powers):
-        log.append(("pack", powers, depth))
-        return pack(p, depth, powers)
+    def packing(ups, depth):
+        if depth not in ups._packed:
+            log.append(("pack", ups, depth))
+        return pack(ups, depth)
 
     memo = cached_property(inverse)
     memo.__set_name__(field.Upsilon, "inverse")
     monkeypatch.setattr(field.Upsilon, "inverse", memo)
-    monkeypatch.setattr(field, "_pack", packing)
+    monkeypatch.setattr(field.Upsilon, "packed", packing)
     return log

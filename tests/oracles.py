@@ -56,6 +56,16 @@ def ref_query_vectors(theta: int, e: int, powers: Sequence[Sequence[int]],
         for w in powers)
 
 
+def ref_blinding(p: int, row: Sequence[int], scalars: Sequence[int]) -> int:
+    """sum_l row[l] * scalars[l-1] mod p at the point of one row [1, x,
+    x^2, ...] of Upsilon, one term at a time: the blinding an answer
+    carries there."""
+    acc = 0
+    for l, z in enumerate(scalars, 1):
+        acc = (acc + row[l] * z) % p
+    return acc
+
+
 def oracle_polynomial_expand(lhs_coeffs: Sequence[Sequence[int]],
                              rhs_coeffs: Sequence[Sequence[int]],
                              p: int) -> tuple[int, ...]:

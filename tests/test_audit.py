@@ -9,7 +9,8 @@ import pytest
 
 from pma import audit, pma1, spma1, spma2
 from pma.errors import AuditInfeasibleError, IntegrityError, ParameterError
-from pma.harness import build_audit_suite
+from pma.field import Upsilon
+from pma.harness import RunConfig, build_audit_suite, run_audit_suite, run_protocol
 from pma.model import make_params, query_vectors
 from tests.oracles import oracle_polynomial_expand
 
@@ -50,7 +51,7 @@ def test_enumerate_single_query_uniform():
     params = t1()
 
     def view(assignment):
-        return query_vectors(1, params.upsilon[:1], [assignment], params)[0]
+        return query_vectors(1, [assignment], params)[0]  # at the first point
 
     dist = audit.enumerate_distribution(view, 2, 3)
     assert len(dist) == 9
@@ -113,9 +114,9 @@ def test_non_affine_view_raises_naming_point():
 
 
 def test_non_affine_scheme_fails_the_affinity_check(monkeypatch):
-    def squared(theta, powers, noise_rows, params):
+    def squared(theta, noise_rows, params):
         return tuple(tuple(x * x % params.p for x in q)
-                     for q in query_vectors(theta, powers, noise_rows, params))
+                     for q in query_vectors(theta, noise_rows, params))
 
     monkeypatch.setattr(audit, "query_vectors", squared)
     with pytest.raises(IntegrityError, match="audit query-privacy: .*point"):
@@ -290,6 +291,22 @@ def test_symmetric_privacy_pma1_fails():
 def test_symmetric_privacy_zero_blinding_fails():
     assert not audit.audit_symmetric_privacy(t1("spma1"), zero_blinding=True).passed
     assert not audit.audit_symmetric_privacy(t2(), zero_blinding=True).passed
+
+
+def test_blinding_kernel_that_drops_its_deepest_scalar_fails_symmetric_privacy(monkeypatch):
+    """Runs and audit views blind through one kernel, so a broken kernel
+    reaches both: the runs still decode, since blinding touches only the
+    non-constant coefficients, and the lemma-1 audit fails."""
+    blind = Upsilon.blind
+    monkeypatch.setattr(Upsilon, "blind", lambda ups, scalars: blind(ups, scalars[:-1]))
+    for config in (RunConfig("spma1", m=3, e=4, t=2, seed=11),
+                   RunConfig("spma2", m=4, e=3, t=1, seed=11)):
+        report = run_protocol(config)  # raises on a count that is not the oracle's
+        assert [r["count"] for r in report["results"]] == \
+            [r["oracle_count"] for r in report["results"]]
+    report = run_audit_suite("symmetric-privacy:spma1")
+    assert [(c["name"], c["verdict"]) for c in report["cases"]] == \
+        [("symmetric-privacy:spma1", "fail")]
 
 
 def test_symmetric_privacy_single_element_vacuous():

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pma import pma1, spma1
+from pma import pma1
 from pma.errors import IntegrityError, ParameterError
-from pma.field import (LaneMask, PrimeField, build_upsilon, default_alphas, is_prime,
-                       masked_lane_sum, noise_pad_scalar, noise_pad_vector, solve_linear)
+from pma.field import (LaneMask, PrimeField, Upsilon, build_upsilon, default_alphas,
+                       is_prime, masked_lane_sum, noise_pad_vector, solve_linear)
 from pma.model import PartyDataset, RandomSource, incidence, make_params, query_vectors
+from tests.oracles import ref_blinding
 
 
 def mat_vec(field, m, v):
@@ -396,28 +397,46 @@ def test_solve_shape_errors():
 
 
 def test_noise_pad_vector_direct():
-    # rows of Upsilon over GF(5) at alpha = 1 and 2: (1, 2, 4) and (1, 3, 4)
+    # Upsilon over GF(5) at alpha = 1 and 2 has the rows (1, 2) and (1, 3):
     # 1 + (1+1)^1 * 2 = 5 = 0 and 1 + (1+2)^1 * 2 = 7 = 2 mod 5
-    f = PrimeField(5)
-    assert noise_pad_vector(f, (1,), [(1, 2, 4), (1, 3, 4)], [(2,)]) == ((0,), (2,))
-    assert noise_pad_vector(f, (1, 2), [], [(2, 3)]) == ()
+    ups = build_upsilon(PrimeField(5), (1, 2))
+    assert noise_pad_vector(ups, (1,), [(2,)]) == ((0,), (2,))
+    assert noise_pad_vector(ups, (1, 2), []) == ((1, 2),) * 2
 
 
-def test_noise_pad_scalar_direct():
-    # 3 + 2*1 + 4*2 = 13 = 3 mod 5, with the Upsilon row (1, 2, 4) at alpha = 1
-    f = PrimeField(5)
-    assert noise_pad_scalar(f, 3, (1, 2, 4), (1, 2)) == 3
-    assert noise_pad_scalar(f, 3, (1,), ()) == 3
+def test_blind_direct():
+    # Upsilon over GF(5) at alpha = 1, 2, 3 has the rows (1, 2, 4), (1, 3,
+    # 4) and (1, 4, 1): 2*1 + 4*2 = 10 = 0, 3 + 8 = 11 = 1 and 4 + 2 = 1
+    ups = build_upsilon(PrimeField(5), (1, 2, 3))
+    assert ups.blind((1, 2)) == [0, 1, 1]
+    assert ups.blind(()) == ups.blind(b"") == [0, 0, 0]
 
 
 def test_noise_pad_rejects_ragged_rows_and_short_powers():
-    f = PrimeField(5)
+    # two points: Upsilon has the powers x^0 and x^1, so depth 1 at most
+    ups = build_upsilon(PrimeField(5), (1, 2))
     with pytest.raises(ParameterError, match="noise row length"):
-        noise_pad_vector(f, (1, 2), [(1, 2, 4)], [(1, 2), (3,)])
-    with pytest.raises(ParameterError, match="needs powers up to x\\^2"):
-        noise_pad_vector(f, (1, 2), [(1, 2, 4), (1, 3)], [(1, 2), (3, 4)])
-    with pytest.raises(ParameterError, match="needs powers up to x\\^2"):
-        noise_pad_scalar(f, 3, (1, 2), (1, 2))
+        noise_pad_vector(ups, (1, 2), [(1, 2), (3,)])
+    with pytest.raises(ParameterError, match="noise of depth 2 needs powers up to x\\^2"):
+        noise_pad_vector(ups, (1, 2), [(1, 2), (3, 4)])
+    with pytest.raises(ParameterError, match="noise of depth 2 needs powers up to x\\^2"):
+        ups.blind((1, 2))
+
+
+@pytest.mark.parametrize("p", (3, 131, 2 ** 61 - 1))
+def test_blind_matches_the_per_point_reference(p):
+    # depths 0, 1 and N-1, with drawn scalars and with every scalar at p-1;
+    # N = 2 at p = 3, else the N = 64 shape. Depth N or more has no powers
+    # to weight with and is refused, naming the depth.
+    n = min(p - 1, 64)
+    ups = build_upsilon(PrimeField(p), default_alphas(p, n))
+    rng = RandomSource(p)
+    for depth in (0, 1, n - 1):
+        for scalars in ((p - 1,) * depth, rng.draw_vector(p, depth)):
+            assert ups.blind(scalars) == [ref_blinding(p, row, scalars) for row in ups]
+    for depth in (n, n + 1):
+        with pytest.raises(ParameterError, match=f"noise of depth {depth} needs"):
+            ups.blind((1,) * depth)
 
 
 # not elements of GF(5): negative, equal to p, not an int. The pads take
@@ -432,7 +451,7 @@ def test_noise_pad_vector_rejects_bad_base(bad):
     with pytest.raises(ParameterError, match="outside universe"):
         incidence(PartyDataset(frozenset({2, bad})), 3)
     with pytest.raises(ParameterError, match="outside 1..3"):
-        query_vectors(bad, ((1,),), (), make_params("pma1", 2, 3, t=1, p=5))
+        query_vectors(bad, (), make_params("pma1", 2, 3, t=1, p=5))
 
 
 # Per-element references: one modular multiply-add at a time, as the
@@ -498,18 +517,19 @@ def field_vectors(draw):
 def test_vector_ops_match_per_element_reference(case):
     p, u, v, rows, alphas, extra, scalar, noise = case
     f = PrimeField(p)
-    powers = [tuple(ref_weight(p, a, k) for k in range(len(rows) + 1 + extra))
-              for a in alphas]
+    ups = Upsilon(p, [tuple(ref_weight(p, a, k) for k in range(len(rows) + 1 + extra))
+                      for a in alphas])
     assert f.dot(u, v) == ref_dot(p, u, v)
-    assert noise_pad_vector(f, u, powers, rows) == tuple(
+    assert noise_pad_vector(ups, u, rows) == tuple(
         ref_pad_vector(p, u, a, rows) for a in alphas)
-    # type-I answers read 0/1 incidence bits as member sums
+    # type-I answers read 0/1 incidence bits as member sums, plus a mask
+    # and the blinding at their point
     bits = [a % 2 for a in u]
     assert pma1.answer(bits, v, scalar, f) == (ref_dot(p, bits, v) + scalar) % p
-    for alpha, w in zip(alphas, powers):
-        assert noise_pad_scalar(f, scalar, w, noise) == \
-            ref_pad_scalar(p, scalar, alpha, noise)
-        assert spma1.answer(bits, v, noise, scalar, w, f) == (
+    pads = ups.blind(noise)
+    for alpha, pad in zip(alphas, pads):
+        assert pad == ref_pad_scalar(p, 0, alpha, noise)
+        assert pma1.answer(bits, v, scalar + pad, f) == (
             ref_dot(p, bits, v) + ref_pad_scalar(p, 0, alpha, noise) + scalar) % p
 
 
@@ -529,33 +549,37 @@ def ref_pad_rows(p, base, powers, rows):
 @pytest.mark.parametrize("p", (131, 2 ** 61 - 1))
 def test_deep_pad_worst_case_slot_sums(p):
     # every input at p-1 fills each packed slot to its bound
-    # (p-1) + depth*(p-1)^2; 64 points and depth 63, as on the N=64 shape
-    f = PrimeField(p)
+    # (p-1) + depth*(p-1)^2; 64 points and depth 63, as on the N=64 shape;
+    # the blinding fills it to depth*(p-1)^2
     top = p - 1
-    powers = [(top,) * 64] * 64
+    ups = Upsilon(p, [(top,) * 64] * 64)
     for length in (0, 1, 2):
         base, rows = (top,) * length, [(top,) * length] * 63
-        assert noise_pad_vector(f, base, powers, rows) == ref_pad_rows(p, base, powers, rows)
+        assert noise_pad_vector(ups, base, rows) == ref_pad_rows(p, base, ups, rows)
+    scalars = (top,) * 63
+    assert ups.blind(scalars) == [ref_blinding(p, row, scalars) for row in ups]
 
 
 def test_deep_pad_packed_columns_follow_the_rows_given(upsilon_builds):
-    # an Upsilon packs its columns once per depth; other rows, as the
-    # audits' row subsets, are packed on every call
+    # an Upsilon packs its columns once per depth, for its pads and its
+    # blinding alike; a pad runs over every point, and the audits read
+    # their taps from it
     p = 131
     f = PrimeField(p)
     rng = RandomSource(17)
     alphas = default_alphas(p, 64)
     ups = build_upsilon(f, alphas)
     taps = (3, 0, 40, 63)
-    subset, subset_alphas = [ups[j] for j in taps], [alphas[j] for j in taps]
     for depth in (63, 62, 63):
         rows = [rng.draw_vector(p, 2) for _ in range(depth)]
-        for powers, points in ((ups, alphas), (subset, subset_alphas), (ups, alphas)):
-            padded = noise_pad_vector(f, (1, 0), powers, rows)
-            assert padded == ref_pad_rows(p, (1, 0), powers, rows)
-            assert padded == tuple(ref_pad_vector(p, (1, 0), a, rows) for a in points)
+        scalars = rng.draw_vector(p, depth)
+        padded = noise_pad_vector(ups, (1, 0), rows)
+        assert padded == ref_pad_rows(p, (1, 0), ups, rows)
+        assert [padded[j] for j in taps] == [ref_pad_vector(p, (1, 0), alphas[j], rows)
+                                             for j in taps]
+        assert ups.blind(scalars) == [ref_blinding(p, row, scalars) for row in ups]
     assert [(powers is ups, depth) for _, powers, depth in upsilon_builds] == \
-        [(True, 63), (False, 63), (True, 62), (False, 62), (False, 63)]
+        [(True, 63), (True, 62)]
 
 
 @st.composite
@@ -584,14 +608,13 @@ def lane_pads(draw, length):
 @given(data=st.data())
 def test_byte_lane_pads_match_the_reference(length, data):
     p, base, alphas, rows = data.draw(lane_pads(length))
-    f = PrimeField(p)
-    powers = [tuple(pow(1 + a, k, p) for k in range(4)) for a in alphas]
+    powers = Upsilon(p, [tuple(pow(1 + a, k, p) for k in range(4)) for a in alphas])
     expected = ref_pad_rows(p, base, powers, rows)
     # the lane path, with its bytes rows, is chosen by p, length and sparsity
     lanes = length >= 16 and p <= 128 and sum(map(bool, base)) <= 1
     # a query's base is bytes, any other a tuple
     for given_base in (tuple(base), bytes(base)):
-        padded = noise_pad_vector(f, given_base, powers, rows)
+        padded = noise_pad_vector(powers, given_base, rows)
         assert tuple(map(tuple, padded)) == expected
         assert {type(row) for row in padded} == {bytes if lanes else tuple}
 
@@ -599,12 +622,11 @@ def test_byte_lane_pads_match_the_reference(length, data):
 def test_byte_lane_pads_reduce_full_lanes():
     # every entry at p-1, three rows: a lane is reduced before the last add
     for p, length in ((127, 17), (113, 16), (127, 10_000)):
-        f = PrimeField(p)
         top = p - 1
-        powers = [(top,) * 4, (1, 2, 4, 8)]
+        powers = Upsilon(p, [(top,) * 4, (1, 2, 4, 8)])
         for base in ((top,) + (0,) * (length - 1), (0,) * (length - 1) + (top,)):
             rows = [(top,) * length] * 3
-            padded = noise_pad_vector(f, bytes(base), powers, rows)
+            padded = noise_pad_vector(powers, bytes(base), rows)
             assert tuple(map(tuple, padded)) == ref_pad_rows(p, base, powers, rows)
             assert {type(row) for row in padded} == {bytes}
 
@@ -649,22 +671,3 @@ def test_solve_takes_only_an_upsilon_of_its_field(upsilon_builds):
     with pytest.raises(ParameterError, match=r"only an Upsilon of GF\(137\)"):
         solve_linear(PrimeField(137), ups, rhs)
     assert upsilon_builds == [("inverse", ups, None)]
-
-
-def test_plain_copy_of_upsilon_is_packed_on_every_call(upsilon_builds):
-    # the N = 64 shape: plain rows equal to Upsilon pad to the same values,
-    # and are packed on every call; an Upsilon only once per depth
-    p = 131
-    f = PrimeField(p)
-    ups = build_upsilon(f, default_alphas(p, 64))
-    rows = [(3, 4)] * 63
-    copies = (tuple(map(tuple, ups)), [list(row) for row in ups])
-    for matrix in (ups, *copies, ups, *copies):
-        assert noise_pad_vector(f, (1, 0), matrix, rows) == ref_pad_rows(p, (1, 0), ups, rows)
-    built = [(kind, matrix is ups) for kind, matrix, _ in upsilon_builds]
-    assert built == [("pack", True)] + [("pack", False)] * 4
-    # the Upsilon of GF(131) is packed apart from its own columns in GF(137)
-    other = PrimeField(137)
-    assert noise_pad_vector(other, (1, 0), ups, rows) == ref_pad_rows(137, (1, 0), ups, rows)
-    assert len(upsilon_builds) == 6 and upsilon_builds[-1] == ("pack", ups, 63)
-    assert upsilon_builds[-1][1] is ups

@@ -405,6 +405,7 @@ SUITE_LAWS = {
     "control:zero-masks-blind": (4, 1, 2),
     "control:pma1-symmetric": (2, 2, 20),
     "control:zero-blinding-symmetric": (2, 2, 20),
+    "control:zero-blinding-symmetric-spma2": (0, 0, 20),
     "control:zero-storage-noise": (0, 0, 4),
     "control:overbudget-storage": (2, 2, 4),
     "control:overbudget-eavesdropper": (2, 2, 8),

@@ -457,13 +457,14 @@ def test_query_vectors_match_the_reference(p, e):
         warnings.simplefilter("ignore", UserWarning)
         params = make_params("pma1", 2, e, t=0, p=p)
     # depth 0 (clear queries), 1 and 2 take the row branch, depth E too;
-    # E + 2 takes the packed deep branch
+    # E + 2 takes the packed deep branch; queries run over every point
     for depth in (0, 1, 2, e, e + 2):
         xs = (2, 1)[:2 if depth else 1]
-        powers = [tuple(pow(x, k, p) for k in range(depth + 1)) for x in xs]
+        powers = Upsilon(p, [tuple(pow(x, k, p) for k in range(depth + 1)) for x in xs])
+        vars(params)["upsilon"] = powers  # the points these queries are padded at
         rows = [rng.draw_vector(p, e) for _ in range(depth)]
         for theta in (1, e):
-            queries = query_vectors(theta, powers, rows, params)
+            queries = query_vectors(theta, rows, params)
             assert tuple(map(tuple, queries)) == \
                 ref_query_vectors(theta, e, powers, rows, p), (depth, theta)
             lanes = 0 < depth <= e and e >= 16 and p <= 128  # the pad's lane path
@@ -496,10 +497,10 @@ def test_true_count_range_check():
 def test_unit_vector():
     # a query without noise is the unit vector of the queried index
     params = make_params("pma1", 2, 3, t=1)
-    assert query_vectors(1, ((1,),), (), params) == ((1, 0, 0),)
-    assert query_vectors(3, ((1,), (1, 2)), (), params) == ((0, 0, 1),) * 2
+    assert query_vectors(1, (), params) == ((1, 0, 0),) * 2
+    assert query_vectors(3, (), params) == ((0, 0, 1),) * 2
     with pytest.raises(ParameterError):
-        query_vectors(4, ((1,),), (), params)
+        query_vectors(4, (), params)
 
 
 def test_generate_extremes_and_determinism():

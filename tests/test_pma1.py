@@ -32,9 +32,11 @@ def test_zero_noise_queries_are_unit_vectors():
 
 def test_query_vector_direct_evaluation():
     # e_1 + (1+1)^1 * (1,2) = (1,0) + (2,4) = (0,1) over GF(3), at the
-    # Upsilon row (1, 2) of alpha = 1; the row (1, 0) of alpha = 2 gives e_1
+    # Upsilon row (1, 2) of alpha = 1; the row (1, 1) of alpha = 0 gives
+    # (1,0) + (1,2) = (2,2)
     params = make_params("pma1", 2, 2, t=1, y=0, p=3)
-    assert query_vectors(1, [(1, 2), (1, 0)], [(1, 2)], params) == ((0, 1), (1, 0))
+    assert params.upsilon == ((1, 2), (1, 1))
+    assert query_vectors(1, [(1, 2)], params) == ((0, 1), (2, 2))
 
 
 def test_queries_deterministic_per_seed():

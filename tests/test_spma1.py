@@ -6,11 +6,11 @@ import pytest
 
 from pma import pma1, spma1
 from pma.errors import ParameterError
-from pma.field import PrimeField, noise_pad_scalar
+from pma.field import PrimeField, build_upsilon
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
                        make_params, true_count)
 from pma.transcript import MASK_SHARE, NOISE_SHARE, QUERY
-from tests.oracles import unit_vector
+from tests.oracles import ref_blinding, unit_vector
 
 P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
 P2 = PartyDataset(frozenset({2, 3, 4}))
@@ -47,14 +47,16 @@ def test_answer_reduces_to_unblinded_with_zero_noise():
     f = PrimeField(11)
     bits = (0, 1, 1, 1, 0)
     q = unit_vector(2, 5)
-    powers = (1, 2)  # the Upsilon row at alpha = 1: (1+1)^0, (1+1)^1
-    assert spma1.answer(bits, q, (0,), 3, powers, f) == pma1.answer(bits, q, 3, f)
+    ups = build_upsilon(f, (1, 2))  # the row at alpha = 1: (1+1)^0, (1+1)^1
+    assert ups.blind((0,)) == [0, 0]
+    assert spma1.answer(bits, q, 3 + ups.blind((0,))[0], f) == pma1.answer(bits, q, 3, f)
 
 
 def test_answer_direct_evaluation():
     # <P, e1> + (1+1)^1 * 2 = 1 + 4 = 0 over GF(5)
     f = PrimeField(5)
-    assert spma1.answer((1, 0), (1, 0), (2,), 0, (1, 2), f) == 0
+    pad = build_upsilon(f, (1, 2)).blind((2,))[0]
+    assert spma1.answer((1, 0), (1, 0), pad, f) == 0
 
 
 def test_answer_noise_only_passthrough():
@@ -63,13 +65,15 @@ def test_answer_noise_only_passthrough():
     zrow = (3, 5)
     x = 2  # 1 + alpha with alpha = 1
     expected = (x * 3 + x * x * 5) % 7
-    assert spma1.answer((1, 1), (0, 0), zrow, 0, (1, x, x * x % 7), f) == expected
+    pad = build_upsilon(f, (1, 2, 3)).blind(zrow)[0]
+    assert spma1.answer((1, 1), (0, 0), pad, f) == expected
 
 
 def test_run_and_blinding_draw_are_the_plain_schemes():
-    """One type-I run: spma1 re-exports pma1's, by identity, so a wrapper
-    installed on either name is the one that runs."""
+    """One type-I run and answer: spma1 re-exports pma1's, by identity,
+    so a wrapper installed on either name is the one that runs."""
     assert spma1.run is pma1.run
+    assert spma1.answer is pma1.answer
     assert spma1.draw_party_noise is pma1.draw_party_noise
 
 
@@ -119,7 +123,7 @@ def test_blinded_run_is_plain_run_plus_blinding():
              if ev.category in (QUERY, MASK_SHARE)]
         for i, row in enumerate(run_sym.answers):
             for j, a in enumerate(row):
-                pad = noise_pad_scalar(sp.field, 0, sp.upsilon[j], run_sym.blinding[i])
+                pad = ref_blinding(sp.p, sp.upsilon[j], run_sym.blinding[i])
                 assert a == (run_plain.answers[i][j] + pad) % sp.p
 
 
@@ -129,8 +133,9 @@ def test_blinded_run_is_plain_run_plus_blinding():
     (2, 3, 0, None),  # N=1: no blinding scalars at all
 ])
 def test_packed_blinding_matches_scalar_reference(m, e, t, p):
-    """run pads a party's blinding at every point in one call; each answer
-    is still the plain answer plus the scalar pad of its Upsilon row."""
+    """run blinds a party at every point through one Upsilon.blind; each
+    answer is the plain answer plus the blinding at its row of Upsilon,
+    computed one term at a time."""
     with pytest.warns(UserWarning, match="in the clear") if t == 0 else nullcontext():
         params = make_params("spma1", m, e, t=t, p=p)
     f, ups = params.field, params.upsilon
@@ -142,7 +147,7 @@ def test_packed_blinding_matches_scalar_reference(m, e, t, p):
         bits = incidence(d, e)
         for j, a in enumerate(run.answers[i]):
             plain = pma1.answer(bits, run.queries.queries[i][j], run.masks[i][j], f)
-            assert a == (plain + noise_pad_scalar(f, 0, ups[j], run.blinding[i])) % params.p
+            assert a == (plain + ref_blinding(params.p, ups[j], run.blinding[i])) % params.p
 
 
 def test_blinding_changes_answers_but_not_count():

@@ -117,12 +117,13 @@ def test_queries_reproducible():
 
 def test_answer_degenerate_cases():
     f = PrimeField(7)
+    ups = build_upsilon(f, (1, 2, 3))
     # all noise zero: the answer is the aggregated bit at theta
-    assert spma2.answer((2, 1), (1, 0), (0, 0), (1, 2, 4), f) == 2
+    assert spma2.answer((2, 1), (1, 0), ups.blind((0, 0))[0], f) == 2
     # zero storage and query: only the blinding polynomial remains
     zp = (3, 4)
     x = 3  # 1 + alpha, alpha = 2
-    assert spma2.answer((0, 0), (0, 0), zp, (1, x, x * x % 7), f) == (x * 3 + x * x * 4) % 7
+    assert spma2.answer((0, 0), (0, 0), ups.blind(zp)[1], f) == (x * 3 + x * x * 4) % 7
 
 
 def test_decode_round_trip_constant_coefficient():
@@ -206,10 +207,9 @@ def test_degree_accounting_against_expansion_oracle():
         for c in reversed(coeffs):
             value = (value * x + c) % params.p
         blinded = spma2.answer(run.aggregated[n], run.queries.queries[n],
-                               run.blinding, params.upsilon[n], f)
+                               params.upsilon.blind(run.blinding)[n], f)
         assert blinded == run.answers[n]
-        unblinded = spma2.answer(run.aggregated[n], run.queries.queries[n],
-                                 (0,) * (params.n_eff - 1), params.upsilon[n], f)
+        unblinded = spma2.answer(run.aggregated[n], run.queries.queries[n], 0, f)
         assert value == unblinded
 
 
