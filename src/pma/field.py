@@ -24,10 +24,11 @@ it hashes a tuple of values in 0..255. Any other vector is a tuple. The
 form depends only on p, lengths and how sparse the base is, never on
 random content.
 
-The evaluation matrix is an ``Upsilon``, which memoizes its own inverse and
-packed columns. The solver takes only an Upsilon of its field. Every pad
-runs over all points of an Upsilon, and so does ``Upsilon.blind``, the one
-kernel of the blinding sum_l x^l z_l that runs and audits add to answers.
+The evaluation matrix is an ``Upsilon``, which memoizes its packed columns
+and its inverse, packed too. ``Upsilon.blind``, the one kernel of the
+blinding sum_l x^l z_l that runs and audits add to answers, and
+``solve_linear``, which takes only an Upsilon of its field, are each one
+packed product read back slot by slot. Every pad runs over all points.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ def default_alphas(p: int, count: int) -> tuple[int, ...]:
 
 class Upsilon(tuple):
     """The rows of an evaluation matrix over GF(p), as ``build_upsilon``
-    makes them, with p and a memo: the inverse, built on first read, and
-    the packed columns, built once per noise depth."""
+    makes them, with p and a memo: the packed inverse, built on first
+    read, and the packed columns, built once per noise depth."""
 
     def __new__(cls, p: int, rows):
         self = super().__new__(cls, rows)
@@ -140,16 +141,20 @@ class Upsilon(tuple):
         return self.p, tuple(self)
 
     @cached_property
-    def inverse(self) -> tuple[tuple[int, ...], ...]:
-        """The inverse, by rows. Its points x_j are column 1. Column j holds
-        the coefficients of the Lagrange basis polynomial of x_j: prod_k
-        (x - x_k) divided by (x - x_j), scaled by 1 / prod_{k != j} (x_j -
-        x_k). Repeated points raise on every read: a failed build is not
-        memoized."""
+    def inverse(self) -> tuple[tuple[int, ...], range, int]:
+        """The inverse, packed by columns, with the slot shifts and mask:
+        column j holds row r in the s bits at r*s. A solve sums at most
+        n (p-1)^2 in a slot, so s is that bound's bit length. Column j holds
+        the coefficients of the Lagrange basis polynomial of x_j, the points
+        of column 1: prod_k (x - x_k) divided by (x - x_j), scaled by 1 /
+        prod_{k != j} (x_j - x_k); each is packed as it is computed.
+        Repeated points raise on every read: a failed build is not memoized."""
         p, n = self.p, len(self)
         xs = [row[1] if n > 1 else 0 for row in self]  # 1 x 1: (1,) at any point
         if len(set(xs)) < n:
             raise IntegrityError("singular linear system; evaluation points must be distinct")
+        s = (n * (p - 1) ** 2).bit_length() or 1  # 1 for the empty Upsilon
+        shifts = range(0, n * s, s)
         master = [1]  # prod_k (x - x_k), from the highest power down
         for x in xs:
             master = [(a - x * b) % p for a, b in zip(master + [0], [0] + master)]
@@ -162,8 +167,8 @@ class Upsilon(tuple):
             for c in basis:
                 value = (value * x + c) % p
             scale = pow(value, p - 2, p)
-            columns.append([c * scale % p for c in reversed(basis)])
-        return tuple(zip(*columns))
+            columns.append(sum(map(lshift, [c * scale % p for c in reversed(basis)], shifts)))
+        return tuple(columns), shifts, (1 << s) - 1
 
     def _check_depth(self, depth: int) -> None:
         """Noise of ``depth`` is weighted by columns 1..depth, x^1..x^depth."""
@@ -191,12 +196,18 @@ class Upsilon(tuple):
         columns read back slot by slot. No scalars blind with zeros."""
         if not scalars:
             return [0] * len(self)
-        # a dict read and a plain loop: at 2 or 3 points a call costs as much as the product
+        # a dict read: at 2 or 3 points a call costs as much as the product
         columns, _, shifts, mask = self._packed.get(len(scalars)) or self.packed(len(scalars))
-        t, p, out = sum(map(mul, scalars, columns)), self.p, []
-        for shift in shifts:
-            out.append((t >> shift & mask) % p)
-        return out
+        return _slots(sum(map(mul, scalars, columns)), shifts, mask, self.p)
+
+
+def _slots(t: int, shifts: range, mask: int, p: int) -> list[int]:
+    """Every slot of the packed product t, mod p; a plain loop, as a
+    comprehension's own call costs as much as 2 or 3 slots."""
+    out = []
+    for shift in shifts:
+        out.append((t >> shift & mask) % p)
+    return out
 
 
 def build_upsilon(field: PrimeField, alphas: Sequence[int]) -> Upsilon:
@@ -216,17 +227,18 @@ def build_upsilon(field: PrimeField, alphas: Sequence[int]) -> Upsilon:
 
 def solve_linear(field: PrimeField, m, rhs) -> list[int]:
     """Solve m x = rhs over GF(p) for m an Upsilon of this field, as
-    ``build_upsilon`` makes it: one dot per unknown with a row of its
-    inverse, built once. Any other matrix is refused. Repeated points,
-    unreachable from valid parameters, mean corrupted inputs; they raise
-    on every call."""
+    ``build_upsilon`` makes it: one product of rhs with its packed inverse,
+    built once, read back slot by slot. Any other matrix is refused.
+    Repeated points, unreachable from valid parameters, mean corrupted
+    inputs; they raise on every call."""
     p = field.p
     if not (isinstance(m, Upsilon) and m.p == p):
         raise ParameterError(f"only an Upsilon of GF({p}) is solved")
     if len(rhs) != len(m):
         raise ParameterError(f"right-hand side has length {len(rhs)}, expected {len(m)}")
     b = field.check_all(rhs)
-    return [sum(map(mul, row, b)) % p for row in m.inverse]
+    columns, shifts, mask = m.inverse
+    return _slots(sum(map(mul, b, columns)), shifts, mask, p)
 
 
 # Byte lanes serve fields of at most LANES_MAX_P elements. Draws are bytes,
@@ -320,9 +332,8 @@ def noise_pad_vector(upsilon: Upsilon, base: Sequence[int],
     if 0 < len(base) < depth:
         # deep noise (high collusion): per entry, one packed product for all points
         packed, ones, shifts, mask = upsilon.packed(depth)
-        entries = [[(t >> shift & mask) % p for shift in shifts]
-                   for t in [a * ones + sum(map(mul, column, packed))
-                             for a, column in zip(base, zip(*noise_rows))]]
+        entries = [_slots(a * ones + sum(map(mul, column, packed)), shifts, mask, p)
+                   for a, column in zip(base, zip(*noise_rows))]
         return tuple(zip(*entries))
     if depth and len(base) >= LANES_MIN_LENGTH and p <= LANES_MAX_P:
         unit = bytes(base)

@@ -80,10 +80,9 @@ def remark_total(params: SchemeParams) -> tuple[int, bool]:
 def measure_costs(transcript: Transcript, params: SchemeParams) -> dict:
     """Symbols per link category, checked against the bound and the
     closed form."""
-    download = transcript.symbols_in(ANSWER)
-    upload = transcript.symbols_in(QUERY)
-    randomness = transcript.symbols_in(MASK_SHARE) + transcript.symbols_in(NOISE_SHARE)
-    storage = transcript.symbols_in(STORAGE_SHARE)
+    tally = transcript.symbols_by_category()
+    download, upload, storage = tally[ANSWER], tally[QUERY], tally[STORAGE_SHARE]
+    randomness = tally[MASK_SHARE] + tally[NOISE_SHARE]
     accounted = download + upload + randomness
     bound = theorem_bound(params)
     remark, applies = remark_total(params)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ParameterError
 from .field import LaneMask, masked_lane_sum
@@ -118,21 +118,6 @@ def emit_query_events(params: SchemeParams, queries: QuerySet, tr: Transcript) -
             tr.emit(ROUND_QUERY, "user", name, link, QUERY, query)
 
 
-def answer_table(params: SchemeParams, tr: Transcript,
-                 reply: Callable[[int, int], int]) -> tuple:
-    """Every database's reply, ``reply(i, j)`` for database j+1 of party
-    i+1, logged on its link; rows are parties."""
-    table = []
-    for i, names in enumerate(_db_names(params.m, params.n)):
-        row = []
-        for j, (name, link) in enumerate(names):
-            a = reply(i, j)
-            tr.emit(ROUND_ANSWER, name, "user", link, ANSWER, (a,))
-            row.append(a)
-        table.append(tuple(row))
-    return tuple(table)
-
-
 def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
         rng: RandomSource) -> ProtocolRun:
     if params.is_type2:
@@ -153,11 +138,14 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     offsets = [[s + z for s, z in zip(row, params.upsilon.blind(zrow))]
                for row, zrow in zip(masks, blinding)]
     emit_query_events(params, queries, tr)
-    # a party's bytes queries are summed through one LaneMask of its bits
-    bits = [LaneMask(b) if type(row[0]) is bytes else b
-            for b, row in zip(bits, queries.queries)]
-    table = answer_table(params, tr, lambda i, j: answer(
-        bits[i], queries.queries[i][j], offsets[i][j], params.field))
+    table, field, emit = [], params.field, tr.emit
+    for b, row, offset, names in zip(bits, queries.queries, offsets,
+                                     _db_names(params.m, params.n)):
+        if type(row[0]) is bytes:  # a party's bytes queries share one LaneMask of its bits
+            b = LaneMask(b)
+        table.append(tuple([answer(b, q, o, field) for q, o in zip(row, offset)]))
+        for a, (name, link) in zip(table[-1], names):
+            emit(ROUND_ANSWER, name, "user", link, ANSWER, (a,))
     return ProtocolRun(params=params, theta=theta, count=decode(table, params),
-                       queries=queries, masks=masks, answers=table, transcript=tr,
+                       queries=queries, masks=masks, answers=tuple(table), transcript=tr,
                        blinding=blinding)

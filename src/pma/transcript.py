@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections import Counter
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _string
 from typing import NamedTuple, Sequence
@@ -25,6 +26,8 @@ ANSWER = "answer"
 MASK_SHARE = "mask-share"
 NOISE_SHARE = "noise-share"
 STORAGE_SHARE = "storage-share"
+
+_tuple_new = tuple.__new__  # builds an Event without the NamedTuple's Python-level __new__
 
 
 class Event(NamedTuple):
@@ -43,19 +46,23 @@ class Transcript:
 
     def emit(self, round: int, sender: str, receiver: str, link: str,
              category: str, values=(), symbols: int | None = None) -> Event:
-        if type(values) is not bytes:
+        if type(values) is not tuple and type(values) is not bytes:
             values = tuple(values)
         if symbols is None:
             symbols = len(values)
         if type(round) is not int or type(symbols) is not int:  # not a bool either
             raise ParameterError(f"event round and symbol count must be ints, "
                                  f"got {round!r} and {symbols!r}")
-        ev = Event(round, sender, receiver, link, category, values, symbols)
+        ev = _tuple_new(Event, (round, sender, receiver, link, category, values, symbols))
         self.events.append(ev)
         return ev
 
-    def symbols_in(self, category: str) -> int:
-        return sum(ev.symbols for ev in self.events if ev.category == category)
+    def symbols_by_category(self) -> Counter:
+        """Symbols per link category, in one pass; an absent category reads 0."""
+        tally = {}
+        for _, _, _, _, category, _, symbols in self.events:
+            tally[category] = tally.get(category, 0) + symbols
+        return Counter(tally)
 
     def digest(self) -> str:
         """SHA-256 of a length-framed binary encoding of every event.
@@ -69,25 +76,30 @@ class Transcript:
         little-endian 64-bit words. Field elements always fit, since p <
         2^64; any other value raises struct.error. The encoding depends on
         the values only, never on whether they came as bytes or a tuple.
+        All of it is hashed in one update.
         """
-        h = hashlib.sha256()
-        for ev in self.events:
+        parts = []
+        frames = _frames(tuple([(r, s, d, link, c, symbols, len(values))
+                                for r, s, d, link, c, values, symbols in self.events]))
+        for frame, ev in zip(frames, self.events):
             values = ev.values
-            h.update(_frame(ev.round, ev.sender, ev.receiver, ev.link, ev.category,
-                            ev.symbols, len(values)))
             try:  # a bytes payload is returned as it is, not copied
-                tag, payload = b"\x01", bytes(values)
+                parts += (frame, b"\x01", bytes(values))
             except (ValueError, TypeError):  # a value outside 0..255, or no int
-                tag, payload = b"\x00", struct.pack(f"<{len(values)}Q", *values)
-            h.update(tag)
-            h.update(payload)
-        return h.hexdigest()
+                parts += (frame, b"\x00", struct.pack(f"<{len(values)}Q", *values))
+        return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=8)
+def _frames(headers: tuple) -> tuple[bytes, ...]:
+    """The frame of each (round, sender, receiver, link, category, symbols,
+    value count) of a run, in order. Memoized per run shape, as
+    ``model._upsilon`` is: runs of one shape repeat all their headers."""
+    return tuple(_frame(*header) for header in headers)
+
+
 def _frame(round, sender, receiver, link, category, symbols, count) -> bytes:
-    """One event's length-framed header. Memoized: the events of every run
-    of one shape repeat the same headers. ``emit`` admits int rounds and
+    """One event's length-framed header. ``emit`` admits int rounds and
     symbol counts only, so the header is what json.dumps writes."""
     header = (f"[{round}, {_string(sender)}, {_string(receiver)}, {_string(link)}, "
               f"{_string(category)}, {symbols}, {count}]").encode()

@@ -89,7 +89,7 @@ def test_criterion_2_type1_download_cost():
                     params = _make(variant, m, 2, t=t, y=y)
                     datasets = generate_datasets(params, 0.5, RandomSource(m))
                     run = _SCHEMES[variant](params, datasets, 1, RandomSource(0))
-                    measured = run.transcript.symbols_in("answer")
+                    measured = run.transcript.symbols_by_category()["answer"]
                     assert measured == m * (max(t, y) + 1), (variant, m, t, y)
                     downloads[variant] = measured
                 assert downloads["pma1"] == downloads["spma1"]
@@ -116,7 +116,7 @@ def test_criterion_3_type2_download_cost():
         params = _make("spma2", m, 2, t=t, y=y_tuple, n=n)
         datasets = generate_datasets(params, 0.5, RandomSource(n_eff))
         run = spma2.run(params, datasets, 1, RandomSource(1))
-        assert run.transcript.symbols_in("answer") == n_eff
+        assert run.transcript.symbols_by_category()["answer"] == n_eff
         for ev in run.transcript.events:
             for name in (ev.sender, ev.receiver):
                 if name.startswith("d") and name[1:].isdigit():

@@ -28,8 +28,8 @@ def _lru_caches():
 def test_every_lru_cache_is_bounded():
     caches = _lru_caches()
     assert {"pma.field._scale_table", "pma.model._upsilon", "pma.pma1._db_names",
-            "pma.transcript._frame"} <= set(caches)
-    # Upsilon memoizes its own inverse and packed columns
+            "pma.transcript._frames"} <= set(caches)
+    # Upsilon memoizes its packed inverse and packed columns itself
     assert [name for name in caches if name.startswith("pma.field.")] == \
         ["pma.field._scale_table"]
     assert [name for name, cache in caches.items()

@@ -256,6 +256,20 @@ def test_solve_collusion_wide_shape():
         assert mat_vec(f, ups, x) == tuple(rhs)
 
 
+@pytest.mark.parametrize("p,n", [(p, n) for p in (3, 131, 2 ** 61 - 1) for n in (0, 1, 2, 64)
+                                  if n < p])  # GF(3) has only two usable points
+def test_packed_solve_at_its_largest_slot_sums(p, n):
+    # a right-hand side of all p-1 fills every slot of the packed inverse's
+    # product towards its bound, n (p-1)^2; the empty Upsilon solves to []
+    f = PrimeField(p)
+    ups = build_upsilon(f, default_alphas(p, n))
+    rhs = [p - 1] * n
+    columns, shifts, mask = ups.inverse
+    assert len(columns) == len(shifts) == n and mask.bit_length() >= 1
+    assert solve_linear(f, ups, rhs) == ref_solve(p, ups, rhs)
+    assert mat_vec(f, ups, solve_linear(f, ups, rhs)) == tuple(rhs)
+
+
 def test_solve_singular_systems_raise():
     rng = RandomSource(9)
     for p in (2, 7, 131):
@@ -281,7 +295,7 @@ def test_solve_singular_systems_raise():
 
 def test_solve_factors_each_matrix_once(upsilon_builds):
     # five right-hand sides on one Upsilon, as lists and then as tuples: one
-    # inverse, then a dot per unknown only; the same matrix as plain rows
+    # inverse, then one packed product per solve; the same matrix as plain rows
     # is refused on every call and builds nothing
     p = 131
     f = PrimeField(p)

@@ -463,7 +463,7 @@ def test_blinding_drawn_and_billed_at_blinding_depth(variant, scheme, t, depth):
     rows = (run.blinding,) if params.is_type2 else run.blinding  # type I: a row per party
     assert len(rows) == (1 if params.is_type2 else params.m)
     assert all(len(row) == depth for row in rows)
-    assert run.transcript.symbols_in(NOISE_SHARE) == depth
+    assert run.transcript.symbols_by_category()[NOISE_SHARE] == depth
 
 
 def _leaves(obj):

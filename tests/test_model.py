@@ -749,14 +749,17 @@ def test_runs_of_one_shape_invert_upsilon_once(upsilon_builds):
 
 @pytest.mark.parametrize("variant,scheme", [("pma1", pma1), ("spma1", spma1), ("spma2", spma2)])
 def test_params_and_runs_survive_pickle_and_deepcopy(variant, scheme):
-    # with Upsilon's inverse and packed columns built
+    # with Upsilon's packed inverse and packed columns built: each one int
+    # per column, with no copy of the inverse by rows; copies carry both
     params = make_params(variant, 3, 2, t=1)
     run = scheme.run(params, [PartyDataset(frozenset({1, 2}))] * 3, 2, RandomSource(4))
     ups = params.upsilon
     built = ups.inverse, ups.packed(1)
+    assert [type(column) for column in built[0][0]] == [int] * len(ups)
     for copied in (pickle.loads(pickle.dumps((params, run))), copy.deepcopy((params, run))):
         copied_params, copied_run = copied
         for p in (copied_params, copied_run.params):
             assert p == params and type(p.upsilon) is Upsilon and p.upsilon.p == params.p
+            assert {"inverse", "_packed"} <= set(vars(p.upsilon))  # carried, not rebuilt
             assert p.upsilon == ups and (p.upsilon.inverse, p.upsilon.packed(1)) == built
         assert (copied_run.count, copied_run.answers) == (3, run.answers)

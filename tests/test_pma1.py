@@ -9,7 +9,7 @@ from pma.errors import IntegrityError, ParameterError
 from pma.field import PrimeField
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
                        make_params, query_vectors, true_count)
-from pma.transcript import ANSWER, MASK_SHARE, QUERY
+from pma.transcript import ANSWER, MASK_SHARE, NOISE_SHARE, QUERY
 from tests.oracles import members_of, oracle_polynomial_expand, unit_vector
 
 P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
@@ -154,11 +154,10 @@ def test_correctness_exhaustive_tiny(variant):
 def test_transcript_symbol_counts():
     params = params_small()
     run = pma1.run(params, [P1, P2], 1, RandomSource(3))
-    tr = run.transcript
+    tally = run.transcript.symbols_by_category()
     m, n, e = params.m, params.n, params.e
-    assert tr.symbols_in(ANSWER) == m * n
-    assert tr.symbols_in(QUERY) == e * m * n
-    assert tr.symbols_in(MASK_SHARE) == (m - 1) * n
+    assert tally == {ANSWER: m * n, QUERY: e * m * n, MASK_SHARE: (m - 1) * n}
+    assert tally[NOISE_SHARE] == 0  # pma1 draws no blinding
 
 
 def test_run_validates_inputs():

@@ -229,12 +229,9 @@ def test_transcript_symbol_counts():
     datasets = [PartyDataset(frozenset({1})), PartyDataset(frozenset({1, 2})),
                 PartyDataset(frozenset())]
     run = spma2.run(params, datasets, 1, RandomSource(0))
-    tr = run.transcript
     n_eff, e, m = params.n_eff, params.e, params.m
-    assert tr.symbols_in(ANSWER) == n_eff
-    assert tr.symbols_in(QUERY) == e * n_eff
-    assert tr.symbols_in(NOISE_SHARE) == n_eff - 1
-    assert tr.symbols_in(STORAGE_SHARE) == m * n_eff * e
+    assert run.transcript.symbols_by_category() == {
+        ANSWER: n_eff, QUERY: e * n_eff, NOISE_SHARE: n_eff - 1, STORAGE_SHARE: m * n_eff * e}
 
 
 def test_noise_share_events_carry_no_values():

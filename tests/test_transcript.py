@@ -7,8 +7,10 @@ from itertools import zip_longest
 
 import pytest
 
+from pma import spma1, transcript
 from pma.errors import ParameterError
-from pma.transcript import ANSWER, QUERY, Transcript, _frame
+from pma.model import PartyDataset, RandomSource, make_params
+from pma.transcript import ANSWER, QUERY, Transcript, _frames
 
 BASE = dict(round=1, sender="user", receiver="d1", link="user:d1",
             category=QUERY, values=(3, 0, 2 ** 64 - 1), symbols=None)
@@ -93,20 +95,43 @@ def test_digest_frames_values_per_event():
 
 
 def test_digest_memo_overflow_interleaved():
-    """More distinct headers than the frame memo holds, digested in turn
-    with a second transcript whose frames it keeps evicting."""
-    size = _frame.cache_parameters()["maxsize"]
-    many = [dict(BASE, receiver=f"d{k}", values=(k,)) for k in range(size + 50)]
-    few = [dict(BASE, sender="d1", receiver="user", category=ANSWER, values=(k,))
-           for k in range(5)]
-    first, second = Transcript(), Transcript()
-    for a, b in zip_longest(many, few):
-        first.emit(**a)
-        if b:
-            second.emit(**b)
+    """More run shapes than the frame memo holds, digested in turn, each
+    evicting the next one's frames. Each shape from the second on is a
+    prefix of the next, and the first shares its leading header with all."""
+    size = _frames.cache_parameters()["maxsize"]
+    shapes = [[dict(BASE, receiver=f"d{k}", values=(k,)) for k in range(count)]
+              for count in range(1, size + 3)]
+    shapes[0] += [dict(BASE, sender="d1", receiver="user", category=ANSWER, values=(k,))
+                  for k in range(5)]
+    transcripts = [Transcript() for _ in shapes]
+    for events in zip_longest(*shapes):
+        for tr, ev in zip(transcripts, events):
+            if ev:
+                tr.emit(**ev)
     for _ in range(2):
-        assert first.digest() == reference_digest(many)
-        assert second.digest() == reference_digest(few)
+        for tr, events in zip(transcripts, shapes):
+            assert tr.digest() == reference_digest(events)
+
+
+def test_runs_of_one_shape_build_their_frames_once(monkeypatch):
+    """spma1 at M = 4, T = 63: 256 databases, more than 512 distinct headers
+    per run, in the same order in every run. A second digest of a run, and
+    the digest of a second run of its shape, build no frame."""
+    params = make_params("spma1", 4, 2, t=63)
+    datasets = [PartyDataset(frozenset({1}))] * 4
+    first, second = (spma1.run(params, datasets, theta, RandomSource(5)).transcript
+                     for theta in (1, 2))
+    assert len({ev[:5] + (ev.symbols, len(ev.values)) for ev in first.events}) > 512
+    _frames.cache_clear()
+    digest = first.digest()
+    built, frame = [], transcript._frame
+    monkeypatch.setattr(transcript, "_frame", lambda *header: built.append(header) or
+                        frame(*header))
+    assert first.digest() == digest != second.digest()
+    events = [dict(zip(("round", "sender", "receiver", "link", "category", "values",
+                        "symbols"), ev)) for ev in second.events]
+    assert second.digest() == reference_digest(events)
+    assert built == []
 
 
 @pytest.mark.parametrize("field,value", [
@@ -117,7 +142,7 @@ def test_emit_refuses_non_int_round_and_symbols(field, value):
     # round "true" where an f-string writes "True"; only ints are admitted
     with pytest.raises(ParameterError, match="must be ints"):
         Transcript().emit(**dict(BASE, **{field: value}))
-    _frame.cache_clear()
+    _frames.cache_clear()
     as_int = dict(BASE, round=1, symbols=3)
     assert digest(as_int) == reference_digest([as_int])
 
