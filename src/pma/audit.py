@@ -62,7 +62,8 @@ METHOD = "coset"
 
 class _Cursor:
     """Hands out one flat randomness assignment in order. It stands in for
-    a RandomSource, so views draw through the schemes' own samplers."""
+    a RandomSource, so views draw through the schemes' own samplers, and
+    answer through their ``answer``, as runs do."""
 
     __slots__ = ("flat", "i")
 
@@ -345,18 +346,16 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
     """
     if params.is_type2:
         raise ParameterError("blind-estimation audit applies to the type-I variants")
-    f = params.field
     m, n, e, mu = params.m, params.n, params.e, params.mu
-    ups = params.upsilon
     zero = ((0,) * n,) * m
 
     def view(assignment, theta, bits):
         cur = _Cursor(assignment)
         queries = pma1.gen_queries(theta, params, cur).queries
         masks = zero if zero_masks else pma1.gen_masks(params, cur)
-        pads = list(map(ups.blind, pma1.draw_party_noise(params, cur)))
-        return tuple(pma1.answer(bits[i], queries[i][j], masks[i][j] + pads[i][j], f)
-                     for i in range(m) for j in range(n))
+        blinding = pma1.draw_party_noise(params, cur)
+        return sum(map(pma1.answer, bits, queries, masks, blinding,
+                       itertools.repeat(params)), ())
 
     def classes():
         for theta in range(1, e + 1):
@@ -389,40 +388,34 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
     all ones, and must hold for each of them. The non-symmetric type-I
     scheme is accepted here so the suite can demonstrate that it fails.
     """
-    f = params.field
-    m, e, mu = params.m, params.e, params.mu
-    ups = params.upsilon
+    p, m, e, mu = params.p, params.m, params.e, params.mu
     depth = 0 if zero_blinding else params.blinding_depth
     # secrets(rows) yields (label, kappa, view) per dataset secret, with
     # every query padded by the noise rows ``rows``
     if params.is_type2:
-        n_eff = params.n_eff
         dims = depth
-        xrows = _canonical_rows(params.storage_depth, e, f.p)
+        xrows = _canonical_rows(params.storage_depth, e, p)
 
         def view(assignment, ptildes, queries):
-            pads = ups.blind(_Cursor(assignment).draw_vector(f.p, depth))
-            return tuple(spma2.answer(ptildes[nn], queries[nn], pads[nn], f)
-                         for nn in range(n_eff))
+            blinding = _Cursor(assignment).draw_vector(p, depth)
+            return spma2.answer(ptildes, queries, blinding, params)
 
         def secrets(rows):
             queries = query_vectors(1, rows, params)
             # answers read the datasets only through the aggregated
             # bit-sums, so range over those directly
             for sigma in itertools.product(range(m + 1), repeat=e):
-                ptildes = noise_pad_vector(ups, sigma, xrows)
+                ptildes = noise_pad_vector(params.upsilon, sigma, xrows)
                 yield ("sums", sigma), sigma[0], partial(view, ptildes=ptildes,
                                                          queries=queries)
     else:
-        n = params.n
-        dims = (m - 1) * n + m * depth
+        dims = (m - 1) * params.n + m * depth
 
         def view(assignment, bits, queries):
             cur = _Cursor(assignment)
-            masks = pma1.gen_masks(params, cur)
-            pads = list(map(ups.blind, cur.rows(f.p, m, depth)))
-            return tuple(pma1.answer(bits[i], queries[j], masks[i][j] + pads[i][j], f)
-                         for i in range(m) for j in range(n))
+            masks, blinding = pma1.gen_masks(params, cur), cur.rows(p, m, depth)
+            return sum(map(pma1.answer, bits, itertools.repeat(queries), masks, blinding,
+                           itertools.repeat(params)), ())
 
         def secrets(rows):
             # every party pads with the same rows, so its queries are alike
@@ -491,33 +484,27 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
     the storage noise is held at a fixed realization since the blinding and
     query noise alone must carry the argument.
     """
-    f = params.field
-    e, mu = params.e, params.mu
+    p, e, mu = params.p, params.e, params.mu
     taps = _taps(params, taps)
-    ups = params.upsilon
     depth = params.blinding_depth
 
     if params.is_type2:
         if zero_masks:
             raise ParameterError("zero_masks applies to the type-I variants, "
                                  "whose answers carry masks")
-        m = params.m
-        xrows = _canonical_rows(params.storage_depth, e, f.p)
+        xrows = _canonical_rows(params.storage_depth, e, p)
 
         def view(assignment, theta, ptildes):
             cur = _Cursor(assignment)
             queries = spma2.gen_queries(theta, params, cur).queries
-            pads = ups.blind(spma2.draw_global_noise(params, cur))
-            out = []
-            for j in taps:  # each tapped query, then its answer
-                out += queries[j - 1]
-                out.append(spma2.answer(ptildes[j - 1], queries[j - 1], pads[j - 1], f))
-            return tuple(out)
+            blinding = spma2.draw_global_noise(params, cur)
+            answers = spma2.answer(ptildes, queries, blinding, params)
+            return sum(((*queries[j - 1], answers[j - 1]) for j in taps), ())
 
         members = []
         for theta in range(1, e + 1):
-            for sigma in itertools.product(range(m + 1), repeat=e):
-                ptildes = noise_pad_vector(ups, sigma, xrows)
+            for sigma in itertools.product(range(params.m + 1), repeat=e):
+                ptildes = noise_pad_vector(params.upsilon, sigma, xrows)
                 members.append((("theta", theta, "sums", sigma),
                                 partial(view, theta=theta, ptildes=ptildes)))
         lemma, dims = "lemma7", mu * e + depth
@@ -528,14 +515,10 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
 
         def view(assignment, theta, bits):
             cur = _Cursor(assignment)
-            queries = query_vectors(theta, cur.rows(f.p, mu, e), params)
-            svec = zero_mask_vec if zero_masks else cur.draw_vector(f.p, n)
-            pads = ups.blind(cur.draw_vector(f.p, depth))
-            out = []
-            for j in taps:  # each tapped query, then its answer
-                out += queries[j - 1]
-                out.append(pma1.answer(bits, queries[j - 1], svec[j - 1] + pads[j - 1], f))
-            return tuple(out)
+            queries = query_vectors(theta, cur.rows(p, mu, e), params)
+            mask = zero_mask_vec if zero_masks else cur.draw_vector(p, n)
+            answers = pma1.answer(bits, queries, mask, cur.draw_vector(p, depth), params)
+            return sum(((*queries[j - 1], answers[j - 1]) for j in taps), ())
 
         members = [(("theta", theta, "bits", bits), partial(view, theta=theta, bits=bits))
                    for theta in range(1, e + 1)

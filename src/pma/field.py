@@ -18,15 +18,15 @@ stay bytes from the draw to the digest, by one bound, ``LANES_MIN_LENGTH``:
 a drawn row of at least that many values (``model.RandomSource``; its own
 length decides, not its draw's), and the rows of a noised, not deep, pad
 of at least that many entries whose base has at most one nonzero entry, as
-a query's. ``pma1.answer`` sums a bytes query in lanes (``masked_lane_sum``),
-and ``transcript`` hashes a bytes payload as it is, one byte per value, as
-it hashes a tuple of values in 0..255. Any other vector is a tuple. The
-form depends only on p, lengths and how sparse the base is, never on
-random content.
+a query's. ``pma1.answer`` sums a party's bytes queries in lanes over one
+``LaneMask`` of its bits (``masked_lane_sum``), and ``transcript`` hashes
+a bytes payload as it is, one byte per value, as it hashes a tuple of
+values in 0..255. Any other vector is a tuple. The form depends only on
+p, lengths and how sparse the base is, never on random content.
 
 The evaluation matrix is an ``Upsilon``, which memoizes its packed columns
 and its inverse, packed too. ``Upsilon.blind``, the one kernel of the
-blinding sum_l x^l z_l that runs and audits add to answers, and
+blinding sum_l x^l z_l that ``pma1.answer`` and ``spma2.answer`` add, and
 ``solve_linear``, which takes only an Upsilon of its field, are each one
 packed product read back slot by slot. Every pad runs over all points.
 """
@@ -166,8 +166,10 @@ class Upsilon(tuple):
             value = 0  # basis at x_j by Horner: prod_{k != j} (x_j - x_k)
             for c in basis:
                 value = (value * x + c) % p
-            scale = pow(value, p - 2, p)
-            columns.append(sum(map(lshift, [c * scale % p for c in reversed(basis)], shifts)))
+            scale, column = pow(value, p - 2, p), 0
+            for c in basis:  # by Horner: the highest power ends in the top slot
+                column = column << s | c * scale % p
+            columns.append(column)
         return tuple(columns), shifts, (1 << s) - 1
 
     def _check_depth(self, depth: int) -> None:
@@ -290,18 +292,16 @@ class LaneMask:
         return self.n
 
 
-def masked_lane_sum(p: int, values: bytes, bits: Sequence[int] | LaneMask) -> int:
-    """sum(compress(values, bits)) mod p, for residues of GF(p), p <=
-    LANES_MAX_P, as bytes and 0/1 bits of the same length, or their
-    LaneMask. The masked values are the 8-bit lanes of one int; adding its
-    top half to its bottom half halves the lanes until one is left, reduced
-    through the table whenever the next add could overflow a lane."""
+def masked_lane_sum(p: int, values: bytes, mask: LaneMask) -> int:
+    """sum(compress(values, bits)) mod p over the bits of ``mask``, for
+    residues of GF(p), p <= LANES_MAX_P, as bytes of the mask's length.
+    The masked values are the 8-bit lanes of one int; adding its top half
+    to its bottom half halves the lanes until one is left, reduced through
+    the table whenever the next add could overflow a lane."""
     n = len(values)
-    if len(bits) != n:
-        raise ParameterError(f"vector length mismatch: {n} vs {len(bits)}")
-    if type(bits) is not LaneMask:
-        bits = LaneMask(bits)
-    acc, top = int.from_bytes(values, "big") & bits.lanes, p - 1
+    if len(mask) != n:
+        raise ParameterError(f"vector length mismatch: {n} vs {len(mask)}")
+    acc, top = int.from_bytes(values, "big") & mask.lanes, p - 1
     while n > 1:
         if 2 * top > 255:
             acc, top = int.from_bytes(acc.to_bytes(n, "big").translate(_scale_table(p, 1)),

@@ -17,6 +17,9 @@ uniform, so the user learns only the count, at no extra download. They
 come from the parties' pre-shared randomness, billed once at N-1 symbols
 by a payload-free transcript event.
 
+``answer`` answers a whole party, masks and blinding included; runs and
+the audit views both call it, so the audits certify what runs send.
+
 Masking model: parties 1..M-1 sample their mask vectors and send them to
 party M, which completes the zero sum. That traffic is recorded in the
 transcript for cost accounting but is not part of any adversary view.
@@ -72,14 +75,21 @@ def draw_party_noise(params: SchemeParams, rng: RandomSource) -> tuple:
     return rng.rows(params.p, params.m, params.blinding_depth)
 
 
-def answer(bits: Sequence[int] | LaneMask, query: Sequence[int], mask_symbol: int,
-           field) -> int:
-    """Inner product of 0/1 ``bits`` with the query (a member sum) plus the
-    mask; a bytes query is summed in byte lanes, over the bits or their
-    LaneMask."""
-    if type(query) is bytes:
-        return (masked_lane_sum(field.p, query, bits) + mask_symbol) % field.p
-    return (sum(compress(query, bits)) + mask_symbol) % field.p
+def answer(bits: Sequence[int], queries: Sequence[Sequence[int]], mask: Sequence[int],
+           blinding: Sequence[int], params: SchemeParams) -> tuple:
+    """One party's N answers: answer j is the member sum of query j (its
+    inner product with the 0/1 ``bits``), plus ``mask[j]``, plus the
+    party's ``blinding`` scalars weighted by row j of Upsilon, mod p.
+    Bytes queries are summed in byte lanes over one LaneMask of the bits;
+    bits of another length than a query raise, in either form."""
+    p, lanes = params.p, LaneMask(bits) if type(queries[0]) is bytes else None
+    out = []
+    for q, s, z in zip(queries, mask, params.upsilon.blind(blinding)):
+        if len(q) != len(bits):
+            raise ParameterError(f"vector length mismatch: {len(bits)} vs {len(q)}")
+        a = sum(compress(q, bits)) if lanes is None else masked_lane_sum(p, q, lanes)
+        out.append((a + s + z) % p)
+    return tuple(out)
 
 
 def decode(answers, params: SchemeParams) -> int:
@@ -134,16 +144,11 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     if params.blinding_depth:
         tr.emit(ROUND_SETUP, "srand", "parties", "srand:parties", NOISE_SHARE,
                 values=(), symbols=params.blinding_depth)
-    # what each answer adds to its member sum: its mask and its blinding
-    offsets = [[s + z for s, z in zip(row, params.upsilon.blind(zrow))]
-               for row, zrow in zip(masks, blinding)]
     emit_query_events(params, queries, tr)
-    table, field, emit = [], params.field, tr.emit
-    for b, row, offset, names in zip(bits, queries.queries, offsets,
-                                     _db_names(params.m, params.n)):
-        if type(row[0]) is bytes:  # a party's bytes queries share one LaneMask of its bits
-            b = LaneMask(b)
-        table.append(tuple([answer(b, q, o, field) for q, o in zip(row, offset)]))
+    table, emit = [], tr.emit
+    for b, row, mask, z, names in zip(bits, queries.queries, masks, blinding,
+                                      _db_names(params.m, params.n)):
+        table.append(answer(b, row, mask, z, params))
         for a, (name, link) in zip(table[-1], names):
             emit(ROUND_ANSWER, name, "user", link, ANSWER, (a,))
     return ProtocolRun(params=params, theta=theta, count=decode(table, params),

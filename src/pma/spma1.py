@@ -3,9 +3,9 @@
 Its runs are pma1's: ``pma1.run`` blinds at the parameters' blinding
 depth, N-1 here, so the interference coefficients of the decoded
 polynomial are uniform and the user learns nothing beyond the count.
-Each answer is ``pma1.answer`` with the party's mask plus its blinding at
-the database's point, ``Upsilon.blind`` of the party's scalars. This
-module defines nothing of its own.
+``pma1.answer`` answers a whole party: member sums, plus its masks, plus
+``Upsilon.blind`` of its scalars at every database's point. This module
+defines nothing of its own.
 """
 
 # re-exported by name: the benchmark's tracer wraps spma1.answer, spma1.run

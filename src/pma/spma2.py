@@ -6,7 +6,8 @@ its vector to the participating databases with noise depth T2*N — any
 T2*N stored shares are jointly uniform — and every database aggregates
 the shares it received into one vector. Queries carry noise of depth
 max(T*N, Y_1..Y_M); answers add globally agreed blinding scalars so the
-interference coefficients stay uniform at the user. One inversion of the
+interference coefficients stay uniform at the user; ``answer`` answers
+the whole round, for runs and audit views alike. One inversion of the
 full evaluation matrix recovers the count from the constant coefficient.
 
 Only n_eff = T2*N + max(T*N, Y_1..Y_M) + 1 databases participate; when
@@ -87,14 +88,18 @@ def draw_global_noise(params: SchemeParams, rng: RandomSource) -> tuple:
     return rng.draw_vector(params.p, params.blinding_depth)
 
 
-def answer(ptilde: Sequence[int], query: Sequence[int], pad: int, field) -> int:
-    """One database's reply: aggregated-storage inner product plus its
-    blinding ``pad``, the global scalars weighted by its row of Upsilon.
+def answer(aggregated: Sequence[Sequence[int]], queries: Sequence[Sequence[int]],
+           blinding: Sequence[int], params: SchemeParams) -> tuple:
+    """Every participating database's reply: its aggregated storage's
+    inner product with its query plus its blinding, the global scalars
+    weighted by its row of Upsilon.
 
-    The result is the evaluation at (1 + alpha) of a polynomial of degree
-    at most n_eff - 1 whose constant coefficient is the count.
+    Each is the evaluation at (1 + alpha) of a polynomial of degree at
+    most n_eff - 1 whose constant coefficient is the count.
     """
-    return (field.dot(ptilde, query) + pad) % field.p
+    f = params.field
+    return tuple([(f.dot(a, q) + z) % f.p for a, q, z in
+                  zip(aggregated, queries, params.upsilon.blind(blinding))])
 
 
 def decode(answers: Sequence[int], params: SchemeParams) -> int:
@@ -110,7 +115,6 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     if len(datasets) != params.m:
         raise ParameterError(f"expected {params.m} datasets, got {len(datasets)}")
     tr = Transcript()
-    f = params.field
     n_eff = params.n_eff
 
     storage = tuple(
@@ -131,13 +135,10 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     for n in range(n_eff):
         tr.emit(ROUND_QUERY, "user", f"d{n + 1}", f"user:d{n + 1}", QUERY,
                 queries.queries[n])
-    pads = params.upsilon.blind(blinding)
-    answers = []
-    for n in range(n_eff):
-        a = answer(aggregated[n], queries.queries[n], pads[n], f)
+    answers = answer(aggregated, queries.queries, blinding, params)
+    for n, a in enumerate(answers):
         tr.emit(ROUND_ANSWER, f"d{n + 1}", "user", f"user:d{n + 1}", ANSWER, (a,))
-        answers.append(a)
     count = decode(answers, params)
     return ProtocolRun(params=params, theta=theta, count=count, storage=storage,
                        aggregated=aggregated, queries=queries, blinding=blinding,
-                       answers=tuple(answers), transcript=tr)
+                       answers=answers, transcript=tr)

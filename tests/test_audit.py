@@ -309,6 +309,78 @@ def test_blinding_kernel_that_drops_its_deepest_scalar_fails_symmetric_privacy(m
         [("symmetric-privacy:spma1", "fail")]
 
 
+_DECODED = (RunConfig("pma1", m=3, e=4, t=1, seed=11),
+            RunConfig("spma1", m=3, e=4, t=2, seed=11),
+            RunConfig("spma2", m=4, e=3, t=1, seed=11))
+
+
+@pytest.mark.parametrize("broken,variants,failing", [
+    ("masks", {"pma1", "spma1"},
+     {"blind-estimation:pma1", "blind-estimation:spma1", "symmetric-privacy:spma1",
+      "eavesdropper:pma1"}),
+    ("type-I blinding", {"spma1"}, {"symmetric-privacy:spma1"}),
+    ("type-II blinding", {"spma2"}, {"symmetric-privacy:spma2", "eavesdropper:spma2"}),
+])
+def test_answers_without_masks_or_blinding_decode_and_fail_their_audits(
+        monkeypatch, broken, variants, failing):
+    """Runs and audit views answer through pma1.answer and spma2.answer, so
+    an answer that drops its masks or its blinding reaches both. The runs
+    still decode every count, since masks cancel in the aligned sums and
+    blinding touches only the non-constant coefficients; they send other
+    answers, and the audits of the lemmas that rest on what was dropped
+    fail."""
+    intact = [run_protocol(config) for config in _DECODED]
+    answer1, answer2 = pma1.answer, spma2.answer
+    if broken == "masks":
+        monkeypatch.setattr(pma1, "answer", lambda bits, queries, mask, blinding, params:
+                            answer1(bits, queries, (0,) * len(mask), blinding, params))
+    elif broken == "type-I blinding":
+        monkeypatch.setattr(pma1, "answer", lambda bits, queries, mask, blinding, params:
+                            answer1(bits, queries, mask, (), params))
+    else:
+        monkeypatch.setattr(spma2, "answer", lambda aggregated, queries, blinding, params:
+                            answer2(aggregated, queries, (), params))
+    for config, before in zip(_DECODED, intact):
+        report = run_protocol(config)  # raises on a count that is not the oracle's
+        assert [r["count"] for r in report["results"]] == \
+            [r["oracle_count"] for r in before["results"]]
+        digests = [[r["transcript_digest"] for r in rep["results"]]
+                   for rep in (report, before)]
+        assert (digests[0] != digests[1]) == (config.variant in variants), config.variant
+    report = run_audit_suite("positive")
+    assert {c["name"] for c in report["cases"] if c["verdict"] == "fail"} == failing
+
+
+def test_every_suite_view_draws_exactly_its_dims_symbols(monkeypatch):
+    """Each view of every suite case draws its whole assignment, the dims
+    symbols its case reports, through one cursor: a dims formula that
+    over-declares would leave symbols that no view reads. A view without
+    randomness may read a fixed realization in their place."""
+    made = []
+
+    class Spy(audit._Cursor):
+        def __init__(self, flat):
+            super().__init__(flat)
+            made.append(self)
+
+    coset_law = audit.coset_law
+
+    def checked_law(view, dims, p, name):
+        def checked(assignment):
+            made.clear()
+            out = view(assignment)
+            [cursor] = made
+            assert cursor.i == len(cursor.flat), name
+            assert cursor.flat == assignment or not dims, name
+            return out
+        return coset_law(checked, dims, p, name)
+
+    monkeypatch.setattr(audit, "_Cursor", Spy)
+    monkeypatch.setattr(audit, "coset_law", checked_law)
+    report = run_audit_suite("all")
+    assert len(report["cases"]) == 23 and report["all_ok"]
+
+
 def test_symmetric_privacy_single_element_vacuous():
     params = make_params("spma1", 2, 1, t=1, y=0, p=3)
     assert audit.audit_symmetric_privacy(params).passed

@@ -3,6 +3,7 @@
 import itertools
 import random
 from itertools import compress
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -536,15 +537,18 @@ def test_vector_ops_match_per_element_reference(case):
     assert f.dot(u, v) == ref_dot(p, u, v)
     assert noise_pad_vector(ups, u, rows) == tuple(
         ref_pad_vector(p, u, a, rows) for a in alphas)
-    # type-I answers read 0/1 incidence bits as member sums, plus a mask
-    # and the blinding at their point
+    # a party's type-I answers, one per point, read 0/1 incidence bits as
+    # member sums, plus a mask symbol and the blinding at the point; answer
+    # reads only p and the Upsilon of its parameters
     bits = [a % 2 for a in u]
-    assert pma1.answer(bits, v, scalar, f) == (ref_dot(p, bits, v) + scalar) % p
-    pads = ups.blind(noise)
-    for alpha, pad in zip(alphas, pads):
-        assert pad == ref_pad_scalar(p, 0, alpha, noise)
-        assert pma1.answer(bits, v, scalar + pad, f) == (
-            ref_dot(p, bits, v) + ref_pad_scalar(p, 0, alpha, noise) + scalar) % p
+    params = SimpleNamespace(p=p, upsilon=ups)
+    mask = [(scalar + k) % p for k in range(len(alphas))]
+    assert ups.blind(noise) == [ref_pad_scalar(p, 0, alpha, noise) for alpha in alphas]
+    assert pma1.answer(bits, [v] * len(alphas), mask, (), params) == tuple(
+        (ref_dot(p, bits, v) + s) % p for s in mask)
+    assert pma1.answer(bits, [v] * len(alphas), mask, noise, params) == tuple(
+        (ref_dot(p, bits, v) + ref_pad_scalar(p, 0, alpha, noise) + s) % p
+        for alpha, s in zip(alphas, mask))
 
 
 def ref_pad_rows(p, base, powers, rows):
@@ -655,15 +659,15 @@ def test_masked_lane_sum_matches_the_member_sum(p, length):
         cases.append((bytes(gen.randrange(p) for _ in range(length)),
                       bytes(gen.randrange(2) for _ in range(length))))
     for values, bits in cases:
-        assert masked_lane_sum(p, values, bits) == \
-            sum(compress(tuple(values), tuple(bits))) % p
-        assert masked_lane_sum(p, values, tuple(bits)) == masked_lane_sum(p, values, bits)
-        # the mask a party builds once for all its queries sums the same
-        assert masked_lane_sum(p, values, LaneMask(bits)) == masked_lane_sum(p, values, bits)
+        # bytes bits and tuple bits make the same mask
+        for mask in (LaneMask(bits), LaneMask(tuple(bits))):
+            assert masked_lane_sum(p, values, mask) == \
+                sum(compress(tuple(values), tuple(bits))) % p
     if length:
-        for short in (bits[1:], LaneMask(bits[1:])):
-            with pytest.raises(ParameterError, match="length mismatch"):
-                masked_lane_sum(p, values, short)
+        with pytest.raises(ParameterError, match="length mismatch"):
+            masked_lane_sum(p, values, LaneMask(bits[1:]))
+    with pytest.raises(AttributeError):  # raw bits are not a mask
+        masked_lane_sum(p, values, bits)
 
 
 def test_solve_takes_only_an_upsilon_of_its_field(upsilon_builds):

@@ -6,7 +6,6 @@ import pytest
 
 from pma import audit, pma1
 from pma.errors import IntegrityError, ParameterError
-from pma.field import PrimeField
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
                        make_params, query_vectors, true_count)
 from pma.transcript import ANSWER, MASK_SHARE, NOISE_SHARE, QUERY
@@ -70,11 +69,27 @@ def test_masks_sum_to_zero_any_seed():
 
 
 def test_answer_examples():
-    f = PrimeField(11)
-    e3 = unit_vector(3, 5)
-    assert pma1.answer((1, 1, 1, 1, 1), e3, 0, f) == 1
-    assert pma1.answer((0, 1, 1, 1, 0), unit_vector(1, 5), 0, f) == 0
-    assert pma1.answer((0, 1, 1, 1, 0), (0, 0, 0, 0, 0), 7, f) == 7
+    """A party's answers, one per database: member sum plus mask."""
+    params = make_params("pma1", 2, 5, t=1, p=11)
+    assert params.n == 2
+    e1, e3 = unit_vector(1, 5), unit_vector(3, 5)
+    assert pma1.answer((1, 1, 1, 1, 1), (e3, e1), (0, 0), (), params) == (1, 1)
+    assert pma1.answer((0, 1, 1, 1, 0), (e1, e3), (0, 7), (), params) == (0, 8)
+    assert pma1.answer((0, 1, 1, 1, 0), ((0,) * 5,) * 2, (7, 10), (), params) == (7, 10)
+    # bytes queries are summed in byte lanes, to the same values
+    assert pma1.answer(bytes((0, 1, 1, 1, 0)), (bytes(e1), bytes(e3)), (0, 7), (),
+                       params) == (0, 8)
+
+
+@pytest.mark.parametrize("form", (tuple, bytes))
+def test_answer_refuses_bits_of_another_length(form):
+    """Bits shorter or longer than the queries raise, in the tuple form as
+    in the bytes form, instead of summing a truncated vector."""
+    params = make_params("pma1", 2, 3, t=1, p=5)
+    queries = (form((1, 2, 3)),) * params.n
+    for bits in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ParameterError, match="vector length mismatch"):
+            pma1.answer(form(bits), queries, (0,) * params.n, (), params)
 
 
 def test_decode_paper_style_vectors():

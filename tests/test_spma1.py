@@ -6,7 +6,6 @@ import pytest
 
 from pma import pma1, spma1
 from pma.errors import ParameterError
-from pma.field import PrimeField, build_upsilon
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
                        make_params, true_count)
 from pma.transcript import MASK_SHARE, NOISE_SHARE, QUERY
@@ -44,29 +43,29 @@ def test_noise_reproducible():
 
 
 def test_answer_reduces_to_unblinded_with_zero_noise():
-    f = PrimeField(11)
+    params = make_params("spma1", 2, 5, t=1, p=11)
+    assert params.alphas_used == (1, 2) and params.blinding_depth == 1
     bits = (0, 1, 1, 1, 0)
-    q = unit_vector(2, 5)
-    ups = build_upsilon(f, (1, 2))  # the row at alpha = 1: (1+1)^0, (1+1)^1
-    assert ups.blind((0,)) == [0, 0]
-    assert spma1.answer(bits, q, 3 + ups.blind((0,))[0], f) == pma1.answer(bits, q, 3, f)
+    queries = (unit_vector(2, 5), unit_vector(5, 5))
+    assert spma1.answer(bits, queries, (3, 4), (0,), params) == \
+        pma1.answer(bits, queries, (3, 4), (), params) == (4, 4)
 
 
 def test_answer_direct_evaluation():
-    # <P, e1> + (1+1)^1 * 2 = 1 + 4 = 0 over GF(5)
-    f = PrimeField(5)
-    pad = build_upsilon(f, (1, 2)).blind((2,))[0]
-    assert spma1.answer((1, 0), (1, 0), pad, f) == 0
+    # <P, e1> + (1+alpha)^1 * 2 over GF(5): 1 + 2 * 2 = 0 at alpha = 1,
+    # 1 + 3 * 2 = 2 at alpha = 2
+    params = make_params("spma1", 2, 2, t=1, p=5)
+    assert params.alphas_used == (1, 2)
+    assert spma1.answer((1, 0), ((1, 0),) * 2, (0, 0), (2,), params) == (0, 2)
 
 
 def test_answer_noise_only_passthrough():
     # with a zero query and mask, only the power-weighted noise remains
-    f = PrimeField(7)
+    params = make_params("spma1", 2, 2, t=2, p=7)
+    assert params.alphas_used == (1, 2, 3)
     zrow = (3, 5)
-    x = 2  # 1 + alpha with alpha = 1
-    expected = (x * 3 + x * x * 5) % 7
-    pad = build_upsilon(f, (1, 2, 3)).blind(zrow)[0]
-    assert spma1.answer((1, 1), (0, 0), pad, f) == expected
+    expected = tuple((x * 3 + x * x * 5) % 7 for x in (2, 3, 4))  # x = 1 + alpha
+    assert spma1.answer((1, 1), ((0, 0),) * 3, (0, 0, 0), zrow, params) == expected
 
 
 def test_run_and_blinding_draw_are_the_plain_schemes():
@@ -138,16 +137,16 @@ def test_packed_blinding_matches_scalar_reference(m, e, t, p):
     computed one term at a time."""
     with pytest.warns(UserWarning, match="in the clear") if t == 0 else nullcontext():
         params = make_params("spma1", m, e, t=t, p=p)
-    f, ups = params.field, params.upsilon
+    ups = params.upsilon
     datasets = generate_datasets(params, 0.5, RandomSource(7))
     run = spma1.run(params, datasets, 1, RandomSource(3))
     assert run.count == true_count(1, datasets, e)
     assert params.n == len(ups) == t + 1 and {len(z) for z in run.blinding} == {t}
     for i, d in enumerate(datasets):
-        bits = incidence(d, e)
+        plain = pma1.answer(incidence(d, e), run.queries.queries[i], run.masks[i], (),
+                            params)
         for j, a in enumerate(run.answers[i]):
-            plain = pma1.answer(bits, run.queries.queries[i][j], run.masks[i][j], f)
-            assert a == (plain + ref_blinding(params.p, ups[j], run.blinding[i])) % params.p
+            assert a == (plain[j] + ref_blinding(params.p, ups[j], run.blinding[i])) % params.p
 
 
 def test_blinding_changes_answers_but_not_count():

@@ -6,7 +6,7 @@ import pytest
 
 from pma import audit, pma1, spma1, spma2
 from pma.errors import IntegrityError, ParameterError
-from pma.field import PrimeField, build_upsilon
+from pma.field import build_upsilon
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
                        make_params, true_count)
 from pma.transcript import ANSWER, NOISE_SHARE, QUERY, STORAGE_SHARE
@@ -116,14 +116,14 @@ def test_queries_reproducible():
 
 
 def test_answer_degenerate_cases():
-    f = PrimeField(7)
-    ups = build_upsilon(f, (1, 2, 3))
-    # all noise zero: the answer is the aggregated bit at theta
-    assert spma2.answer((2, 1), (1, 0), ups.blind((0, 0))[0], f) == 2
+    params = params_small(e=2, p=7)
+    assert params.alphas_used == (1, 2, 3) and params.blinding_depth == 2
+    # all noise zero: every answer is the aggregated bit at theta
+    assert spma2.answer(((2, 1),) * 3, ((1, 0),) * 3, (0, 0), params) == (2, 2, 2)
     # zero storage and query: only the blinding polynomial remains
     zp = (3, 4)
-    x = 3  # 1 + alpha, alpha = 2
-    assert spma2.answer((0, 0), (0, 0), ups.blind(zp)[1], f) == (x * 3 + x * x * 4) % 7
+    expected = tuple((x * 3 + x * x * 4) % 7 for x in (2, 3, 4))  # x = 1 + alpha
+    assert spma2.answer(((0, 0),) * 3, ((0, 0),) * 3, zp, params) == expected
 
 
 def test_decode_round_trip_constant_coefficient():
@@ -188,7 +188,6 @@ def test_degree_accounting_against_expansion_oracle():
     datasets = generate_datasets(params, 0.5, rng)
     theta = 2
     run = spma2.run(params, datasets, theta, rng)
-    f = params.field
     agg_bits = tuple(
         sum(incidence(d, params.e)[k] for d in datasets) % params.p
         for k in range(params.e))
@@ -201,16 +200,15 @@ def test_degree_accounting_against_expansion_oracle():
         [unit_vector(theta, params.e), *run.queries.noise], params.p)
     assert len(coeffs) == params.n_eff
     assert coeffs[0] == true_count(theta, datasets, params.e) % params.p
+    assert spma2.answer(run.aggregated, run.queries.queries, run.blinding,
+                        params) == run.answers
+    unblinded = spma2.answer(run.aggregated, run.queries.queries, (), params)
     for n in range(params.n_eff):
         x = (1 + params.alphas_used[n]) % params.p
         value = 0
         for c in reversed(coeffs):
             value = (value * x + c) % params.p
-        blinded = spma2.answer(run.aggregated[n], run.queries.queries[n],
-                               params.upsilon.blind(run.blinding)[n], f)
-        assert blinded == run.answers[n]
-        unblinded = spma2.answer(run.aggregated[n], run.queries.queries[n], 0, f)
-        assert value == unblinded
+        assert value == unblinded[n]
 
 
 def test_idle_databases_receive_nothing():
