@@ -16,6 +16,8 @@ echelon basis of ``colspace(A)`` plus ``b`` reduced against it. Every
 audit splits its secrets into classes and compares their laws through one
 path, ``_audit``, and a failed comparison names a concrete view that lies
 in one coset and not the other. No sampling, no thresholds.
+Views draw, pad, blind and deal only through the schemes' samplers, as
+runs do, except lemma 6's type-I view (see ``audit_eavesdropper``).
 ``enumerate_distribution`` keeps the exhaustive ``Fraction`` pmf as an
 independent oracle for tests.
 
@@ -50,7 +52,6 @@ from typing import Callable, Iterable, Sequence
 
 from . import pma1, spma2
 from .errors import AuditInfeasibleError, IntegrityError, ParameterError
-from .field import noise_pad_vector
 from .model import RandomSource, SchemeParams, query_vectors
 from .transcript import MASK_SHARE, ROUND_SETUP, Transcript
 
@@ -62,8 +63,8 @@ METHOD = "coset"
 
 class _Cursor:
     """Hands out one flat randomness assignment in order. It stands in for
-    a RandomSource, so views draw through the schemes' own samplers, and
-    answer through their ``answer``, as runs do."""
+    a RandomSource, so views draw, pad and deal through the schemes' own
+    samplers, and answer through their ``answer``, as runs do."""
 
     __slots__ = ("flat", "i")
 
@@ -283,10 +284,14 @@ def _all_datasets(m: int, e: int):
     return itertools.product(itertools.product((0, 1), repeat=e), repeat=m)
 
 
-def _canonical_rows(depth: int, e: int, p: int) -> tuple:
-    """A fixed, reproducible, not-all-zero noise realization."""
-    return tuple(tuple((7 * l + 3 * k + 1) % p for k in range(e))
-                 for l in range(depth))
+def _dealt_sums(params: SchemeParams):
+    """Every aggregated bit-sum vector sigma with its storage, dealt by
+    ``spma2.encode_storage`` at the fixed, nonzero noise (7l + 3k + 1) mod p."""
+    p, e = params.p, params.e
+    noise = tuple((7 * l + 3 * k + 1) % p for l in range(params.storage_depth)
+                  for k in range(e))
+    for sigma in itertools.product(range(params.m + 1), repeat=e):
+        yield sigma, spma2.encode_storage(sigma, params, _Cursor(noise)).shares
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +302,22 @@ def audit_query_privacy(params: SchemeParams, colluding_dbs: Sequence[int], *,
     """Joint queries on the colluding databases must have the same exact
     distribution for every queried index.
 
-    ``colluding_dbs`` are 1-based database indices: within one party for
-    the type-I variants, global for type II.
+    ``colluding_dbs`` are 1-based database indices: within party 1 for
+    the type-I variants, global for type II. The queries are the scheme's
+    ``gen_queries``, so type I ranges over every party's noise.
     """
     taps = _taps(params, colluding_dbs)
+    scheme, lemma, parties = (spma2, "lemma3", 1) if params.is_type2 else \
+        (pma1, "lemma4", params.m)
 
     def view(assignment, theta):
-        rows = _Cursor(assignment).rows(params.p, params.mu, params.e)
-        queries = query_vectors(theta, rows, params)
+        queries = scheme.gen_queries(theta, params, _Cursor(assignment)).queries
+        queries = queries if params.is_type2 else queries[0]
         return sum((queries[j - 1] for j in taps), ())  # taps' queries, joined
 
     members = [(("theta", theta), partial(view, theta=theta))
                for theta in range(1, params.e + 1)]
-    lemma = "lemma3" if params.is_type2 else "lemma4"
-    return _audit("query-privacy", lemma, params, params.mu * params.e,
+    return _audit("query-privacy", lemma, params, parties * params.mu * params.e,
                   [({}, members)], {"colluding_dbs": list(taps)}, cap)
 
 
@@ -385,50 +392,45 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
     configuration with that count.
 
     The check runs under two fixed query-noise realizations, all zeros and
-    all ones, and must hold for each of them. The non-symmetric type-I
-    scheme is accepted here so the suite can demonstrate that it fails.
+    all ones, fed to the scheme's ``gen_queries``, and must hold for each.
+    The blinding is the scheme's own draw; ``zero_blinding`` swaps it for
+    zeros. The non-symmetric type-I scheme is accepted here so the suite
+    can demonstrate that it fails.
     """
-    p, m, e, mu = params.p, params.m, params.e, params.mu
+    m, e, mu = params.m, params.e, params.mu
     depth = 0 if zero_blinding else params.blinding_depth
-    # secrets(rows) yields (label, kappa, view) per dataset secret, with
-    # every query padded by the noise rows ``rows``
+    # secrets: (label, kappa, view) per dataset secret; views take the queries
     if params.is_type2:
-        dims = depth
-        xrows = _canonical_rows(params.storage_depth, e, p)
+        scheme, dims = spma2, depth
 
         def view(assignment, ptildes, queries):
-            blinding = _Cursor(assignment).draw_vector(p, depth)
+            cur = _Cursor(assignment)
+            blinding = () if zero_blinding else spma2.draw_global_noise(params, cur)
             return spma2.answer(ptildes, queries, blinding, params)
 
-        def secrets(rows):
-            queries = query_vectors(1, rows, params)
-            # answers read the datasets only through the aggregated
-            # bit-sums, so range over those directly
-            for sigma in itertools.product(range(m + 1), repeat=e):
-                ptildes = noise_pad_vector(params.upsilon, sigma, xrows)
-                yield ("sums", sigma), sigma[0], partial(view, ptildes=ptildes,
-                                                         queries=queries)
+        # answers read the datasets only through their bit-sums: range over those
+        secrets = [(("sums", sigma), sigma[0], partial(view, ptildes=ptildes))
+                   for sigma, ptildes in _dealt_sums(params)]
     else:
-        dims = (m - 1) * params.n + m * depth
+        scheme, dims = pma1, (m - 1) * params.n + m * depth
 
         def view(assignment, bits, queries):
             cur = _Cursor(assignment)
-            masks, blinding = pma1.gen_masks(params, cur), cur.rows(p, m, depth)
-            return sum(map(pma1.answer, bits, itertools.repeat(queries), masks, blinding,
+            masks = pma1.gen_masks(params, cur)
+            blinding = ((),) * m if zero_blinding else pma1.draw_party_noise(params, cur)
+            return sum(map(pma1.answer, bits, queries, masks, blinding,
                            itertools.repeat(params)), ())
 
-        def secrets(rows):
-            # every party pads with the same rows, so its queries are alike
-            queries = query_vectors(1, rows, params)
-            for bits in _all_datasets(m, e):
-                yield (("bits", bits), sum(bits[i][0] for i in range(m)),
-                       partial(view, bits=bits, queries=queries))
+        secrets = [(("bits", bits), sum(row[0] for row in bits), partial(view, bits=bits))
+                   for bits in _all_datasets(m, e)]
 
     def classes():
         for rlabel, value in (("zero", 0), ("one", 1)):
+            queries = scheme.gen_queries(1, params, _Cursor((value,) * m * mu * e)).queries
             groups: dict[int, list] = {}
-            for label, kappa, view in secrets(((value,) * e,) * mu):
-                groups.setdefault(kappa, []).append((("realization", rlabel, *label), view))
+            for label, kappa, view in secrets:
+                groups.setdefault(kappa, []).append(
+                    (("realization", rlabel, *label), partial(view, queries=queries)))
             for kappa, members in groups.items():
                 yield {"kappa": kappa, "realization": rlabel}, members
 
@@ -442,12 +444,13 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
 def audit_storage_security(params: SchemeParams, *, subset_size: int | None = None,
                            zero_storage_noise: bool = False,
                            cap: int = DEFAULT_CAP) -> AuditResult:
-    """Any storage-depth-many shares of one party must have the same exact
-    joint distribution for every value of that party's incidence vector."""
+    """Any T2*N shares of one party must have the same exact joint
+    distribution for every value of that party's incidence vector; that
+    budget, not the depth under test, sizes the default subset."""
     if not params.is_type2:
         raise ParameterError("storage-security audit applies to the type-II variant")
     e, n_eff = params.e, params.n_eff
-    size = params.storage_depth if subset_size is None else subset_size
+    size = params.t2 * params.n if subset_size is None else subset_size
     if not 1 <= size <= n_eff:
         raise ParameterError(f"share subset size {size} outside 1..{n_eff}")
     depth = 0 if zero_storage_noise else params.storage_depth
@@ -477,12 +480,13 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
     distributed regardless of the queried index and of the protected
     contents.
 
-    Type I taps name databases of one party (party 1 without loss of
-    generality); the tapped party's mask vector is drawn directly, which
-    is exact because any single party's masks are marginally uniform
-    under the zero-sum coupling. Type II taps name participating databases;
-    the storage noise is held at a fixed realization since the blinding and
-    query noise alone must carry the argument.
+    Type I taps name databases of party 1 (without loss of generality),
+    and this view alone draws by itself, party 1's share only, since the
+    full-round samplers would pad twice per evaluation: its query noise,
+    blinding and mask vector, exact as one party's masks are marginally
+    uniform under the zero-sum coupling. Type II taps name participating
+    databases; the storage is dealt at a fixed noise realization since the
+    blinding and query noise alone must carry the argument.
     """
     p, e, mu = params.p, params.e, params.mu
     taps = _taps(params, taps)
@@ -492,7 +496,6 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
         if zero_masks:
             raise ParameterError("zero_masks applies to the type-I variants, "
                                  "whose answers carry masks")
-        xrows = _canonical_rows(params.storage_depth, e, p)
 
         def view(assignment, theta, ptildes):
             cur = _Cursor(assignment)
@@ -501,12 +504,9 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
             answers = spma2.answer(ptildes, queries, blinding, params)
             return sum(((*queries[j - 1], answers[j - 1]) for j in taps), ())
 
-        members = []
-        for theta in range(1, e + 1):
-            for sigma in itertools.product(range(params.m + 1), repeat=e):
-                ptildes = noise_pad_vector(params.upsilon, sigma, xrows)
-                members.append((("theta", theta, "sums", sigma),
-                                partial(view, theta=theta, ptildes=ptildes)))
+        members = [(("theta", theta, "sums", sigma),
+                    partial(view, theta=theta, ptildes=ptildes))
+                   for theta in range(1, e + 1) for sigma, ptildes in _dealt_sums(params)]
         lemma, dims = "lemma7", mu * e + depth
         detail = {"taps": list(taps)}
     else:

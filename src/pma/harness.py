@@ -248,6 +248,7 @@ def build_audit_suite() -> list[SuiteCase]:
         warnings.filterwarnings("ignore", "query noise depth is 0", UserWarning)
         clear_t1 = make_params("pma1", 2, 2, t=0, y=0, p=3)
         clear_t2 = make_params("spma2", 2, 1, t=0, y=0, p=3)
+    t2_params = _t2_params()
     cases = [
         SuiteCase(
             "query-privacy:pma1", "lemma4", True,
@@ -321,8 +322,7 @@ def build_audit_suite() -> list[SuiteCase]:
         SuiteCase(
             "control:overbudget-storage", "lemma5", False,
             lambda cap: audit.audit_storage_security(
-                _t2_params(), subset_size=_t2_params().storage_depth + 1,
-                cap=cap),
+                t2_params, subset_size=t2_params.t2 * t2_params.n + 1, cap=cap),
             note="one share beyond the depth interpolates the vector"),
         SuiteCase(
             "control:overbudget-eavesdropper", "lemma6", False,

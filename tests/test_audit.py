@@ -2,6 +2,7 @@
 audit to its designated broken scheme, and agreement with the exhaustive
 enumeration oracle."""
 
+import sys
 import warnings
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from pma import audit, pma1, spma1, spma2
 from pma.errors import AuditInfeasibleError, IntegrityError, ParameterError
 from pma.field import Upsilon
 from pma.harness import RunConfig, build_audit_suite, run_audit_suite, run_protocol
-from pma.model import make_params, query_vectors
+from pma.model import RandomSource, SchemeParams, make_params, query_vectors
 from tests.oracles import oracle_polynomial_expand
 
 
@@ -114,20 +115,21 @@ def test_non_affine_view_raises_naming_point():
 
 
 def test_non_affine_scheme_fails_the_affinity_check(monkeypatch):
+    # the pad that pma1.gen_queries calls, so the shipped sampler goes non-affine
     def squared(theta, noise_rows, params):
         return tuple(tuple(x * x % params.p for x in q)
                      for q in query_vectors(theta, noise_rows, params))
 
-    monkeypatch.setattr(audit, "query_vectors", squared)
+    monkeypatch.setattr(pma1, "query_vectors", squared)
     with pytest.raises(IntegrityError, match="audit query-privacy: .*point"):
         audit.audit_query_privacy(t1(), [1])
 
 
 def test_cap_bounds_view_evaluations():
-    # 2 secrets x (offset + 2 unit vectors + 3 affinity probes)
-    assert audit.audit_query_privacy(t1(), [1], cap=12).passed
+    # 2 secrets x (offset + 4 unit vectors, both parties' noise, + 3 affinity probes)
+    assert audit.audit_query_privacy(t1(), [1], cap=16).passed
     with pytest.raises(AuditInfeasibleError, match="view evaluations"):
-        audit.audit_query_privacy(t1(), [1], cap=11)
+        audit.audit_query_privacy(t1(), [1], cap=15)
 
 
 class _Pmf:
@@ -219,6 +221,47 @@ def test_beyond_enumeration(run, passes):
 
 
 # ---------------------------------------------------------------------------
+# type II at N = 2, a shape no suite case has
+
+def _n2(**kw):
+    """spma2 at M=3, E=2, N=2, T=1, p=11: query noise T*N = 2, storage
+    noise T2*N = 2, n_eff = 5."""
+    return make_params("spma2", 3, 2, t=1, n=2, p=11, **kw)
+
+
+@pytest.mark.parametrize("run,passes", [
+    pytest.param(lambda: audit.audit_query_privacy(_n2(), [1, 2]), True,
+                 id="query-privacy T*N=2 taps"),
+    pytest.param(lambda: audit.audit_query_privacy(_n2(), [1, 2, 3]), False,
+                 id="query-privacy 3 taps"),
+    pytest.param(lambda: audit.audit_storage_security(_n2()), True,
+                 id="storage-security T2*N=2 shares"),
+    pytest.param(lambda: audit.audit_storage_security(_n2(), subset_size=3), False,
+                 id="storage-security 3 shares"),
+    pytest.param(lambda: audit.audit_symmetric_privacy(_n2()), True,
+                 id="symmetric-privacy"),
+    pytest.param(lambda: audit.audit_eavesdropper(_n2(y=1), [1]), True,
+                 id="eavesdropper Y=1 one tap"),
+])
+def test_type2_audits_at_two_databases_per_party(run, passes):
+    params = _n2()
+    assert (params.mu, params.storage_depth, params.n_eff) == (2, 2, 5)
+    result = run()
+    assert result.passed is passes
+    assert (result.witness is None) is passes
+
+
+def test_type2_query_noise_without_the_factor_n_fails_query_privacy(monkeypatch):
+    """Type-II query noise of depth max(T, Y), without the factor N, lets
+    the T*N = 2 pooled databases of this shape read the index."""
+    monkeypatch.setattr(SchemeParams, "mu",
+                        property(lambda params: max(params.t, max(params.y))))
+    params = _n2()
+    assert (params.mu, params.n_eff) == (1, 4)
+    assert not audit.audit_query_privacy(params, [1, 2]).passed
+
+
+# ---------------------------------------------------------------------------
 # collusion resistance
 
 def test_query_privacy_passes_within_budget():
@@ -226,7 +269,8 @@ def test_query_privacy_passes_within_budget():
     assert result.passed
     assert result.lemma == "lemma4"
     assert result.witness is None
-    assert (result.secrets, result.dims) == (2, 2)
+    # gen_queries draws both parties' noise; party 1's taps read half of it
+    assert (result.secrets, result.dims, result.rank) == (2, 4, 2)
 
 
 def test_query_privacy_type2_budget():
@@ -340,6 +384,13 @@ def test_answers_without_masks_or_blinding_decode_and_fail_their_audits(
     else:
         monkeypatch.setattr(spma2, "answer", lambda aggregated, queries, blinding, params:
                             answer2(aggregated, queries, (), params))
+    _assert_decodes_and_fails(intact, variants, failing)
+
+
+def _assert_decodes_and_fails(intact, variants, failing):
+    """The seeded runs still decode every count, the runs of ``variants``
+    send other transcripts than ``intact``, and exactly the ``failing``
+    positive suite cases fail."""
     for config, before in zip(_DECODED, intact):
         report = run_protocol(config)  # raises on a count that is not the oracle's
         assert [r["count"] for r in report["results"]] == \
@@ -351,17 +402,76 @@ def test_answers_without_masks_or_blinding_decode_and_fail_their_audits(
     assert {c["name"] for c in report["cases"] if c["verdict"] == "fail"} == failing
 
 
+class _RowShort:
+    """A source whose every ``rows`` call draws one row fewer than asked."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def rows(self, modulus, r, k):
+        return self.rng.rows(modulus, r - 1, k)
+
+
+def _row_short(gen_queries):
+    """``gen_queries`` padding with one query-noise row fewer."""
+    return lambda theta, params, rng: gen_queries(theta, params, _RowShort(rng))
+
+
+@pytest.mark.parametrize("scheme,sampler,broken,variants,failing", [
+    (pma1, "gen_queries", _row_short(pma1.gen_queries),
+     {"pma1", "spma1"}, {"query-privacy:pma1", "query-privacy:spma1"}),
+    (spma2, "gen_queries", _row_short(spma2.gen_queries),
+     {"spma2"}, {"query-privacy:spma2", "eavesdropper:spma2"}),
+    (pma1, "draw_party_noise", lambda params, rng: ((),) * params.m,
+     {"spma1"}, {"symmetric-privacy:spma1"}),
+    (spma2, "draw_global_noise", lambda params, rng: (),
+     {"spma2"}, {"symmetric-privacy:spma2", "eavesdropper:spma2"}),
+    (pma1, "gen_masks", lambda params, rng: ((0,) * params.n,) * params.m,
+     {"pma1", "spma1"},
+     {"blind-estimation:pma1", "blind-estimation:spma1", "symmetric-privacy:spma1"}),
+], ids=("pma1 queries one noise row short", "spma2 queries one noise row short",
+        "no type-I blinding drawn", "no type-II blinding drawn", "zero masks dealt"))
+def test_broken_samplers_decode_and_fail_their_audits(
+        monkeypatch, scheme, sampler, broken, variants, failing):
+    """Runs and audit views draw their query noise, masks and blinding
+    through the same samplers, so a sampler that draws too little reaches
+    both: the runs still decode every count, and the audits of the lemmas
+    that rest on the missing draw fail."""
+    intact = [run_protocol(config) for config in _DECODED]
+    monkeypatch.setattr(scheme, sampler, broken)
+    _assert_decodes_and_fails(intact, variants, failing)
+
+
+# the modules of the schemes' samplers, the only code that may draw from a
+# view's cursor
+_SAMPLERS = ("pma.pma1", "pma.spma2")
+
+
 def test_every_suite_view_draws_exactly_its_dims_symbols(monkeypatch):
     """Each view of every suite case draws its whole assignment, the dims
     symbols its case reports, through one cursor: a dims formula that
     over-declares would leave symbols that no view reads. A view without
-    randomness may read a fixed realization in their place."""
-    made = []
+    randomness may read a fixed realization in their place.
+
+    Every draw comes from a pma1 or spma2 sampler, directly or through
+    RandomSource.rows, so no view drifts back to drawing by itself. The
+    one exception is lemma 6's type-I view: it draws party 1's share
+    alone, since the full-round samplers would add party 2's noise to dims
+    and pad twice per evaluation, and lemmas 4, 2 and 1 certify them."""
+    made, self_drawn, case = [], set(), None
 
     class Spy(audit._Cursor):
         def __init__(self, flat):
             super().__init__(flat)
             made.append(self)
+
+        def draw_vector(self, modulus, k):
+            caller = sys._getframe(1)
+            if caller.f_code is RandomSource.rows.__code__:  # on its way from a sampler
+                caller = caller.f_back
+            if caller.f_globals["__name__"] not in _SAMPLERS:
+                self_drawn.add(case.name)
+            return super().draw_vector(modulus, k)
 
     coset_law = audit.coset_law
 
@@ -377,8 +487,11 @@ def test_every_suite_view_draws_exactly_its_dims_symbols(monkeypatch):
 
     monkeypatch.setattr(audit, "_Cursor", Spy)
     monkeypatch.setattr(audit, "coset_law", checked_law)
-    report = run_audit_suite("all")
-    assert len(report["cases"]) == 23 and report["all_ok"]
+    cases = build_audit_suite()
+    assert len(cases) == 23
+    for case in cases:
+        assert case.build(audit.DEFAULT_CAP).passed is case.expect_pass, case.name
+    assert self_drawn == {c.name for c in cases if c.lemma == "lemma6"}
 
 
 def test_symmetric_privacy_single_element_vacuous():
@@ -409,6 +522,17 @@ def test_storage_security_overbudget_fails():
     result = audit.audit_storage_security(params,
                                           subset_size=params.storage_depth + 1)
     assert not result.passed
+
+
+def test_storage_audit_sizes_its_subset_from_the_threat_model(monkeypatch):
+    """An encoding whose noise depth drops the factor N cannot shrink its
+    own default audit: the subset stays at T2*N shares, and fails."""
+    monkeypatch.setattr(SchemeParams, "storage_depth", property(lambda params: params.t2))
+    params = _n2()
+    assert (params.storage_depth, params.n_eff) == (1, 4)
+    result = audit.audit_storage_security(params)
+    assert not result.passed
+    assert result.detail["subset_size"] == 2
 
 
 def test_storage_security_rejects_subset_sizes_outside_1_to_n_eff():

@@ -388,8 +388,8 @@ def test_failed_audit_params_name_the_failing_class(control, positive, failed_cl
 # (dims, rank, secrets) per suite case; a control's secrets count the laws
 # built up to its first class of secrets whose laws differ
 SUITE_LAWS = {
-    "query-privacy:pma1": (2, 2, 2),
-    "query-privacy:spma1": (2, 2, 2),
+    "query-privacy:pma1": (4, 2, 2),
+    "query-privacy:spma1": (4, 2, 2),
     "query-privacy:spma2": (2, 2, 2),
     "blind-estimation:pma1": (6, 3, 16),
     "blind-estimation:spma1": (8, 3, 16),
