@@ -448,6 +448,13 @@ def _threshold(pk) -> int:
     return 8 * math.ceil(pk * _DYADIC)
 
 
+@lru_cache(maxsize=128)
+def _marks(threshold: int) -> bytes:
+    """A scalar threshold's table of first bytes: 1 joins, _TIE ties, 0 stays out."""
+    lo, hi = threshold // _TAILS, -(-threshold // _TAILS)
+    return bytes(1 if b < lo else _TIE if b < hi else 0 for b in range(256))
+
+
 def generate_datasets(params: SchemeParams, probs,
                       rng: RandomSource) -> list[PartyDataset]:
     """Independent membership draws: element k joins each party with
@@ -466,8 +473,7 @@ def generate_datasets(params: SchemeParams, probs,
     e, scalar = params.e, isinstance(probs, (int, float))
     if scalar:
         thresholds = [_threshold(probs)]
-        lo, hi = thresholds[0] // _TAILS, -(-thresholds[0] // _TAILS)
-        marks = bytes(1 if b < lo else _TIE if b < hi else 0 for b in range(256))
+        marks = _marks(thresholds[0])
     elif isinstance(probs, (list, tuple)):
         if len(probs) != e:
             raise ParameterError(f"need {e} membership probabilities, got {len(probs)}")

@@ -110,9 +110,9 @@ def decode(answers, params: SchemeParams) -> int:
 
 @lru_cache(maxsize=8)
 def _db_names(m: int, n: int) -> tuple:
-    """(name, user link) of database j+1 of party i+1, at [i][j]."""
-    return tuple(tuple((f"p{i}.d{j}", f"user:p{i}.d{j}") for j in range(1, n + 1))
-                 for i in range(1, m + 1))
+    """(names, user links) of party i+1's databases, one per database, at [i]."""
+    return tuple((tuple(f"p{i}.d{j}" for j in range(1, n + 1)),
+                  tuple(f"user:p{i}.d{j}" for j in range(1, n + 1))) for i in range(1, m + 1))
 
 
 def emit_mask_events(params: SchemeParams, masks: tuple, tr: Transcript) -> None:
@@ -120,12 +120,6 @@ def emit_mask_events(params: SchemeParams, masks: tuple, tr: Transcript) -> None
     for i in range(params.m - 1):
         tr.emit(ROUND_SETUP, f"p{i + 1}", dealer, f"p{i + 1}:{dealer}",
                 MASK_SHARE, masks[i])
-
-
-def emit_query_events(params: SchemeParams, queries: QuerySet, tr: Transcript) -> None:
-    for row, names in zip(queries.queries, _db_names(params.m, params.n)):
-        for query, (name, link) in zip(row, names):
-            tr.emit(ROUND_QUERY, "user", name, link, QUERY, query)
 
 
 def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
@@ -144,13 +138,13 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     if params.blinding_depth:
         tr.emit(ROUND_SETUP, "srand", "parties", "srand:parties", NOISE_SHARE,
                 values=(), symbols=params.blinding_depth)
-    emit_query_events(params, queries, tr)
-    table, emit = [], tr.emit
-    for b, row, mask, z, names in zip(bits, queries.queries, masks, blinding,
-                                      _db_names(params.m, params.n)):
+    names = _db_names(params.m, params.n)
+    for row, (dbs, links) in zip(queries.queries, names):
+        tr.emit_group(ROUND_QUERY, "user", dbs, links, QUERY, row)
+    table = []
+    for b, row, mask, z, (dbs, links) in zip(bits, queries.queries, masks, blinding, names):
         table.append(answer(b, row, mask, z, params))
-        for a, (name, link) in zip(table[-1], names):
-            emit(ROUND_ANSWER, name, "user", link, ANSWER, (a,))
+        tr.emit_group(ROUND_ANSWER, dbs, "user", links, ANSWER, zip(table[-1]))
     return ProtocolRun(params=params, theta=theta, count=decode(table, params),
                        queries=queries, masks=masks, answers=tuple(table), transcript=tr,
                        blinding=blinding)

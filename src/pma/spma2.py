@@ -23,6 +23,7 @@ event, so no blinding value appears in a transcript.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
@@ -108,6 +109,14 @@ def decode(answers: Sequence[int], params: SchemeParams) -> int:
     return decode_count(answers, params)
 
 
+@lru_cache(maxsize=8)
+def _db_names(m: int, n_eff: int) -> tuple:
+    """Database names, their user links, and (name, storage links) per party."""
+    dbs = tuple(f"d{n}" for n in range(1, n_eff + 1))
+    return dbs, tuple(f"user:{d}" for d in dbs), tuple(
+        (f"p{i}", tuple(f"p{i}:{d}" for d in dbs)) for i in range(1, m + 1))
+
+
 def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
         rng: RandomSource) -> ProtocolRun:
     if params.variant != "spma2":
@@ -115,29 +124,23 @@ def run(params: SchemeParams, datasets: Sequence[PartyDataset], theta: int,
     if len(datasets) != params.m:
         raise ParameterError(f"expected {params.m} datasets, got {len(datasets)}")
     tr = Transcript()
-    n_eff = params.n_eff
-
+    dbs, user_links, parties = _db_names(params.m, params.n_eff)
     storage = tuple(
         encode_storage(incidence(d, params.e), params, rng) for d in datasets)
-    for i, enc in enumerate(storage):
-        for n in range(n_eff):
-            tr.emit(ROUND_SETUP, f"p{i + 1}", f"d{n + 1}", f"p{i + 1}:d{n + 1}",
-                    STORAGE_SHARE, enc.shares[n])
+    for (party, links), enc in zip(parties, storage):
+        tr.emit_group(ROUND_SETUP, party, dbs, links, STORAGE_SHARE, enc.shares)
     aggregated = tuple(
         aggregate([storage[i].shares[n] for i in range(params.m)], params)
-        for n in range(n_eff))
+        for n in range(params.n_eff))
 
     queries = gen_queries(theta, params, rng)
     blinding = draw_global_noise(params, rng)
     if params.blinding_depth:
         tr.emit(ROUND_SETUP, "srand", "parties", "srand:parties", NOISE_SHARE,
                 values=(), symbols=params.blinding_depth)
-    for n in range(n_eff):
-        tr.emit(ROUND_QUERY, "user", f"d{n + 1}", f"user:d{n + 1}", QUERY,
-                queries.queries[n])
+    tr.emit_group(ROUND_QUERY, "user", dbs, user_links, QUERY, queries.queries)
     answers = answer(aggregated, queries.queries, blinding, params)
-    for n, a in enumerate(answers):
-        tr.emit(ROUND_ANSWER, f"d{n + 1}", "user", f"user:d{n + 1}", ANSWER, (a,))
+    tr.emit_group(ROUND_ANSWER, dbs, "user", user_links, ANSWER, zip(answers))
     count = decode(answers, params)
     return ProtocolRun(params=params, theta=theta, count=count, storage=storage,
                        aggregated=aggregated, queries=queries, blinding=blinding,

@@ -4,6 +4,10 @@ Feeds two consumers: cost accounting (symbols per category) and
 eavesdropper views (query/answer payloads per link). Provisioning events
 may bill symbols without carrying payloads; see the scheme modules for the
 accounting conventions.
+
+The unit of record is a link group: one round's events of one category
+from a sender to receivers, or from senders to a receiver (``emit_group``;
+``emit`` records a group of one). ``events`` is built on read.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import hashlib
 import struct
 from collections import Counter
 from functools import lru_cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _string
 from typing import NamedTuple, Sequence
 
@@ -42,7 +47,8 @@ class Event(NamedTuple):
 
 class Transcript:
     def __init__(self) -> None:
-        self.events: list[Event] = []
+        # (key of _frames, payloads) per group: one name and count per payload
+        self._groups: list[tuple] = []
 
     def emit(self, round: int, sender: str, receiver: str, link: str,
              category: str, values=(), symbols: int | None = None) -> Event:
@@ -53,15 +59,36 @@ class Transcript:
         if type(round) is not int or type(symbols) is not int:  # not a bool either
             raise ParameterError(f"event round and symbol count must be ints, "
                                  f"got {round!r} and {symbols!r}")
-        ev = _tuple_new(Event, (round, sender, receiver, link, category, values, symbols))
-        self.events.append(ev)
-        return ev
+        self._groups.append(((round, (sender,), (receiver,), (link,), category, (symbols,),
+                              (len(values),)), (values,)))
+        return _tuple_new(Event, (round, sender, receiver, link, category, values, symbols))
+
+    def emit_group(self, round: int, senders, receivers, links, category: str,
+                   payloads: Sequence) -> None:
+        """Payload k (bytes or a tuple) goes from sender k to receiver k on link
+        k and bills its length in symbols; a name is a str or one per payload."""
+        payloads = tuple(payloads)
+        k = len(payloads)
+        names = [(x,) * k if type(x) is str else x for x in (senders, receivers, links)]
+        if type(round) is not int or not {bytes, tuple}.issuperset(map(type, payloads)) \
+                or {(type(x), len(x)) for x in names} != {(tuple, k)}:
+            raise ParameterError(f"a group needs an int round, bytes or tuple payloads and "
+                                 f"per name a str or {k} names; round {round!r}")
+        counts = tuple(map(len, payloads))
+        self._groups.append(((round, *names, category, counts, counts), payloads))
+
+    @property
+    def events(self) -> list[Event]:
+        """Every event in order, one per payload, built on each read."""
+        return [_tuple_new(Event, (r, s, d, ln, c, v, n))
+                for (r, ss, ds, links, c, ns, _), payloads in self._groups
+                for s, d, ln, v, n in zip(ss, ds, links, payloads, ns)]
 
     def symbols_by_category(self) -> Counter:
-        """Symbols per link category, in one pass; an absent category reads 0."""
+        """Symbols per link category, one sum per group; an absent category reads 0."""
         tally = {}
-        for _, _, _, _, category, _, symbols in self.events:
-            tally[category] = tally.get(category, 0) + symbols
+        for (_, _, _, _, category, symbols, _), _ in self._groups:
+            tally[category] = tally.get(category, 0) + sum(symbols)
         return Counter(tally)
 
     def digest(self) -> str:
@@ -69,38 +96,40 @@ class Transcript:
 
         Per event: the 8-byte little-endian length of a header, the header
         (json.dumps of [round, sender, receiver, link, category, symbols,
-        value count], built without the encoder object and memoized), then a
-        tag byte and the values. Tag 1: every value is in 0..255, one byte
-        each; a bytes payload is hashed as it is, and a tuple takes this form
-        exactly when bytes(values) succeeds. Tag 0: any other payload, as
-        little-endian 64-bit words. Field elements always fit, since p <
-        2^64; any other value raises struct.error. The encoding depends on
-        the values only, never on whether they came as bytes or a tuple.
-        All of it is hashed in one update.
+        value count], built without the encoder object and memoized per
+        group shape), then a tag byte and the values. Tag 1: every value is
+        in 0..255, one byte each; a bytes payload is hashed as it is, and a
+        tuple takes this form exactly when bytes(values) succeeds. Tag 0:
+        any other payload, as little-endian 64-bit words. Field elements
+        always fit, since p < 2^64; any other value raises struct.error.
+        The encoding depends on the values only, never on bytes against
+        tuple nor on grouping. A payload whose first value is above 255
+        takes the words without trying bytes(). One update hashes it all.
         """
         parts = []
-        frames = _frames(tuple([(r, s, d, link, c, symbols, len(values))
-                                for r, s, d, link, c, values, symbols in self.events]))
-        for frame, ev in zip(frames, self.events):
-            values = ev.values
-            try:  # a bytes payload is returned as it is, not copied
-                parts += (frame, b"\x01", bytes(values))
-            except (ValueError, TypeError):  # a value outside 0..255, or no int
+        for key, payloads in self._groups:
+            for frame, values in zip(_frames(*key), payloads):
+                try:  # a bytes payload is returned as it is, not copied
+                    if not values or values[0] < 256:
+                        parts += (frame, b"\x01", bytes(values))
+                        continue
+                except (ValueError, TypeError):  # a later value outside 0..255, or no int
+                    pass
                 parts += (frame, b"\x00", struct.pack(f"<{len(values)}Q", *values))
         return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
-@lru_cache(maxsize=8)
-def _frames(headers: tuple) -> tuple[bytes, ...]:
-    """The frame of each (round, sender, receiver, link, category, symbols,
-    value count) of a run, in order. Memoized per run shape, as
-    ``model._upsilon`` is: runs of one shape repeat all their headers."""
-    return tuple(_frame(*header) for header in headers)
+@lru_cache(maxsize=1024)
+def _frames(round, senders, receivers, links, category, symbols, counts) -> tuple[bytes, ...]:
+    """The frame of each event of a group, in order. Memoized per group
+    shape, as ``model._upsilon`` is: runs of one shape repeat their groups."""
+    return tuple(map(_frame, repeat(round), senders, receivers, links, repeat(category),
+                     symbols, counts))
 
 
 def _frame(round, sender, receiver, link, category, symbols, count) -> bytes:
-    """One event's length-framed header. ``emit`` admits int rounds and
-    symbol counts only, so the header is what json.dumps writes."""
+    """One event's length-framed header. ``emit`` and ``emit_group`` admit
+    int rounds and symbol counts only, so the header is what json.dumps writes."""
     header = (f"[{round}, {_string(sender)}, {_string(receiver)}, {_string(link)}, "
               f"{_string(category)}, {symbols}, {count}]").encode()
     return len(header).to_bytes(8, "little") + header

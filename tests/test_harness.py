@@ -76,6 +76,12 @@ _GOLDEN = {
         [(1, 2, "e87a9ba7c7c60167d6c6c6d716deec15923ddd41e4322734aa201ff893efbdb7"),
          (2, 3, "e4617db81b6912b11063e4c1f6fdb0050f1bd38f317923d4a99490155ff16ce1")],
         "130c40cbbad2b6fcec38ec2dd3c5fb88964057d6d943e460dd014c8dc75153cf"),
+    # p = 263: the answer group opens with a payload of one byte and holds a
+    # wider one after it, so one group's payloads take both forms
+    "spma2-p263-mixed-group": (
+        RunConfig("spma2", m=4, e=20, t=1, p=263, theta=1, seed=9),
+        [(1, 2, "06a3e21da1ec9dfcb8bace5e90fad6b1691dd9687ccce8d1a9fcdc292cc19b09")],
+        "2da382ba01a317cffb1b659d30c2d6ebc64a06c143beea0b9dfac7de852ad3d4"),
 }
 
 
@@ -88,6 +94,14 @@ def test_seeded_outputs_are_pinned(name):
     _, datasets, _, _ = resolve_config(config)
     members = json.dumps([sorted(d.members) for d in datasets]).encode()
     assert hashlib.sha256(members).hexdigest() == members_sha
+
+
+def test_a_pin_holds_a_group_of_byte_then_word_payloads():
+    config = _GOLDEN["spma2-p263-mixed-group"][0]
+    params, datasets, _, rng = resolve_config(config)
+    run = spma2.run(params, datasets, config.theta, rng)
+    answers = [ev.values for ev in run.transcript.events if ev.category == "answer"]
+    assert max(answers[0]) < 256 <= max(max(a) for a in answers[1:])
 
 
 # Parameter summaries and cost tables recorded while the evaluation points
