@@ -13,9 +13,10 @@ which gives ``b`` and the columns of ``A``, then checks the affine
 prediction at a few more fixed points and raises if the view is not
 affine there. The coset is kept in canonical form: the reduced row
 echelon basis of ``colspace(A)`` plus ``b`` reduced against it. Every
-audit splits its secrets into classes and compares their laws through one
-path, ``_audit``, and a failed comparison names a concrete view that lies
-in one coset and not the other. No sampling, no thresholds.
+audit splits its secrets into classes (an audit over every party's dataset
+takes them from one enumerator, ``_all_datasets``) and compares their laws
+through one path, ``_audit``, and a failed comparison names a concrete
+view that lies in one coset and not the other. No sampling, no thresholds.
 Views draw, pad, blind and deal only through the schemes' samplers, as
 runs do, except lemma 6's type-I view (see ``audit_eavesdropper``).
 ``enumerate_distribution`` keeps the exhaustive ``Fraction`` pmf as an
@@ -324,23 +325,6 @@ def audit_query_privacy(params: SchemeParams, colluding_dbs: Sequence[int], *,
 # ---------------------------------------------------------------------------
 # blind estimation (lemma2)
 
-def _bits_with_placement(gamma_flat, placement, theta, m, e):
-    """Incidence vectors from fixed non-queried bits plus a placement of
-    the queried element."""
-    bits = []
-    pos = 0
-    for i in range(m):
-        row = []
-        for k in range(1, e + 1):
-            if k == theta:
-                row.append(1 if i in placement else 0)
-            else:
-                row.append(gamma_flat[pos])
-                pos += 1
-        bits.append(tuple(row))
-    return tuple(bits)
-
-
 def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
                            cap: int = DEFAULT_CAP) -> AuditResult:
     """For every queried index and count value, the answer tuple must be
@@ -365,17 +349,17 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
                        itertools.repeat(params)), ())
 
     def classes():
+        # one class per (bits off theta, count at it); placements in order: columns descend
         for theta in range(1, e + 1):
-            for gamma_flat in itertools.product((0, 1), repeat=m * (e - 1)):
-                for kappa in range(m + 1):
-                    placements = list(itertools.combinations(range(m), kappa))
-                    if len(placements) < 2:
-                        continue
-                    yield {"kappa": kappa}, [
-                        (("theta", theta, "gamma", gamma_flat, "placement", placement),
-                         partial(view, theta=theta, bits=_bits_with_placement(
-                             gamma_flat, placement, theta, m, e)))
-                        for placement in placements]
+            groups: dict[tuple, list] = {}
+            for bits in _all_datasets(m, e):
+                off = tuple(r[:theta - 1] + r[theta:] for r in bits)
+                groups.setdefault((off, sum(r[theta - 1] for r in bits)), []).append(bits)
+            for (_, kappa), members in sorted(groups.items()):
+                if len(members) > 1:
+                    yield {"kappa": kappa}, [(("theta", theta, "bits", bits),
+                                              partial(view, theta=theta, bits=bits))
+                                             for bits in reversed(members)]
 
     dims = m * mu * e + (0 if zero_masks else (m - 1) * n) + m * params.blinding_depth
     return _audit("blind-estimation", "lemma2", params, dims, classes(),

@@ -1,6 +1,6 @@
-"""Problem setup: universe, party datasets, incidence vectors, validated
-scheme parameters, the query pad and record, the count decode every scheme
-shares, and a deterministic randomness source.
+"""Problem setup: universe, party datasets (each its incidence vector, as
+bytes), validated scheme parameters, the query pad and record, the count
+decode every scheme shares, and a deterministic randomness source.
 
 Conventions used throughout the package: universe elements and the queried
 index are 1-based (element k sits at position k-1 of an incidence vector);
@@ -15,12 +15,12 @@ import json
 import math
 import struct
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from os import PathLike
 from pathlib import Path
-from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
 from .field import (LANES_MAX_P, LANES_MIN_LENGTH, PrimeField, Upsilon, build_upsilon,
@@ -37,8 +37,6 @@ _WIDE2_MAX_P = 1 << 15  # a larger modulus up to this one reads 2-byte words
 # A membership word is 7 bytes: its first byte, then a tail of 6.
 _TAIL, _TAILS = 6, 1 << 48
 _TIE = 2  # marks an element whose first byte does not decide it
-# a list's lane compare gives 0 (joins), 1 (tie) or 2 (stays out)
-_LANE_MARKS = bytes((1, _TIE, 0)) + bytes(253)
 
 
 @lru_cache(maxsize=128)
@@ -314,27 +312,32 @@ def make_params(variant: str, m: int, e: int, *, t: int = 0, y=0,
 
 
 class PartyDataset:
-    """The element indices one party holds. Empty sets are legal. Generated
-    and loaded datasets carry their incidence vector in ``bits``, as bytes; a
-    generated one builds its member set from it on first read. Given bits
-    must be 0 or 1 and are kept as bytes. Equality, hashing and repr are
-    those of ``PartyDataset(members)``; ``bits`` takes no part in them."""
+    """One party's stored set, as its incidence vector over 1..E: ``bits``,
+    bytes with a one at each held index; the set may be empty. Bits are
+    given as a sequence of 0s and 1s, or by ``from_members``; ``members`` is
+    built from them on first read. Equality, hashing and repr are the bits'."""
 
-    __slots__ = ("_members", "bits")
+    __slots__ = ("bits", "_members")
 
-    def __init__(self, members: frozenset[int] | None = None,
-                 bits: Sequence[int] | None = None) -> None:
-        if members is None and bits is None:
-            raise TypeError("a PartyDataset needs its members or its incidence bits")
-        if bits is not None:
-            try:  # bytes(n) of an int n would pass as n zeros
-                bits = None if isinstance(bits, int) else bytes(bits)
-            except (TypeError, ValueError):
-                bits = None
-            if bits is None or bits.translate(None, b"\0\1"):
-                raise ParameterError("incidence bits must be a sequence of 0s and 1s")
-        object.__setattr__(self, "_members", members)
+    def __init__(self, bits: Sequence[int]) -> None:
+        try:  # a set or an int n would pass bytes(), one unordered, one as n zeros
+            bits = bytes(bits) if isinstance(bits, Sequence) else None
+        except (TypeError, ValueError):
+            bits = None
+        if bits is None or bits.translate(None, b"\0\1"):
+            raise ParameterError("incidence bits must be a sequence of 0s and 1s")
         object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "_members", None)
+
+    @classmethod
+    def from_members(cls, members, e: int) -> "PartyDataset":
+        """The dataset holding ``members``, element indices each checked in 1..E."""
+        out = bytearray(e)
+        for k in members:
+            if not (isinstance(k, int) and 1 <= k <= e):
+                raise ParameterError(f"dataset member {k!r} outside universe 1..{e}")
+            out[k - 1] = 1
+        return cls(out)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PartyDataset is immutable; cannot set {name!r}")
@@ -351,17 +354,17 @@ class PartyDataset:
     def __eq__(self, other) -> bool:
         if type(other) is not PartyDataset:
             return NotImplemented
-        return self.members == other.members
+        return self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash((self.members,))
+        return hash((self.bits,))
 
     def __repr__(self) -> str:
-        return f"PartyDataset(members={self.members!r})"
+        return f"PartyDataset({self.bits!r})"
 
     def __reduce__(self):
         # pickle and copy through __init__, since __setattr__ refuses
-        return PartyDataset, (self._members, self.bits)
+        return PartyDataset, (self.bits,)
 
 
 @lru_cache(maxsize=1)
@@ -370,22 +373,11 @@ def _indices(e: int) -> tuple[int, ...]:
     return tuple(range(1, e + 1))
 
 
-def incidence(dataset: PartyDataset, e: int) -> Sequence[int]:
-    """0/1 vector with a one at each held index: the carried one when it
-    has length E, else built from the members, as bytes."""
-    if dataset.bits is not None and len(dataset.bits) == e:
-        return dataset.bits
-    return _incidence_bits(dataset.members, e)
-
-
-def _incidence_bits(members, e: int) -> bytes:
-    """The incidence vector of ``members`` over 1..E, checking each one."""
-    out = bytearray(e)
-    for k in members:
-        if not (isinstance(k, int) and 1 <= k <= e):
-            raise ParameterError(f"dataset member {k!r} outside universe 1..{e}")
-        out[k - 1] = 1
-    return bytes(out)
+def incidence(dataset: PartyDataset, e: int) -> bytes:
+    """The dataset's bits: its 0/1 incidence vector, checked to span 1..E."""
+    if len(dataset.bits) != e:
+        raise ParameterError(f"dataset bits span {len(dataset.bits)} elements, not E={e}")
+    return dataset.bits
 
 
 def _check_theta(theta, e: int) -> None:
@@ -434,8 +426,7 @@ def true_count(theta: int, datasets: Sequence[PartyDataset], e: int) -> int:
     """Brute-force count of parties holding element theta; the oracle every
     decoder is checked against."""
     _check_theta(theta, e)
-    return sum(d.bits[theta - 1] if d.bits is not None and len(d.bits) == e
-               else theta in d.members for d in datasets)
+    return sum(incidence(d, e)[theta - 1] for d in datasets)
 
 
 def _threshold(pk) -> int:
@@ -448,11 +439,21 @@ def _threshold(pk) -> int:
     return 8 * math.ceil(pk * _DYADIC)
 
 
+def _bounds(threshold: int) -> tuple[int, int]:
+    """floor(T / 2^48) and ceil(T / 2^48), the bounds a first byte is marked by."""
+    return threshold >> 8 * _TAIL, -(-threshold >> 8 * _TAIL)  # shifts: cheaper than //
+
+
+def _mark(firsts, bounds) -> bytes:
+    """Each first byte's mark under its bounds: 1 joins, _TIE ties, 0 stays out."""
+    return bytes(1 if b < lo else _TIE if b < hi else 0
+                 for b, (lo, hi) in zip(firsts, bounds))
+
+
 @lru_cache(maxsize=128)
 def _marks(threshold: int) -> bytes:
-    """A scalar threshold's table of first bytes: 1 joins, _TIE ties, 0 stays out."""
-    lo, hi = threshold // _TAILS, -(-threshold // _TAILS)
-    return bytes(1 if b < lo else _TIE if b < hi else 0 for b in range(256))
+    """A scalar threshold's mark of every first byte, as a table."""
+    return _mark(range(256), repeat(_bounds(threshold)))
 
 
 def generate_datasets(params: SchemeParams, probs,
@@ -462,13 +463,12 @@ def generate_datasets(params: SchemeParams, probs,
 
     Element k joins iff its 56-bit word U' < T = 8 * ceil(probs[k-1] * 2^53),
     read lazily. One hash call per party gives every element the first
-    byte b of its word. It joins if b < floor(T / 2^48) and stays out if b
-    >= ceil(T / 2^48), whatever its other 6 bytes. The rest, about 1 in
-    256, tie: b is T's first byte and T's tail is not zero. They read the
-    tails of their words, in order, from the party's next hash call and
-    compare them as bytes with T's. A scalar marks the first bytes through
-    one table; a list compares them at once, as the 16-bit lanes of one
-    int.
+    byte b of its word; ``_mark`` lets it join if b < floor(T / 2^48) and
+    stay out if b >= ceil(T / 2^48), whatever its other 6 bytes. The rest,
+    about 1 in 256, tie: b is T's first byte and T's tail is not zero. They
+    read the tails of their words, in order, from the party's next hash call
+    and compare them as bytes with T's. A scalar marks every first byte
+    through one table; a list marks each against its own element's bounds.
     """
     e, scalar = params.e, isinstance(probs, (int, float))
     if scalar:
@@ -478,26 +478,14 @@ def generate_datasets(params: SchemeParams, probs,
         if len(probs) != e:
             raise ParameterError(f"need {e} membership probabilities, got {len(probs)}")
         thresholds = [_threshold(pk) for pk in probs]
-        # lane k holds its first byte b plus 256 - floor(T / 2^48), or plus
-        # 256 - ceil(T / 2^48); its bit 8 is then set iff b is at least that
-        # bound, and below 512 nothing carries into the next lane
-        gaps_lo = _lanes16([256 - t // _TAILS for t in thresholds])
-        gaps_hi = _lanes16([256 + (-t // _TAILS) for t in thresholds])
-        ones = _lanes16([1] * e)
-        lanes = bytearray(2 * e)
+        bounds = [_bounds(t) for t in thresholds]
     else:
         raise ParameterError(
             f"membership probabilities must be a number or a list of {e} "
             f"numbers, got {probs!r}")
     datasets = []
     for _ in range(params.m):
-        if scalar:
-            bits = rng._read(e).translate(marks)
-        else:
-            lanes[1::2] = rng._read(e)
-            words = int.from_bytes(lanes, "big")
-            above = (words + gaps_lo >> 8 & ones) + (words + gaps_hi >> 8 & ones)  # 0, 1 or 2
-            bits = above.to_bytes(2 * e, "big")[1::2].translate(_LANE_MARKS)
+        bits = rng._read(e).translate(marks) if scalar else _mark(rng._read(e), bounds)
         ties = bits.count(_TIE)
         if ties:
             bits, tails, k = bytearray(bits), rng._read(_TAIL * ties), -1
@@ -506,13 +494,8 @@ def generate_datasets(params: SchemeParams, probs,
                 t = thresholds[0 if scalar else k]
                 bits[k] = tails[j:j + _TAIL] < (t % _TAILS).to_bytes(_TAIL, "big")
             bits = bytes(bits)
-        datasets.append(PartyDataset(bits=bits))
+        datasets.append(PartyDataset(bits))
     return datasets
-
-
-def _lanes16(values) -> int:
-    """The values as the 16-bit lanes of one int, the first one highest."""
-    return int.from_bytes(struct.pack(f">{len(values)}H", *values), "big")
 
 
 def read_json(path, what: str):
@@ -557,6 +540,5 @@ def load_datasets(source) -> tuple[tuple[str, ...], list[PartyDataset]]:
             if el not in index:
                 raise ParameterError(f"unknown element {el!r} (not in universe)")
             members.add(index[el])
-        datasets.append(PartyDataset(frozenset(members),
-                                     _incidence_bits(members, len(order))))
+        datasets.append(PartyDataset.from_members(members, len(order)))
     return order, datasets

@@ -51,7 +51,7 @@ class Transcript:
         self._groups: list[tuple] = []
 
     def emit(self, round: int, sender: str, receiver: str, link: str,
-             category: str, values=(), symbols: int | None = None) -> Event:
+             category: str, values=(), symbols: int | None = None) -> None:
         if type(values) is not tuple and type(values) is not bytes:
             values = tuple(values)
         if symbols is None:
@@ -61,7 +61,6 @@ class Transcript:
                                  f"got {round!r} and {symbols!r}")
         self._groups.append(((round, (sender,), (receiver,), (link,), category, (symbols,),
                               (len(values),)), (values,)))
-        return _tuple_new(Event, (round, sender, receiver, link, category, values, symbols))
 
     def emit_group(self, round: int, senders, receivers, links, category: str,
                    payloads: Sequence) -> None:

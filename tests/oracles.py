@@ -1,14 +1,12 @@
 """Reference helpers shared by the tests: the documented random stream
-read one word at a time, dataset construction from bits, unit vectors and
-queries built one symbol at a time, and the symbolic expansion that
-cross-checks the answer polynomials."""
+read one word at a time, unit vectors and queries built one symbol at a
+time, and the symbolic expansion that cross-checks the answer polynomials."""
 
 import hashlib
 from typing import Sequence
 
 from pma.errors import ParameterError
 from pma.field import PrimeField
-from pma.model import PartyDataset
 
 
 def ref_stream(seed, counter, n):
@@ -34,11 +32,6 @@ def ref_draw(seed, modulus, k, counter=0):
             if w < bound:
                 out.append(w % modulus)
     return tuple(out), counter
-
-
-def members_of(bits: Sequence[int]) -> PartyDataset:
-    """Inverse of :func:`pma.model.incidence`."""
-    return PartyDataset(frozenset(k + 1 for k, b in enumerate(bits) if b))
 
 
 def unit_vector(theta: int, e: int) -> tuple[int, ...]:

@@ -14,9 +14,10 @@ import warnings
 from pma import pma1, spma1, spma2
 from pma.harness import (RunConfig, cost_table, run_audit_suite, run_protocol,
                          to_json)
-from pma.model import RandomSource, generate_datasets, make_params, true_count
+from pma.model import (PartyDataset, RandomSource, generate_datasets, make_params,
+                       true_count)
 from pma.transcript import MASK_SHARE, QUERY
-from tests.oracles import members_of, ref_blinding
+from tests.oracles import ref_blinding
 
 _SCHEMES = {"pma1": pma1.run, "spma1": spma1.run, "spma2": spma2.run}
 
@@ -64,7 +65,7 @@ def test_criterion_1_exhaustive_correctness():
             m, e = params.m, params.e
             for all_bits in itertools.product(
                     itertools.product((0, 1), repeat=e), repeat=m):
-                datasets = [members_of(bits) for bits in all_bits]
+                datasets = [PartyDataset(bits) for bits in all_bits]
                 for theta in range(1, e + 1):
                     expected = true_count(theta, datasets, e)
                     for seed in (0, 1, 2):

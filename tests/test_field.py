@@ -13,7 +13,7 @@ from pma import pma1
 from pma.errors import IntegrityError, ParameterError
 from pma.field import (LaneMask, PrimeField, Upsilon, build_upsilon, default_alphas,
                        is_prime, masked_lane_sum, noise_pad_vector, solve_linear)
-from pma.model import PartyDataset, RandomSource, incidence, make_params, query_vectors
+from pma.model import RandomSource, make_params, query_vectors
 from tests.oracles import ref_blinding
 
 
@@ -461,10 +461,9 @@ NOT_IN_GF5 = (-1, 5, 1.0)
 
 @pytest.mark.parametrize("bad", NOT_IN_GF5)
 def test_noise_pad_vector_rejects_bad_base(bad):
-    # a pad's base is an incidence vector, or a query's unit vector; their
-    # builders reject a member or an index outside the universe 1..E
-    with pytest.raises(ParameterError, match="outside universe"):
-        incidence(PartyDataset(frozenset({2, bad})), 3)
+    # a pad's base is an incidence vector, or a query's unit vector; the
+    # query's builder rejects an index outside the universe 1..E (a member
+    # outside it is refused by PartyDataset.from_members, see test_model)
     with pytest.raises(ParameterError, match="outside 1..3"):
         query_vectors(bad, (), make_params("pma1", 2, 3, t=1, p=5))
 

@@ -321,7 +321,7 @@ def test_measure_costs_bound_flag():
     with pytest.warns(UserWarning, match="extra databases"):
         with pytest.warns(UserWarning, match="in the clear"):
             params = make_params("pma1", 2, 2, t=0, y=0, n=2)
-    datasets = [PartyDataset(frozenset({1})), PartyDataset(frozenset())]
+    datasets = [PartyDataset(b"\1\0"), PartyDataset(b"\0\0")]
     run = pma1.run(params, datasets, 1, RandomSource(0))
     cost = measure_costs(run.transcript, params)
     assert cost["download_symbols"] == 4
@@ -395,8 +395,9 @@ def test_failed_audit_params_name_the_failing_class(control, positive, failed_cl
             bits = label[label.index("bits") + 1]
             assert label[1] == failed_class["realization"]
             assert sum(row[0] for row in bits) == failed_class["kappa"]
-        elif "kappa" in failed_class:
-            assert len(label[label.index("placement") + 1]) == failed_class["kappa"]
+        elif "kappa" in failed_class:  # the queried index's column holds kappa ones
+            bits, theta = label[label.index("bits") + 1], label[1]
+            assert sum(row[theta - 1] for row in bits) == failed_class["kappa"]
 
 
 # (dims, rank, secrets) per suite case; a control's secrets count the laws
@@ -451,8 +452,8 @@ def test_consecutive_runs_redraw_per_query_randomness(variant, scheme, redrawn):
     """Two runs on one source, as in a sweep, draw each piece of per-query
     randomness afresh."""
     params = make_params(variant, 3, 4, t=1, p=131)
-    datasets = [PartyDataset(frozenset({1, 2})), PartyDataset(frozenset({2})),
-                PartyDataset(frozenset())]
+    datasets = [PartyDataset(b"\1\1\0\0"), PartyDataset(b"\0\1\0\0"),
+                PartyDataset(b"\0\0\0\0")]
     rng = RandomSource(5)
     first = scheme.run(params, datasets, 2, rng)
     second = scheme.run(params, datasets, 2, rng)
@@ -471,8 +472,7 @@ def test_blinding_drawn_and_billed_at_blinding_depth(variant, scheme, t, depth):
     both equal the parameters' blinding depth."""
     params = make_params(variant, 3, 2, t=t, p=131)
     assert params.blinding_depth == depth
-    datasets = [PartyDataset(frozenset({1})), PartyDataset(frozenset({1, 2})),
-                PartyDataset(frozenset())]
+    datasets = [PartyDataset(b"\1\0"), PartyDataset(b"\1\1"), PartyDataset(b"\0\0")]
     run = scheme.run(params, datasets, 1, RandomSource(3))
     rows = (run.blinding,) if params.is_type2 else run.blinding  # type I: a row per party
     assert len(rows) == (1 if params.is_type2 else params.m)
@@ -504,7 +504,7 @@ _BUILT_VECTORS = {
 def test_every_vector_a_run_builds_lies_in_the_field(variant, p):
     params = make_params(variant, 3, 6, t=1, p=p)
     rng = RandomSource(29)
-    datasets = [PartyDataset(frozenset({1, 2, k})) for k in (3, 4, 6)]
+    datasets = [PartyDataset.from_members({1, 2, k}, 6) for k in (3, 4, 6)]
     run = {"pma1": pma1.run, "spma1": spma1.run, "spma2": spma2.run}[variant](
         params, datasets, 2, rng)
     assert run.count == 3

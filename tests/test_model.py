@@ -20,10 +20,10 @@ from pma.harness import RunConfig, run_protocol
 from pma.model import (PartyDataset, RandomSource, auto_n, auto_p, generate_datasets,
                        incidence, load_datasets, make_params, query_vectors,
                        true_count)
-from tests.oracles import members_of, ref_draw, ref_query_vectors, ref_stream
+from tests.oracles import ref_draw, ref_query_vectors, ref_stream
 
-P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
-P2 = PartyDataset(frozenset({2, 3, 4}))
+P1 = PartyDataset.from_members({1, 2, 3, 4, 5}, 5)
+P2 = PartyDataset.from_members({2, 3, 4}, 5)
 
 
 def test_validate_type1_examples():
@@ -184,7 +184,7 @@ def test_lazy_membership_compare_equals_the_full_compare(pk):
     words = [b << 48 | tail for b in range(256) for tail in tails]
     members = {k + 1 for k, w in enumerate(words) if w < t}
     ties = [6 * len(tails)] if t % 2 ** 48 else []  # 0, 0.5 and 1 tie nothing
-    for given in (pk, [pk] * len(words)):  # one table, and the lane compare
+    for given in (pk, [pk] * len(words)):  # one table, and per-element bounds
         datasets, asked, expected = _generate_from_words(
             [words, words[::-1]], [pk] * len(words), given)
         assert asked == expected == [len(words), *ties] * 2
@@ -194,7 +194,7 @@ def test_lazy_membership_compare_equals_the_full_compare(pk):
 
 def test_lazy_membership_compare_takes_a_threshold_per_lane():
     # every probability above at once, interleaved, on the words above:
-    # neighbouring lanes hold different thresholds
+    # neighbouring elements are marked against different bounds
     cases = [(b << 48 | min(max(_threshold56(pk) % 2 ** 48 + d, 0), 2 ** 48 - 1), pk)
              for b in range(256) for pk in (0, 1e-300, 0.1, 1 / 3, 0.5, 0.999999, 1)
              for d in (-1, 0, 1)]
@@ -206,9 +206,9 @@ def test_lazy_membership_compare_takes_a_threshold_per_lane():
 
 
 def test_membership_lanes_do_not_carry():
-    # neighbouring lanes at both ends of their range: first byte 0 at p = 1
-    # (0 + 0) next to 255 at p = 0 (255 + 256, the largest sum), and a tie
-    # at p = 1/3 on its threshold itself between them
+    # neighbouring elements at both ends of the range: first byte 0 at p = 1
+    # (bounds 256: every byte joins) next to 255 at p = 0 (bounds 0: none
+    # does), and a tie at p = 1/3 on its threshold itself between them
     probs = [1.0, 0.0, 1 / 3, 1.0, 0.0]
     words = [0, 2 ** 56 - 1, _threshold56(1 / 3), 2 ** 56 - 1, 0]
     datasets, asked, expected = _generate_from_words([words, words], probs)
@@ -313,19 +313,14 @@ def test_m_without_a_field_named_before_y_is_expanded(m):
 def test_incidence_examples():
     assert incidence(P1, 5) == bytes((1, 1, 1, 1, 1))
     assert incidence(P2, 5) == bytes((0, 1, 1, 1, 0))
-    assert incidence(PartyDataset(frozenset()), 3) == bytes((0, 0, 0))
-
-
-def test_incidence_out_of_range_member():
-    with pytest.raises(ParameterError, match="outside universe"):
-        incidence(PartyDataset(frozenset({6})), 5)
+    assert incidence(PartyDataset.from_members(frozenset(), 3), 3) == bytes((0, 0, 0))
 
 
 def test_incidence_bijection_small_universe():
     for members in map(frozenset, itertools.chain.from_iterable(
             itertools.combinations(range(1, 4), r) for r in range(4))):
-        ds = PartyDataset(members)
-        assert members_of(incidence(ds, 3)) == ds
+        ds = PartyDataset.from_members(members, 3)
+        assert ds.members == members and PartyDataset(incidence(ds, 3)) == ds
 
 
 @st.composite
@@ -354,25 +349,15 @@ def test_datasets_carry_their_incidence_vector(source):
         # one hash call per party, and one more for the tails of its ties
         assert m <= rng.position <= 2 * m
     for d in datasets:
-        built = incidence(PartyDataset(d.members), e)
-        assert type(d.bits) is bytes and type(built) is bytes  # one incidence type
-        assert d.bits == built and incidence(d, e) is d.bits
-        same = PartyDataset(d.members)  # a generated one builds its members here, once
+        assert type(d.bits) is bytes and incidence(d, e) is d.bits  # one incidence type
+        # a generated one builds its members here, once
+        same = PartyDataset.from_members(d.members, e)
+        assert same.bits == d.bits and d.members is d.members
         assert d == same and hash(d) == hash(same) and repr(d) == repr(same)
-        assert d.members is d.members
         with pytest.raises(AttributeError):
             d.bits = ()
         copied = pickle.loads(pickle.dumps(d))
         assert copied == d and copied.bits == d.bits
-        # at another universe size the vector is built from the members
-        if d.members and max(d.members) > 1:
-            with pytest.raises(ParameterError, match="outside universe"):
-                incidence(d, max(d.members) - 1)
-        assert tuple(incidence(d, e + 1)) == tuple(built) + (0,)
-    outside = PartyDataset(frozenset({e + 1}))
-    for _ in range(2):  # nothing is memoized: every call checks the members
-        with pytest.raises(ParameterError, match="outside universe"):
-            incidence(outside, e)
 
 
 @pytest.mark.parametrize("e", [10, 10_000])
@@ -399,7 +384,6 @@ def test_runs_on_generated_datasets_build_no_member_set(monkeypatch, config):
     assert report["results"] and reads == []
     d = PartyDataset(bits=(0, 1, 1))
     assert true_count(2, [d], 3) == 1 and reads == []
-    assert true_count(2, [d], 4) == 1 and reads == [d]  # bits of another length
 
 
 @pytest.mark.parametrize("bits", [
@@ -410,10 +394,26 @@ def test_party_dataset_refuses_bits_other_than_0_and_1(bits):
         PartyDataset(bits=bits)
 
 
-def test_party_dataset_needs_its_members_or_its_bits():
-    for given in ({}, {"members": None, "bits": None}):
-        with pytest.raises(TypeError, match="needs its members or its incidence bits"):
-            PartyDataset(**given)
+@pytest.mark.parametrize("build,error,match", [
+    (lambda: PartyDataset({1}), ParameterError, "0s and 1s"),
+    (lambda: PartyDataset(frozenset({1})), ParameterError, "0s and 1s"),
+    (lambda: PartyDataset(members=frozenset({1})), TypeError, "members"),
+    (lambda: PartyDataset.from_members({6}, 5), ParameterError, "6 outside universe 1..5"),
+    (lambda: PartyDataset.from_members({2, -1}, 3), ParameterError, "-1 outside universe"),
+    (lambda: PartyDataset.from_members({2, 1.0}, 3), ParameterError, "1.0 outside universe"),
+    (lambda: incidence(PartyDataset(bits=(0, 1, 1)), 4), ParameterError, "span 3 elements"),
+    (lambda: incidence(PartyDataset(bits=(0, 1, 1)), 2), ParameterError, "span 3 elements"),
+    (lambda: true_count(2, [P1, PartyDataset(bits=(0, 1, 1))], 5), ParameterError,
+     "span 3 elements"),
+], ids=["set", "frozenset", "members-keyword", "member-above-e", "member-negative",
+        "member-not-an-int", "incidence-longer-universe", "incidence-shorter-universe",
+        "true-count-other-universe"])
+def test_datasets_refuse_other_forms(build, error, match):
+    # a dataset is its incidence bits: an unordered set would pass bytes()
+    # in an arbitrary order, members come only through from_members, and
+    # bits of another universe size are refused rather than read as members
+    with pytest.raises(error, match=match):
+        build()
 
 
 @pytest.mark.parametrize("variant", ["pma1", "spma2"])
@@ -427,26 +427,12 @@ def test_runs_count_only_datasets_of_0_1_bits(variant):
         PartyDataset(bits=bad)
     params = make_params(variant, 3, 20, t=1)
     good = [PartyDataset(bits=tuple(min(b, 1) for b in bad)) for _ in range(2)]
-    datasets = good + [PartyDataset(frozenset())]
+    datasets = good + [PartyDataset(bytes(20))]
     assert all(type(d.bits) is bytes for d in good)
     scheme = pma1 if variant == "pma1" else spma2
     for seed in range(6):
         assert [scheme.run(params, datasets, theta, RandomSource(seed)).count
                 for theta in (10, 11, 12)] == [0, 2, 0]
-
-
-def test_sweep_builds_each_incidence_vector_once(monkeypatch):
-    original, builds = model._incidence_bits, []
-
-    def counted(members, e):
-        builds.append(frozenset(members))
-        return original(members, e)
-    monkeypatch.setattr(model, "_incidence_bits", counted)
-    parties = [["a", "b"], ["b", "c", "d"], [], ["d"]]
-    report = run_protocol(RunConfig("spma2", t=1, seed=3, datasets={
-        "universe": ["d", "c", "b", "a"], "parties": parties}))
-    assert len(report["results"]) == 4  # every index, one storage encoding each
-    assert builds == [frozenset({1, 2}), frozenset({2, 3, 4}), frozenset(), frozenset({4})]
 
 
 @pytest.mark.parametrize("p", [3, 23, 2 ** 61 - 1])
@@ -474,7 +460,7 @@ def test_query_vectors_match_the_reference(p, e):
 def test_true_count_examples():
     assert true_count(3, [P1, P2], 5) == 2
     assert true_count(1, [P1, P2], 5) == 1
-    assert true_count(2, [PartyDataset(frozenset())] * 4, 5) == 0
+    assert true_count(2, [PartyDataset(bytes(5))] * 4, 5) == 0
 
 
 def test_true_count_matches_incidence_sum():
@@ -537,7 +523,7 @@ def ref_memberships(params, probs, seed):
             for j, k in enumerate(tied):
                 word = first[k] << 48 | int.from_bytes(tails[6 * j:6 * j + 6], "big")
                 joins[k] = word >> 3 < plist[k] * 2 ** 53
-        datasets.append(PartyDataset(frozenset(k + 1 for k in range(params.e) if joins[k])))
+        datasets.append(PartyDataset([joins[k] for k in range(params.e)]))
     return datasets, counter
 
 
@@ -752,7 +738,7 @@ def test_params_and_runs_survive_pickle_and_deepcopy(variant, scheme):
     # with Upsilon's packed inverse and packed columns built: each one int
     # per column, with no copy of the inverse by rows; copies carry both
     params = make_params(variant, 3, 2, t=1)
-    run = scheme.run(params, [PartyDataset(frozenset({1, 2}))] * 3, 2, RandomSource(4))
+    run = scheme.run(params, [PartyDataset(b"\1\1")] * 3, 2, RandomSource(4))
     ups = params.upsilon
     built = ups.inverse, ups.packed(1)
     assert [type(column) for column in built[0][0]] == [int] * len(ups)

@@ -9,10 +9,10 @@ from pma.errors import IntegrityError, ParameterError
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
                        make_params, query_vectors, true_count)
 from pma.transcript import ANSWER, MASK_SHARE, NOISE_SHARE, QUERY
-from tests.oracles import members_of, oracle_polynomial_expand, unit_vector
+from tests.oracles import oracle_polynomial_expand, unit_vector
 
-P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
-P2 = PartyDataset(frozenset({2, 3, 4}))
+P1 = PartyDataset.from_members({1, 2, 3, 4, 5}, 5)
+P2 = PartyDataset.from_members({2, 3, 4}, 5)
 
 
 def params_small(**kw):
@@ -100,14 +100,14 @@ def test_decode_paper_style_vectors():
 
 def test_decode_all_empty():
     params = params_small(m=3)
-    empty = [PartyDataset(frozenset())] * 3
+    empty = [PartyDataset(bytes(5))] * 3
     assert pma1.run(params, empty, 4, RandomSource(0)).count == 0
 
 
 def test_decode_identity_when_no_budget():
     with pytest.warns(UserWarning):
         params = make_params("pma1", 2, 3, t=0, y=0)
-    datasets = [PartyDataset(frozenset({1, 3})), PartyDataset(frozenset({3}))]
+    datasets = [PartyDataset.from_members({1, 3}, 3), PartyDataset.from_members({3}, 3)]
     run = pma1.run(params, datasets, 3, RandomSource(2))
     assert run.count == sum(incidence(d, 3)[2] for d in datasets) == 2
 
@@ -159,7 +159,7 @@ def test_correctness_exhaustive_tiny(variant):
     params = make_params(variant, 2, 2, t=1, y=0, p=5)
     for bits_a in itertools.product((0, 1), repeat=2):
         for bits_b in itertools.product((0, 1), repeat=2):
-            datasets = [members_of(bits_a), members_of(bits_b)]
+            datasets = [PartyDataset(bits_a), PartyDataset(bits_b)]
             for theta in (1, 2):
                 for seed in (0, 1):
                     run = pma1.run(params, datasets, theta, RandomSource(seed))

@@ -11,8 +11,8 @@ from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
 from pma.transcript import MASK_SHARE, NOISE_SHARE, QUERY
 from tests.oracles import ref_blinding, unit_vector
 
-P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
-P2 = PartyDataset(frozenset({2, 3, 4}))
+P1 = PartyDataset.from_members({1, 2, 3, 4, 5}, 5)
+P2 = PartyDataset.from_members({2, 3, 4}, 5)
 
 
 def params_small(**kw):
@@ -84,7 +84,7 @@ def test_paper_style_vectors_theta4():
 
 def test_all_empty_parties():
     params = params_small(m=3)
-    run = spma1.run(params, [PartyDataset(frozenset())] * 3, 1, RandomSource(1))
+    run = spma1.run(params, [PartyDataset(bytes(5))] * 3, 1, RandomSource(1))
     assert run.count == 0
 
 

@@ -10,10 +10,10 @@ from pma.field import build_upsilon
 from pma.model import (PartyDataset, RandomSource, generate_datasets, incidence,
                        make_params, true_count)
 from pma.transcript import ANSWER, NOISE_SHARE, QUERY, STORAGE_SHARE
-from tests.oracles import members_of, oracle_polynomial_expand, unit_vector
+from tests.oracles import oracle_polynomial_expand, unit_vector
 
-P1 = PartyDataset(frozenset({1, 2, 3, 4, 5}))
-P2 = PartyDataset(frozenset({2, 3, 4}))
+P1 = PartyDataset.from_members({1, 2, 3, 4, 5}, 5)
+P2 = PartyDataset.from_members({2, 3, 4}, 5)
 
 
 def params_small(**kw):
@@ -167,7 +167,7 @@ def test_paper_style_vectors():
 def test_correctness_exhaustive_tiny():
     params = make_params("spma2", 3, 2, t=1, y=0, p=5)
     for all_bits in itertools.product(itertools.product((0, 1), repeat=2), repeat=3):
-        datasets = [members_of(bits) for bits in all_bits]
+        datasets = [PartyDataset(bits) for bits in all_bits]
         for theta in (1, 2):
             run = spma2.run(params, datasets, theta, RandomSource(theta))
             assert run.count == true_count(theta, datasets, 2)
@@ -175,7 +175,7 @@ def test_correctness_exhaustive_tiny():
 
 def test_zero_count_case():
     params = params_small()
-    run = spma2.run(params, [PartyDataset(frozenset())] * 3, 3, RandomSource(0))
+    run = spma2.run(params, [PartyDataset(bytes(5))] * 3, 3, RandomSource(0))
     assert run.count == 0
 
 
@@ -214,7 +214,7 @@ def test_degree_accounting_against_expansion_oracle():
 def test_idle_databases_receive_nothing():
     params = make_params("spma2", 3, 5, t=1, y=0, n=2)
     assert params.n_eff == 5
-    run = spma2.run(params, [P1, P2, PartyDataset(frozenset({1}))], 1,
+    run = spma2.run(params, [P1, P2, PartyDataset.from_members({1}, 5)], 1,
                     RandomSource(4))
     for ev in run.transcript.events:
         for name in (ev.sender, ev.receiver):
@@ -224,8 +224,7 @@ def test_idle_databases_receive_nothing():
 
 def test_transcript_symbol_counts():
     params = params_small(e=2)
-    datasets = [PartyDataset(frozenset({1})), PartyDataset(frozenset({1, 2})),
-                PartyDataset(frozenset())]
+    datasets = [PartyDataset(b"\1\0"), PartyDataset(b"\1\1"), PartyDataset(b"\0\0")]
     run = spma2.run(params, datasets, 1, RandomSource(0))
     n_eff, e, m = params.n_eff, params.e, params.m
     assert run.transcript.symbols_by_category() == {
@@ -233,8 +232,7 @@ def test_transcript_symbol_counts():
 
 
 def test_noise_share_events_carry_no_values():
-    datasets = [PartyDataset(frozenset({1})), PartyDataset(frozenset({1, 2})),
-                PartyDataset(frozenset())]
+    datasets = [PartyDataset(b"\1\0"), PartyDataset(b"\1\1"), PartyDataset(b"\0\0")]
     runs = [pma1.run(make_params("pma1", 3, 2, t=1), datasets, 1, RandomSource(0)),
             spma1.run(make_params("spma1", 3, 2, t=1), datasets, 1, RandomSource(0)),
             spma2.run(params_small(e=2), datasets, 1, RandomSource(0))]

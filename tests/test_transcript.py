@@ -135,7 +135,7 @@ def test_runs_of_one_shape_build_their_frames_once(monkeypatch):
     digest of a run, and the digest of a second run of its shape, build no
     frame."""
     params = make_params("spma1", 4, 2, t=63)
-    datasets = [PartyDataset(frozenset({1}))] * 4
+    datasets = [PartyDataset(b"\1\0")] * 4
     first, second = (spma1.run(params, datasets, theta, RandomSource(5)).transcript
                      for theta in (1, 2))
     assert len({ev[:5] + (ev.symbols, len(ev.values)) for ev in first.events}) > 512
@@ -168,9 +168,11 @@ def test_emit_refuses_non_int_round_and_symbols(field, value):
 @pytest.mark.parametrize("values", [(), (0,), (255,), (0, 1, 254, 255), tuple(range(256)) * 40])
 def test_bytes_and_tuple_payloads_give_one_digest(values):
     # a bytes payload is kept as it is and hashed as a tuple of its values is
-    kept = Transcript().emit(**dict(BASE, values=bytes(values))).values
-    assert type(kept) is bytes and kept == bytes(values)
-    assert type(Transcript().emit(**dict(BASE, values=list(values))).values) is tuple
+    kept, listed = Transcript(), Transcript()
+    assert kept.emit(**dict(BASE, values=bytes(values))) is None
+    listed.emit(**dict(BASE, values=list(values)))
+    assert type(kept.events[0].values) is bytes and kept.events[0].values == bytes(values)
+    assert type(listed.events[0].values) is tuple
     as_bytes, as_tuple = dict(BASE, values=bytes(values)), dict(BASE, values=values)
     assert digest(as_bytes) == digest(as_tuple) == reference_digest([as_tuple])
     assert digest(as_bytes, BASE, as_bytes) == digest(as_tuple, BASE, as_tuple)
