@@ -269,14 +269,16 @@ def _audit(name: str, lemma: str | None, params: SchemeParams, dims: int,
 
 
 def _taps(params: SchemeParams, dbs: Sequence[int]) -> tuple:
-    """Checked 1-based database indices: within one party for the type-I
-    variants (the query structure is identical across parties), global for
-    type II."""
+    """Checked 1-based database indices, each named once: within one party
+    for the type-I variants (the query structure is identical across
+    parties), global for type II."""
     limit = len(params.alphas_used)
     taps = tuple(dbs)
-    for j in taps:
-        if not 1 <= j <= limit:
-            raise ParameterError(f"database index {j} outside 1..{limit}")
+    for k, j in enumerate(taps):
+        if not (type(j) is int and 1 <= j <= limit):
+            raise ParameterError(f"database index {j!r} outside 1..{limit}")
+        if j in taps[:k]:
+            raise ParameterError(f"database index {j} named twice in {list(taps)}")
     return taps
 
 
@@ -435,8 +437,8 @@ def audit_storage_security(params: SchemeParams, *, subset_size: int | None = No
         raise ParameterError("storage-security audit applies to the type-II variant")
     e, n_eff = params.e, params.n_eff
     size = params.t2 * params.n if subset_size is None else subset_size
-    if not 1 <= size <= n_eff:
-        raise ParameterError(f"share subset size {size} outside 1..{n_eff}")
+    if not (type(size) is int and 1 <= size <= n_eff):
+        raise ParameterError(f"share subset size {size!r} outside 1..{n_eff}")
     depth = 0 if zero_storage_noise else params.storage_depth
     silent = (0,) * (params.storage_depth * e)  # the control's storage noise
 

@@ -5,6 +5,10 @@ Uploads are the query vectors (E symbols each), downloads the scalar
 answers, randomness sharing the dealt mask/noise symbols as billed by the
 schemes. Type-II storage-share distribution is recorded in the transcript
 but reported separately from the accounted total.
+
+The audit suite is one table: each ``SuiteCase`` row names its audit
+function, a parameter shape built once per suite, the audit's positional
+arguments and keyword options. A case named ``control:...`` must fail.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 from . import audit, pma1, spma2
@@ -183,10 +187,10 @@ def cost_table(variant: str, m_values: Sequence[int], *, t: int = 0, y=0,
     """
     if not m_values:
         raise ParameterError("cost sweep needs at least one party count")
-    if not 1 <= exp_k <= max(m_values):  # K-PSI asks for K of the M parties
+    if not (type(exp_k) is int and 1 <= exp_k <= max(m_values)):  # K-PSI: K of the M parties
         raise ParameterError(
-            f"exponential reference K must be at least 1 and at most the largest "
-            f"party count {max(m_values)}, got {exp_k}")
+            f"exponential reference K must be at least 1, an int, and at most the "
+            f"largest party count {max(m_values)}, got {exp_k!r}")
     if isinstance(y, (list, tuple)) and len(y) != max(m_values):
         raise ParameterError(f"a cost sweep's Y list needs {max(m_values)} entries, "
                              f"one per party of the largest M; got {len(y)}")
@@ -226,121 +230,81 @@ def cost_table(variant: str, m_values: Sequence[int], *, t: int = 0, y=0,
 
 @dataclass
 class SuiteCase:
+    """One suite row: ``audit(params, *args, cap=cap, **options)``. A case
+    named ``control:...`` runs a broken scheme and must fail; every other
+    case must pass."""
+
     name: str
     lemma: str | None
-    expect_pass: bool
-    build: Callable[[int], audit.AuditResult]
+    audit: Callable[..., audit.AuditResult]
+    params: SchemeParams
+    args: tuple = ()
+    options: dict = field(default_factory=dict)
     note: str = ""
 
+    @property
+    def expect_pass(self) -> bool:
+        return not self.name.startswith("control:")
 
-def _t1(variant: str, *, t: int = 1, y: int = 0) -> SchemeParams:
-    return make_params(variant, 2, 2, t=t, y=y, p=3)
-
-
-def _t2_params(*, y: int = 0) -> SchemeParams:
-    return make_params("spma2", 3, 2, t=1, y=y, p=5)
+    def build(self, cap: int) -> audit.AuditResult:
+        return self.audit(self.params, *self.args, cap=cap, **self.options)
 
 
 def build_audit_suite() -> list[SuiteCase]:
     """Positive audits at minimal feasible parameters plus the designated
-    broken-scheme controls (each control must fail)."""
+    broken-scheme controls, one row each over eight shapes built here."""
     with warnings.catch_warnings():  # no noise budget on purpose: queries in the clear
         warnings.filterwarnings("ignore", "query noise depth is 0", UserWarning)
         clear_t1 = make_params("pma1", 2, 2, t=0, y=0, p=3)
         clear_t2 = make_params("spma2", 2, 1, t=0, y=0, p=3)
-    t2_params = _t2_params()
-    cases = [
-        SuiteCase(
-            "query-privacy:pma1", "lemma4", True,
-            lambda cap: audit.audit_query_privacy(_t1("pma1"), [1], cap=cap)),
-        SuiteCase(
-            "query-privacy:spma1", "lemma4", True,
-            lambda cap: audit.audit_query_privacy(_t1("spma1"), [1], cap=cap)),
-        SuiteCase(
-            "query-privacy:spma2", "lemma3", True,
-            lambda cap: audit.audit_query_privacy(_t2_params(), [1], cap=cap),
-            note="type-II budget is T*N pooled databases"),
-        SuiteCase(
-            "blind-estimation:pma1", "lemma2", True,
-            lambda cap: audit.audit_blind_estimation(_t1("pma1"), cap=cap)),
-        SuiteCase(
-            "blind-estimation:spma1", "lemma2", True,
-            lambda cap: audit.audit_blind_estimation(_t1("spma1"), cap=cap)),
-        SuiteCase(
-            "symmetric-privacy:spma1", "lemma1", True,
-            lambda cap: audit.audit_symmetric_privacy(_t1("spma1"), cap=cap)),
-        SuiteCase(
-            "symmetric-privacy:spma2", "lemma1", True,
-            lambda cap: audit.audit_symmetric_privacy(_t2_params(), cap=cap)),
-        SuiteCase(
-            "storage-security:spma2", "lemma5", True,
-            lambda cap: audit.audit_storage_security(_t2_params(), cap=cap)),
-        SuiteCase(
-            "storage-security:spma2-min", "lemma5", True,
-            lambda cap: audit.audit_storage_security(clear_t2, cap=cap),
-            note="single-share uniformity at the smallest feasible field"),
-        SuiteCase(
-            "eavesdropper:pma1", "lemma6", True,
-            lambda cap: audit.audit_eavesdropper(
-                _t1("pma1", t=0, y=1), [1], cap=cap)),
-        SuiteCase(
-            "eavesdropper:spma1", "lemma6", True,
-            lambda cap: audit.audit_eavesdropper(
-                _t1("spma1", t=0, y=1), [1], cap=cap)),
-        SuiteCase(
-            "eavesdropper:spma2", "lemma7", True,
-            lambda cap: audit.audit_eavesdropper(_t2_params(y=1), [1], cap=cap)),
-        SuiteCase(
-            "interparty-dealing:pma1", None, True,
-            lambda cap: audit.audit_interparty_dealing(_t1("pma1"), cap=cap)),
-        # ---- negative controls: every one of these must FAIL ----
-        SuiteCase(
-            "control:unprotected-query", "lemma4", False,
-            lambda cap: audit.audit_query_privacy(clear_t1, [1], cap=cap),
-            note="no noise budget: a single colluder reads the index"),
-        SuiteCase(
-            "control:zero-masks-blind", "lemma2", False,
-            lambda cap: audit.audit_blind_estimation(
-                _t1("pma1"), zero_masks=True, cap=cap),
-            note="without masks the answers expose per-party bits"),
-        SuiteCase(
-            "control:pma1-symmetric", "lemma1", False,
-            lambda cap: audit.audit_symmetric_privacy(_t1("pma1"), cap=cap),
-            note="the non-symmetric scheme leaks through interference"),
-        SuiteCase(
-            "control:zero-blinding-symmetric", "lemma1", False,
-            lambda cap: audit.audit_symmetric_privacy(
-                _t1("spma1"), zero_blinding=True, cap=cap)),
-        SuiteCase(
-            "control:zero-blinding-symmetric-spma2", "lemma1", False,
-            lambda cap: audit.audit_symmetric_privacy(
-                _t2_params(), zero_blinding=True, cap=cap)),
-        SuiteCase(
-            "control:zero-storage-noise", "lemma5", False,
-            lambda cap: audit.audit_storage_security(
-                _t2_params(), zero_storage_noise=True, cap=cap)),
-        SuiteCase(
-            "control:overbudget-storage", "lemma5", False,
-            lambda cap: audit.audit_storage_security(
-                t2_params, subset_size=t2_params.t2 * t2_params.n + 1, cap=cap),
-            note="one share beyond the depth interpolates the vector"),
-        SuiteCase(
-            "control:overbudget-eavesdropper", "lemma6", False,
-            lambda cap: audit.audit_eavesdropper(
-                _t1("pma1", t=0, y=1), [1, 2], zero_masks=True, cap=cap),
-            note="N taps with depth < N interpolate query and answer"),
-        SuiteCase(
-            "control:overbudget-collusion-type2", "lemma3", False,
-            lambda cap: audit.audit_query_privacy(
-                _t2_params(), [1, 2], cap=cap),
-            note="a pair exceeds the T*N = 1 budget here"),
-        SuiteCase(
-            "control:dataset-dependent-dealing", None, False,
-            lambda cap: audit.audit_interparty_dealing(
-                _t1("pma1"), leak_incidence=True, cap=cap),
-            note="senders also write their incidence vectors to party M"),
+    pma1_t1, spma1_t1 = (make_params(v, 2, 2, t=1, p=3) for v in ("pma1", "spma1"))
+    pma1_y1, spma1_y1 = (make_params(v, 2, 2, y=1, p=3) for v in ("pma1", "spma1"))
+    t2_y0, t2_y1 = (make_params("spma2", 3, 2, t=1, y=y, p=5) for y in (0, 1))
+    query, blind, symmetric, storage, eaves, dealing = (
+        audit.audit_query_privacy, audit.audit_blind_estimation,
+        audit.audit_symmetric_privacy, audit.audit_storage_security,
+        audit.audit_eavesdropper, audit.audit_interparty_dealing)
+    return [
+        SuiteCase("query-privacy:pma1", "lemma4", query, pma1_t1, ([1],)),
+        SuiteCase("query-privacy:spma1", "lemma4", query, spma1_t1, ([1],)),
+        SuiteCase("query-privacy:spma2", "lemma3", query, t2_y0, ([1],),
+                  note="type-II budget is T*N pooled databases"),
+        SuiteCase("blind-estimation:pma1", "lemma2", blind, pma1_t1),
+        SuiteCase("blind-estimation:spma1", "lemma2", blind, spma1_t1),
+        SuiteCase("symmetric-privacy:spma1", "lemma1", symmetric, spma1_t1),
+        SuiteCase("symmetric-privacy:spma2", "lemma1", symmetric, t2_y0),
+        SuiteCase("storage-security:spma2", "lemma5", storage, t2_y0),
+        SuiteCase("storage-security:spma2-min", "lemma5", storage, clear_t2,
+                  note="single-share uniformity at the smallest feasible field"),
+        SuiteCase("eavesdropper:pma1", "lemma6", eaves, pma1_y1, ([1],)),
+        SuiteCase("eavesdropper:spma1", "lemma6", eaves, spma1_y1, ([1],)),
+        SuiteCase("eavesdropper:spma2", "lemma7", eaves, t2_y1, ([1],)),
+        SuiteCase("interparty-dealing:pma1", None, dealing, pma1_t1),
+        SuiteCase("control:unprotected-query", "lemma4", query, clear_t1, ([1],),
+                  note="no noise budget: a single colluder reads the index"),
+        SuiteCase("control:zero-masks-blind", "lemma2", blind, pma1_t1,
+                  options={"zero_masks": True},
+                  note="without masks the answers expose per-party bits"),
+        SuiteCase("control:pma1-symmetric", "lemma1", symmetric, pma1_t1,
+                  note="the non-symmetric scheme leaks through interference"),
+        SuiteCase("control:zero-blinding-symmetric", "lemma1", symmetric, spma1_t1,
+                  options={"zero_blinding": True}),
+        SuiteCase("control:zero-blinding-symmetric-spma2", "lemma1", symmetric, t2_y0,
+                  options={"zero_blinding": True}),
+        SuiteCase("control:zero-storage-noise", "lemma5", storage, t2_y0,
+                  options={"zero_storage_noise": True}),
+        SuiteCase("control:overbudget-storage", "lemma5", storage, t2_y0,
+                  options={"subset_size": t2_y0.t2 * t2_y0.n + 1},
+                  note="one share beyond the depth interpolates the vector"),
+        SuiteCase("control:overbudget-eavesdropper", "lemma6", eaves, pma1_y1, ([1, 2],),
+                  {"zero_masks": True},
+                  note="N taps with depth < N interpolate query and answer"),
+        SuiteCase("control:overbudget-collusion-type2", "lemma3", query, t2_y0, ([1, 2],),
+                  note="a pair exceeds the T*N = 1 budget here"),
+        SuiteCase("control:dataset-dependent-dealing", None, dealing, pma1_t1,
+                  options={"leak_incidence": True},
+                  note="senders also write their incidence vectors to party M"),
     ]
-    return cases
 
 
 def select_cases(cases: Sequence[SuiteCase], selector: str) -> list[SuiteCase]:
@@ -370,8 +334,8 @@ def run_audit_suite(selector: str = "all", cap: int | None = None) -> dict:
     the suite continues; ``cap`` defaults to ``audit.DEFAULT_CAP``. ``ms``
     is each case's wall time."""
     cap = audit.DEFAULT_CAP if cap is None else cap
-    if cap < 1:
-        raise ParameterError(f"cap must be at least 1, got {cap}")
+    if type(cap) is not int or cap < 1:
+        raise ParameterError(f"cap must be at least 1 and an int, got {cap!r}")
     cases = select_cases(build_audit_suite(), selector)
     entries = []
     for case in cases:

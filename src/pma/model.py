@@ -334,7 +334,7 @@ class PartyDataset:
         """The dataset holding ``members``, element indices each checked in 1..E."""
         out = bytearray(e)
         for k in members:
-            if not (isinstance(k, int) and 1 <= k <= e):
+            if not (type(k) is int and 1 <= k <= e):
                 raise ParameterError(f"dataset member {k!r} outside universe 1..{e}")
             out[k - 1] = 1
         return cls(out)

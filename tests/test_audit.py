@@ -297,6 +297,23 @@ def test_query_privacy_rejects_bad_db_index():
         audit.audit_query_privacy(t1(), [3])
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda: audit.audit_query_privacy(t1(), [1, 1]),
+     r"database index 1 named twice in \[1, 1\]"),
+    (lambda: audit.audit_query_privacy(t2(), [2, 1, 2]), "database index 2 named twice"),
+    (lambda: audit.audit_eavesdropper(t1("pma1", t=0, y=1), [2, 2], zero_masks=True),
+     "database index 2 named twice"),
+    (lambda: audit.audit_eavesdropper(t1("pma1", t=0, y=1), [True]),
+     r"database index True outside 1\.\.2"),
+], ids=["query-repeated-tap", "type2-query-repeated-tap", "eavesdropper-repeated-tap",
+        "eavesdropper-bool-tap"])
+def test_audits_refuse_repeated_and_bool_taps(build, match):
+    # a repeated tap audits fewer databases than it names, and a bool is
+    # not an index, though it compares equal to one
+    with pytest.raises(ParameterError, match=match):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # blind estimation
 
@@ -537,7 +554,7 @@ def test_storage_audit_sizes_its_subset_from_the_threat_model(monkeypatch):
 
 def test_storage_security_rejects_subset_sizes_outside_1_to_n_eff():
     params = t2()
-    for size in (0, params.n_eff + 1):
+    for size in (0, params.n_eff + 1, True):  # a bool is not a size
         with pytest.raises(ParameterError, match=f"share subset size {size} outside "
                                                  f"1..{params.n_eff}"):
             audit.audit_storage_security(params, subset_size=size)

@@ -13,7 +13,7 @@ from pma.harness import (RunConfig, build_audit_suite, cost_table, measure_costs
                          remark_total, resolve_config, run_audit_suite, run_protocol,
                          select_cases, theorem_bound, to_json)
 from pma.model import PartyDataset, RandomSource, make_params
-from pma import harness, pma1, spma1, spma2
+from pma import audit, harness, pma1, spma1, spma2
 from pma.transcript import NOISE_SHARE
 from tests.configs import BASES, check_accepted_run, patched_configs
 
@@ -284,6 +284,11 @@ def test_cost_table_exponential_reference_column():
     assert [r["exp_reference"] for r in table["rows"]] == [2 ** 3 * 2, 3 ** 3 * 2]
 
 
+def test_cost_table_refuses_a_bool_exponential_reference():
+    with pytest.raises(ParameterError, match="K must be at least 1, an int,.* got True"):
+        cost_table("pma1", [2, 3], t=1, exp_k=True)
+
+
 def test_reports_are_deterministic():
     config = RunConfig(variant="spma1", m=2, e=3, t=1, theta=2, seed=11)
     a = to_json(run_protocol(config))
@@ -346,6 +351,18 @@ def test_suite_selectors():
     assert [c.name for c in named] == ["query-privacy:pma1", "storage-security:spma2"]
     with pytest.raises(ParameterError, match="unknown audit selector"):
         select_cases(cases, "lemma99")
+
+
+def test_suite_cases_declare_the_lemma_their_audit_reports():
+    # selectors and the report read the declared lemma, not the audit's
+    cases = build_audit_suite()
+    assert {c.name: c.build(audit.DEFAULT_CAP).lemma for c in cases} == \
+        {c.name: c.lemma for c in cases}
+
+
+def test_run_audit_suite_refuses_a_bool_cap():
+    with pytest.raises(ParameterError, match="cap must be at least 1 and an int, got True"):
+        run_audit_suite("lemma5", cap=True)
 
 
 def test_run_audit_suite_empty_selector():

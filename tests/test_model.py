@@ -401,13 +401,14 @@ def test_party_dataset_refuses_bits_other_than_0_and_1(bits):
     (lambda: PartyDataset.from_members({6}, 5), ParameterError, "6 outside universe 1..5"),
     (lambda: PartyDataset.from_members({2, -1}, 3), ParameterError, "-1 outside universe"),
     (lambda: PartyDataset.from_members({2, 1.0}, 3), ParameterError, "1.0 outside universe"),
+    (lambda: PartyDataset.from_members({True}, 3), ParameterError, "True outside universe"),
     (lambda: incidence(PartyDataset(bits=(0, 1, 1)), 4), ParameterError, "span 3 elements"),
     (lambda: incidence(PartyDataset(bits=(0, 1, 1)), 2), ParameterError, "span 3 elements"),
     (lambda: true_count(2, [P1, PartyDataset(bits=(0, 1, 1))], 5), ParameterError,
      "span 3 elements"),
 ], ids=["set", "frozenset", "members-keyword", "member-above-e", "member-negative",
-        "member-not-an-int", "incidence-longer-universe", "incidence-shorter-universe",
-        "true-count-other-universe"])
+        "member-not-an-int", "member-bool", "incidence-longer-universe",
+        "incidence-shorter-universe", "true-count-other-universe"])
 def test_datasets_refuse_other_forms(build, error, match):
     # a dataset is its incidence bits: an unordered set would pass bytes()
     # in an arbitrary order, members come only through from_members, and
