@@ -19,6 +19,8 @@ through one path, ``_audit``, and a failed comparison names a concrete
 view that lies in one coset and not the other. No sampling, no thresholds.
 Views draw, pad, blind and deal only through the schemes' samplers, as
 runs do, except lemma 6's type-I view (see ``audit_eavesdropper``).
+Those draws never read the secret, so within one audit call each is
+memoized per evaluation point (and theta) and every secret's law reads it.
 ``enumerate_distribution`` keeps the exhaustive ``Fraction`` pmf as an
 independent oracle for tests.
 
@@ -47,14 +49,14 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import partial
+from functools import cache, lru_cache, partial
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import pma1, spma2
 from .errors import AuditInfeasibleError, IntegrityError, ParameterError
 from .model import RandomSource, SchemeParams, query_vectors
-from .transcript import MASK_SHARE, ROUND_SETUP, Transcript
+from .transcript import Transcript
 
 # view evaluations per audit case for the coset laws; assignments per
 # call for enumerate_distribution
@@ -110,6 +112,28 @@ def _reduce(v, basis, pivots, p) -> list:
     return v
 
 
+@lru_cache(maxsize=128)
+def _echelon(p: int, columns: tuple) -> tuple[tuple, tuple]:
+    """The reduced row echelon basis of span(columns) over GF(p) and its
+    pivots, in pivot order; memoized, so laws with equal columns reduce once."""
+    basis, pivots = [], []
+    for col in columns:
+        v = _reduce(col, basis, pivots, p)
+        lead = next((k for k, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], -1, p)
+        v = [x * inv % p for x in v]
+        for i, row in enumerate(basis):
+            if row[lead]:
+                c = row[lead]
+                basis[i] = [(x - c * y) % p for x, y in zip(row, v)]
+        basis.append(v)
+        pivots.append(lead)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return tuple(tuple(basis[i]) for i in order), tuple(pivots[i] for i in order)
+
+
 class Coset:
     """The law of an affine view: uniform on ``offset + span(basis)``.
 
@@ -123,23 +147,7 @@ class Coset:
 
     def __init__(self, p: int, columns, offset) -> None:
         self.p = p
-        basis, pivots = [], []
-        for col in columns:
-            v = _reduce(col, basis, pivots, p)
-            lead = next((k for k, x in enumerate(v) if x), None)
-            if lead is None:
-                continue
-            inv = pow(v[lead], -1, p)
-            v = [x * inv % p for x in v]
-            for i, row in enumerate(basis):
-                if row[lead]:
-                    c = row[lead]
-                    basis[i] = [(x - c * y) % p for x, y in zip(row, v)]
-            basis.append(v)
-            pivots.append(lead)
-        order = sorted(range(len(pivots)), key=pivots.__getitem__)
-        self.basis = tuple(tuple(basis[i]) for i in order)
-        self.pivots = tuple(pivots[i] for i in order)
+        self.basis, self.pivots = _echelon(p, tuple(map(tuple, columns)))
         self.offset = self.reduce(offset)
 
     def reduce(self, v) -> tuple:
@@ -340,14 +348,16 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
     if params.is_type2:
         raise ParameterError("blind-estimation audit applies to the type-I variants")
     m, n, e, mu = params.m, params.n, params.e, params.mu
-    zero = ((0,) * n,) * m
 
-    def view(assignment, theta, bits):
+    @cache
+    def draw(assignment, theta):
         cur = _Cursor(assignment)
         queries = pma1.gen_queries(theta, params, cur).queries
-        masks = zero if zero_masks else pma1.gen_masks(params, cur)
-        blinding = pma1.draw_party_noise(params, cur)
-        return sum(map(pma1.answer, bits, queries, masks, blinding,
+        masks = ((0,) * n,) * m if zero_masks else pma1.gen_masks(params, cur)
+        return queries, masks, pma1.draw_party_noise(params, cur)
+
+    def view(assignment, theta, bits):
+        return sum(map(pma1.answer, bits, *draw(assignment, theta),
                        itertools.repeat(params)), ())
 
     def classes():
@@ -389,10 +399,13 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
     if params.is_type2:
         scheme, dims = spma2, depth
 
+        @cache
+        def draw(assignment):
+            return () if zero_blinding else \
+                spma2.draw_global_noise(params, _Cursor(assignment))
+
         def view(assignment, ptildes, queries):
-            cur = _Cursor(assignment)
-            blinding = () if zero_blinding else spma2.draw_global_noise(params, cur)
-            return spma2.answer(ptildes, queries, blinding, params)
+            return spma2.answer(ptildes, queries, draw(assignment), params)
 
         # answers read the datasets only through their bit-sums: range over those
         secrets = [(("sums", sigma), sigma[0], partial(view, ptildes=ptildes))
@@ -400,11 +413,14 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
     else:
         scheme, dims = pma1, (m - 1) * params.n + m * depth
 
-        def view(assignment, bits, queries):
+        @cache
+        def draw(assignment):
             cur = _Cursor(assignment)
             masks = pma1.gen_masks(params, cur)
-            blinding = ((),) * m if zero_blinding else pma1.draw_party_noise(params, cur)
-            return sum(map(pma1.answer, bits, queries, masks, blinding,
+            return masks, (((),) * m if zero_blinding else pma1.draw_party_noise(params, cur))
+
+        def view(assignment, bits, queries):
+            return sum(map(pma1.answer, bits, queries, *draw(assignment),
                            itertools.repeat(params)), ())
 
         secrets = [(("bits", bits), sum(row[0] for row in bits), partial(view, bits=bits))
@@ -474,7 +490,7 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
     databases; the storage is dealt at a fixed noise realization since the
     blinding and query noise alone must carry the argument.
     """
-    p, e, mu = params.p, params.e, params.mu
+    p, e, mu, n = params.p, params.e, params.mu, params.n
     taps = _taps(params, taps)
     depth = params.blinding_depth
 
@@ -483,10 +499,14 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
             raise ParameterError("zero_masks applies to the type-I variants, "
                                  "whose answers carry masks")
 
-        def view(assignment, theta, ptildes):
+        @cache
+        def draw(assignment, theta):
             cur = _Cursor(assignment)
             queries = spma2.gen_queries(theta, params, cur).queries
-            blinding = spma2.draw_global_noise(params, cur)
+            return queries, spma2.draw_global_noise(params, cur)
+
+        def view(assignment, theta, ptildes):
+            queries, blinding = draw(assignment, theta)
             answers = spma2.answer(ptildes, queries, blinding, params)
             return sum(((*queries[j - 1], answers[j - 1]) for j in taps), ())
 
@@ -496,14 +516,16 @@ def audit_eavesdropper(params: SchemeParams, taps: Sequence[int], *,
         lemma, dims = "lemma7", mu * e + depth
         detail = {"taps": list(taps)}
     else:
-        n = params.n
-        zero_mask_vec = (0,) * n
-
-        def view(assignment, theta, bits):
+        @cache
+        def draw(assignment, theta):
             cur = _Cursor(assignment)
             queries = query_vectors(theta, cur.rows(p, mu, e), params)
-            mask = zero_mask_vec if zero_masks else cur.draw_vector(p, n)
-            answers = pma1.answer(bits, queries, mask, cur.draw_vector(p, depth), params)
+            mask = (0,) * n if zero_masks else cur.draw_vector(p, n)
+            return queries, mask, cur.draw_vector(p, depth)
+
+        def view(assignment, theta, bits):
+            queries, mask, blinding = draw(assignment, theta)
+            answers = pma1.answer(bits, queries, mask, blinding, params)
             return sum(((*queries[j - 1], answers[j - 1]) for j in taps), ())
 
         members = [(("theta", theta, "bits", bits), partial(view, theta=theta, bits=bits))
@@ -533,14 +555,15 @@ def audit_interparty_dealing(params: SchemeParams, *, leak_incidence: bool = Fal
     dealer = f"p{m}"
     links = {f"p{i}:{dealer}" for i in range(1, m)}
 
-    def view(assignment, bits):
+    @cache
+    def draw(assignment):
         tr = Transcript()
         pma1.emit_mask_events(params, pma1.gen_masks(params, _Cursor(assignment)), tr)
-        if leak_incidence:
-            for i in range(m - 1):
-                tr.emit(ROUND_SETUP, f"p{i + 1}", dealer, f"p{i + 1}:{dealer}",
-                        MASK_SHARE, bits[i])
         return tuple(v for ev in tr.events if ev.link in links for v in ev.values)
+
+    def view(assignment, bits):
+        # the leak follows the masks on the same links, as if emitted after them
+        return draw(assignment) + (sum(bits[:m - 1], ()) if leak_incidence else ())
 
     members = [(("bits", bits), partial(view, bits=bits))
                for bits in _all_datasets(m, params.e)]

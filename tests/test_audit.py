@@ -4,11 +4,12 @@ enumeration oracle."""
 
 import sys
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from pma import audit, pma1, spma1, spma2
+from pma import audit, model, pma1, spma1, spma2
 from pma.errors import AuditInfeasibleError, IntegrityError, ParameterError
 from pma.field import Upsilon
 from pma.harness import RunConfig, build_audit_suite, run_audit_suite, run_protocol
@@ -262,6 +263,42 @@ def test_type2_query_noise_without_the_factor_n_fails_query_privacy(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
+# type-I collusion at T = 2, a depth no suite case has
+
+def _t2_collusion(variant):
+    """``variant`` at M=2, E=2, T=2, p=5: query noise depth 2, N = 3."""
+    return make_params(variant, 2, 2, t=2, p=5)
+
+
+@pytest.mark.parametrize("variant", ["pma1", "spma1"])
+@pytest.mark.parametrize("taps,passes", [([1, 2], True), ([1, 2, 3], False)],
+                         ids=("T=2 taps", "3 taps"))
+def test_type1_query_privacy_at_two_colluders(variant, taps, passes):
+    params = _t2_collusion(variant)
+    assert (params.n, params.mu) == (3, 2)
+    result = audit.audit_query_privacy(params, taps)
+    assert result.passed is passes
+    assert (result.witness is None) is passes
+
+
+def test_query_pad_that_weights_every_noise_row_by_x_fails_only_at_depth_two(monkeypatch):
+    """A query pad that weights every noise row by x^1 rather than by
+    x^1..x^mu is exact at depth 1, so every suite case passes; two
+    colluders at T = 2 see e_theta + x * (N_1 + N_2) at two points and
+    read the index."""
+    pad = model.noise_pad_vector
+
+    def first_power(upsilon, base, noise_rows):
+        summed = [tuple(sum(column) % upsilon.p for column in zip(*noise_rows))]
+        return pad(upsilon, base, summed if noise_rows else ())
+
+    monkeypatch.setattr(model, "noise_pad_vector", first_power)
+    assert run_audit_suite("all")["all_ok"] is True
+    for variant in ("pma1", "spma1"):
+        assert not audit.audit_query_privacy(_t2_collusion(variant), [1, 2]).passed
+
+
+# ---------------------------------------------------------------------------
 # collusion resistance
 
 def test_query_privacy_passes_within_budget():
@@ -466,9 +503,13 @@ _SAMPLERS = ("pma.pma1", "pma.spma2")
 
 def test_every_suite_view_draws_exactly_its_dims_symbols(monkeypatch):
     """Each view of every suite case draws its whole assignment, the dims
-    symbols its case reports, through one cursor: a dims formula that
-    over-declares would leave symbols that no view reads. A view without
-    randomness may read a fixed realization in their place.
+    symbols its case reports: a dims formula that over-declares would
+    leave symbols that no view reads. A view without randomness may read
+    a fixed realization in their place. Views share one draw per
+    evaluation point within an audit call, so a view call makes at most
+    one cursor, each cursor is drawn to its end and equals the assignment
+    of the call that made it, and every assignment a law evaluates is
+    drawn in full by some cursor of its case.
 
     Every draw comes from a pma1 or spma2 sampler, directly or through
     RandomSource.rows, so no view drifts back to drawing by itself. The
@@ -476,6 +517,7 @@ def test_every_suite_view_draws_exactly_its_dims_symbols(monkeypatch):
     alone, since the full-round samplers would add party 2's noise to dims
     and pad twice per evaluation, and lemmas 4, 2 and 1 certify them."""
     made, self_drawn, case = [], set(), None
+    evaluated, drawn = set(), set()  # assignments of the case's laws, and of its cursors
 
     class Spy(audit._Cursor):
         def __init__(self, flat):
@@ -496,9 +538,13 @@ def test_every_suite_view_draws_exactly_its_dims_symbols(monkeypatch):
         def checked(assignment):
             made.clear()
             out = view(assignment)
-            [cursor] = made
-            assert cursor.i == len(cursor.flat), name
-            assert cursor.flat == assignment or not dims, name
+            assert len(made) <= 1, name
+            for cursor in made:
+                assert cursor.i == len(cursor.flat), name
+                assert cursor.flat == assignment or not dims, name
+                drawn.add(assignment)
+            if dims:
+                evaluated.add(assignment)
             return out
         return coset_law(checked, dims, p, name)
 
@@ -507,8 +553,29 @@ def test_every_suite_view_draws_exactly_its_dims_symbols(monkeypatch):
     cases = build_audit_suite()
     assert len(cases) == 23
     for case in cases:
+        evaluated.clear()
+        drawn.clear()
         assert case.build(audit.DEFAULT_CAP).passed is case.expect_pass, case.name
+        assert evaluated <= drawn, case.name
     assert self_drawn == {c.name for c in cases if c.lemma == "lemma6"}
+
+
+def test_blind_estimation_draws_queries_once_per_evaluation_point_and_theta(monkeypatch):
+    """Lemma 2's laws share one draw per (assignment, theta): gen_queries
+    runs dims + 4 times for each theta, not once per law and point. A
+    draw keyed without theta would pass every lemma-2 case and fail here."""
+    params = make_params("pma1", 2, 2, t=1, p=3)
+    calls = Counter()
+    gen_queries = pma1.gen_queries
+
+    def counted(theta, params, rng):
+        calls[theta] += 1
+        return gen_queries(theta, params, rng)
+
+    monkeypatch.setattr(pma1, "gen_queries", counted)
+    result = audit.audit_blind_estimation(params)
+    assert result.passed and result.dims + 4 == 10
+    assert calls == {1: 10, 2: 10}
 
 
 def test_symmetric_privacy_single_element_vacuous():

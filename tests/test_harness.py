@@ -453,6 +453,20 @@ def test_suite_reports_laws_per_case():
             for c in report["cases"]} == SUITE_LAWS
 
 
+# SHA-256 of json.dumps(run_audit_suite("all"), sort_keys=True) with each
+# case's ms removed, recorded before the laws shared their draws per
+# evaluation point; verdicts, laws, witnesses and params must not move
+SUITE_REPORT_SHA256 = "7713dc7448ad4bb0240e344f7fc8d40138740b275568a37e29c6f24c54489ee4"
+
+
+def test_suite_report_less_its_timings_is_pinned():
+    report = run_audit_suite("all")
+    for case in report["cases"]:
+        del case["ms"]
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_REPORT_SHA256
+
+
 def test_run_audit_suite_reports_infeasible_and_continues():
     report = run_audit_suite("lemma4,lemma5", cap=1)
     verdicts = {c["name"]: c["verdict"] for c in report["cases"]}
