@@ -21,6 +21,8 @@ Views draw, pad, blind and deal only through the schemes' samplers, as
 runs do, except lemma 6's type-I view (see ``audit_eavesdropper``).
 Those draws never read the secret, so within one audit call each is
 memoized per evaluation point (and theta) and every secret's law reads it.
+Type-I answers read one row per party, so lemma 1 and 2 laws are joined
+from per-party blocks, each evaluated once per call (``_party_joins``).
 ``enumerate_distribution`` keeps the exhaustive ``Fraction`` pmf as an
 independent oracle for tests.
 
@@ -176,35 +178,69 @@ class Coset:
         return None
 
 
-def _probes(dims: int, p: int) -> tuple:
-    """Fixed points beyond 0 and the unit vectors at which a coset law
-    checks that the view is affine."""
-    return ((1,) * dims, (p - 1,) * dims,
-            tuple((7 * k + 3) % p for k in range(dims)))
-
-
-def coset_law(view: Callable, dims: int, p: int, audit: str) -> Coset:
-    """The coset on which ``view`` is uniform when its ``dims`` GF(p)
-    arguments are; raises IntegrityError if the view is not affine."""
+@lru_cache(maxsize=64)
+def _points(dims: int, p: int) -> tuple:
+    """Where a coset law evaluates a view: 0, the unit vectors, three affinity probes."""
     zero = (0,) * dims
-    offset = view(zero)
-    columns = []
-    for k in range(dims):
-        v = view(zero[:k] + (1,) + zero[k + 1:])
+    return (zero, *(zero[:k] + (1,) + zero[k + 1:] for k in range(dims)),
+            (1,) * dims, (p - 1,) * dims, tuple((7 * k + 3) % p for k in range(dims)))
+
+
+class _Join:
+    """A view that concatenates its blocks' views; the joins of one audit
+    call share ``memo``, where ``coset_law`` keeps each block's affine data."""
+
+    __slots__ = ("blocks", "memo")
+
+    def __init__(self, blocks: tuple, memo: dict) -> None:
+        self.blocks, self.memo = blocks, memo
+
+    def __call__(self, assignment) -> tuple:
+        return sum((block(assignment) for block in self.blocks), ())
+
+
+def _affine(view: Callable, dims: int, p: int, audit: str) -> tuple:
+    """``(columns, offset)`` of ``view`` in its ``dims`` GF(p) arguments; raises if not affine."""
+    zero, *points = _points(dims, p)
+    offset, columns = tuple(view(zero)), []
+    for k, unit in enumerate(points[:dims]):
+        v = view(unit)
         if len(v) != len(offset):
             raise IntegrityError(
                 f"audit {audit}: view length changes from {len(offset)} to "
                 f"{len(v)} at unit vector {k}")
         columns.append([(x - y) % p for x, y in zip(v, offset)])
     rows = [(b, row) for b, *row in zip(offset, *columns)]  # per view symbol
-    for point in _probes(dims, p):
+    for point in points[dims:]:
         predicted = [(b + sum(map(mul, point, row))) % p for b, row in rows]
         if list(view(point)) != predicted:
             raise IntegrityError(
                 f"audit {audit}: view is not affine in its {dims} GF({p}) "
                 f"randomness symbols; the affine prediction fails at "
                 f"point {list(point)}")
-    return Coset(p, columns, offset)
+    return columns, offset
+
+
+def coset_law(view: Callable, dims: int, p: int, audit: str) -> Coset:
+    """The coset on which ``view`` is uniform when its ``dims`` GF(p) arguments are,
+    a ``_Join``'s from its blocks' memoized data; IntegrityError if it is not affine."""
+    if type(view) is not _Join:
+        return Coset(p, *_affine(view, dims, p, audit))
+    memo = view.memo
+    laws = [memo.get(b) or memo.setdefault(b, _affine(b, dims, p, audit)) for b in view.blocks]
+    columns, offsets = zip(*laws)
+    return Coset(p, [sum(column, []) for column in zip(*columns)], sum(offsets, ()))
+
+
+def _party_joins(params: SchemeParams, draw: Callable) -> Callable:
+    """``bits -> view``: the type-I answers on ``draw(assignment)``, (queries, masks, blinding),
+    joined over parties i at row ``bits[i]``; the views share a block per (i, row) and a memo."""
+    def block(assignment, i, row):
+        queries, masks, blinding = draw(assignment)
+        return pma1.answer(row, queries[i], masks[i], blinding[i], params)
+
+    part, memo = cache(lambda i, row: partial(block, i=i, row=row)), {}
+    return lambda bits: _Join(tuple(map(part, itertools.count(), bits)), memo)
 
 
 @dataclass
@@ -254,7 +290,7 @@ def _audit(name: str, lemma: str | None, params: SchemeParams, dims: int,
     that class's detail added to the report's.
     """
     p = params.p
-    per_law = 1 + dims + len(_probes(dims, p))
+    per_law = len(_points(dims, p))
     detail = {**params.summary(), **detail}
     evaluations = rank = secrets = 0
     witness = None
@@ -356,21 +392,17 @@ def audit_blind_estimation(params: SchemeParams, *, zero_masks: bool = False,
         masks = ((0,) * n,) * m if zero_masks else pma1.gen_masks(params, cur)
         return queries, masks, pma1.draw_party_noise(params, cur)
 
-    def view(assignment, theta, bits):
-        return sum(map(pma1.answer, bits, *draw(assignment, theta),
-                       itertools.repeat(params)), ())
-
     def classes():
         # one class per (bits off theta, count at it); placements in order: columns descend
         for theta in range(1, e + 1):
+            join = _party_joins(params, partial(draw, theta=theta))
             groups: dict[tuple, list] = {}
             for bits in _all_datasets(m, e):
                 off = tuple(r[:theta - 1] + r[theta:] for r in bits)
                 groups.setdefault((off, sum(r[theta - 1] for r in bits)), []).append(bits)
             for (_, kappa), members in sorted(groups.items()):
                 if len(members) > 1:
-                    yield {"kappa": kappa}, [(("theta", theta, "bits", bits),
-                                              partial(view, theta=theta, bits=bits))
+                    yield {"kappa": kappa}, [(("theta", theta, "bits", bits), join(bits))
                                              for bits in reversed(members)]
 
     dims = m * mu * e + (0 if zero_masks else (m - 1) * n) + m * params.blinding_depth
@@ -395,7 +427,7 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
     """
     m, e, mu = params.m, params.e, params.mu
     depth = 0 if zero_blinding else params.blinding_depth
-    # secrets: (label, kappa, view) per dataset secret; views take the queries
+    # secrets(queries): (label, kappa, view) per dataset secret at those queries
     if params.is_type2:
         scheme, dims = spma2, depth
 
@@ -407,9 +439,11 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
         def view(assignment, ptildes, queries):
             return spma2.answer(ptildes, queries, draw(assignment), params)
 
-        # answers read the datasets only through their bit-sums: range over those
-        secrets = [(("sums", sigma), sigma[0], partial(view, ptildes=ptildes))
-                   for sigma, ptildes in _dealt_sums(params)]
+        sums = list(_dealt_sums(params))  # answers read the datasets only through these
+
+        def secrets(queries):
+            return [(("sums", sigma), sigma[0], partial(view, ptildes=ptildes, queries=queries))
+                    for sigma, ptildes in sums]
     else:
         scheme, dims = pma1, (m - 1) * params.n + m * depth
 
@@ -419,20 +453,17 @@ def audit_symmetric_privacy(params: SchemeParams, *, zero_blinding: bool = False
             masks = pma1.gen_masks(params, cur)
             return masks, (((),) * m if zero_blinding else pma1.draw_party_noise(params, cur))
 
-        def view(assignment, bits, queries):
-            return sum(map(pma1.answer, bits, queries, *draw(assignment),
-                           itertools.repeat(params)), ())
-
-        secrets = [(("bits", bits), sum(row[0] for row in bits), partial(view, bits=bits))
-                   for bits in _all_datasets(m, e)]
+        def secrets(queries):
+            join = _party_joins(params, lambda assignment: (queries, *draw(assignment)))
+            return [(("bits", bits), sum(row[0] for row in bits), join(bits))
+                    for bits in _all_datasets(m, e)]
 
     def classes():
         for rlabel, value in (("zero", 0), ("one", 1)):
             queries = scheme.gen_queries(1, params, _Cursor((value,) * m * mu * e)).queries
             groups: dict[int, list] = {}
-            for label, kappa, view in secrets:
-                groups.setdefault(kappa, []).append(
-                    (("realization", rlabel, *label), partial(view, queries=queries)))
+            for label, kappa, view in secrets(queries):
+                groups.setdefault(kappa, []).append((("realization", rlabel, *label), view))
             for kappa, members in groups.items():
                 yield {"kappa": kappa, "realization": rlabel}, members
 

@@ -6,8 +6,12 @@ import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
+from functools import partial
+from operator import mul
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pma import audit, model, pma1, spma1, spma2
 from pma.errors import AuditInfeasibleError, IntegrityError, ParameterError
@@ -133,6 +137,43 @@ def test_cap_bounds_view_evaluations():
         audit.audit_query_privacy(t1(), [1], cap=15)
 
 
+def _affine_map(rows, p, calls, assignment):
+    """The view ``row[0] + row[1:] . assignment`` mod p per row, counting its calls."""
+    calls.append(assignment)
+    return tuple((b + sum(map(mul, assignment, row))) % p for b, *row in rows)
+
+
+@given(st.data())
+def test_a_join_law_is_the_law_of_its_joined_view(data):
+    """Assembled from its blocks' affine data, a join's law is coset_law of
+    the concatenated view; each block is evaluated once per memo, and a
+    block that is not affine raises as a whole view would."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 11)), label="p")
+    dims = data.draw(st.integers(0, 4), label="dims")
+    row = st.lists(st.integers(0, p - 1), min_size=dims + 1, max_size=dims + 1)
+    maps = data.draw(st.lists(st.lists(row, max_size=3), min_size=1, max_size=3), label="maps")
+    calls = []
+    blocks = tuple(partial(_affine_map, rows, p, calls) for rows in maps)
+    memo = {}
+    law = audit.coset_law(audit._Join(blocks, memo), dims, p, "demo")
+    assert law == audit.coset_law(lambda a: sum((b(a) for b in blocks), ()), dims, p, "demo")
+    calls.clear()
+    assert audit.coset_law(audit._Join(blocks[::-1], memo), dims, p, "demo") == \
+        audit.coset_law(lambda a: sum((b(a) for b in blocks[::-1]), ()), dims, p, "demo")
+    assert len(calls) == len(blocks) * (dims + 4)  # the joined view's; the join read the memo
+    broken = [k for k, rows in enumerate(maps) if rows]
+    if dims >= 2 and broken:
+        k = data.draw(st.sampled_from(broken), label="broken block")
+
+        def bent(a):  # block k plus a0 * a1 on its first symbol
+            first, *rest = blocks[k](a)
+            return ((first + a[0] * a[1]) % p, *rest)
+
+        join = audit._Join(blocks[:k] + (bent,) + blocks[k + 1:], {})
+        with pytest.raises(IntegrityError, match=r"^audit demo: view is not affine"):
+            audit.coset_law(join, dims, p, "demo")
+
+
 class _Pmf:
     """An enumerated pmf behind the interface the comparison reads."""
 
@@ -182,6 +223,7 @@ def test_suite_case_matches_enumeration_oracle(case, monkeypatch):
     assert (result.dims, result.rank, result.secrets, result.detail) == \
         (oracle.dims, oracle.rank, oracle.secrets, oracle.detail)
     assert len(cosets) == len(pmfs)
+    assert len(cosets) == result.secrets  # every law went through coset_law
     # each law is uniform on exactly the enumerated support
     for law, pmf in zip(cosets, pmfs):
         assert set(pmf.dist.values()) == {Fraction(1, law.p ** law.rank)}
@@ -219,6 +261,38 @@ def test_beyond_enumeration(run, passes):
     assert result.passed is passes
     assert 101 ** result.dims > audit.DEFAULT_CAP
     assert (result.witness is None) is passes
+
+
+# ---------------------------------------------------------------------------
+# type-I lemmas 1 and 2 at four parties, a reach no suite case has
+
+def _four_parties(variant):
+    """``variant`` at M=4, E=2, T=1 with the derived N = 2 and p = 11."""
+    params = make_params(variant, 4, 2, t=1)
+    assert (params.n, params.p) == (2, 11)
+    return params
+
+
+@pytest.mark.parametrize("run,passes,secrets", [
+    pytest.param(lambda: audit.audit_blind_estimation(_four_parties("spma1")), True, 448,
+                 id="blind-estimation:spma1"),
+    pytest.param(lambda: audit.audit_blind_estimation(_four_parties("spma1"),
+                                                      zero_masks=True), False, None,
+                 id="blind-estimation:spma1 zero masks"),
+    pytest.param(lambda: audit.audit_symmetric_privacy(_four_parties("spma1")), True, 512,
+                 id="symmetric-privacy:spma1"),
+    pytest.param(lambda: audit.audit_symmetric_privacy(_four_parties("spma1"),
+                                                       zero_blinding=True), False, None,
+                 id="symmetric-privacy:spma1 zero blinding"),
+    pytest.param(lambda: audit.audit_symmetric_privacy(_four_parties("pma1")), False, None,
+                 id="symmetric-privacy:pma1"),
+])
+def test_type1_lemmas_1_and_2_at_four_parties(run, passes, secrets):
+    result = run()
+    assert result.passed is passes
+    assert (result.witness is None) is passes
+    if passes:
+        assert result.secrets == secrets
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +583,10 @@ def test_every_suite_view_draws_exactly_its_dims_symbols(monkeypatch):
     evaluation point within an audit call, so a view call makes at most
     one cursor, each cursor is drawn to its end and equals the assignment
     of the call that made it, and every assignment a law evaluates is
-    drawn in full by some cursor of its case.
+    drawn in full by some cursor of its case. The check wraps what the
+    suite's laws evaluate: each block of a join, once per audit call, and
+    every other view whole; each of a case's ``secrets`` laws must have
+    had all of its blocks checked.
 
     Every draw comes from a pma1 or spma2 sampler, directly or through
     RandomSource.rows, so no view drifts back to drawing by itself. The
@@ -532,9 +609,10 @@ def test_every_suite_view_draws_exactly_its_dims_symbols(monkeypatch):
                 self_drawn.add(case.name)
             return super().draw_vector(modulus, k)
 
-    coset_law = audit.coset_law
+    affine, coset_law = audit._affine, audit.coset_law
+    checked_views, laws = set(), []  # views the check saw; per law, whether it saw them all
 
-    def checked_law(view, dims, p, name):
+    def checked_affine(view, dims, p, name):  # each block of a join, or a whole view
         def checked(assignment):
             made.clear()
             out = view(assignment)
@@ -546,17 +624,28 @@ def test_every_suite_view_draws_exactly_its_dims_symbols(monkeypatch):
             if dims:
                 evaluated.add(assignment)
             return out
-        return coset_law(checked, dims, p, name)
+        data = affine(checked, dims, p, name)
+        checked_views.add(view)
+        return data
+
+    def counted_law(view, dims, p, name):
+        law = coset_law(view, dims, p, name)
+        laws.append(set(getattr(view, "blocks", (view,))) <= checked_views)
+        return law
 
     monkeypatch.setattr(audit, "_Cursor", Spy)
-    monkeypatch.setattr(audit, "coset_law", checked_law)
+    monkeypatch.setattr(audit, "_affine", checked_affine)
+    monkeypatch.setattr(audit, "coset_law", counted_law)
     cases = build_audit_suite()
     assert len(cases) == 23
     for case in cases:
         evaluated.clear()
         drawn.clear()
-        assert case.build(audit.DEFAULT_CAP).passed is case.expect_pass, case.name
+        laws.clear()
+        result = case.build(audit.DEFAULT_CAP)
+        assert result.passed is case.expect_pass, case.name
         assert evaluated <= drawn, case.name
+        assert laws == [True] * result.secrets, case.name
     assert self_drawn == {c.name for c in cases if c.lemma == "lemma6"}
 
 
@@ -576,6 +665,31 @@ def test_blind_estimation_draws_queries_once_per_evaluation_point_and_theta(monk
     result = audit.audit_blind_estimation(params)
     assert result.passed and result.dims + 4 == 10
     assert calls == {1: 10, 2: 10}
+
+
+@pytest.mark.parametrize("build,variant,answers", [
+    (audit.audit_blind_estimation, "pma1", 160),
+    (audit.audit_blind_estimation, "spma1", 192),
+    (audit.audit_symmetric_privacy, "spma1", 128),
+], ids=("blind-estimation:pma1", "blind-estimation:spma1", "symmetric-privacy:spma1"))
+def test_type1_answer_laws_answer_once_per_party_row_and_point(monkeypatch, build, variant,
+                                                               answers):
+    """The type-I laws of lemmas 1 and 2 join one block per (theta or
+    realization, party, row): pma1.answer runs once per block and
+    evaluation point, 2 * M * 2^E = 16 blocks here, not once per law,
+    party and point."""
+    params = make_params(variant, 2, 2, t=1, p=3)
+    calls = []
+    answer = pma1.answer
+
+    def counted(*args):
+        calls.append(args[0])
+        return answer(*args)
+
+    monkeypatch.setattr(pma1, "answer", counted)
+    result = build(params)
+    assert result.passed
+    assert len(calls) == 16 * (result.dims + 4) == answers
 
 
 def test_symmetric_privacy_single_element_vacuous():

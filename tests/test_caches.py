@@ -27,9 +27,9 @@ def _lru_caches():
 
 def test_every_lru_cache_is_bounded():
     caches = _lru_caches()
-    assert {"pma.audit._echelon", "pma.field._scale_table", "pma.model._marks",
-            "pma.model._upsilon", "pma.pma1._db_names", "pma.spma2._db_names",
-            "pma.transcript._frames"} <= set(caches)
+    assert {"pma.audit._echelon", "pma.audit._points", "pma.field._scale_table",
+            "pma.model._marks", "pma.model._upsilon", "pma.pma1._db_names",
+            "pma.spma2._db_names", "pma.transcript._frames"} <= set(caches)
     # Upsilon memoizes its packed inverse and packed columns itself
     assert [name for name in caches if name.startswith("pma.field.")] == \
         ["pma.field._scale_table"]
