@@ -18,7 +18,9 @@ stay bytes from the draw to the digest, by one bound, ``LANES_MIN_LENGTH``:
 a drawn row of at least that many values (``model.RandomSource``; its own
 length decides, not its draw's), and the rows of a noised, not deep, pad
 of at least that many entries whose base has at most one nonzero entry, as
-a query's. ``pma1.answer`` sums a party's bytes queries in lanes over one
+a query's. A database's aggregated storage (``spma2.aggregate``) is the
+bytes lane sum of its shares when p <= 128 and E >= ``LANES_MIN_LENGTH``.
+``pma1.answer`` sums a party's bytes queries in lanes over one
 ``LaneMask`` of its bits (``masked_lane_sum``), and ``transcript`` hashes
 a bytes payload as it is, one byte per value, as it hashes a tuple of
 values in 0..255. Any other vector is a tuple. The form depends only on

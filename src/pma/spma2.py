@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import countOf
 from typing import Sequence
 
 from .errors import IntegrityError, ParameterError
-from .field import noise_pad_vector
+from .field import LANES_MAX_P, LANES_MIN_LENGTH, _scale_table, lane_sum, noise_pad_vector
 from .model import (PartyDataset, QuerySet, RandomSource, SchemeParams, decode_count,
                     incidence, query_vectors)
 from .transcript import (ANSWER, NOISE_SHARE, QUERY, ROUND_ANSWER, ROUND_QUERY,
@@ -64,18 +65,39 @@ def encode_storage(bits: Sequence[int], params: SchemeParams,
                         shares=noise_pad_vector(params.upsilon, bits, noise))
 
 
-def aggregate(shares: Sequence[Sequence[int]], params: SchemeParams) -> tuple[int, ...]:
-    """Componentwise sum of the M shares one database received."""
+def aggregate(shares: Sequence[Sequence[int]], params: SchemeParams) -> Sequence[int]:
+    """Componentwise sum of the M shares one database received, each E
+    elements of GF(p): bytes, summed in lanes, where the pads take the lanes."""
     if len(shares) != params.m:
         raise IntegrityError(
             f"database aggregation needs one share per party: got {len(shares)}, "
             f"expected {params.m}")
     f = params.field
+    lanes = f.p <= LANES_MAX_P and params.e >= LANES_MIN_LENGTH
+    checked = []
     for vec in shares:
         if len(vec) != params.e:
             raise ParameterError(f"share length {len(vec)} != E={params.e}")
-        f.check_all(vec)
-    return tuple(sum(column) % f.p for column in zip(*shares))
+        checked.append(_residue_bytes(vec, params) if lanes else f.check_all(vec))
+    if lanes:
+        return lane_sum(f.p, (1,) * params.m, checked)
+    return tuple(sum(column) % f.p for column in zip(*checked))
+
+
+def _residue_bytes(vec: Sequence[int], params: SchemeParams) -> bytes:
+    """A share's elements as bytes, admitted exactly as by ``check_all``: a
+    bytes or tuple share of exact ints (its fast test, counted in C) is in
+    GF(p) when one ``translate`` through the reducing table keeps its bytes;
+    any other share is checked element by element, which raises or admits it."""
+    if type(vec) in (bytes, tuple) and countOf(map(type, vec), int) == len(vec):
+        try:
+            b = bytes(vec)
+        except ValueError:  # an int outside 0..255
+            pass
+        else:
+            if b == b.translate(_scale_table(params.p, 1)):
+                return b
+    return bytes(iter(params.field.check_all(vec)))  # the elements, not a buffer's bytes
 
 
 def gen_queries(theta: int, params: SchemeParams, rng: RandomSource) -> QuerySet:

@@ -4,7 +4,8 @@ representation rule), recomputed with plain ints.
 Every vector a run emits is rebuilt from its inputs one int at a time: each
 query from the unit vector and the query noise, each stored share from the
 party's bits and the storage noise, each answer from its query, the bits or
-the aggregated shares, and its offset. The digest is recomputed with every
+the aggregated shares, and its offset. Aggregated storage is checked in
+value and in the form the rule gives it. The digest is recomputed with every
 payload as a tuple, through the 64-bit word packing.
 """
 
@@ -68,6 +69,10 @@ def test_runs_match_a_plain_int_recomputation(variant, e, p, probs, data, seed):
                 stored.append(weighted(p, bits[i], ups[n][1:], enc.noise))
                 assert shares[f"p{i + 1}:d{n + 1}"] == stored[-1]
             ptilde = [sum(column) % p for column in zip(*stored)]
+            # aggregated storage is bytes exactly where the pads take the lanes
+            assert tuple(run.aggregated[n]) == tuple(ptilde) == tuple(
+                sum(column) % p for column in zip(*(tuple(enc.shares[n]) for enc in run.storage)))
+            assert type(run.aggregated[n]) is (bytes if p <= 128 and e >= 16 else tuple)
             assert queries[link] == ref_query_vectors(theta, e, [ups[n]], run.queries.noise, p)[0]
             expected = (sum(a * q for a, q in zip(ptilde, queries[link]))
                         + sum(w * z for w, z in zip(ups[n][1:], run.blinding))) % p

@@ -1,8 +1,13 @@
 """Type-II scheme: storage sharing, aggregation, global blinding, decode."""
 
 import itertools
+import random
+import warnings
+from array import array
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pma import audit, pma1, spma1, spma2
 from pma.errors import IntegrityError, ParameterError
@@ -93,12 +98,61 @@ def test_aggregate_rejects_a_share_not_of_length_e(length):
         spma2.aggregate([(0,) * 5, (0,) * 5, (0,) * length], params)
 
 
-@pytest.mark.parametrize("bad", ["neg", "p", "float"])
+class _Index:
+    """Read by ``bytes()`` through ``__index__``, yet not an int, so not an
+    element of any field."""
+
+    def __index__(self):
+        return 1
+
+
+class _Residue(int):
+    pass
+
+
+@pytest.mark.parametrize("bad", ["neg", "p", "float", "255", "256", "str", "none", "index",
+                                 "bytes"])
 def test_aggregate_rejects_non_elements(bad):
-    params = params_small(e=2)
-    value = {"neg": -1, "p": params.p, "float": 1.0}[bad]
-    with pytest.raises(ParameterError):
-        spma2.aggregate([(0, 1), (1, 0), (value, 0)], params)
+    for e in (2, 20):  # the tuple path and the lane path
+        params = params_small(e=e)
+        share = bytes([params.p]) + bytes(e - 1) if bad == "bytes" else ({
+            "neg": -1, "p": params.p, "float": 1.0, "255": 255, "256": 256, "str": "1",
+            "none": None, "index": _Index()}[bad],) + (0,) * (e - 1)
+        with pytest.raises(ParameterError, match="is not an element of GF"):
+            spma2.aggregate([(0,) * e, (1,) * e, share], params)
+
+
+@pytest.mark.parametrize("odd", ["bool", "int-subclass", "int-array"])
+def test_aggregate_admits_what_check_all_admits(odd):
+    for e in (2, 20):
+        params = params_small(e=e)
+        # an array of 4-byte ints is summed by its elements, not its buffer's bytes
+        share = array("i", (1,) + (0,) * (e - 1)) if odd == "int-array" else (
+            {"bool": True, "int-subclass": _Residue(1)}[odd],) + (0,) * (e - 1)
+        assert params.field.check_all(share) is share
+        got = spma2.aggregate([(0,) * e, (1,) * e, share], params)
+        assert tuple(got) == (2,) + (1,) * (e - 1)
+
+
+# p on both sides of the lane bound (128), E on both sides of the lane
+# length bound (16); twelve shares at p = 127 make lane_sum reduce mid-sum
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=st.sampled_from((5, 13, 127, 131)), e=st.sampled_from((15, 16, 300)),
+       m=st.sampled_from((2, 3, 12)), top=st.booleans(), forms=st.lists(st.booleans()),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_aggregate_is_the_column_sums_in_the_form_of_the_lane_bounds(p, e, m, top, forms,
+                                                                    seed):
+    assume(p > m)  # counts range over 0..M
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # M = 2 stores in the clear
+        params = make_params("spma2", m, e, t=min(1, m - 2), y=0, p=p)
+    rng = random.Random(seed)
+    plain = [tuple(p - 1 if top else rng.randrange(p) for _ in range(e)) for _ in range(m)]
+    forms = forms + [False] * m
+    shares = [bytes(s) if as_bytes else s for s, as_bytes in zip(plain, forms)]
+    got = spma2.aggregate(shares, params)
+    assert tuple(got) == tuple(sum(column) % p for column in zip(*plain))
+    assert type(got) is (bytes if p <= 128 and e >= 16 else tuple)
 
 
 def test_queries_zero_noise_and_mu():
